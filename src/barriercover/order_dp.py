@@ -6,6 +6,17 @@ sensors and moves them a total of at most ``b`` budget units.  With unit
 size 1 on integer instances the DP is exact; with unit size q it optimizes
 the rounded cost sum(ceil(|y_i - x_i| / q)) instead, which is what the
 (1 + eps) approximation runs on.
+
+Each row is filled in O(U) for U budget units, so a table costs O(n*U).
+The best split of budget b between the first i-1 sensors and sensor i has
+two candidate cases: right-bound splits (the sensor moves right as far as
+its budget allows, found by one pointer per row) and left-bound splits
+(the sensor abuts prior coverage, found by bucketing each budget at which
+that placement becomes affordable and keeping a running maximum).  Ties
+go to skipping the sensor, then to the smaller split.  The arithmetic is
+exact: the fill runs on Python ints, with the instance and the unit scaled
+by the lcm of their denominators, and the table is converted back to
+Fractions once at the end.
 """
 
 from __future__ import annotations
@@ -24,6 +35,7 @@ from .model import (
     Solution,
     as_scalar,
     cost,
+    integral_scale_factor,
     is_feasible,
     is_order_preserving,
     minimal_active_set,
@@ -56,38 +68,79 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     constraint (left edge <= t) allow.  That position is reachable iff
     t >= x_i - k*unit - r_i.  Ties prefer skipping, then smaller k, which
     keeps reconstruction free of pointless placements.
+
+    Each row costs O(budget_units) rather than one try per split k <= b.
+    With t = prev[b-k], split k is right-bound when x + k*unit <= t + r
+    (value x + k*unit + r), left-bound otherwise (value t + 2r), or out of
+    reach.  Right-bound splits form a prefix [0, K_b], and K_b never
+    decreases in b, so one pointer per row finds it; clamped at L, its
+    smallest k is max(0, ceil((L - x - r) / unit)).  Left-bound j = b - k
+    becomes available at budget j + ceil(|prev[j] + r - x| / unit) and stays
+    so; the previous row is nondecreasing, so the largest available j gives
+    both the best value and the smallest k.  The fill runs on exact ints,
+    every coordinate and the unit scaled by the lcm of their denominators,
+    and converts back to Fractions once.
     """
     unit = as_scalar(unit)
     if unit <= 0:
         raise ValueError("budget unit must be positive")
     if budget_units < 0:
         raise ValueError("budget must be >= 0")
-    zero = Fraction(0)
-    length = instance.length
-    reach = [[zero] * (budget_units + 1)]
-    parent = [[_SKIP] * (budget_units + 1)]
-    for i, sensor in enumerate(instance.sensors, start=1):
-        prev = reach[i - 1]
-        row = []
-        choices = []
-        for b in range(budget_units + 1):
-            best = prev[b]
-            chosen = _SKIP
-            for k in range(b + 1):
-                t = prev[b - k]
-                move = k * unit
-                if t < sensor.x - move - sensor.r:
-                    continue
-                y = min(sensor.x + move, t + sensor.r)
-                value = min(y + sensor.r, length)
-                if value > best:
-                    best = value
-                    chosen = (k, y)
-            row.append(best)
-            choices.append(chosen)
-        reach.append(row)
-        parent.append(choices)
+    scale = math.lcm(integral_scale_factor(instance), unit.denominator)
+    length = int(instance.length * scale)
+    step = int(unit * scale)
+    rows = [[0] * (budget_units + 1)]
+    choices = [[_SKIP] * (budget_units + 1)]
+    for sensor in instance.sensors:
+        row, chosen = _fill_row(rows[-1], int(sensor.x * scale), int(sensor.r * scale), step, length)
+        rows.append(row)
+        choices.append(chosen)
+    values = {v for row in rows for v in row}
+    values.update(y for row in choices for _, y in row if y is not None)
+    exact = {v: Fraction(v, scale) for v in values}
+    reach = [[exact[v] for v in row] for row in rows]
+    parent = [[c if c is _SKIP else (c[0], exact[c[1]]) for c in row] for row in choices]
     return DpTable(unit=unit, reach=reach, parent=parent)
+
+
+def _fill_row(
+    prev: list[int], x: int, r: int, u: int, length: int
+) -> tuple[list[int], list[tuple[int, Optional[int]]]]:
+    """One ``budget_table`` row on the integer grid, in O(len(prev))."""
+    width = len(prev)
+    latest = [-1] * width
+    for j, t in enumerate(prev):
+        at = j - (-abs(t + r - x) // u)
+        if at < width:
+            latest[at] = j
+    clamp_k = max(0, -((x + r - length) // u))
+    row = [0] * width
+    chosen: list[tuple[int, Optional[int]]] = [_SKIP] * width
+    right = -1
+    left = -1
+    for b in range(width):
+        if latest[b] > left:
+            left = latest[b]
+        while right < b and x + (right + 1) * u <= prev[b - right - 1] + r:
+            right += 1
+        best = prev[b]
+        k = -1
+        if right >= 0:
+            value = x + right * u + r
+            if value >= length:
+                best_right, k_right = length, clamp_k
+            else:
+                best_right, k_right = value, right
+            if best_right > best:
+                best, k = best_right, k_right
+        if left >= 0:
+            value = min(prev[left] + 2 * r, length)
+            if value > best or (value == best and k >= 0 and b - left < k):
+                best, k = value, b - left
+        row[b] = best
+        if k >= 0:
+            chosen[b] = (k, min(x + k * u, prev[b - k] + r))
+    return row, chosen
 
 
 def _chain_active(placed: list[tuple[int, Scalar]]) -> list[int]:
@@ -146,9 +199,16 @@ def dp_exact(instance: Instance, budget: ScalarLike) -> Optional[tuple[Solution,
 
     Input must be on the integer grid (L, centers integral, radii integral
     or half-integral); movements are searched on that grid, which loses
-    nothing for integral data.
+    nothing for integral data.  The budget is capped at the greedy cover's
+    cost: greedy tiles in index order, so it is an order-preserving cover
+    the DP can express, and the cheapest one never costs more.
     """
     work, units, factor = _integral_view(instance, as_scalar(budget))
+    try:
+        _, upper = greedy_cover(work)
+    except InfeasibleError:
+        return None
+    units = min(units, int(upper))
     table = budget_table(work, units)
     final = table.reach[work.n]
     winner = next((b for b in range(units + 1) if final[b] >= work.length), None)
@@ -169,14 +229,14 @@ def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
     if not is_feasible(instance):
         raise InfeasibleError("total sensor length is below the barrier length")
     y = list(instance.home())
-    reach = Fraction(0)
+    reach = moved = Fraction(0)
     for i, s in enumerate(instance.sensors):
         if reach >= instance.length:
             break
         y[i] = reach + s.r
+        moved += abs(y[i] - s.x)
         reach += 2 * s.r
-    solution = tuple(y)
-    return solution, cost(instance, solution)
+    return tuple(y), moved
 
 
 def dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:

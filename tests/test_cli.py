@@ -68,6 +68,12 @@ class TestSolve:
     def test_dp_exact_absent(self, i1_path):
         assert main(["solve", "--algo", "dp-exact", "--budget", "2", i1_path]) == 1
 
+    def test_dp_exact_huge_budget_finishes(self, capsys):
+        path = str(CORPORA / "i1.bc")
+        assert main(["solve", "--algo", "dp-exact", "--budget", "20000", path]) == 0
+        recorded, _ = parse_solution(capsys.readouterr().out)
+        assert recorded == 3
+
     def test_oracle_zero_budget_on_covering_instance(self, tmp_path, capsys):
         path = tmp_path / "cov.bc"
         path.write_text("L 4\nN 2\n1 1\n3 1\n")

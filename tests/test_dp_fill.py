@@ -1,0 +1,72 @@
+"""The O(n*U) budget fill against the quadratic reference fill.
+
+``budget_table`` must return the very table the reference builds: every
+``reach`` value and every ``parent`` choice, tie-breaks included, so that
+reconstruction (and with it dp_exact, dp_optimal and dp_eps) is unchanged.
+"""
+
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from barriercover import Instance, Sensor, budget_table, gen_fig5
+
+from conftest import random_corpus
+from reference_dp import reference_budget_table
+
+CORPUS_UNITS = (F(1), F(1, 2), F(1, 3), F(2), F(5, 7), F(3, 2))
+CORPUS_BUDGETS = (0, 1, 3, 8, 17, 33)
+
+
+def _assert_same(instance, units, unit, reference):
+    """The fill at ``units`` equals the first units+1 columns of ``reference``.
+
+    Cell (i, b) depends only on row i-1 at budgets <= b, so a reference
+    table filled to a larger budget holds the smaller tables as prefixes.
+    """
+    got = budget_table(instance, units, unit)
+    where = f"{instance} U={units} unit={unit}"
+    assert got.unit == reference.unit, where
+    assert got.reach == [row[: units + 1] for row in reference.reach], where
+    assert got.parent == [row[: units + 1] for row in reference.parent], where
+
+
+def test_matches_reference_on_corpus():
+    top = max(CORPUS_BUDGETS)
+    for _, inst, _ in random_corpus(200):
+        for unit in CORPUS_UNITS:
+            reference = reference_budget_table(inst, top, unit)
+            for units in CORPUS_BUDGETS:
+                _assert_same(inst, units, unit, reference)
+
+
+def test_matches_reference_on_fig5():
+    for length in range(6, 20, 2):
+        inst = gen_fig5(2, length)
+        for unit, units in ((F(1), 2 * length), (F(1, 2), 3 * length)):
+            _assert_same(inst, units, unit, reference_budget_table(inst, units, unit))
+
+
+def test_matches_reference_with_half_integral_radii():
+    inst = Instance(
+        9, (Sensor(0, F(1, 2)), Sensor(2, F(3, 2)), Sensor(4, F(5, 2)), Sensor(11, F(1, 2)))
+    )
+    for unit in (F(1), F(1, 2), F(3, 4)):
+        _assert_same(inst, 24, unit, reference_budget_table(inst, 24, unit))
+
+
+_coords = st.builds(F, st.integers(-24, 36), st.sampled_from([1, 2, 3, 4]))
+_radii = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3, 4]))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_coords, _radii), max_size=5),
+    st.builds(F, st.integers(0, 48), st.sampled_from([1, 2, 3])),
+    st.builds(F, st.integers(1, 12), st.integers(1, 7)),
+    st.integers(0, 16),
+)
+def test_matches_reference_on_random_instances(sensors, length, unit, units):
+    inst = Instance(length, tuple(Sensor(x, r) for x, r in sensors))
+    _assert_same(inst, units, unit, reference_budget_table(inst, units, unit))

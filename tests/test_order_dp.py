@@ -15,8 +15,11 @@ from barriercover import (
     dp_eps,
     dp_exact,
     dp_optimal,
+    gen_fig5,
+    gen_random,
     greedy_cover,
     is_order_preserving,
+    oracle_optimal,
     rounded_cost,
     verify_coverage,
 )
@@ -54,6 +57,17 @@ class TestDpExact:
             dp_exact(inst, 3)
         with pytest.raises(ValueError):
             dp_exact(I1, F(1, 2))
+
+    def test_huge_budget_is_capped_at_the_greedy_cost(self):
+        # The table is filled to the greedy cover's cost, not to 10**12 columns.
+        found = dp_exact(I1, 10**12)
+        assert found is not None
+        solution, active = found
+        assert solution == (1, 3) and cost(I1, solution) == 3
+        assert is_order_preserving(I1, solution, active)
+
+    def test_infeasible_is_absent_at_any_budget(self):
+        assert dp_exact(Instance(10, (Sensor(0, 1),)), 10**12) is None
 
     def test_half_integer_radii_are_scaled_internally(self):
         inst = Instance(3, (Sensor(0, F(1, 2)), Sensor(4, F(5, 2))))
@@ -198,6 +212,33 @@ class TestDpEps:
         )
         solution, active = dp_eps(inst, F(1, 2))
         assert verify_coverage(inst, solution, active).covered
+
+
+class TestLargeInstances:
+    """Oracle-free checks at sizes the exhaustive searches cannot reach."""
+
+    def test_eps_sandwich_against_dp_optimal(self):
+        for n in (20, 40):
+            for seed in (7, 8, 9):
+                inst = gen_random(n, 2 * n, 1, 3, (-n, 3 * n), seed)
+                best, _ = dp_optimal(inst)
+                opt = cost(inst, best)
+                assert opt > 0
+                for eps in (F(1), F(1, 2), F(1, 4)):
+                    solution, active = dp_eps(inst, eps)
+                    value = cost(inst, solution)
+                    assert opt <= value <= (1 + eps) * opt, (n, seed, eps, value, opt)
+                    assert verify_coverage(inst, solution, active).covered
+                    assert is_order_preserving(inst, solution, active)
+
+    def test_fig5_order_preserving_optimum_at_l40(self):
+        inst = gen_fig5(2, 40)
+        solution, active = dp_optimal(inst)
+        assert verify_coverage(inst, solution, active).covered
+        assert is_order_preserving(inst, solution, active)
+        _, opt = oracle_optimal(inst)
+        assert cost(inst, solution) >= opt
+        assert (cost(inst, solution), opt) == (74, 38)
 
 
 class TestGreedyCover:

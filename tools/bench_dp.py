@@ -1,0 +1,182 @@
+"""Time the order-preserving budget DP and record the figures in BENCH_dp.json.
+
+Stdlib only.  Two subcommands, both run from the repository root:
+
+    python tools/bench_dp.py rows --label after
+    python tools/bench_dp.py rows --label before --src ../parent/src
+    python tools/bench_dp.py pairs --before ../parent --after . --pairs 10
+
+``rows`` imports ``barriercover`` from ``--src`` (default: this checkout's
+``src``) and times the DP baseline rows: the C3 gate loop, ``dp_eps``
+(eps = 1/2) and ``dp_optimal`` on ``gen_random(n, 2n, 1, 3, (-n, 3n), 7)``
+for n in {10, 20, 40}, and fig5 L=40 ``dp_optimal`` against the exhaustive
+``oracle_optimal``.  Each row is the median of ``--k`` runs in process CPU
+time.  The result goes under ``runs[label]`` together with the Python
+version and the git SHA of the checkout that holds ``--src``.
+
+``pairs`` runs ``perfbench/run.py --workload dp-order`` in the ``--before``
+and ``--after`` checkouts, one run of each per pair, with the side that runs
+first alternating from pair to pair.  It records each side's median and
+quartiles of every end-to-end metric, and how many pairs the after side won
+on ``ops_per_s``, under ``dp_order_pairs[seed]``.  Each run is a separate
+process and reads only its own checkout.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import platform
+import statistics
+import subprocess
+import sys
+import time
+from fractions import Fraction
+from pathlib import Path
+from typing import Callable
+
+REPO = Path(__file__).resolve().parent.parent
+DEFAULT_OUT = REPO / "BENCH_dp.json"
+
+
+def git_sha(path: Path) -> str:
+    try:
+        out = subprocess.run(
+            ["git", "-C", str(path), "rev-parse", "HEAD"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+        dirty = subprocess.run(
+            ["git", "-C", str(path), "status", "--porcelain", "--untracked-files=no"],
+            capture_output=True, text=True, check=True,
+        ).stdout.strip()
+    except (OSError, subprocess.CalledProcessError):
+        return "unknown"
+    return out + ("-dirty" if dirty else "")
+
+
+def median_cpu_s(fn: Callable[[], object], k: int) -> float:
+    times = []
+    for _ in range(k):
+        start = time.process_time()
+        fn()
+        times.append(time.process_time() - start)
+    return statistics.median(times)
+
+
+def dp_rows(bc) -> dict[str, Callable[[], object]]:
+    """The baseline rows, each a zero-argument callable on package ``bc``."""
+    sys.path.insert(0, str(REPO / "tests"))
+    from conftest import random_corpus
+
+    def c3_gate() -> None:
+        for _, inst, _ in random_corpus(200):
+            try:
+                best, _ = bc.dp_optimal(inst)
+            except bc.InfeasibleError:
+                continue
+            opt = bc.cost(inst, best)
+            for eps in (Fraction(1), Fraction(1, 2), Fraction(1, 4)):
+                value = bc.cost(inst, bc.dp_eps(inst, eps)[0])
+                assert opt <= value <= (1 + eps) * opt
+
+    rows: dict[str, Callable[[], object]] = {"c3_gate": c3_gate}
+    for n in (10, 20, 40):
+        inst = bc.gen_random(n, 2 * n, 1, 3, (-n, 3 * n), 7)
+        rows[f"dp_eps_half.random_n{n}"] = lambda i=inst: bc.dp_eps(i, Fraction(1, 2))
+        rows[f"dp_optimal.random_n{n}"] = lambda i=inst: bc.dp_optimal(i)
+    fig5 = bc.gen_fig5(2, 40)
+    rows["dp_optimal.fig5_L40"] = lambda: bc.dp_optimal(fig5)
+    rows["oracle_optimal.fig5_L40"] = lambda: bc.oracle_optimal(fig5)
+    return rows
+
+
+def cmd_rows(args: argparse.Namespace) -> dict:
+    src = Path(args.src).resolve()
+    sys.path.insert(0, str(src))
+    bc = importlib.import_module("barriercover")
+    if Path(bc.__file__).resolve().parent != src / "barriercover":
+        raise SystemExit(f"imported barriercover from {bc.__file__}, not from {src}")
+    figures = {}
+    for name, fn in dp_rows(bc).items():
+        figures[name] = round(median_cpu_s(fn, args.k), 4)
+        print(f"{name:28s} {figures[name]:10.4f} s", flush=True)
+    return {
+        "label": args.label,
+        "sha": git_sha(src),
+        "python": platform.python_version(),
+        "k": args.k,
+        "unit": "s (median process CPU time)",
+        "rows": figures,
+    }
+
+
+def perfbench_run(checkout: Path, seed: int, seconds: int) -> dict[str, float]:
+    out = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "dp-order", "--seed", str(seed),
+         "--seconds", str(seconds), "--trace", "0"],
+        cwd=checkout, capture_output=True, text=True, check=True,
+    ).stdout
+    result = json.loads(out.strip().splitlines()[-1])
+    if not result["correct"] or result["failed"]:
+        raise SystemExit(f"dp-order run in {checkout} failed: {result}")
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def summary(values: list[float]) -> dict[str, float]:
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": round(q2, 4), "q1": round(q1, 4), "q3": round(q3, 4)}
+
+
+def cmd_pairs(args: argparse.Namespace) -> dict:
+    before, after = Path(args.before).resolve(), Path(args.after).resolve()
+    runs: dict[str, list[dict[str, float]]] = {"before": [], "after": []}
+    for i in range(args.pairs):
+        order = ("before", "after") if i % 2 == 0 else ("after", "before")
+        for side in order:
+            runs[side].append(perfbench_run(before if side == "before" else after, args.seed, args.seconds))
+        print(f"pair {i + 1}: ops_per_s {runs['before'][-1]['ops_per_s']:.1f} -> "
+              f"{runs['after'][-1]['ops_per_s']:.1f}", flush=True)
+    wins = sum(a["ops_per_s"] > b["ops_per_s"] for b, a in zip(runs["before"], runs["after"]))
+    return {
+        "command": f"python3 perfbench/run.py --workload dp-order --seed {args.seed} "
+                   f"--seconds {args.seconds} --trace 0",
+        "pairs": args.pairs,
+        "python": platform.python_version(),
+        "before_sha": git_sha(before),
+        "after_sha": git_sha(after),
+        "after_wins_ops_per_s": wins,
+        "ops_per_s_runs": {side: [round(r["ops_per_s"], 2) for r in rs] for side, rs in runs.items()},
+        "before": {m: summary([r[m] for r in runs["before"]]) for m in runs["before"][0]},
+        "after": {m: summary([r[m] for r in runs["after"]]) for m in runs["after"][0]},
+    }
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", default=str(DEFAULT_OUT), help="JSON file to update")
+    sub = parser.add_subparsers(dest="cmd", required=True)
+    rows = sub.add_parser("rows", help="time the DP baseline rows for one checkout")
+    rows.add_argument("--label", required=True, help="key under 'runs', e.g. before or after")
+    rows.add_argument("--src", default=str(REPO / "src"), help="directory holding barriercover/")
+    rows.add_argument("--k", type=int, default=3, help="runs per row (median is kept)")
+    pairs = sub.add_parser("pairs", help="alternate dp-order benchmark runs in two checkouts")
+    pairs.add_argument("--before", required=True, help="checkout of the earlier commit")
+    pairs.add_argument("--after", default=str(REPO), help="checkout of the later commit")
+    pairs.add_argument("--pairs", type=int, default=10)
+    pairs.add_argument("--seed", type=int, default=0)
+    pairs.add_argument("--seconds", type=int, default=25)
+    args = parser.parse_args()
+
+    out = Path(args.out)
+    record = json.loads(out.read_text()) if out.exists() else {"topic": "order-preserving budget DP"}
+    record["host"] = {"platform": platform.platform(), "machine": platform.machine()}
+    if args.cmd == "rows":
+        record.setdefault("runs", {})[args.label] = cmd_rows(args)
+    else:
+        record.setdefault("dp_order_pairs", {})[str(args.seed)] = cmd_pairs(args)
+    out.write_text(json.dumps(record, indent=2) + "\n")
+
+
+if __name__ == "__main__":
+    main()
