@@ -15,11 +15,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Union
+from typing import Container, Iterable, Optional, Sequence, Union
 
 Scalar = Fraction
 
 ScalarLike = Union[Scalar, int, str]
+
+#: An exact number: a Fraction, or an int on a scaled integer grid.
+Number = Union[Scalar, int]
 
 #: Positions of all sensors, index-aligned with ``Instance.sensors``.
 Solution = tuple[Scalar, ...]
@@ -125,33 +128,71 @@ def moved_indices(instance: Instance, solution: Sequence[ScalarLike]) -> tuple[i
     return tuple(i for i, (s, yi) in enumerate(zip(instance.sensors, y)) if yi != s.x)
 
 
-def _merged_spans(spans: Iterable[tuple[Scalar, Scalar]]) -> list[tuple[Scalar, Scalar]]:
-    """Merge closed intervals; touching intervals coalesce (no zero gaps)."""
-    merged: list[tuple[Scalar, Scalar]] = []
-    for lo, hi in sorted(spans):
-        if merged and lo <= merged[-1][1]:
-            if hi > merged[-1][1]:
-                merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
-
-
 def _clipped_spans(
-    instance: Instance,
-    solution: Solution,
-    indices: Optional[Iterable[int]] = None,
-) -> list[tuple[Scalar, Scalar]]:
-    """Covered intervals clipped to the barrier; degenerate points are kept."""
-    idx = range(instance.n) if indices is None else indices
+    radii: Sequence[Number],
+    centers: Sequence[Number],
+    length: Number,
+    indices: Iterable[int],
+) -> list[tuple[Number, Number, int]]:
+    """Covered intervals as ``(lo, hi, i)``, clipped to the barrier [0, length].
+
+    Intervals that miss the barrier are left out; degenerate points are
+    kept.  Works on any exact number type: Fractions here, the scaled ints
+    of ``untangle``'s loop there.
+    """
     spans = []
-    for i in idx:
-        lo, hi = instance.sensors[i].interval(solution[i])
-        lo = max(lo, Fraction(0))
-        hi = min(hi, instance.length)
+    for i in indices:
+        c, r = centers[i], radii[i]
+        lo = max(c - r, 0)
+        hi = min(c + r, length)
         if lo <= hi:
-            spans.append((lo, hi))
+            spans.append((lo, hi, i))
     return spans
+
+
+def _covers(spans: Sequence[tuple[Number, Number, int]], keep: Container[int], length: Number) -> bool:
+    """Do the spans whose index is in ``keep`` cover [0, length]?
+
+    ``spans`` come from ``_clipped_spans``, sorted by (lo, hi, i).  One pass,
+    returning at the first gap; any exact number type works.
+    """
+    reach = 0
+    for lo, hi, i in spans:
+        if reach >= length:
+            return True
+        if i in keep:
+            if lo > reach:
+                return False
+            if hi > reach:
+                reach = hi
+    return reach >= length
+
+
+def _minimal_cover(
+    radii: Sequence[Number],
+    centers: Sequence[Number],
+    length: Number,
+    within: Iterable[int],
+) -> Optional[ActiveSet]:
+    """The drop rule of ``minimal_active_set`` on any exact number type.
+
+    Returns None when the sensors in ``within`` do not cover [0, length].
+    The spans are clipped and sorted once; each candidate then costs one
+    ``_covers`` sweep.
+    """
+    keep = set(within)
+    spans = sorted(_clipped_spans(radii, centers, length, keep))
+    if not _covers(spans, keep, length):
+        return None
+    for i in sorted(keep, key=lambda i: (-radii[i], -i)):
+        keep.discard(i)
+        if not _covers(spans, keep, length):
+            keep.add(i)
+    return tuple(sorted(keep))
+
+
+def _radii(instance: Instance) -> tuple[Scalar, ...]:
+    return tuple(s.r for s in instance.sensors)
 
 
 def verify_coverage(
@@ -168,9 +209,10 @@ def verify_coverage(
     y = as_solution(instance, solution)
     if instance.length == 0:
         return CoverageReport(covered=True, gaps=())
+    idx = range(instance.n) if indices is None else indices
     gaps: list[tuple[Scalar, Scalar]] = []
     cursor = Fraction(0)
-    for lo, hi in _merged_spans(_clipped_spans(instance, y, indices)):
+    for lo, hi, _ in sorted(_clipped_spans(_radii(instance), y, instance.length, idx)):
         if lo > cursor:
             gaps.append((cursor, lo))
         cursor = max(cursor, hi)
@@ -197,15 +239,11 @@ def minimal_active_set(
     smaller surviving set as well.
     """
     y = as_solution(instance, solution)
-    keep = set(range(instance.n) if within is None else within)
-    if not verify_coverage(instance, y, keep).covered:
+    within = range(instance.n) if within is None else within
+    active = _minimal_cover(_radii(instance), y, instance.length, within)
+    if active is None:
         raise InfeasibleError("solution does not cover the barrier")
-    order = sorted(keep, key=lambda i: (-instance.sensors[i].r, -i))
-    for i in order:
-        keep.discard(i)
-        if not verify_coverage(instance, y, keep).covered:
-            keep.add(i)
-    return tuple(sorted(keep))
+    return active
 
 
 def is_order_preserving(
@@ -240,18 +278,11 @@ def max_stab_count(
     so checking clipped endpoints is exhaustive.
     """
     y = as_solution(instance, solution)
-    chosen = sorted(indices)
-    spans = []
-    for i in chosen:
-        lo, hi = instance.sensors[i].interval(y[i])
-        lo = max(lo, Fraction(0))
-        hi = min(hi, instance.length)
-        if lo <= hi:
-            spans.append((lo, hi))
-    points = {p for span in spans for p in span}
+    spans = _clipped_spans(_radii(instance), y, instance.length, sorted(indices))
+    points = {p for lo, hi, _ in spans for p in (lo, hi)}
     best = 0
     for p in points:
-        best = max(best, sum(1 for lo, hi in spans if lo <= p <= hi))
+        best = max(best, sum(1 for lo, hi, _ in spans if lo <= p <= hi))
     return best
 
 

@@ -30,6 +30,7 @@ from .model import (
     ActiveSet,
     InfeasibleError,
     Instance,
+    ResourceLimitError,
     Scalar,
     ScalarLike,
     Solution,
@@ -44,6 +45,9 @@ from .model import (
 )
 
 _SKIP = (-1, None)
+
+#: Largest table ``budget_table`` fills, in cells: (n + 1) * (budget_units + 1).
+DEFAULT_CELL_CAP = 500_000
 
 
 @dataclass
@@ -80,12 +84,18 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     both the best value and the smallest k.  The fill runs on exact ints,
     every coordinate and the unit scaled by the lcm of their denominators,
     and converts back to Fractions once.
+
+    A table of more than ``DEFAULT_CELL_CAP`` cells raises
+    ``ResourceLimitError`` before anything is allocated.
     """
     unit = as_scalar(unit)
     if unit <= 0:
         raise ValueError("budget unit must be positive")
     if budget_units < 0:
         raise ValueError("budget must be >= 0")
+    cells = (instance.n + 1) * (budget_units + 1)
+    if cells > DEFAULT_CELL_CAP:
+        raise ResourceLimitError(f"DP table of {cells} cells exceeds the cap {DEFAULT_CELL_CAP}")
     scale = math.lcm(integral_scale_factor(instance), unit.denominator)
     length = int(instance.length * scale)
     step = int(unit * scale)
@@ -208,7 +218,11 @@ def dp_exact(instance: Instance, budget: ScalarLike) -> Optional[tuple[Solution,
         _, upper = greedy_cover(work)
     except InfeasibleError:
         return None
-    units = min(units, int(upper))
+    return _dp_on_grid(work, factor, min(units, int(upper)))
+
+
+def _dp_on_grid(work: Instance, factor: int, units: int) -> Optional[tuple[Solution, ActiveSet]]:
+    """``dp_exact`` on a grid view from ``_integral_view``, at a budget already capped."""
     table = budget_table(work, units)
     final = table.reach[work.n]
     winner = next((b for b in range(units + 1) if final[b] >= work.length), None)
@@ -242,21 +256,23 @@ def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
 def dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:
     """Optimal order-preserving solution by doubling the budget until the DP hits.
 
-    The first successful table already contains the optimum: dp_exact scans
+    The first successful table already contains the optimum: each step scans
     for the smallest feasible budget row, and a solution's exact movements
-    are themselves a valid budget split.
+    are themselves a valid budget split.  The grid view and the greedy cap
+    are the same on every step, so they are computed once.
     """
     if not is_feasible(instance):
         raise InfeasibleError("instance cannot cover the barrier")
     if verify_coverage(instance, instance.home()).covered:
         return instance.home(), minimal_active_set(instance, instance.home())
-    _, upper = greedy_cover(instance)
+    work, _, factor = _integral_view(instance, Fraction(0))
+    _, upper = greedy_cover(work)
     budget = 1
     while True:
-        found = dp_exact(instance, budget)
+        found = _dp_on_grid(work, factor, min(budget * factor, int(upper)))
         if found is not None:
             return found
-        if budget > 2 * upper:
+        if budget * factor > 2 * upper:
             raise RuntimeError("budget doubling escaped its upper bound")
         budget *= 2
 

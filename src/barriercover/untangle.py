@@ -5,23 +5,32 @@ order from their starting order.  When their intervals overlap (or touch),
 swapping them inside the union of the two intervals fixes their order while
 covering exactly the same part of the barrier, so coverage is preserved
 swap by swap until the active set is order-preserving.
+
+``untangle`` runs its swap loop on the integer grid: every coordinate is
+multiplied by the lcm d of the instance's and the solution's denominators,
+so the swap targets u1 + r_i and u2 - r_j stay integral, and the result is
+converted back to Fractions once.  Scaling by d > 0 keeps every comparison,
+so the schedule and the result are exactly those of the loop on Fractions.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import (
     ActiveSet,
     InfeasibleError,
     Instance,
+    Number,
     ScalarLike,
     Solution,
+    _minimal_cover,
     as_solution,
+    integral_scale_factor,
     is_order_preserving,
-    minimal_active_set,
-    verify_coverage,
 )
 
 
@@ -53,12 +62,18 @@ def crossing_pairs(
     )
 
 
-def _union_span(instance: Instance, y: Solution, pair: CrossingPair):
-    lo_i, hi_i = instance.sensors[pair.i].interval(y[pair.i])
-    lo_j, hi_j = instance.sensors[pair.j].interval(y[pair.j])
+def _union_span(yi: Number, ri: Number, yj: Number, rj: Number) -> Optional[tuple[Number, Number]]:
+    """Union [u1, u2] of the intervals of a crossing pair (yi > yj), or None if disjoint."""
+    lo_i, hi_j = yi - ri, yj + rj
     if lo_i > hi_j:  # y_i > y_j, so only this side can separate them
         return None
-    return min(lo_i, lo_j), max(hi_i, hi_j)
+    return min(lo_i, yj - rj), max(yi + ri, hi_j)
+
+
+def _swap_targets(span: tuple[Number, Number], ri: Number, rj: Number) -> tuple[Number, Number]:
+    """New centers of a swapped pair: i at the left end of the union, j at the right end."""
+    u1, u2 = span
+    return u1 + ri, u2 - rj
 
 
 def swap_pair(
@@ -75,13 +90,12 @@ def swap_pair(
     y = as_solution(instance, solution)
     if not y[pair.i] > y[pair.j]:
         raise ValueError(f"pair {pair} is not crossing under this solution")
-    span = _union_span(instance, y, pair)
+    ri, rj = instance.sensors[pair.i].r, instance.sensors[pair.j].r
+    span = _union_span(y[pair.i], ri, y[pair.j], rj)
     if span is None:
         raise ValueError(f"pair {pair} has disjoint intervals; swap would tear them")
-    u1, u2 = span
     out = list(y)
-    out[pair.i] = u1 + instance.sensors[pair.i].r
-    out[pair.j] = u2 - instance.sensors[pair.j].r
+    out[pair.i], out[pair.j] = _swap_targets(span, ri, rj)
     return tuple(out)
 
 
@@ -91,47 +105,58 @@ def untangle(
 ) -> tuple[Solution, ActiveSet]:
     """Swap crossing overlapping pairs until the active set is in order.
 
-    Schedule: always swap the pair whose interval union starts leftmost;
-    after each swap the active set is re-minimized (within itself) and any
-    sensor dropped as redundant returns to its starting position.  Coverage
-    is checked after every swap, and a run is bounded by n^2 swaps; either
+    Schedule: always swap the pair whose interval union starts leftmost
+    (ties: the union that ends leftmost, then the smaller indices); after
+    each swap the active set is re-minimized (within itself) and any sensor
+    dropped as redundant returns to its starting position.  Coverage is
+    checked after every swap, and a run is bounded by n^2 swaps; either
     failing is a schedule bug, not a property of the input.
     """
     y = as_solution(instance, solution)
-    if not verify_coverage(instance, y).covered:
+    scale = math.lcm(integral_scale_factor(instance), *(v.denominator for v in y))
+    length = int(instance.length * scale)
+    home = [int(s.x * scale) for s in instance.sensors]
+    radii = [int(s.r * scale) for s in instance.sensors]
+    pos = [int(v * scale) for v in y]
+
+    def settle(old: Sequence[int], new: ActiveSet) -> ActiveSet:
+        for i in set(old).difference(new):
+            pos[i] = home[i]
+        return new
+
+    active = _minimal_cover(radii, pos, length, range(instance.n))
+    if active is None:
         raise InfeasibleError("cannot untangle a solution that does not cover")
-
-    def reset_outside(y: Solution, active: ActiveSet) -> Solution:
-        keep = set(active)
-        return tuple(
-            yi if i in keep else instance.sensors[i].x for i, yi in enumerate(y)
-        )
-
-    active = minimal_active_set(instance, y)
-    y = reset_outside(y, active)
+    active = settle(range(instance.n), active)
     last: Optional[CrossingPair] = None
     for _ in range(instance.n * instance.n + 1):
-        crossings = crossing_pairs(instance, y, active)
-        if not crossings:
+        crossing = False
+        best = None
+        for k, a in enumerate(active):
+            ya, ra = pos[a], radii[a]
+            for b in active[k + 1 :]:
+                if ya > pos[b]:
+                    crossing = True
+                    span = _union_span(ya, ra, pos[b], radii[b])
+                    if span is not None and (best is None or (span, a, b) < best):
+                        best = (span, a, b)
+        if not crossing:
             break
-        swappable = []
-        for pair in crossings:
-            span = _union_span(instance, y, pair)
-            if span is not None:
-                swappable.append((span, pair))
-        if not swappable:
+        if best is None:
             raise RuntimeError("crossing pairs remain but none overlap; schedule bug")
-        _, pair = min(swappable, key=lambda item: (item[0], item[1].i, item[1].j))
+        span, i, j = best
+        pair = CrossingPair(i, j)
         if pair == last:
             raise RuntimeError(f"pair {pair} selected twice in a row; schedule bug")
         last = pair
-        y = swap_pair(instance, y, pair)
-        if not verify_coverage(instance, y, active).covered:
+        pos[i], pos[j] = _swap_targets(span, radii[i], radii[j])
+        kept = _minimal_cover(radii, pos, length, active)
+        if kept is None:
             raise RuntimeError(f"swap of {pair} broke coverage; swap rule bug")
-        active = minimal_active_set(instance, y, within=active)
-        y = reset_outside(y, active)
+        active = settle(active, kept)
     else:
         raise RuntimeError("untangling exceeded its n^2 swap bound")
-    if not is_order_preserving(instance, y, active):
+    result = tuple(Fraction(v, scale) for v in pos)
+    if not is_order_preserving(instance, result, active):
         raise RuntimeError("untangling finished with an out-of-order active set")
-    return y, active
+    return result, active

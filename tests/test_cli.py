@@ -1,4 +1,5 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -73,6 +74,14 @@ class TestSolve:
         assert main(["solve", "--algo", "dp-exact", "--budget", "20000", path]) == 0
         recorded, _ = parse_solution(capsys.readouterr().out)
         assert recorded == 3
+
+    def test_dp_eps_tiny_eps_hits_the_cell_cap(self, capsys):
+        # eps = 1/100000 asks for a 3 x 400,003 table; the cap refuses it up front.
+        path = str(CORPORA / "i1.bc")
+        start = time.process_time()
+        assert main(["solve", "--algo", "dp-eps", "--eps", "1/100000", path]) == 3
+        assert time.process_time() - start < 1
+        assert "exceeds the cap" in capsys.readouterr().err
 
     def test_oracle_zero_budget_on_covering_instance(self, tmp_path, capsys):
         path = tmp_path / "cov.bc"

@@ -8,6 +8,7 @@ from barriercover import (
     EpsParams,
     InfeasibleError,
     Instance,
+    ResourceLimitError,
     Sensor,
     brute_force_order_preserving,
     budget_table,
@@ -24,6 +25,7 @@ from barriercover import (
     verify_coverage,
 )
 
+from barriercover import order_dp
 from conftest import random_corpus
 
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
@@ -96,6 +98,18 @@ class TestDpOptimal:
         with pytest.raises(InfeasibleError):
             dp_optimal(Instance(10, (Sensor(0, 1),)))
 
+    def test_one_greedy_tiling_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(instance):
+            calls.append(instance)
+            return greedy_cover(instance)
+
+        monkeypatch.setattr(order_dp, "greedy_cover", counted)
+        solution, _ = dp_optimal(gen_fig5(2, 24))
+        assert cost(gen_fig5(2, 24), solution) == 42
+        assert len(calls) == 1
+
     def test_matches_order_preserving_oracle_on_corpus(self):
         for _, inst, _ in random_corpus(60):
             expected = brute_force_order_preserving(inst)
@@ -108,6 +122,12 @@ class TestDpOptimal:
 
 
 class TestTableInvariants:
+    def test_cell_cap(self, monkeypatch):
+        monkeypatch.setattr(order_dp, "DEFAULT_CELL_CAP", 3 * 5)
+        assert len(budget_table(I1, 4).reach) == 3
+        with pytest.raises(ResourceLimitError, match="18 cells exceeds the cap 15"):
+            budget_table(I1, 5)
+
     def test_base_row_is_zero(self):
         table = budget_table(I1, 6)
         assert all(v == 0 for v in table.reach[0])

@@ -1,0 +1,201 @@
+"""The integer-grid untangle against the verbatim Fraction reference loop.
+
+``untangle`` must return the very ``(solution, active)`` the reference
+returns, or raise the same exception type with the same message, on every
+input.  The oracle-free checks at the end reach sizes the reference (and
+the exhaustive oracles) cannot: the scaling invariant and fig5 at n = 79.
+"""
+
+import time
+from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import reference_untangle as ref
+from barriercover import (
+    InfeasibleError,
+    Instance,
+    Sensor,
+    crossing_pairs,
+    gen_fig5,
+    gen_random,
+    is_order_preserving,
+    minimal_active_set,
+    oracle_optimal,
+    scale_instance,
+    scale_solution,
+    swap_pair,
+    untangle,
+    verify_coverage,
+)
+from barriercover.generators import RandomStream
+
+from conftest import random_corpus
+
+_FAILURES = (InfeasibleError, RuntimeError, ValueError, TypeError, IndexError)
+
+
+def _outcome(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except _FAILURES as exc:
+        return type(exc), str(exc)
+
+
+def _assert_same(inst, y):
+    got, want = _outcome(untangle, inst, y), _outcome(ref.untangle, inst, y)
+    assert got == want, f"{inst} y={y}"
+    return got
+
+
+def fig5_moved(length):
+    """fig5 with the large sensor moved to L - 2: it crosses the whole unit row."""
+    inst = gen_fig5(2, length)
+    return inst, (F(length - 2),) + inst.home()[1:]
+
+
+def tiling(inst, order, edge=F(0)):
+    """Sensors laid edge to edge from ``edge``, in ``order``."""
+    y = [F(0)] * inst.n
+    for i in order:
+        y[i] = edge + inst.sensors[i].r
+        edge += 2 * inst.sensors[i].r
+    return tuple(y)
+
+
+def shuffled_tilings(sizes, seed):
+    """Random instances with a cover laid edge to edge in a shuffled order.
+
+    Built like the benchmark's tilings: ``gen_random(n, 2n, 1, 3, (-n, 3n), s)``
+    with s from a seeded stream (instances covered at home are skipped), and
+    a Fisher-Yates order from a second stream.
+    """
+    stream = RandomStream(seed)
+    for n in sizes:
+        while True:
+            inst = gen_random(n, 2 * n, 1, 3, (-n, 3 * n), stream.next_raw())
+            if not verify_coverage(inst, inst.home()).covered:
+                break
+        shuffle = RandomStream(stream.next_raw())
+        order = list(range(n))
+        for i in range(n - 1, 0, -1):
+            j = shuffle.next_int(0, i)
+            order[i], order[j] = order[j], order[i]
+        yield inst, tiling(inst, order)
+
+
+def corpus_optima(count):
+    for _, inst, _ in random_corpus(count):
+        found = oracle_optimal(inst)
+        if found is not None:
+            yield inst, found[0]
+
+
+HALF_GRID = Instance(
+    9, (Sensor(0, F(1, 2)), Sensor(2, F(3, 2)), Sensor(4, F(5, 2)), Sensor(F(11, 2), F(1, 2)))
+)
+THIRD_GRID = Instance(
+    5, (Sensor(F(1, 3), F(2, 3)), Sensor(F(2, 3), F(1, 3)), Sensor(2, F(4, 3)), Sensor(F(10, 3), 1))
+)
+
+#: Tilings in these orders, started at -1/6, cover both grid instances.
+GRID_ORDERS = ((3, 2, 1, 0), (1, 3, 0, 2), (2, 0, 3, 1))
+
+
+class TestMatchesReference:
+    def test_corpus_optima(self):
+        checked = 0
+        for inst, y in corpus_optima(60):
+            _assert_same(inst, y)
+            for within in (None, tuple(range(0, inst.n, 2))):
+                assert _outcome(minimal_active_set, inst, y, within) == _outcome(
+                    ref.minimal_active_set, inst, y, within
+                )
+            checked += 1
+        assert checked >= 20
+
+    def test_fig5_moved(self):
+        for length in range(12, 42, 2):
+            kind, _ = _assert_same(*fig5_moved(length))
+            assert kind == "ok"
+
+    def test_shuffled_tilings(self):
+        for seed in range(6):
+            for inst, y in shuffled_tilings((8, 10, 20), seed):
+                kind, _ = _assert_same(inst, y)
+                assert kind == "ok"
+
+    def test_fractional_grids(self):
+        for inst in (HALF_GRID, THIRD_GRID):
+            for order in GRID_ORDERS:
+                kind, _ = _assert_same(inst, tiling(inst, order, F(-1, 6)))
+                assert kind == "ok"
+            _assert_same(inst, inst.home())
+
+    def test_failures_match(self):
+        inst, y = fig5_moved(12)
+        _assert_same(inst, y[1:])  # wrong length
+        _assert_same(inst, inst.home())  # does not cover
+        _assert_same(inst, (12.0,) + y[1:])  # floats are refused
+        _assert_same(Instance(0, ()), ())
+        _assert_same(Instance(3, ()), ())
+
+
+_q = st.sampled_from([1, 2, 3, 4])
+
+
+@st.composite
+def near_covers(draw):
+    """A small fractional instance and a shuffled tiling of it, jittered.
+
+    The tiling covers [edge, edge + total] with no slack inside; the barrier
+    is at most that long, and the jitter tears or overlaps it, so the
+    solutions range from covering to just missing.
+    """
+    n = draw(st.integers(1, 6))
+    sensors = tuple(
+        Sensor(F(draw(st.integers(-20, 30)), draw(_q)), F(draw(st.integers(1, 8)), draw(_q)))
+        for _ in range(n)
+    )
+    total = sum(2 * s.r for s in sensors)
+    length = max(F(0), total - F(draw(st.integers(0, 4)), draw(_q)))
+    inst = Instance(length, sensors)
+    y = list(tiling(inst, draw(st.permutations(range(n))), F(draw(st.integers(-2, 1)), draw(_q))))
+    for i in range(n):
+        y[i] += F(draw(st.integers(-1, 1)), draw(_q)) * draw(st.booleans())
+    return inst, tuple(y)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(near_covers())
+def test_matches_reference_on_random_near_covers(case):
+    inst, y = case
+    _assert_same(inst, y)
+    assert verify_coverage(inst, y) == ref.verify_coverage(inst, y)
+    for pair in crossing_pairs(inst, y, range(inst.n)):
+        assert _outcome(swap_pair, inst, y, pair) == _outcome(ref.swap_pair, inst, y, pair)
+
+
+class TestOracleFree:
+    def test_scaling_invariant(self):
+        cases = [fig5_moved(length) for length in (16, 40, 80)]
+        cases += list(shuffled_tilings((8, 10, 20), 0))
+        cases += list(corpus_optima(20))
+        cases += [(inst, tiling(inst, (3, 2, 1, 0), F(-1, 6))) for inst in (HALF_GRID, THIRD_GRID)]
+        for inst, y in cases:
+            solution, active = untangle(inst, y)
+            for c in (F(2), F(3), F(1, 2)):
+                scaled = untangle(scale_instance(inst, c), scale_solution(y, c))
+                assert scaled == (scale_solution(solution, c), active), f"{inst} y={y} c={c}"
+
+    def test_fig5_n79_is_fast_and_valid(self):
+        inst, y = fig5_moved(160)
+        assert inst.n == 79
+        start = time.process_time()
+        solution, active = untangle(inst, y)
+        elapsed = time.process_time() - start
+        assert verify_coverage(inst, solution, active).covered
+        assert is_order_preserving(inst, solution, active)
+        assert all(solution[i] == inst.sensors[i].x for i in range(inst.n) if i not in active)
+        assert elapsed < 1, f"untangle took {elapsed:.2f} s of CPU time at n = 79"

@@ -1,25 +1,34 @@
-"""Time the order-preserving budget DP and record the figures in BENCH_dp.json.
+"""Time the solver layers and record the figures in BENCH_<topic>.json.
 
-Stdlib only.  Two subcommands, both run from the repository root:
+Stdlib only.  Two topics, ``dp`` (the order-preserving budget DP, the
+default) and ``untangle``, and two subcommands, run from the repository
+root:
 
     python tools/bench_dp.py rows --label after
     python tools/bench_dp.py rows --label before --src ../parent/src
     python tools/bench_dp.py pairs --before ../parent --after . --pairs 10
+    python tools/bench_dp.py --topic untangle rows --label after
+    python tools/bench_dp.py --topic untangle pairs --before ../parent --pairs 10
 
 ``rows`` imports ``barriercover`` from ``--src`` (default: this checkout's
-``src``) and times the DP baseline rows: the C3 gate loop, ``dp_eps``
-(eps = 1/2) and ``dp_optimal`` on ``gen_random(n, 2n, 1, 3, (-n, 3n), 7)``
-for n in {10, 20, 40}, and fig5 L=40 ``dp_optimal`` against the exhaustive
-``oracle_optimal``.  Each row is the median of ``--k`` runs in process CPU
-time.  The result goes under ``runs[label]`` together with the Python
-version and the git SHA of the checkout that holds ``--src``.
+``src``) and times the topic's baseline rows.  The DP rows are the C3 gate
+loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
+``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40}, and fig5
+L=40 ``dp_optimal`` against the exhaustive ``oracle_optimal``.  The
+untangle rows are ``untangle`` on fig5 L in {40, 80, 160} (n = 19, 39, 79)
+with the large sensor moved to L - 2, where it crosses the whole unit row.
+Each row is the median of ``--k`` runs in process CPU time.  The result
+goes under ``runs[label]`` together with the Python version and the git
+SHA of the checkout that holds ``--src``.
 
-``pairs`` runs ``perfbench/run.py --workload dp-order`` in the ``--before``
-and ``--after`` checkouts, one run of each per pair, with the side that runs
+``pairs`` runs ``perfbench/run.py --workload W`` (W defaults to the topic's
+workload, ``dp-order`` or ``untangle-swaps``) in the ``--before`` and
+``--after`` checkouts, one run of each per pair, with the side that runs
 first alternating from pair to pair.  It records each side's median and
 quartiles of every end-to-end metric, and how many pairs the after side won
-on ``ops_per_s``, under ``dp_order_pairs[seed]``.  Each run is a separate
-process and reads only its own checkout.
+on ``ops_per_s``, under ``<W>_pairs[seed]`` (dashes in W become
+underscores).  Each run is a separate process and reads only its own
+checkout.
 """
 
 from __future__ import annotations
@@ -37,7 +46,11 @@ from pathlib import Path
 from typing import Callable
 
 REPO = Path(__file__).resolve().parent.parent
-DEFAULT_OUT = REPO / "BENCH_dp.json"
+#: topic -> (what it measures, the benchmark workload that loads it)
+TOPICS = {
+    "dp": ("order-preserving budget DP", "dp-order"),
+    "untangle": ("untangling crossing covers", "untangle-swaps"),
+}
 
 
 def git_sha(path: Path) -> str:
@@ -91,6 +104,19 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
     return rows
 
 
+def untangle_rows(bc) -> dict[str, Callable[[], object]]:
+    """fig5 with the large sensor at L - 2, untangled in (L - 4) / 2 swaps."""
+    rows: dict[str, Callable[[], object]] = {}
+    for length in (40, 80, 160):
+        inst = bc.gen_fig5(2, length)
+        y = (Fraction(length - 2),) + inst.home()[1:]
+        rows[f"untangle.fig5_L{length}"] = lambda i=inst, y=y: bc.untangle(i, y)
+    return rows
+
+
+ROWS = {"dp": dp_rows, "untangle": untangle_rows}
+
+
 def cmd_rows(args: argparse.Namespace) -> dict:
     src = Path(args.src).resolve()
     sys.path.insert(0, str(src))
@@ -98,7 +124,7 @@ def cmd_rows(args: argparse.Namespace) -> dict:
     if Path(bc.__file__).resolve().parent != src / "barriercover":
         raise SystemExit(f"imported barriercover from {bc.__file__}, not from {src}")
     figures = {}
-    for name, fn in dp_rows(bc).items():
+    for name, fn in ROWS[args.topic](bc).items():
         figures[name] = round(median_cpu_s(fn, args.k), 4)
         print(f"{name:28s} {figures[name]:10.4f} s", flush=True)
     return {
@@ -111,15 +137,15 @@ def cmd_rows(args: argparse.Namespace) -> dict:
     }
 
 
-def perfbench_run(checkout: Path, seed: int, seconds: int) -> dict[str, float]:
+def perfbench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict[str, float]:
     out = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "dp-order", "--seed", str(seed),
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     ).stdout
     result = json.loads(out.strip().splitlines()[-1])
     if not result["correct"] or result["failed"]:
-        raise SystemExit(f"dp-order run in {checkout} failed: {result}")
+        raise SystemExit(f"{workload} run in {checkout} failed: {result}")
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
@@ -134,12 +160,13 @@ def cmd_pairs(args: argparse.Namespace) -> dict:
     for i in range(args.pairs):
         order = ("before", "after") if i % 2 == 0 else ("after", "before")
         for side in order:
-            runs[side].append(perfbench_run(before if side == "before" else after, args.seed, args.seconds))
+            checkout = before if side == "before" else after
+            runs[side].append(perfbench_run(checkout, args.workload, args.seed, args.seconds))
         print(f"pair {i + 1}: ops_per_s {runs['before'][-1]['ops_per_s']:.1f} -> "
               f"{runs['after'][-1]['ops_per_s']:.1f}", flush=True)
     wins = sum(a["ops_per_s"] > b["ops_per_s"] for b, a in zip(runs["before"], runs["after"]))
     return {
-        "command": f"python3 perfbench/run.py --workload dp-order --seed {args.seed} "
+        "command": f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
                    f"--seconds {args.seconds} --trace 0",
         "pairs": args.pairs,
         "python": platform.python_version(),
@@ -154,27 +181,32 @@ def cmd_pairs(args: argparse.Namespace) -> dict:
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", default=str(DEFAULT_OUT), help="JSON file to update")
+    parser.add_argument("--topic", choices=sorted(TOPICS), default="dp", help="which rows and workload")
+    parser.add_argument("--out", help="JSON file to update (default: BENCH_<topic>.json)")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    rows = sub.add_parser("rows", help="time the DP baseline rows for one checkout")
+    rows = sub.add_parser("rows", help="time the topic's baseline rows for one checkout")
     rows.add_argument("--label", required=True, help="key under 'runs', e.g. before or after")
     rows.add_argument("--src", default=str(REPO / "src"), help="directory holding barriercover/")
     rows.add_argument("--k", type=int, default=3, help="runs per row (median is kept)")
-    pairs = sub.add_parser("pairs", help="alternate dp-order benchmark runs in two checkouts")
+    pairs = sub.add_parser("pairs", help="alternate benchmark runs in two checkouts")
     pairs.add_argument("--before", required=True, help="checkout of the earlier commit")
     pairs.add_argument("--after", default=str(REPO), help="checkout of the later commit")
+    pairs.add_argument("--workload", help="perfbench workload (default: the topic's)")
     pairs.add_argument("--pairs", type=int, default=10)
     pairs.add_argument("--seed", type=int, default=0)
     pairs.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args()
 
-    out = Path(args.out)
-    record = json.loads(out.read_text()) if out.exists() else {"topic": "order-preserving budget DP"}
+    topic, workload = TOPICS[args.topic]
+    out = Path(args.out or REPO / f"BENCH_{args.topic}.json")
+    record = json.loads(out.read_text()) if out.exists() else {"topic": topic}
     record["host"] = {"platform": platform.platform(), "machine": platform.machine()}
     if args.cmd == "rows":
         record.setdefault("runs", {})[args.label] = cmd_rows(args)
     else:
-        record.setdefault("dp_order_pairs", {})[str(args.seed)] = cmd_pairs(args)
+        args.workload = args.workload or workload
+        key = args.workload.replace("-", "_") + "_pairs"
+        record.setdefault(key, {})[str(args.seed)] = cmd_pairs(args)
     out.write_text(json.dumps(record, indent=2) + "\n")
 
 
