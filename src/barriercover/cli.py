@@ -10,12 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import exact, harness, order_dp
-from .untangle import untangle as untangle_solution
+from . import exact, harness
 from .fileio import (
     format_scalar,
     parse_instance,
@@ -73,10 +71,10 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", help="output path (default: stdout)")
 
     solve = sub.add_parser("solve", help="solve an instance file")
-    solve.add_argument("--algo", required=True,
-                       choices=["oracle", "dp-exact", "dp-eps", "fpt", "untangle-oracle"])
-    solve.add_argument("--budget", help="movement budget (oracle/dp-exact/fpt)")
-    solve.add_argument("--eps", help="approximation parameter (dp-eps)")
+    solve.add_argument("--algo", required=True, choices=sorted(harness.SOLVERS))
+    solve.add_argument("--budget", help="movement budget in input units; without it the "
+                       "exact solvers return the optimum (dp-eps ignores it)")
+    solve.add_argument("--eps", default="1/2", help="approximation parameter (dp-eps)")
     solve.add_argument("--node-cap", type=int, default=exact.DEFAULT_NODE_CAP)
     solve.add_argument("--out", help="output path (default: stdout)")
     solve.add_argument("instance", help="instance file path")
@@ -166,38 +164,8 @@ def _load_instance(path: str) -> Instance:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
-
-    def need_budget() -> Fraction:
-        if args.budget is None:
-            raise _CliError(f"--algo {args.algo} needs --budget")
-        return parse_scalar(args.budget)
-
-    try:
-        if args.algo == "dp-exact":
-            found = order_dp.dp_exact(instance, need_budget())
-            solution = found[0] if found else None
-        elif args.algo == "dp-eps":
-            if args.eps is None:
-                raise _CliError("--algo dp-eps needs --eps")
-            solution, _ = order_dp.dp_eps(instance, parse_scalar(args.eps))
-        elif args.algo == "oracle":
-            if args.budget is None:
-                found = exact.oracle_optimal(instance, node_cap=args.node_cap)
-            else:
-                found = exact.brute_force(instance, need_budget(), node_cap=args.node_cap)
-            solution = found[0] if found else None
-        elif args.algo == "fpt":
-            found = exact.fpt_solve(instance, need_budget(), node_cap=args.node_cap)
-            solution = found[0] if found else None
-        else:  # untangle-oracle
-            found = exact.oracle_optimal(instance, node_cap=args.node_cap)
-            if found is None:
-                solution = None
-            else:
-                solution, _ = untangle_solution(instance, found[0])
-    except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return EXIT_ABSENT
+    budget = None if args.budget is None else parse_scalar(args.budget)
+    solution = harness.SOLVERS[args.algo](instance, budget, parse_scalar(args.eps), args.node_cap)
     if solution is None:
         print("no solution within the given bounds", file=sys.stderr)
         return EXIT_ABSENT

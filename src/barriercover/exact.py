@@ -1,10 +1,11 @@
 """Ground-truth solvers: exhaustive oracles and budget-parameterized branching.
 
-Everything here requires the instance to sit on the integer grid (use
-``model.integral_scale_factor`` / ``model.scale_instance`` first); integer
-data admits integer-position optima, so searching the grid is exhaustive.
-Internals run on plain ints for speed and convert back to Fractions at the
-boundary.
+Every solver takes any rational instance and puts it on the integer grid
+with ``model.on_grid``: scaled by d, the data is integral, and integer data
+admits integer-position optima, so searching the grid is exhaustive.
+Budgets are given in input units and become floor(budget * d) grid units;
+positions and costs come back as Fractions of d.  Internals run on plain
+ints for speed.
 
 The searches are depth-first with admissible pruning only (budget, current
 incumbent, permanently wasted length, uncovered measure, reachability of
@@ -18,7 +19,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Callable, Container, Iterable, Optional
 
 from .model import (
     Instance,
@@ -27,7 +28,9 @@ from .model import (
     ScalarLike,
     Solution,
     as_scalar,
+    grid_units,
     is_feasible,
+    on_grid,
     verify_coverage,
 )
 from .order_dp import greedy_cover
@@ -56,12 +59,13 @@ class KMoveQuery:
 class GapCandidateSet:
     """Sensors worth moving into one gap, keyed by their facing interval edge.
 
-    ``left[p]`` lists sensors whose home right edge is the integer point p
+    ``left[p]`` lists sensors whose home right edge is the grid point p
     in [gap_lo - budget, gap_lo]; ``right[p]`` those whose home left edge
-    is p in [gap_hi, gap_hi + budget].  Each point keeps only the budget+1
-    longest sensors (ties to the lower index): with at most ``budget``
-    movers, a discarded shorter sensor can be replaced at equal cost by a
-    kept unmoved one, whose own home stays covered by a second kept one.
+    is p in [gap_hi, gap_hi + budget], both in units of the grid 1/d of
+    ``model.on_grid``.  Each point keeps only the budget+1 longest sensors
+    (ties to the lower index): with at most ``budget`` movers, a discarded
+    shorter sensor can be replaced at equal cost by a kept unmoved one,
+    whose own home stays covered by a second kept one.
     """
 
     gap: tuple[Scalar, Scalar]
@@ -72,26 +76,6 @@ class GapCandidateSet:
         seen = {j for group in self.left.values() for j in group}
         seen |= {j for group in self.right.values() for j in group}
         return tuple(sorted(seen))
-
-
-def _int_instance(instance: Instance) -> tuple[int, list[int], list[int]]:
-    ok = instance.length.denominator == 1 and all(
-        s.x.denominator == 1 and s.r.denominator == 1 for s in instance.sensors
-    )
-    if not ok:
-        raise ValueError("integer-grid solver: scale the instance to integers first")
-    return (
-        int(instance.length),
-        [int(s.x) for s in instance.sensors],
-        [int(s.r) for s in instance.sensors],
-    )
-
-
-def _int_budget(budget: ScalarLike) -> int:
-    b = as_scalar(budget)
-    if b.denominator != 1 or b < 0:
-        raise ValueError(f"budget must be a nonnegative integer, got {b}")
-    return int(b)
 
 
 def _merge(spans: Iterable[_Span]) -> list[_Span]:
@@ -164,11 +148,12 @@ def _uncovered_two(length: int, a: list[_Span], b: list[_Span]) -> tuple[int, in
 
 
 class _Search:
-    """Incumbent bookkeeping for the depth-first enumerations."""
+    """Incumbent bookkeeping for the depth-first enumerations on the grid 1/d."""
 
-    def __init__(self, node_cap: int, budget: int) -> None:
+    def __init__(self, node_cap: int, budget: int, d: int) -> None:
         self.node_cap = node_cap
         self.budget = budget
+        self.d = d
         self.nodes = 0
         self.best_cost: Optional[int] = None
         self.best: Optional[list[int]] = None
@@ -189,11 +174,20 @@ class _Search:
             return self.budget
         return min(self.budget, self.best_cost - 1)
 
-    def result(self) -> Optional[tuple[Solution, Scalar]]:
+    def run(self, rec: Callable[..., None], *args: object) -> Optional[tuple[Solution, Scalar]]:
+        """Run the recursive search ``rec(*args)``; the best cover found, in input units.
+
+        A search too deep for the interpreter's stack is a resource limit,
+        like the node cap: it never means "no solution".
+        """
+        try:
+            rec(*args)
+        except RecursionError:
+            raise ResourceLimitError(f"search recursed too deep after {self.nodes} states") from None
         if self.best_cost is None or self.best_cost > self.budget:
             return None
         assert self.best is not None
-        return tuple(Fraction(v) for v in self.best), Fraction(self.best_cost)
+        return tuple(Fraction(v, self.d) for v in self.best), Fraction(self.best_cost, self.d)
 
 
 def _anchored_cover(length: int, xs: list[int], rs: list[int]) -> Optional[list[int]]:
@@ -219,18 +213,19 @@ def _anchored_cover(length: int, xs: list[int], rs: list[int]) -> Optional[list[
 
 def brute_force(
     instance: Instance,
-    budget: ScalarLike,
+    budget: Optional[ScalarLike] = None,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> Optional[tuple[Solution, Scalar]]:
-    """Cheapest covering solution with integer movements summing to <= budget.
+    """Cheapest covering solution with grid movements summing to <= budget.
 
     Exhausts movement vectors (positions limited to the useful window
     [min(-r, x), max(L + r, x)]) with admissible pruning, so the returned
     cost is the exact optimum within the budget; None means no solution
     exists, never that the search gave up (that raises ResourceLimitError).
+    The budget defaults to the greedy tiling cost, which is always enough.
     """
-    length, xs, rs = _int_instance(instance)
-    limit = _int_budget(budget)
+    d, length, xs, rs = on_grid(instance)
+    limit = None if budget is None else grid_units(budget, d)
     n = len(xs)
     if not is_feasible(instance):
         return None
@@ -248,14 +243,14 @@ def brute_force(
         class_prev[i] = latest.get(r, -1)
         latest[r] = i
 
-    search = _Search(node_cap, limit)
     greedy_y, greedy_cost = greedy_cover(instance)
-    if greedy_cost.denominator == 1 and greedy_cost <= limit:
-        search.offer(int(greedy_cost), [int(v) for v in greedy_y])
+    search = _Search(node_cap, int(greedy_cost * d) if limit is None else limit, d)
+    if greedy_cost * d <= search.budget:
+        search.offer(int(greedy_cost * d), [int(v * d) for v in greedy_y])
     anchored = _anchored_cover(length, xs, rs)
     if anchored is not None:
         a_cost = sum(abs(y - x) for y, x in zip(anchored, xs))
-        if a_cost <= limit:
+        if a_cost <= search.budget:
             search.offer(a_cost, anchored)
 
     positions = list(xs)
@@ -352,8 +347,7 @@ def brute_force(
             d += 1
             bnd = search.bound()
 
-    rec(0, 0, [], 0, {})
-    return search.result()
+    return search.run(rec, 0, 0, [], 0, {})
 
 
 def brute_force_order_preserving(
@@ -368,21 +362,19 @@ def brute_force_order_preserving(
     extends coverage without leaving a gap.  The budget defaults to the
     greedy tiling cost, which is always enough.
     """
-    length, xs, rs = _int_instance(instance)
+    d, length, xs, rs = on_grid(instance)
     n = len(xs)
     if not is_feasible(instance):
         return None
     if budget is None:
-        _, upper = greedy_cover(instance)
-        limit = math.ceil(upper)
-    else:
-        limit = _int_budget(budget)
+        _, budget = greedy_cover(instance)
+    limit = grid_units(budget, d)
 
     suffix_len = [0] * (n + 1)
     for i in range(n - 1, -1, -1):
         suffix_len[i] = suffix_len[i + 1] + 2 * rs[i]
 
-    search = _Search(node_cap, limit)
+    search = _Search(node_cap, limit, d)
     positions = list(xs)
 
     def rec(i: int, spent: int, reach: int, last_y: Optional[int]) -> None:
@@ -404,8 +396,7 @@ def brute_force_order_preserving(
             rec(i + 1, spent + move, max(reach, y + rs[i]), y)
             positions[i] = xs[i]
 
-    rec(0, 0, 0, None)
-    return search.result()
+    return search.run(rec, 0, 0, 0, None)
 
 
 def gap_candidates(
@@ -415,22 +406,29 @@ def gap_candidates(
     exclude: Iterable[int] = (),
 ) -> GapCandidateSet:
     """Per-edge candidate groups for one gap (see GapCandidateSet)."""
-    length, xs, rs = _int_instance(instance)
-    limit = _int_budget(budget)
+    d, _, xs, rs = on_grid(instance)
     gap_lo, gap_hi = as_scalar(gap[0]), as_scalar(gap[1])
-    if gap_lo.denominator != 1 or gap_hi.denominator != 1:
-        raise ValueError("gap endpoints must be integers on the scaled grid")
-    banned = set(exclude)
+    if (gap_lo * d).denominator != 1 or (gap_hi * d).denominator != 1:
+        raise ValueError(f"gap endpoints must lie on the instance's grid 1/{d}")
+    limit = grid_units(budget, d)
+    left, right = _edge_groups(xs, rs, int(gap_lo * d), int(gap_hi * d), limit, set(exclude))
+    return GapCandidateSet(gap=(gap_lo, gap_hi), left=left, right=right)
+
+
+def _edge_groups(
+    xs: list[int], rs: list[int], gap_lo: int, gap_hi: int, limit: int, banned: Container[int]
+) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """``gap_candidates``' left and right groups, all on the grid."""
     left: dict[int, list[int]] = {}
     right: dict[int, list[int]] = {}
     for j in range(len(xs)):
         if j in banned:
             continue
         edge = xs[j] + rs[j]
-        if int(gap_lo) - limit <= edge <= int(gap_lo):
+        if gap_lo - limit <= edge <= gap_lo:
             left.setdefault(edge, []).append(j)
         edge = xs[j] - rs[j]
-        if int(gap_hi) <= edge <= int(gap_hi) + limit:
+        if gap_hi <= edge <= gap_hi + limit:
             right.setdefault(edge, []).append(j)
 
     def trim(groups: dict[int, list[int]]) -> dict[int, tuple[int, ...]]:
@@ -440,7 +438,7 @@ def gap_candidates(
             kept[p] = tuple(members[: limit + 1])
         return kept
 
-    return GapCandidateSet(gap=(gap_lo, gap_hi), left=trim(left), right=trim(right))
+    return trim(left), trim(right)
 
 
 def fpt_solve(
@@ -455,14 +453,14 @@ def fpt_solve(
     leftmost gap (endpoints are integral, so an interval meeting the gap's
     interior covers that whole unit); we branch over that gap's candidate
     sensors — trimmed per edge group as in GapCandidateSet — and over every
-    integer center covering the unit within the remaining budget.  Every
-    move costs at least one unit, so the depth is bounded by the budget.
+    grid center covering the unit within the remaining budget.  Every move
+    costs at least one grid unit, so the depth is bounded by the budget.
     """
-    length, xs, rs = _int_instance(instance)
-    limit = _int_budget(budget)
+    d, length, xs, rs = on_grid(instance)
+    limit = grid_units(budget, d)
     n = len(xs)
 
-    search = _Search(node_cap, limit)
+    search = _Search(node_cap, limit, d)
     positions = list(xs)
 
     def rec(moved: frozenset[int], spent: int) -> None:
@@ -476,8 +474,8 @@ def fpt_solve(
         if sum(hi - lo for lo, hi in holes) > room:
             return
         gap_lo, gap_hi = holes[0]
-        groups = gap_candidates(instance, (gap_lo, gap_hi), room, exclude=moved)
-        for j in groups.sensors():
+        left, right = _edge_groups(xs, rs, gap_lo, gap_hi, room, moved)
+        for j in sorted({j for group in (*left.values(), *right.values()) for j in group}):
             lo = max(gap_lo + 1 - rs[j], xs[j] - room)
             hi = min(gap_lo + rs[j], xs[j] + room)
             for y in range(lo, hi + 1):
@@ -487,8 +485,7 @@ def fpt_solve(
                 rec(moved | {j}, spent + abs(y - xs[j]))
                 positions[j] = xs[j]
 
-    rec(frozenset(), 0)
-    return search.result()
+    return search.run(rec, frozenset(), 0)
 
 
 def kmove_brute_force(
@@ -498,12 +495,12 @@ def kmove_brute_force(
 ) -> Optional[Solution]:
     """Any covering solution moving at most k sensors at total cost <= budget.
 
-    Enumerates mover subsets and, for each mover, integer positions in
+    Enumerates mover subsets and, for each mover, grid positions in
     [-r, L + r]; refuses up front (resource error) when the state estimate
     blows past the cap.
     """
-    length, xs, rs = _int_instance(instance)
-    limit = _int_budget(query.budget)
+    d, length, xs, rs = on_grid(instance)
+    limit = grid_units(query.budget, d)
     n = len(xs)
     k = min(query.movers, n)
 
@@ -524,7 +521,7 @@ def kmove_brute_force(
                     candidate = list(xs)
                     for j, y in zip(movers, current):
                         candidate[j] = y
-                    sol = tuple(Fraction(v) for v in candidate)
+                    sol = tuple(Fraction(v, d) for v in candidate)
                     if verify_coverage(instance, sol).covered:
                         return sol
                     return None
@@ -550,8 +547,5 @@ def oracle_optimal(
     instance: Instance,
     node_cap: int = DEFAULT_NODE_CAP,
 ) -> Optional[tuple[Solution, Scalar]]:
-    """Unrestricted optimum on the integer grid; None iff infeasible."""
-    if not is_feasible(instance):
-        return None
-    _, upper = greedy_cover(instance)
-    return brute_force(instance, math.ceil(upper), node_cap=node_cap)
+    """Unrestricted optimum; None iff infeasible."""
+    return brute_force(instance, node_cap=node_cap)

@@ -78,8 +78,8 @@ class ReductionOutput:
     """Barrier instance encoding an exact-cover question as a k-mover budget query.
 
     ``source_sets[i]`` is the index of the subset that sensor ``i`` (in the
-    instance's sorted order) encodes.  Radii are half-integers; scale by 2
-    (``model.scale_instance``) before handing this to the integer solvers.
+    instance's sorted order) encodes.  Radii are half-integers, which the
+    solvers put on their grid (``model.on_grid``) themselves.
     """
 
     instance: Instance

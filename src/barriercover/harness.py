@@ -1,9 +1,10 @@
 """Ratio experiments: run solvers against a reference and emit CSV records.
 
-Solvers run behind small adapters that rescale non-integer instances onto
-the integer grid for the grid-bound algorithms and translate costs back.
-Solver failures become record statuses; a batch never dies because one
-point was infeasible or hit a resource cap.
+``SOLVERS`` is the one registry of named solvers, shared with the CLI.
+Every solver takes any rational instance (the grid-bound ones put it on the
+integer grid themselves) and a budget in input units, or None for the
+optimum.  Solver failures become record statuses; a batch never dies
+because one point was infeasible or hit a resource cap.
 """
 
 from __future__ import annotations
@@ -22,11 +23,9 @@ from .model import (
     ResourceLimitError,
     Scalar,
     ScalarLike,
+    Solution,
     as_scalar,
     cost,
-    integral_scale_factor,
-    is_feasible,
-    scale_instance,
 )
 from .generators import gen_fig5, gen_fig6
 
@@ -59,92 +58,64 @@ class RunRecord:
         )
 
 
-Outcome = tuple[str, Optional[Scalar]]
-Solver = Callable[[Instance], Outcome]
+#: A budget in input units, or None for the optimum.
+Budget = Optional[Scalar]
+#: ``(instance, budget, eps, node_cap) -> solution``; None means no cover within the budget.
+Solver = Callable[[Instance, Budget, Scalar, int], Optional[Solution]]
 
 
-def _on_grid(instance: Instance, run, node_cap: int) -> Outcome:
-    """Run a grid-bound solver on the scaled instance; cost back in input units."""
-    factor = integral_scale_factor(instance)
-    work = instance if factor == 1 else scale_instance(instance, factor)
-    found = run(work, node_cap)
-    if found is None:
-        return STATUS_INFEASIBLE, None
-    _, value = found
-    return STATUS_OK, value / factor
+def _first(found: Optional[tuple]) -> Optional[Solution]:
+    return None if found is None else found[0]
 
 
-def make_solver(name: str, eps: ScalarLike = Fraction(1, 2), node_cap: int = exact.DEFAULT_NODE_CAP) -> Solver:
-    """Named solver adapters used by the harness and the bench command."""
-
-    def oracle(instance: Instance) -> Outcome:
-        return _on_grid(instance, lambda w, cap: exact.oracle_optimal(w, node_cap=cap), node_cap)
-
-    def fpt(instance: Instance) -> Outcome:
-        def run(work: Instance, cap: int):
-            if not is_feasible(work):
-                return None
-            _, upper = order_dp.greedy_cover(work)
-            budget = 1
-            while True:
-                found = exact.fpt_solve(work, budget, node_cap=cap)
-                if found is not None:
-                    return found
-                if budget > 2 * upper:
-                    raise RuntimeError("fpt budget doubling escaped its upper bound")
-                budget *= 2
-
-        return _on_grid(instance, run, node_cap)
-
-    def dp_optimal(instance: Instance) -> Outcome:
-        def run(work: Instance, cap: int):
-            try:
-                solution, _ = order_dp.dp_optimal(work)
-            except InfeasibleError:
-                return None
-            return solution, cost(work, solution)
-
-        return _on_grid(instance, run, node_cap)
-
-    def dp_eps(instance: Instance) -> Outcome:
-        try:
-            solution, _ = order_dp.dp_eps(instance, as_scalar(eps))
-        except InfeasibleError:
-            return STATUS_INFEASIBLE, None
-        return STATUS_OK, cost(instance, solution)
-
-    def untangle_oracle(instance: Instance) -> Outcome:
-        factor = integral_scale_factor(instance)
-        work = instance if factor == 1 else scale_instance(instance, factor)
-        found = exact.oracle_optimal(work, node_cap=node_cap)
-        if found is None:
-            return STATUS_INFEASIBLE, None
-        scaled_y, _ = found
-        y = tuple(v / factor for v in scaled_y)
-        hat, _ = untangle_solution(instance, y)
-        return STATUS_OK, cost(instance, hat)
-
-    table: Mapping[str, Solver] = {
-        "oracle": oracle,
-        "fpt": fpt,
-        "dp-optimal": dp_optimal,
-        "dp-eps": dp_eps,
-        "untangle-oracle": untangle_oracle,
-    }
-    if name not in table:
-        raise ValueError(f"unknown algorithm {name!r}; pick from {sorted(table)}")
-    return table[name]
+def _oracle(instance: Instance, budget: Budget, eps: Scalar, node_cap: int) -> Optional[Solution]:
+    return _first(exact.brute_force(instance, budget, node_cap=node_cap))
 
 
-def _run_one(instance_id: str, instance: Instance, name: str, solver: Solver) -> RunRecord:
+def _fpt(instance: Instance, budget: Budget, eps: Scalar, node_cap: int) -> Optional[Solution]:
+    if budget is None:
+        return _first(order_dp.cheapest_first(instance, lambda b: exact.fpt_solve(instance, b, node_cap)))
+    return _first(exact.fpt_solve(instance, budget, node_cap=node_cap))
+
+
+def _dp_exact(instance: Instance, budget: Budget, eps: Scalar, node_cap: int) -> Optional[Solution]:
+    if budget is None:
+        return order_dp.dp_optimal(instance)[0]
+    return _first(order_dp.dp_exact(instance, budget))
+
+
+def _dp_eps(instance: Instance, budget: Budget, eps: Scalar, node_cap: int) -> Optional[Solution]:
+    return order_dp.dp_eps(instance, eps)[0]
+
+
+def _untangle_oracle(instance: Instance, budget: Budget, eps: Scalar, node_cap: int) -> Optional[Solution]:
+    found = _oracle(instance, budget, eps, node_cap)
+    return None if found is None else untangle_solution(instance, found)[0]
+
+
+#: Every named solver.  ``dp-eps`` ignores the budget; ``dp-exact`` and
+#: ``dp-optimal`` are one solver under two names.
+SOLVERS: Mapping[str, Solver] = {
+    "oracle": _oracle,
+    "fpt": _fpt,
+    "dp-exact": _dp_exact,
+    "dp-optimal": _dp_exact,
+    "dp-eps": _dp_eps,
+    "untangle-oracle": _untangle_oracle,
+}
+
+
+def _run_one(instance_id: str, instance: Instance, name: str, eps: Scalar, node_cap: int) -> RunRecord:
     start = time.perf_counter()
     try:
-        status, value = solver(instance)
+        solution = SOLVERS[name](instance, None, eps, node_cap)
+        status = STATUS_INFEASIBLE if solution is None else STATUS_OK
     except InfeasibleError:
-        status, value = STATUS_INFEASIBLE, None
+        solution, status = None, STATUS_INFEASIBLE
     except ResourceLimitError:
-        status, value = STATUS_RESOURCE, None
+        solution, status = None, STATUS_RESOURCE
     elapsed = int((time.perf_counter() - start) * 1000)
+    value = None if solution is None else cost(instance, solution)
     return RunRecord(
         instance=instance_id,
         algo=name,
@@ -169,13 +140,17 @@ def compare(
     The reference is run once; its cost (when available and positive)
     becomes every record's ``ref_cost`` and the ratio is cost/ref_cost.
     """
-    ref_record = _run_one(instance_id, instance, reference, make_solver(reference, eps, node_cap))
+    unknown = sorted({reference, *algorithms}.difference(SOLVERS))
+    if unknown:
+        raise ValueError(f"unknown algorithm {unknown[0]!r}; pick from {sorted(SOLVERS)}")
+    eps = as_scalar(eps)
+    ref_record = _run_one(instance_id, instance, reference, eps, node_cap)
     records = []
     for name in algorithms:
         if name == reference:
             record = ref_record
         else:
-            record = _run_one(instance_id, instance, name, make_solver(name, eps, node_cap))
+            record = _run_one(instance_id, instance, name, eps, node_cap)
         ref_cost = ref_record.cost if record.status == STATUS_OK else None
         ratio = None
         if record.cost is not None and ref_cost is not None and ref_cost > 0:

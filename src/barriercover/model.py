@@ -286,17 +286,41 @@ def max_stab_count(
     return best
 
 
-def integral_scale_factor(instance: Instance, half_radii_ok: bool = False) -> int:
-    """Smallest positive integer c putting the instance on the integer grid.
-
-    Scaling by the result makes L and every x integral, and every radius
-    integral (or every 2r integral when ``half_radii_ok`` is set).
-    """
+def integral_scale_factor(instance: Instance) -> int:
+    """Smallest positive integer c making L and every x and r integral once scaled by c."""
     dens = [instance.length.denominator]
     for s in instance.sensors:
         dens.append(s.x.denominator)
-        dens.append((2 * s.r if half_radii_ok else s.r).denominator)
+        dens.append(s.r.denominator)
     return math.lcm(*dens)
+
+
+def on_grid(instance: Instance, *extra: Number) -> tuple[int, int, list[int], list[int]]:
+    """The instance on the integer grid: ``(d, L*d, [x*d], [r*d])``.
+
+    d is the lcm of ``integral_scale_factor(instance)`` and the denominators
+    of ``extra`` (a budget unit, solution positions).  Scaling by d > 0 keeps
+    every comparison and multiplies every cost by d, so a solver may run on
+    these ints and divide its answer by d.
+    """
+    d = math.lcm(integral_scale_factor(instance), *(v.denominator for v in extra))
+    return (
+        d,
+        int(instance.length * d),
+        [int(s.x * d) for s in instance.sensors],
+        [int(s.r * d) for s in instance.sensors],
+    )
+
+
+def grid_units(budget: ScalarLike, d: int) -> int:
+    """A budget in input units as whole steps of the grid 1/d: floor(budget * d).
+
+    Exact for the grid solvers, whose costs on the grid are integers.
+    """
+    b = as_scalar(budget)
+    if b < 0:
+        raise ValueError(f"budget must be >= 0, got {b}")
+    return math.floor(b * d)
 
 
 def scale_instance(instance: Instance, factor: ScalarLike) -> Instance:

@@ -14,9 +14,11 @@ its budget allows, found by one pointer per row) and left-bound splits
 (the sensor abuts prior coverage, found by bucketing each budget at which
 that placement becomes affordable and keeping a running maximum).  Ties
 go to skipping the sensor, then to the smaller split.  The arithmetic is
-exact: the fill runs on Python ints, with the instance and the unit scaled
-by the lcm of their denominators, and the table is converted back to
-Fractions once at the end.
+exact: the fill runs on Python ints, with the instance and the unit put on
+one grid by ``model.on_grid``, and the table is converted back to
+Fractions once at the end.  The exact solvers run the DP with unit 1/d on
+the instance's own grid, so they take any rational instance and a budget
+in input units.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .model import (
     ActiveSet,
@@ -36,11 +38,12 @@ from .model import (
     Solution,
     as_scalar,
     cost,
+    grid_units,
     integral_scale_factor,
     is_feasible,
     is_order_preserving,
     minimal_active_set,
-    scale_instance,
+    on_grid,
     verify_coverage,
 )
 
@@ -82,8 +85,8 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     becomes available at budget j + ceil(|prev[j] + r - x| / unit) and stays
     so; the previous row is nondecreasing, so the largest available j gives
     both the best value and the smallest k.  The fill runs on exact ints,
-    every coordinate and the unit scaled by the lcm of their denominators,
-    and converts back to Fractions once.
+    every coordinate and the unit put on one grid by ``model.on_grid``, and
+    converts back to Fractions once.
 
     A table of more than ``DEFAULT_CELL_CAP`` cells raises
     ``ResourceLimitError`` before anything is allocated.
@@ -96,13 +99,12 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     cells = (instance.n + 1) * (budget_units + 1)
     if cells > DEFAULT_CELL_CAP:
         raise ResourceLimitError(f"DP table of {cells} cells exceeds the cap {DEFAULT_CELL_CAP}")
-    scale = math.lcm(integral_scale_factor(instance), unit.denominator)
-    length = int(instance.length * scale)
+    scale, length, xs, rs = on_grid(instance, unit)
     step = int(unit * scale)
     rows = [[0] * (budget_units + 1)]
     choices = [[_SKIP] * (budget_units + 1)]
-    for sensor in instance.sensors:
-        row, chosen = _fill_row(rows[-1], int(sensor.x * scale), int(sensor.r * scale), step, length)
+    for x, r in zip(xs, rs):
+        row, chosen = _fill_row(rows[-1], x, r, step, length)
         rows.append(row)
         choices.append(chosen)
     values = {v for row in rows for v in row}
@@ -189,49 +191,53 @@ def _reconstruct(instance: Instance, table: DpTable, b: int) -> tuple[Solution, 
     return solution, active
 
 
-def _integral_view(instance: Instance, budget: Scalar) -> tuple[Instance, int, int]:
-    """Validate L, x, 2r integral; double the grid when radii are half-integral."""
-    bad = instance.length.denominator != 1 or any(
-        s.x.denominator != 1 or (2 * s.r).denominator != 1 for s in instance.sensors
-    )
-    if bad:
-        raise ValueError("DP needs integral L, centers and half-radii; scale first")
-    if budget.denominator != 1 or budget < 0:
-        raise ValueError(f"budget must be a nonnegative integer, got {budget}")
-    if any(s.r.denominator != 1 for s in instance.sensors):
-        doubled = scale_instance(instance, 2)
-        return doubled, int(budget) * 2, 2
-    return instance, int(budget), 1
-
-
 def dp_exact(instance: Instance, budget: ScalarLike) -> Optional[tuple[Solution, ActiveSet]]:
     """Cheapest order-preserving cover of cost <= budget, or None.
 
-    Input must be on the integer grid (L, centers integral, radii integral
-    or half-integral); movements are searched on that grid, which loses
-    nothing for integral data.  The budget is capped at the greedy cover's
-    cost: greedy tiles in index order, so it is an order-preserving cover
-    the DP can express, and the cheapest one never costs more.
+    Movements are searched on the instance's grid 1/d (``model.on_grid``),
+    which loses nothing: on integral data the DP is exact.  The budget is
+    capped at the greedy cover's cost: greedy tiles in index order, so it
+    is an order-preserving cover the DP can express, and the cheapest one
+    never costs more.
     """
-    work, units, factor = _integral_view(instance, as_scalar(budget))
+    d = integral_scale_factor(instance)
+    units = grid_units(budget, d)
     try:
-        _, upper = greedy_cover(work)
+        _, upper = greedy_cover(instance)
     except InfeasibleError:
         return None
-    return _dp_on_grid(work, factor, min(units, int(upper)))
+    return _dp_within(instance, min(units, int(upper * d)), Fraction(1, d))
 
 
-def _dp_on_grid(work: Instance, factor: int, units: int) -> Optional[tuple[Solution, ActiveSet]]:
-    """``dp_exact`` on a grid view from ``_integral_view``, at a budget already capped."""
-    table = budget_table(work, units)
-    final = table.reach[work.n]
-    winner = next((b for b in range(units + 1) if final[b] >= work.length), None)
+def _dp_within(instance: Instance, units: int, unit: Scalar) -> Optional[tuple[Solution, ActiveSet]]:
+    """The DP's cover at the smallest budget of ``units`` steps of ``unit`` that covers, or None."""
+    table = budget_table(instance, units, unit)
+    final = table.reach[instance.n]
+    winner = next((b for b in range(units + 1) if final[b] >= instance.length), None)
     if winner is None:
         return None
-    solution, active = _reconstruct(work, table, winner)
-    if factor != 1:
-        solution = tuple(v / factor for v in solution)
-    return solution, active
+    return _reconstruct(instance, table, winner)
+
+
+def cheapest_first(instance: Instance, solve: Callable[[Scalar], Optional[tuple]]) -> tuple:
+    """First hit of ``solve(budget)`` over budgets 1/d, 2/d, 4/d, ... (input units).
+
+    d is the instance's grid.  Budgets are capped at the greedy cover's
+    cost, where an exact solver must hit; one that returns its cheapest
+    cover within the budget thus yields the optimum.  Raises
+    InfeasibleError when no cover exists.
+    """
+    d = integral_scale_factor(instance)
+    _, upper = greedy_cover(instance)
+    units = 1
+    while True:
+        budget = min(Fraction(units, d), upper)
+        found = solve(budget)
+        if found is not None:
+            return found
+        if budget == upper:
+            raise RuntimeError("budget doubling found nothing at the greedy cost")
+        units *= 2
 
 
 def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
@@ -258,23 +264,12 @@ def dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:
 
     The first successful table already contains the optimum: each step scans
     for the smallest feasible budget row, and a solution's exact movements
-    are themselves a valid budget split.  The grid view and the greedy cap
-    are the same on every step, so they are computed once.
+    are themselves a valid budget split.
     """
-    if not is_feasible(instance):
-        raise InfeasibleError("instance cannot cover the barrier")
     if verify_coverage(instance, instance.home()).covered:
         return instance.home(), minimal_active_set(instance, instance.home())
-    work, _, factor = _integral_view(instance, Fraction(0))
-    _, upper = greedy_cover(work)
-    budget = 1
-    while True:
-        found = _dp_on_grid(work, factor, min(budget * factor, int(upper)))
-        if found is not None:
-            return found
-        if budget * factor > 2 * upper:
-            raise RuntimeError("budget doubling escaped its upper bound")
-        budget *= 2
+    d = integral_scale_factor(instance)
+    return cheapest_first(instance, lambda budget: _dp_within(instance, int(budget * d), Fraction(1, d)))
 
 
 @dataclass(frozen=True)
@@ -329,13 +324,9 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
     units = math.ceil(instance.n / half) + instance.n
     while True:
         params = EpsParams(eps=half, opt_guess=guess, n=instance.n)
-        table = budget_table(instance, units, unit=params.q)
-        final = table.reach[instance.n]
-        winner = next((b for b in range(units + 1) if final[b] >= instance.length), None)
-        if winner is not None:
-            solution, active = _reconstruct(instance, table, winner)
-            if cost(instance, solution) <= (1 + half) * guess:
-                return solution, active
+        found = _dp_within(instance, units, params.q)
+        if found is not None and cost(instance, found[0]) <= (1 + half) * guess:
+            return found
         if guess > 2 * upper:
             raise RuntimeError("guess doubling escaped its upper bound")
         guess *= 2

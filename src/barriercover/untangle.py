@@ -6,16 +6,15 @@ swapping them inside the union of the two intervals fixes their order while
 covering exactly the same part of the barrier, so coverage is preserved
 swap by swap until the active set is order-preserving.
 
-``untangle`` runs its swap loop on the integer grid: every coordinate is
-multiplied by the lcm d of the instance's and the solution's denominators,
-so the swap targets u1 + r_i and u2 - r_j stay integral, and the result is
-converted back to Fractions once.  Scaling by d > 0 keeps every comparison,
+``untangle`` runs its swap loop on the integer grid of ``model.on_grid``:
+every coordinate is multiplied by the lcm d of the instance's and the
+solution's denominators, so the swap targets u1 + r_i and u2 - r_j stay
+integral, and the result is converted back to Fractions once.  Scaling by d > 0 keeps every comparison,
 so the schedule and the result are exactly those of the loop on Fractions.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -29,8 +28,8 @@ from .model import (
     Solution,
     _minimal_cover,
     as_solution,
-    integral_scale_factor,
     is_order_preserving,
+    on_grid,
 )
 
 
@@ -113,10 +112,7 @@ def untangle(
     failing is a schedule bug, not a property of the input.
     """
     y = as_solution(instance, solution)
-    scale = math.lcm(integral_scale_factor(instance), *(v.denominator for v in y))
-    length = int(instance.length * scale)
-    home = [int(s.x * scale) for s in instance.sensors]
-    radii = [int(s.r * scale) for s in instance.sensors]
+    scale, length, home, radii = on_grid(instance, *y)
     pos = [int(v * scale) for v in y]
 
     def settle(old: Sequence[int], new: ActiveSet) -> ActiveSet:

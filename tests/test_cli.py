@@ -107,13 +107,18 @@ class TestSolve:
         path.write_text("L 10\nN 1\n0 1\n")
         assert main(["solve", "--algo", "oracle", str(path)]) == 1
 
-    def test_missing_budget_is_usage_error(self, i1_path):
-        assert main(["solve", "--algo", "fpt", i1_path]) == 2
+    def test_missing_budget_is_usage_error(self, i1_path, capsys):
+        """Without --budget, fpt returns the optimum; a negative budget is a usage error."""
+        assert main(["solve", "--algo", "fpt", i1_path]) == 0
+        assert capsys.readouterr().out.splitlines()[0] == "COST 3"
+        assert main(["solve", "--algo", "fpt", "--budget", "-1", i1_path]) == 2
 
-    def test_non_integral_input_is_precondition_error(self, tmp_path):
+    def test_non_integral_input_is_precondition_error(self, tmp_path, capsys):
+        """Fractional input is solved on its own grid, not refused."""
         path = tmp_path / "frac.bc"
         path.write_text("L 4\nN 1\n1/3 2\n")
-        assert main(["solve", "--algo", "oracle", "--budget", "3", str(path)]) == 2
+        assert main(["solve", "--algo", "oracle", "--budget", "3", str(path)]) == 0
+        assert capsys.readouterr().out == "COST 5/3\n2\n"
 
     def test_resource_limit_exit_code(self, tmp_path):
         path = tmp_path / "wide.bc"
@@ -121,6 +126,27 @@ class TestSolve:
         assert main(
             ["solve", "--algo", "oracle", "--node-cap", "3", str(path)]
         ) == 3
+
+    def test_too_deep_search_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "deep.bc"
+        sensors = "".join(f"{2 * i + 2} 1\n" for i in range(1100))
+        path.write_text(f"L 2200\nN 1100\n{sensors}")
+        assert main(["solve", "--algo", "oracle", str(path)]) == 3
+        assert "recursed too deep" in capsys.readouterr().err
+
+    def test_dp_optimal_name(self, i1_path, capsys):
+        assert main(["solve", "--algo", "dp-optimal", i1_path]) == 0
+        assert capsys.readouterr().out == "COST 3\n1\n3\n"
+        assert main(["solve", "--algo", "dp-optimal", "--budget", "2", i1_path]) == 1
+
+    def test_dp_eps_defaults_to_half(self, tmp_path, capsys):
+        path = tmp_path / "i2.bc"
+        path.write_text("L 12\nN 5\n0 2\n1 1\n3 1\n5 1\n7 1\n")
+        assert main(["solve", "--algo", "dp-eps", str(path)]) == 0
+        default = capsys.readouterr().out
+        assert main(["solve", "--algo", "dp-eps", "--eps", "1/2", str(path)]) == 0
+        assert default == capsys.readouterr().out
+        assert parse_solution(default)[0] == 18
 
     def test_output_file(self, i1_path, tmp_path):
         out = tmp_path / "sol.txt"
@@ -193,6 +219,19 @@ class TestBench:
         lines = out.read_text().strip().split("\n")
         assert len(lines) == 3
         assert all(",ok,3,3,1," in line for line in lines[1:])
+
+    def test_directory_mode_dp_exact_name(self, tmp_path, capsys):
+        (tmp_path / "a.bc").write_text("L 12\nN 5\n0 2\n1 1\n3 1\n5 1\n7 1\n")
+        assert main(["bench", "--dir", str(tmp_path), "--algos", "dp-exact,dp-optimal"]) == 0
+        lines = capsys.readouterr().out.strip().split("\n")
+        assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+            "a,dp-exact,ok,18,10,9/5",
+            "a,dp-optimal,ok,18,10,9/5",
+        ]
+
+    def test_unknown_algorithm_is_usage_error(self, tmp_path):
+        (tmp_path / "a.bc").write_text(I1_TEXT)
+        assert main(["bench", "--dir", str(tmp_path), "--algos", "simplex"]) == 2
 
     def test_family_and_dir_conflict(self, tmp_path):
         assert main(["bench", "--family", "fig5", "--dir", str(tmp_path)]) == 2

@@ -24,6 +24,9 @@ from conftest import random_corpus
 
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
 COVERING = Instance(4, (Sensor(1, 1), Sensor(3, 1)))
+# Only the exact tiling covers (total length = L), one DFS level per sensor:
+# deeper than the interpreter's default recursion limit of 1000.
+DEEP = Instance(2200, tuple(Sensor(2 * i + 2, 1) for i in range(1100)))
 
 
 class TestBruteForce:
@@ -51,11 +54,14 @@ class TestBruteForce:
             brute_force(inst, 40, node_cap=5)
 
     def test_rejects_fractional_input(self):
+        """Fractional input is solved on its own grid: the scaled answer divided by d."""
         inst = Instance(4, (Sensor(F(1, 2), 1), Sensor(3, 1)))
-        with pytest.raises(ValueError):
-            brute_force(inst, 3)
-        with pytest.raises(ValueError):
-            brute_force(COVERING, F(1, 2))
+        solution, value = brute_force(inst, 3)
+        scaled_solution, scaled_value = brute_force(scale_instance(inst, 2), 6)
+        assert value == scaled_value / 2 == F(1, 2)
+        assert solution == tuple(v / 2 for v in scaled_solution) == (1, 3)
+        assert brute_force(inst, F(49, 100)) is None
+        assert brute_force(COVERING, F(1, 2)) == (COVERING.home(), 0)
 
 
 class TestOrderPreservingBruteForce:
@@ -115,9 +121,15 @@ class TestFpt:
         assert fpt_solve(inst, 3) is None
 
     def test_rejects_fractional_input(self):
-        inst = Instance(4, (Sensor(F(1, 2), 1),))
-        with pytest.raises(ValueError):
-            fpt_solve(inst, 3)
+        """Fractional input is solved on its own grid: the scaled answer divided by d."""
+        lone = Instance(4, (Sensor(F(1, 2), 1),))
+        assert fpt_solve(lone, 3) is None and fpt_solve(scale_instance(lone, 2), 6) is None
+        inst = Instance(4, (Sensor(F(1, 2), 1), Sensor(3, 1)))
+        solution, value = fpt_solve(inst, 3)
+        scaled_solution, scaled_value = fpt_solve(scale_instance(inst, 2), 6)
+        assert value == scaled_value / 2 == F(1, 2)
+        assert solution == tuple(v / 2 for v in scaled_solution) == (1, 3)
+        assert fpt_solve(inst, F(49, 100)) is None
 
     def test_agrees_with_oracle_on_corpus(self):
         for _, inst, budget in random_corpus(60):
@@ -162,6 +174,20 @@ class TestKMove:
             KMoveQuery(-1, 0)
         with pytest.raises(ValueError):
             KMoveQuery(0, -1)
+
+
+class TestDeepSearch:
+    def test_oracle_too_deep_is_a_resource_limit(self):
+        with pytest.raises(ResourceLimitError, match="recursed too deep"):
+            oracle_optimal(DEEP)
+
+    def test_order_preserving_too_deep_is_a_resource_limit(self):
+        with pytest.raises(ResourceLimitError, match="recursed too deep"):
+            brute_force_order_preserving(DEEP)
+
+    def test_pruned_budget_is_still_proven_absent(self):
+        # Budget 5 is cut at the root (1,100 units of gap), so no deep search runs.
+        assert brute_force(DEEP, 5) is None
 
 
 class TestOracleOptimal:

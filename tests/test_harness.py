@@ -1,16 +1,22 @@
 from fractions import Fraction as F
+from typing import Optional
 
-from barriercover import Instance, Sensor
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from barriercover import InfeasibleError, Instance, Sensor, cost, gen_random, scale_instance
 from barriercover.harness import (
     CSV_HEADER,
+    SOLVERS,
     STATUS_INFEASIBLE,
     STATUS_OK,
     STATUS_RESOURCE,
     compare,
-    make_solver,
     ratio_sweep,
     records_to_csv,
 )
+
+from conftest import random_corpus
 
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
 I2 = Instance(12, (Sensor(0, 2), Sensor(1, 1), Sensor(3, 1), Sensor(5, 1), Sensor(7, 1)))
@@ -44,10 +50,16 @@ class TestCompare:
         assert record.status == STATUS_RESOURCE
         assert record.ratio is None
 
+    def test_too_deep_search_is_a_resource_limit(self):
+        deep = Instance(2200, tuple(Sensor(2 * i + 2, 1) for i in range(1100)))
+        (record,) = compare(deep, ["oracle"], "oracle", instance_id="deep")
+        assert (record.status, record.cost, record.ratio) == (STATUS_RESOURCE, None, None)
+
     def test_eps_solver_adapter(self):
-        solver = make_solver("dp-eps", eps=F(1, 2))
-        status, value = solver(I1)
-        assert status == STATUS_OK and 3 <= value <= F(9, 2)
+        solution = SOLVERS["dp-eps"](I1, None, F(1, 2), 10**6)
+        assert cost(I1, solution) == 3
+        (record,) = compare(I1, ["dp-eps"], "oracle", instance_id="i1", eps=F(1, 2))
+        assert (record.status, record.cost, record.ratio) == (STATUS_OK, 3, 1)
 
 
 class TestRatioSweep:
@@ -90,3 +102,48 @@ class TestCsv:
         a = compare(I1, ["oracle", "dp-optimal", "fpt"], "oracle", instance_id="i1")
         b = compare(I1, ["fpt", "dp-optimal", "oracle"], "oracle", instance_id="i1")
         assert [(r.instance, r.algo) for r in a] == [(r.instance, r.algo) for r in b]
+
+
+CORPUS = list(random_corpus(40))
+
+
+def solved_cost(name: str, instance: Instance, budget: Optional[F]) -> Optional[F]:
+    """Cost of a registry solver's answer; None when no cover fits the budget."""
+    try:
+        solution = SOLVERS[name](instance, budget, F(1, 2), 10**7)
+    except InfeasibleError:
+        return None
+    return None if solution is None else cost(instance, solution)
+
+
+class TestSolverRegistry:
+    def test_names(self):
+        assert sorted(SOLVERS) == ["dp-eps", "dp-exact", "dp-optimal", "fpt", "oracle", "untangle-oracle"]
+        assert SOLVERS["dp-exact"] is SOLVERS["dp-optimal"]
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        case=st.sampled_from(CORPUS),
+        name=st.sampled_from(sorted(SOLVERS)),
+        c=st.sampled_from([F(2), F(3), F(1, 2), F(1, 3)]),
+        budgeted=st.booleans(),
+    )
+    def test_cost_scales_with_the_instance(self, case, name, c, budgeted):
+        _, inst, budget = case
+        budget = F(budget) if budgeted else None
+        got = solved_cost(name, inst, budget)
+        scaled = solved_cost(name, scale_instance(inst, c), None if budget is None else budget * c)
+        assert scaled == (None if got is None else c * got)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(1, 6),
+        length=st.integers(2, 14),
+        r=st.integers(1, 3),
+        seed=st.integers(0, 10**6),
+    )
+    def test_equal_radii_need_no_reordering(self, n, length, r, seed):
+        # With one radius, uncrossing any optimum keeps its cost (swapping equal
+        # intervals moves nobody further), so OPT_op equals OPT.
+        inst = gen_random(n, length, r, r, (-10, 15), seed)
+        assert solved_cost("dp-optimal", inst, None) == solved_cost("oracle", inst, None)

@@ -22,6 +22,7 @@ from barriercover import (
     verify_coverage,
 )
 
+from barriercover.model import grid_units, on_grid
 from conftest import random_corpus
 
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
@@ -232,7 +233,14 @@ class TestHelpers:
         assert back == inst
         assert scale_solution(scale_solution((F(1, 2),), 2), F(1, 2)) == (F(1, 2),)
 
+    def test_on_grid(self):
+        inst = Instance(F(5, 2), (Sensor(F(-1, 3), F(1, 2)), Sensor(2, 1)))
+        assert on_grid(inst) == (6, 15, [-2, 12], [3, 6])
+        assert on_grid(inst, F(1, 4), 1) == (12, 30, [-4, 24], [6, 12])
+        assert grid_units(F(7, 6), 6) == 7 and grid_units(F(7, 6), 4) == 4
+        with pytest.raises(ValueError):
+            grid_units(-1, 6)
+
     def test_scale_factor_half_radii(self):
         inst = Instance(F(5), (Sensor(F(-3), F(1, 2)),))
-        assert integral_scale_factor(inst, half_radii_ok=True) == 1
         assert integral_scale_factor(inst) == 2

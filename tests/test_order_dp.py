@@ -22,6 +22,7 @@ from barriercover import (
     is_order_preserving,
     oracle_optimal,
     rounded_cost,
+    scale_instance,
     verify_coverage,
 )
 
@@ -54,11 +55,17 @@ class TestDpExact:
         assert found is not None and cost(I1, found[0]) == 3
 
     def test_rejects_non_integral_centers(self):
-        inst = Instance(4, (Sensor(F(1, 3), 1),))
-        with pytest.raises(ValueError):
-            dp_exact(inst, 3)
-        with pytest.raises(ValueError):
-            dp_exact(I1, F(1, 2))
+        """Fractional input is solved on its own grid: the scaled answer divided by d."""
+        lone = Instance(4, (Sensor(F(1, 3), 1),))
+        assert dp_exact(lone, 3) is None and dp_exact(scale_instance(lone, 3), 9) is None
+        inst = Instance(4, (Sensor(F(1, 3), 2),))
+        solution, active = dp_exact(inst, 3)
+        scaled_solution, scaled_active = dp_exact(scale_instance(inst, 3), 9)
+        assert solution == tuple(v / 3 for v in scaled_solution) == (2,)
+        assert cost(inst, solution) == F(5, 3) and active == scaled_active == (0,)
+        assert dp_exact(inst, F(4, 3)) is None
+        assert dp_exact(I1, F(1, 2)) is None
+        assert dp_exact(I1, F(7, 2))[0] == (1, 3)
 
     def test_huge_budget_is_capped_at_the_greedy_cost(self):
         # The table is filled to the greedy cover's cost, not to 10**12 columns.
@@ -109,6 +116,23 @@ class TestDpOptimal:
         solution, _ = dp_optimal(gen_fig5(2, 24))
         assert cost(gen_fig5(2, 24), solution) == 42
         assert len(calls) == 1
+
+    def test_budgets_double_from_one_grid_step(self, monkeypatch):
+        units = []
+
+        def recorded(instance, budget_units, unit=1):
+            units.append((budget_units, unit))
+            return budget_table(instance, budget_units, unit)
+
+        monkeypatch.setattr(order_dp, "budget_table", recorded)
+        # fig5 L=24: OPT_op and the greedy cap are both 42.
+        dp_optimal(gen_fig5(2, 24))
+        assert units == [(2**k, 1) for k in range(6)] + [(42, 1)]
+        units.clear()
+        # Halved, it sits on the grid 1/2: the same steps, of half the size.
+        solution, _ = dp_optimal(scale_instance(gen_fig5(2, 24), F(1, 2)))
+        assert units == [(2**k, F(1, 2)) for k in range(6)] + [(42, F(1, 2))]
+        assert cost(scale_instance(gen_fig5(2, 24), F(1, 2)), solution) == 21
 
     def test_matches_order_preserving_oracle_on_corpus(self):
         for _, inst, _ in random_corpus(60):
