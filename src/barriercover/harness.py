@@ -59,36 +59,36 @@ class RunRecord:
 
 
 #: A budget in input units, or None for the optimum.
-Budget = Optional[Scalar]
+Budget = Optional[ScalarLike]
 #: ``(instance, budget, eps, node_cap) -> solution``; None means no cover within the budget.
-Solver = Callable[[Instance, Budget, Scalar, int], Optional[Solution]]
+Solver = Callable[[Instance, Budget, ScalarLike, int], Optional[Solution]]
 
 
 def _first(found: Optional[tuple]) -> Optional[Solution]:
     return None if found is None else found[0]
 
 
-def _oracle(instance: Instance, budget: Budget, eps: Scalar, node_cap: int) -> Optional[Solution]:
+def _oracle(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
     return _first(exact.brute_force(instance, budget, node_cap=node_cap))
 
 
-def _fpt(instance: Instance, budget: Budget, eps: Scalar, node_cap: int) -> Optional[Solution]:
+def _fpt(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
     if budget is None:
         return _first(order_dp.cheapest_first(instance, lambda b: exact.fpt_solve(instance, b, node_cap)))
     return _first(exact.fpt_solve(instance, budget, node_cap=node_cap))
 
 
-def _dp_exact(instance: Instance, budget: Budget, eps: Scalar, node_cap: int) -> Optional[Solution]:
+def _dp_exact(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
     if budget is None:
         return order_dp.dp_optimal(instance)[0]
     return _first(order_dp.dp_exact(instance, budget))
 
 
-def _dp_eps(instance: Instance, budget: Budget, eps: Scalar, node_cap: int) -> Optional[Solution]:
+def _dp_eps(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
     return order_dp.dp_eps(instance, eps)[0]
 
 
-def _untangle_oracle(instance: Instance, budget: Budget, eps: Scalar, node_cap: int) -> Optional[Solution]:
+def _untangle_oracle(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
     found = _oracle(instance, budget, eps, node_cap)
     return None if found is None else untangle_solution(instance, found)[0]
 
@@ -105,7 +105,7 @@ SOLVERS: Mapping[str, Solver] = {
 }
 
 
-def _run_one(instance_id: str, instance: Instance, name: str, eps: Scalar, node_cap: int) -> RunRecord:
+def _run_one(instance_id: str, instance: Instance, name: str, eps: ScalarLike, node_cap: int) -> RunRecord:
     start = time.perf_counter()
     try:
         solution = SOLVERS[name](instance, None, eps, node_cap)
@@ -143,7 +143,6 @@ def compare(
     unknown = sorted({reference, *algorithms}.difference(SOLVERS))
     if unknown:
         raise ValueError(f"unknown algorithm {unknown[0]!r}; pick from {sorted(SOLVERS)}")
-    eps = as_scalar(eps)
     ref_record = _run_one(instance_id, instance, reference, eps, node_cap)
     records = []
     for name in algorithms:

@@ -202,10 +202,9 @@ def dp_exact(instance: Instance, budget: ScalarLike) -> Optional[tuple[Solution,
     """
     d = integral_scale_factor(instance)
     units = grid_units(budget, d)
-    try:
-        _, upper = greedy_cover(instance)
-    except InfeasibleError:
+    if not is_feasible(instance):
         return None
+    _, upper = greedy_cover(instance)
     return _dp_within(instance, min(units, int(upper * d)), Fraction(1, d))
 
 

@@ -9,8 +9,9 @@ swap by swap until the active set is order-preserving.
 ``untangle`` runs its swap loop on the integer grid of ``model.on_grid``:
 every coordinate is multiplied by the lcm d of the instance's and the
 solution's denominators, so the swap targets u1 + r_i and u2 - r_j stay
-integral, and the result is converted back to Fractions once.  Scaling by d > 0 keeps every comparison,
-so the schedule and the result are exactly those of the loop on Fractions.
+integral, and the result is converted back to Fractions once.  Scaling by
+d > 0 keeps every comparison, so the schedule and the result are exactly
+those of the loop on Fractions.
 """
 
 from __future__ import annotations
