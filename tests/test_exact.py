@@ -186,7 +186,8 @@ class TestDeepSearch:
             brute_force_order_preserving(DEEP)
 
     def test_pruned_budget_is_still_proven_absent(self):
-        # Budget 5 is cut at the root (1,100 units of gap), so no deep search runs.
+        # Every cover moves all 1,100 sensors by one unit, so budget 5 is
+        # refuted within a few levels and no deep search runs.
         assert brute_force(DEEP, 5) is None
 
 

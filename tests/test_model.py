@@ -233,7 +233,7 @@ class TestHelpers:
         assert back == inst
         assert scale_solution(scale_solution((F(1, 2),), 2), F(1, 2)) == (F(1, 2),)
 
-    def test_on_grid(self):
+    def test_grid_scaling(self):
         inst = Instance(F(5, 2), (Sensor(F(-1, 3), F(1, 2)), Sensor(2, 1)))
         assert on_grid(inst) == (6, 15, [-2, 12], [3, 6])
         assert on_grid(inst, F(1, 4), 1) == (12, 30, [-4, 24], [6, 12])
