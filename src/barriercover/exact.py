@@ -9,17 +9,20 @@ ints for speed.
 
 The searches are depth-first with admissible pruning only (budget, current
 incumbent, permanently wasted length, uncovered measure, reachability of
-the leftmost hole), so results are exact; a node cap aborts with
-``ResourceLimitError`` rather than ever reporting "no solution".
+the leftmost hole), so results are exact.  All three run on one driver,
+``_Search.run``, which keeps its own stack: depth costs nothing, and the
+node cap alone bounds the work, aborting with ``ResourceLimitError``
+rather than ever reporting "no solution".
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Container, Iterable, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 from .model import (
     Instance,
@@ -27,6 +30,8 @@ from .model import (
     Scalar,
     ScalarLike,
     Solution,
+    _clipped_spans,
+    _gaps,
     as_scalar,
     grid_units,
     is_feasible,
@@ -89,25 +94,6 @@ def _merge(spans: Iterable[_Span]) -> list[_Span]:
     return out
 
 
-def _gaps(length: int, spans: list[_Span]) -> list[_Span]:
-    """Uncovered stretches of [0, length] w.r.t. merged spans."""
-    gaps = []
-    cursor = 0
-    for lo, hi in spans:
-        if hi < 0:
-            continue
-        if lo > length:
-            break
-        if lo > cursor:
-            gaps.append((cursor, lo))
-        cursor = max(cursor, min(hi, length))
-        if cursor >= length:
-            break
-    if cursor < length:
-        gaps.append((cursor, length))
-    return gaps
-
-
 def _uncovered_two(length: int, a: list[_Span], b: list[_Span]) -> tuple[int, int]:
     """Uncovered measure of [0, length] under two merged span lists.
 
@@ -148,7 +134,13 @@ def _uncovered_two(length: int, a: list[_Span], b: list[_Span]) -> tuple[int, in
 
 
 class _Search:
-    """Incumbent bookkeeping for the depth-first enumerations on the grid 1/d."""
+    """Incumbent bookkeeping and the one depth-first driver on the grid 1/d.
+
+    A search is a generator function ``visit(*args)`` for one node: it
+    yields each child's argument tuple in order and is resumed once that
+    child's subtree is done, so after each ``yield`` it re-reads ``bound()``
+    and undoes whatever it changed in place for that child.
+    """
 
     def __init__(self, node_cap: int, budget: int, d: int) -> None:
         self.node_cap = node_cap
@@ -158,13 +150,8 @@ class _Search:
         self.best_cost: Optional[int] = None
         self.best: Optional[list[int]] = None
 
-    def tick(self) -> None:
-        self.nodes += 1
-        if self.nodes > self.node_cap:
-            raise ResourceLimitError(f"search explored more than {self.node_cap} states")
-
     def offer(self, cost_value: int, positions: list[int]) -> None:
-        if self.best_cost is None or cost_value < self.best_cost:
+        if cost_value <= self.budget and (self.best_cost is None or cost_value < self.best_cost):
             self.best_cost = cost_value
             self.best = list(positions)
 
@@ -174,17 +161,23 @@ class _Search:
             return self.budget
         return min(self.budget, self.best_cost - 1)
 
-    def run(self, rec: Callable[..., None], *args: object) -> Optional[tuple[Solution, Scalar]]:
-        """Run the recursive search ``rec(*args)``; the best cover found, in input units.
+    def run(self, visit: Callable[..., Iterator[tuple]], *root: object) -> Optional[tuple[Solution, Scalar]]:
+        """Search depth-first from ``visit(*root)``; the best cover found, in input units.
 
-        A search too deep for the interpreter's stack is a resource limit,
-        like the node cap: it never means "no solution".
+        Open nodes live on an explicit stack, so depth costs no interpreter
+        stack; every node, the root included, counts against the node cap.
         """
-        try:
-            rec(*args)
-        except RecursionError:
-            raise ResourceLimitError(f"search recursed too deep after {self.nodes} states") from None
-        if self.best_cost is None or self.best_cost > self.budget:
+        stack = [iter((root,))]
+        while stack:
+            args = next(stack[-1], None)
+            if args is None:
+                stack.pop()
+                continue
+            self.nodes += 1
+            if self.nodes > self.node_cap:
+                raise ResourceLimitError(f"search explored more than {self.node_cap} states")
+            stack.append(visit(*args))
+        if self.best_cost is None:
             return None
         assert self.best is not None
         return tuple(Fraction(v, self.d) for v in self.best), Fraction(self.best_cost, self.d)
@@ -234,24 +227,23 @@ def brute_force(
     for i in range(n - 1, -1, -1):
         suffix_home[i] = _merge(suffix_home[i + 1] + [(xs[i] - rs[i], xs[i] + rs[i])])
     slack = sum(2 * r for r in rs) - length
-    # Previous sensor of the same radius: equal intervals may be assumed
-    # uncrossed (swapping their targets never raises the cost), so the DFS
-    # only emits position-monotone assignments within each radius class.
-    class_prev = [-1] * n
-    latest: dict[int, int] = {}
-    for i, r in enumerate(rs):
-        class_prev[i] = latest.get(r, -1)
-        latest[r] = i
+    # Equal intervals may be assumed uncrossed (swapping their targets never
+    # raises the cost): ``floors[r]`` is where the latest sensor of radius r
+    # went, and later ones stay at or right of it.  ``members[r]`` and
+    # ``homes[r]`` ascend, as ``Instance`` sorts sensors by (x, r), so the
+    # members of radius r still to be placed at depth i form a suffix.
+    members: dict[int, list[int]] = {}
+    for j, r in enumerate(rs):
+        members.setdefault(r, []).append(j)
+    homes = {r: [xs[j] for j in js] for r, js in members.items()}
+    floors: dict[int, Optional[int]] = dict.fromkeys(members)
 
     greedy_y, greedy_cost = greedy_cover(instance)
     search = _Search(node_cap, int(greedy_cost * d) if limit is None else limit, d)
-    if greedy_cost * d <= search.budget:
-        search.offer(int(greedy_cost * d), [int(v * d) for v in greedy_y])
+    search.offer(int(greedy_cost * d), [int(v * d) for v in greedy_y])
     anchored = _anchored_cover(length, xs, rs)
     if anchored is not None:
-        a_cost = sum(abs(y - x) for y, x in zip(anchored, xs))
-        if a_cost <= search.budget:
-            search.offer(a_cost, anchored)
+        search.offer(sum(abs(y - x) for y, x in zip(anchored, xs)), anchored)
 
     positions = list(xs)
 
@@ -273,32 +265,32 @@ def brute_force(
             total += hi - lo
         return total
 
-    def min_reach(i: int, p: int, floors: dict[int, int]) -> Optional[int]:
-        """Cheapest movement for any remaining sensor to cover [p, p+1].
+    def min_reach(i: int, p: int) -> Optional[int]:
+        """Cheapest movement for any sensor i.. to cover [p, p+1].
 
-        Respects the uncrossing floors: a sensor whose radius class already
-        placed a member at position f may only take positions >= f.  None
-        means no remaining sensor can ever cover the point: a dead branch.
+        Radius r covers it from y in [p - r, p + r] at or above the class
+        floor; per class, the two remaining homes around that window's low
+        end are the nearest.  None means no remaining sensor can ever cover
+        the point: a dead branch.
         """
         best: Optional[int] = None
-        for j in range(i, n):
-            lo_y = p - rs[j]
-            f = floors.get(rs[j])
+        for r, js in members.items():
+            lo_y, hi_y, f = p - r, p + r, floors[r]
             if f is not None:
-                if f > p + rs[j]:
+                if f > hi_y:
                     continue
                 lo_y = max(lo_y, f)
-            c = xs[j] - (p + rs[j])
-            if lo_y - xs[j] > c:
-                c = lo_y - xs[j]
-            if c <= 0:
-                return 0
-            if best is None or c < best:
-                best = c
+            start = bisect_left(js, i)
+            k = bisect_left(homes[r], lo_y, start)
+            for h in homes[r][max(k - 1, start):k + 1]:
+                c = max(h - hi_y, lo_y - h)
+                if c <= 0:
+                    return 0
+                if best is None or c < best:
+                    best = c
         return best
 
-    def rec(i: int, spent: int, placed: list[_Span], waste: int, floors: dict[int, int]) -> None:
-        search.tick()
+    def visit(i: int, spent: int, placed: list[_Span], waste: int) -> Iterator[tuple]:
         uncovered, first_hole = _uncovered_two(length, placed, suffix_home[i])
         if i == n:
             if uncovered == 0:
@@ -306,7 +298,7 @@ def brute_force(
             return
         lower = uncovered
         if first_hole >= 0:
-            reach = min_reach(i, first_hole, floors)
+            reach = min_reach(i, first_hole)
             if reach is None:
                 return
             if reach > lower:
@@ -315,7 +307,7 @@ def brute_force(
         # the uncrossing floors keep every remaining sensor to its right.
         _, placed_hole = _uncovered_two(length, placed, [])
         if placed_hole >= 0 and placed_hole != first_hole:
-            reach = min_reach(i, placed_hole, floors)
+            reach = min_reach(i, placed_hole)
             if reach is None:
                 return
             if reach > lower:
@@ -325,7 +317,7 @@ def brute_force(
             return
         lo_pos = min(-rs[i], xs[i])
         hi_pos = max(length + rs[i], xs[i])
-        floor = floors.get(rs[i])
+        floor = floors[rs[i]]
         two_r = 2 * rs[i]
         d = 0
         while spent + d <= bnd:
@@ -340,14 +332,13 @@ def brute_force(
                 child_waste = waste + two_r - contribution(span, placed)
                 if child_waste > slack:
                     continue
-                positions[i] = y
-                rec(i + 1, spent + d, _merge(placed + [span]), child_waste,
-                    {**floors, rs[i]: y})
-                positions[i] = xs[i]
+                positions[i] = floors[rs[i]] = y
+                yield i + 1, spent + d, _merge(placed + [span]), child_waste
+                positions[i], floors[rs[i]] = xs[i], floor
             d += 1
             bnd = search.bound()
 
-    return search.run(rec, 0, 0, [], 0, {})
+    return search.run(visit, 0, 0, [], 0)
 
 
 def brute_force_order_preserving(
@@ -377,14 +368,13 @@ def brute_force_order_preserving(
     search = _Search(node_cap, limit, d)
     positions = list(xs)
 
-    def rec(i: int, spent: int, reach: int, last_y: Optional[int]) -> None:
-        search.tick()
+    def visit(i: int, spent: int, reach: int, last_y: Optional[int]) -> Iterator[tuple]:
         if reach >= length:
             search.offer(spent, positions)
             return
         if i == n or reach + suffix_len[i] < length:
             return
-        rec(i + 1, spent, reach, last_y)  # sensor i stays home, inactive
+        yield i + 1, spent, reach, last_y  # sensor i stays home, inactive
         lo = reach - rs[i] + 1
         if last_y is not None:
             lo = max(lo, last_y + 1)
@@ -393,10 +383,10 @@ def brute_force_order_preserving(
             if spent + move > search.bound():
                 continue
             positions[i] = y
-            rec(i + 1, spent + move, max(reach, y + rs[i]), y)
+            yield i + 1, spent + move, max(reach, y + rs[i]), y
             positions[i] = xs[i]
 
-    return search.run(rec, 0, 0, 0, None)
+    return search.run(visit, 0, 0, 0, None)
 
 
 def gap_candidates(
@@ -458,15 +448,13 @@ def fpt_solve(
     """
     d, length, xs, rs = on_grid(instance)
     limit = grid_units(budget, d)
-    n = len(xs)
 
     search = _Search(node_cap, limit, d)
     positions = list(xs)
+    moved: set[int] = set()
 
-    def rec(moved: frozenset[int], spent: int) -> None:
-        search.tick()
-        state = _merge([(positions[j] - rs[j], positions[j] + rs[j]) for j in range(n)])
-        holes = _gaps(length, state)
+    def visit(spent: int) -> Iterator[tuple]:
+        holes = _gaps(sorted(_clipped_spans(rs, positions, length, range(len(xs)))), length)
         if not holes:
             search.offer(spent, positions)
             return
@@ -478,14 +466,16 @@ def fpt_solve(
         for j in sorted({j for group in (*left.values(), *right.values()) for j in group}):
             lo = max(gap_lo + 1 - rs[j], xs[j] - room)
             hi = min(gap_lo + rs[j], xs[j] + room)
+            moved.add(j)
             for y in range(lo, hi + 1):
                 if y == xs[j]:
                     continue
                 positions[j] = y
-                rec(moved | {j}, spent + abs(y - xs[j]))
+                yield (spent + abs(y - xs[j]),)
                 positions[j] = xs[j]
+            moved.discard(j)
 
-    return search.run(rec, frozenset(), 0)
+    return search.run(visit, 0)
 
 
 def kmove_brute_force(

@@ -168,6 +168,24 @@ def _covers(spans: Sequence[tuple[Number, Number, int]], keep: Container[int], l
     return reach >= length
 
 
+def _gaps(spans: Iterable[tuple[Number, Number, int]], length: Number) -> list[tuple[Number, Number]]:
+    """Every maximal uncovered stretch of [0, length], in order.
+
+    ``spans`` come from ``_clipped_spans``, sorted by lo.  Intervals are
+    closed, so touching endpoints leave no gap; any exact number type works.
+    """
+    gaps = []
+    cursor = 0 * length  # zero of the caller's number type
+    for lo, hi, _ in spans:
+        if lo > cursor:
+            gaps.append((cursor, lo))
+        if hi > cursor:
+            cursor = hi
+    if cursor < length:
+        gaps.append((cursor, length))
+    return gaps
+
+
 def _minimal_cover(
     radii: Sequence[Number],
     centers: Sequence[Number],
@@ -207,17 +225,8 @@ def verify_coverage(
     An empty barrier (L = 0) counts as covered.
     """
     y = as_solution(instance, solution)
-    if instance.length == 0:
-        return CoverageReport(covered=True, gaps=())
     idx = range(instance.n) if indices is None else indices
-    gaps: list[tuple[Scalar, Scalar]] = []
-    cursor = Fraction(0)
-    for lo, hi, _ in sorted(_clipped_spans(_radii(instance), y, instance.length, idx)):
-        if lo > cursor:
-            gaps.append((cursor, lo))
-        cursor = max(cursor, hi)
-    if cursor < instance.length:
-        gaps.append((cursor, instance.length))
+    gaps = _gaps(sorted(_clipped_spans(_radii(instance), y, instance.length, idx)), instance.length)
     return CoverageReport(covered=not gaps, gaps=tuple(gaps))
 
 

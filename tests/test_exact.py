@@ -12,6 +12,9 @@ from barriercover import (
     brute_force_order_preserving,
     cost,
     fpt_solve,
+    gen_fig5,
+    gen_fig6,
+    gen_random,
     kmove_brute_force,
     oracle_optimal,
     reduce_exact_cover,
@@ -24,8 +27,8 @@ from conftest import random_corpus
 
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
 COVERING = Instance(4, (Sensor(1, 1), Sensor(3, 1)))
-# Only the exact tiling covers (total length = L), one DFS level per sensor:
-# deeper than the interpreter's default recursion limit of 1000.
+# Only the exact tiling covers (total length = L), at cost 1,100: one DFS
+# level per sensor, deeper than the interpreter's default recursion limit.
 DEEP = Instance(2200, tuple(Sensor(2 * i + 2, 1) for i in range(1100)))
 
 
@@ -178,17 +181,56 @@ class TestKMove:
 
 class TestDeepSearch:
     def test_oracle_too_deep_is_a_resource_limit(self):
-        with pytest.raises(ResourceLimitError, match="recursed too deep"):
-            oracle_optimal(DEEP)
+        """Depth is free; a deep search stops only at the node cap.
+
+        The first leaf lies 1,100 levels down, after about 3,300 nodes.
+        """
+        with pytest.raises(ResourceLimitError, match="explored more than 10000 states"):
+            oracle_optimal(DEEP, node_cap=10_000)
 
     def test_order_preserving_too_deep_is_a_resource_limit(self):
-        with pytest.raises(ResourceLimitError, match="recursed too deep"):
-            brute_force_order_preserving(DEEP)
+        """The deep tiling is found in exactly 3,300 nodes; one fewer is a resource limit."""
+        solution, value = brute_force_order_preserving(DEEP, node_cap=3300)
+        assert value == 1100
+        assert solution == tuple(s.x - 1 for s in DEEP.sensors)
+        with pytest.raises(ResourceLimitError):
+            brute_force_order_preserving(DEEP, node_cap=3299)
+
+    def test_oracle_answers_the_deep_instance(self):
+        solution, value = oracle_optimal(DEEP)
+        assert value == 1100 and cost(DEEP, solution) == 1100
+        assert verify_coverage(DEEP, solution).covered
 
     def test_pruned_budget_is_still_proven_absent(self):
         # Every cover moves all 1,100 sensors by one unit, so budget 5 is
         # refuted within a few levels and no deep search runs.
         assert brute_force(DEEP, 5) is None
+
+
+PINNED = gen_random(6, 12, 1, 3, (-6, 18), 9)
+
+
+class TestNodeCounts:
+    """Each search's node count, pinned from outside: cap N succeeds, N - 1 raises."""
+
+    @pytest.mark.parametrize(
+        "search, nodes, expected",
+        [
+            (lambda cap: oracle_optimal(gen_fig5(2, 24), cap), 1324, 22),
+            (lambda cap: oracle_optimal(gen_fig6(2, 6, F(1, 8)), cap), 409, F(15, 8)),
+            (lambda cap: oracle_optimal(PINNED, cap), 498, 13),
+            (lambda cap: fpt_solve(PINNED, 13, cap), 175, 13),
+            (lambda cap: fpt_solve(PINNED, 12, cap), 123, None),
+            (lambda cap: brute_force_order_preserving(PINNED, node_cap=cap), 155, 13),
+        ],
+        ids=["oracle-fig5-L24", "oracle-fig6-m6", "oracle-random", "fpt-at-opt", "fpt-below-opt",
+             "order-preserving-random"],
+    )
+    def test_node_cap_boundary(self, search, nodes, expected):
+        found = search(nodes)
+        assert (None if found is None else found[1]) == expected
+        with pytest.raises(ResourceLimitError, match=f"explored more than {nodes - 1} states"):
+            search(nodes - 1)
 
 
 class TestOracleOptimal:

@@ -1,14 +1,15 @@
 """Time the solver layers and record the figures in BENCH_<topic>.json.
 
-Stdlib only.  Two topics, ``dp`` (the order-preserving budget DP, the
-default) and ``untangle``, and two subcommands, run from the repository
-root:
+Stdlib only.  Three topics, ``dp`` (the order-preserving budget DP, the
+default), ``untangle`` and ``search`` (the exhaustive searches), and two
+subcommands, run from the repository root:
 
     python tools/bench_dp.py rows --label after
     python tools/bench_dp.py rows --label before --src ../parent/src
     python tools/bench_dp.py pairs --before ../parent --after . --pairs 10
     python tools/bench_dp.py --topic untangle rows --label after
     python tools/bench_dp.py --topic untangle pairs --before ../parent --pairs 10
+    python tools/bench_dp.py --topic search rows --label after
 
 ``rows`` imports ``barriercover`` from ``--src`` (default: this checkout's
 ``src``) and times the topic's baseline rows.  The DP rows are the C3 gate
@@ -17,12 +18,18 @@ loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
 L=40 ``dp_optimal`` against the exhaustive ``oracle_optimal``.  The
 untangle rows are ``untangle`` on fig5 L in {40, 80, 160} (n = 19, 39, 79)
 with the large sensor moved to L - 2, where it crosses the whole unit row.
-Each row is the median of ``--k`` runs in process CPU time.  The result
-goes under ``runs[label]`` together with the Python version and the git
-SHA of the checkout that holds ``--src``.
+The search rows are ``oracle_optimal`` on fig5 L in {40, 44} and on
+``gen_fig6(2, 8, 1/8)``, and ``oracle_optimal`` and
+``brute_force_order_preserving`` on the deep tiling: L = 2200 with 1,100
+sensors at x = 2i + 2, r = 1, whose only cover moves every sensor.
+Each row is the median of ``--k`` runs in process CPU time; a row whose
+search raises ``ResourceLimitError`` records the message under
+``resource_limit`` instead.  The result goes under ``runs[label]``
+together with the Python version and the git SHA of the checkout that
+holds ``--src``.
 
 ``pairs`` runs ``perfbench/run.py --workload W`` (W defaults to the topic's
-workload, ``dp-order`` or ``untangle-swaps``) in the ``--before`` and
+workload: ``dp-order``, ``untangle-swaps`` or ``exact-oracle``) in the ``--before`` and
 ``--after`` checkouts, one run of each per pair, with the side that runs
 first alternating from pair to pair.  It records each side's median and
 quartiles of every end-to-end metric, and how many pairs the after side won
@@ -50,6 +57,7 @@ REPO = Path(__file__).resolve().parent.parent
 TOPICS = {
     "dp": ("order-preserving budget DP", "dp-order"),
     "untangle": ("untangling crossing covers", "untangle-swaps"),
+    "search": ("exhaustive searches on one explicit-stack driver", "exact-oracle"),
 }
 
 
@@ -114,7 +122,20 @@ def untangle_rows(bc) -> dict[str, Callable[[], object]]:
     return rows
 
 
-ROWS = {"dp": dp_rows, "untangle": untangle_rows}
+def search_rows(bc) -> dict[str, Callable[[], object]]:
+    """The exact-oracle workload's largest fig5/fig6 oracles, and the deep tiling."""
+    rows: dict[str, Callable[[], object]] = {}
+    for length in (40, 44):
+        rows[f"oracle_optimal.fig5_L{length}"] = lambda i=bc.gen_fig5(2, length): bc.oracle_optimal(i)
+    fig6 = bc.gen_fig6(2, 8, Fraction(1, 8))
+    rows["oracle_optimal.fig6_m8"] = lambda: bc.oracle_optimal(fig6)
+    deep = bc.Instance(2200, tuple(bc.Sensor(2 * i + 2, 1) for i in range(1100)))
+    rows["oracle_optimal.deep_n1100"] = lambda: bc.oracle_optimal(deep)
+    rows["brute_force_order_preserving.deep_n1100"] = lambda: bc.brute_force_order_preserving(deep)
+    return rows
+
+
+ROWS = {"dp": dp_rows, "untangle": untangle_rows, "search": search_rows}
 
 
 def cmd_rows(args: argparse.Namespace) -> dict:
@@ -123,11 +144,16 @@ def cmd_rows(args: argparse.Namespace) -> dict:
     bc = importlib.import_module("barriercover")
     if Path(bc.__file__).resolve().parent != src / "barriercover":
         raise SystemExit(f"imported barriercover from {bc.__file__}, not from {src}")
-    figures = {}
+    figures, limits = {}, {}
     for name, fn in ROWS[args.topic](bc).items():
-        figures[name] = round(median_cpu_s(fn, args.k), 4)
+        try:
+            figures[name] = round(median_cpu_s(fn, args.k), 4)
+        except bc.ResourceLimitError as exc:
+            limits[name] = str(exc)
+            print(f"{name:28s} resource limit: {exc}", flush=True)
+            continue
         print(f"{name:28s} {figures[name]:10.4f} s", flush=True)
-    return {
+    run = {
         "label": args.label,
         "sha": git_sha(src),
         "python": platform.python_version(),
@@ -135,6 +161,9 @@ def cmd_rows(args: argparse.Namespace) -> dict:
         "unit": "s (median process CPU time)",
         "rows": figures,
     }
+    if limits:
+        run["resource_limit"] = limits
+    return run
 
 
 def perfbench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict[str, float]:
