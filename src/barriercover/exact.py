@@ -9,10 +9,10 @@ ints for speed.
 
 The searches are depth-first with admissible pruning only (budget, current
 incumbent, permanently wasted length, uncovered measure, reachability of
-the leftmost hole), so results are exact.  All three run on one driver,
-``_Search.run``, which keeps its own stack: depth costs nothing, and the
-node cap alone bounds the work, aborting with ``ResourceLimitError``
-rather than ever reporting "no solution".
+the leftmost hole), so results are exact.  The three branch-and-bound
+searches run on one driver, ``_Search.run``, which keeps its own stack:
+depth costs nothing, and the node cap alone bounds the work, aborting
+with ``ResourceLimitError`` rather than ever reporting "no solution".
 """
 
 from __future__ import annotations
@@ -139,7 +139,9 @@ class _Search:
     A search is a generator function ``visit(*args)`` for one node: it
     yields each child's argument tuple in order and is resumed once that
     child's subtree is done, so after each ``yield`` it re-reads ``bound()``
-    and undoes whatever it changed in place for that child.
+    and undoes whatever it changed in place for that child.  Open nodes
+    live on an explicit stack, so depth costs no interpreter stack; every
+    node, the root included, counts against the node cap.
     """
 
     def __init__(self, node_cap: int, budget: int, d: int) -> None:
@@ -162,11 +164,7 @@ class _Search:
         return min(self.budget, self.best_cost - 1)
 
     def run(self, visit: Callable[..., Iterator[tuple]], *root: object) -> Optional[tuple[Solution, Scalar]]:
-        """Search depth-first from ``visit(*root)``; the best cover found, in input units.
-
-        Open nodes live on an explicit stack, so depth costs no interpreter
-        stack; every node, the root included, counts against the node cap.
-        """
+        """Search depth-first from ``visit(*root)``; the best cover found, in input units."""
         stack = [iter((root,))]
         while stack:
             args = next(stack[-1], None)
@@ -229,13 +227,10 @@ def brute_force(
     slack = sum(2 * r for r in rs) - length
     # Equal intervals may be assumed uncrossed (swapping their targets never
     # raises the cost): ``floors[r]`` is where the latest sensor of radius r
-    # went, and later ones stay at or right of it.  ``members[r]`` and
-    # ``homes[r]`` ascend, as ``Instance`` sorts sensors by (x, r), so the
-    # members of radius r still to be placed at depth i form a suffix.
-    members: dict[int, list[int]] = {}
-    for j, r in enumerate(rs):
-        members.setdefault(r, []).append(j)
-    homes = {r: [xs[j] for j in js] for r, js in members.items()}
+    # went, and later ones stay at or right of it.  A class's indices and
+    # homes both ascend (``Instance`` sorts by (x, r)), as min_reach needs.
+    members = {r: [j for j in range(n) if rs[j] == r] for r in dict.fromkeys(rs)}
+    classes = [(r, js, [xs[j] for j in js]) for r, js in members.items()]
     floors: dict[int, Optional[int]] = dict.fromkeys(members)
 
     greedy_y, greedy_cost = greedy_cover(instance)
@@ -269,23 +264,28 @@ def brute_force(
         """Cheapest movement for any sensor i.. to cover [p, p+1].
 
         Radius r covers it from y in [p - r, p + r] at or above the class
-        floor; per class, the two remaining homes around that window's low
-        end are the nearest.  None means no remaining sensor can ever cover
-        the point: a dead branch.
+        floor.  The class's members still to place are a suffix, and the two
+        of their homes around the window's low end are the nearest.  None
+        means no remaining sensor can ever cover the point: a dead branch.
         """
         best: Optional[int] = None
-        for r, js in members.items():
+        for r, js, homes in classes:
             lo_y, hi_y, f = p - r, p + r, floors[r]
             if f is not None:
                 if f > hi_y:
                     continue
-                lo_y = max(lo_y, f)
+                if f > lo_y:
+                    lo_y = f
             start = bisect_left(js, i)
-            k = bisect_left(homes[r], lo_y, start)
-            for h in homes[r][max(k - 1, start):k + 1]:
-                c = max(h - hi_y, lo_y - h)
+            k = bisect_left(homes, lo_y, start)
+            if k < len(homes):
+                c = homes[k] - hi_y
                 if c <= 0:
                     return 0
+                if best is None or c < best:
+                    best = c
+            if k > start:
+                c = lo_y - homes[k - 1]
                 if best is None or c < best:
                     best = c
         return best
