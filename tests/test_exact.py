@@ -183,7 +183,8 @@ class TestDeepSearch:
     def test_oracle_too_deep_is_a_resource_limit(self):
         """Depth is free; a deep search stops only at the node cap.
 
-        The first leaf lies 1,100 levels down, after about 3,300 nodes.
+        The first descent is about 1,100 levels deep within 3,300 nodes,
+        and the search is still about 1,000 levels deep when the cap stops it.
         """
         with pytest.raises(ResourceLimitError, match="explored more than 10000 states"):
             oracle_optimal(DEEP, node_cap=10_000)
