@@ -12,13 +12,19 @@ solution's denominators, so the swap targets u1 + r_i and u2 - r_j stay
 integral, and the result is converted back to Fractions once.  Scaling by
 d > 0 keeps every comparison, so the schedule and the result are exactly
 those of the loop on Fractions.
+
+A swap keeps the union of the pair's intervals, so it cannot make any
+other active sensor redundant: after each swap the loop re-checks only
+the two sensors it moved, in at most three coverage sweeps (the proof is
+in ``untangle``'s docstring).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .model import (
     ActiveSet,
@@ -27,6 +33,8 @@ from .model import (
     Number,
     ScalarLike,
     Solution,
+    _clipped_spans,
+    _covers,
     _minimal_cover,
     as_solution,
     is_order_preserving,
@@ -111,20 +119,64 @@ def untangle(
     dropped as redundant returns to its starting position.  Coverage is
     checked after every swap, and a run is bounded by n^2 swaps; either
     failing is a schedule bug, not a property of the input.
+
+    Re-minimizing after a swap of (i, j) tests only i and j, yet yields the
+    active set of the full drop rule (candidates in decreasing radius, ties
+    to the higher index, each dropped if the rest still cover [0, L]):
+
+    * The pair overlaps, so its two intervals have the same union [u1, u2]
+      before and after the swap.  For every other active sensor k, the part
+      of [0, L] that A - {k} covers is therefore unchanged.
+    * A was minimal before the swap: the rule keeps a sensor only when its
+      removal uncovers a point, and each set it tests later is smaller.  So
+      A - {k} still misses a point, and the full rule, which tests k
+      against a subset of A - {k}, keeps k.
+    * Hence only i or j can be dropped, and the full rule tests each of
+      them against A less itself (and less the other, if that one went
+      first).  These are the two checks below, made in the rule's order.
+
+    In fact at most one of i, j is dropped, so their order never matters.
+    Let G be the points of [0, L] that A - {i, j} misses; G lies in
+    [u1, u2].  If both were redundant after the swap, G would lie in
+    [u2 - 2r_j, u1 + 2r_i].  By minimality before the swap, G has a point
+    outside i's old interval.  It is at most u1 + 2r_i <= y_i + r_i, so it
+    is below y_i - r_i, and at least u2 - 2r_j >= y_i + r_i - 2r_j: thus
+    r_i < r_j.  G also has a point outside j's old interval.  It is at
+    least u2 - 2r_j >= y_j - r_j, so it is above y_j + r_j, and at most
+    u1 + 2r_i <= y_j - r_j + 2r_i: thus r_j < r_i, a contradiction.
+
+    The active spans are kept sorted, and a swap replaces only the pair's
+    two entries, so each swap costs one ``_covers`` sweep (the schedule-bug
+    guard) and at most two drop checks.
     """
     y = as_solution(instance, solution)
     scale, length, home, radii = on_grid(instance, *y)
     pos = [int(v * scale) for v in y]
+    spans: list[tuple[int, int, int]] = []  # the active sensors' clipped spans, sorted
+    span_of: dict[int, tuple[int, int, int]] = {}
+
+    def place(sensors: Iterable[int]) -> None:
+        for span in _clipped_spans(radii, pos, length, sensors):
+            insort(spans, span)
+            span_of[span[2]] = span
+
+    def unplace(k: int) -> None:
+        span = span_of.pop(k, None)
+        if span is not None:
+            del spans[bisect_left(spans, span)]
 
     def settle(old: Sequence[int], new: ActiveSet) -> ActiveSet:
-        for i in set(old).difference(new):
-            pos[i] = home[i]
+        for k in set(old).difference(new):
+            unplace(k)
+            pos[k] = home[k]
         return new
 
     active = _minimal_cover(radii, pos, length, range(instance.n))
     if active is None:
         raise InfeasibleError("cannot untangle a solution that does not cover")
     active = settle(range(instance.n), active)
+    place(active)
+    keep = set(active)
     last: Optional[CrossingPair] = None
     for _ in range(instance.n * instance.n + 1):
         crossing = False
@@ -146,11 +198,18 @@ def untangle(
         if pair == last:
             raise RuntimeError(f"pair {pair} selected twice in a row; schedule bug")
         last = pair
+        unplace(i)
+        unplace(j)
         pos[i], pos[j] = _swap_targets(span, radii[i], radii[j])
-        kept = _minimal_cover(radii, pos, length, active)
-        if kept is None:
+        place((i, j))
+        if not _covers(spans, keep, length):
             raise RuntimeError(f"swap of {pair} broke coverage; swap rule bug")
-        active = settle(active, kept)
+        for k in (i, j) if radii[i] > radii[j] else (j, i):
+            keep.remove(k)
+            if not _covers(spans, keep, length):
+                keep.add(k)
+        if len(keep) < len(active):
+            active = settle(active, tuple(sorted(keep)))
     else:
         raise RuntimeError("untangling exceeded its n^2 swap bound")
     result = tuple(Fraction(v, scale) for v in pos)

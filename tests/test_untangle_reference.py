@@ -6,6 +6,7 @@ input.  The oracle-free checks at the end reach sizes the reference (and
 the exhaustive oracles) cannot: the scaling invariant and fig5 at n = 79.
 """
 
+import importlib
 import time
 from fractions import Fraction as F
 
@@ -199,3 +200,105 @@ class TestOracleFree:
         assert is_order_preserving(inst, solution, active)
         assert all(solution[i] == inst.sensors[i].x for i in range(inst.n) if i not in active)
         assert elapsed < 1, f"untangle took {elapsed:.2f} s of CPU time at n = 79"
+
+
+def jittered_tiling(n, seed):
+    """A shuffled tiling of ``gen_random(n, 2n, 1, 3, (-n, 3n), s)`` that overlaps, jittered.
+
+    One seeded stream draws the instance seed s, a Fisher-Yates order, an
+    overlap of 0, 1/2 or 1 after each sensor, and a jitter of -1/4, 0 or
+    1/4 per center.  The overlaps leave sensors that a swap can make
+    redundant; the jitter tears some covers, which both loops must refuse.
+    """
+    stream = RandomStream(seed)
+    inst = gen_random(n, 2 * n, 1, 3, (-n, 3 * n), stream.next_raw())
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        j = stream.next_int(0, i)
+        order[i], order[j] = order[j], order[i]
+    y, edge = [F(0)] * n, F(0)
+    for i in order:
+        y[i] = edge + inst.sensors[i].r
+        edge += 2 * inst.sensors[i].r - F(stream.next_int(0, 2), 2)
+    return inst, tuple(v + F(stream.next_int(-1, 1), 4) for v in y)
+
+
+def reference_drops(monkeypatch, inst, y):
+    """Run the reference loop; return its outcome and (pair, dropped sensors) per swap."""
+    swaps = []
+
+    def swap(instance, solution, pair):
+        swaps.append((pair, frozenset()))
+        return ref_swap_pair(instance, solution, pair)
+
+    def minimize(instance, solution, within=None):
+        kept = ref_minimal_active_set(instance, solution, within)
+        if within is not None:
+            swaps[-1] = (swaps[-1][0], frozenset(within) - frozenset(kept))
+        return kept
+
+    ref_swap_pair, ref_minimal_active_set = ref.swap_pair, ref.minimal_active_set
+    with monkeypatch.context() as patch:
+        patch.setattr(ref, "swap_pair", swap)
+        patch.setattr(ref, "minimal_active_set", minimize)
+        outcome = _outcome(ref.untangle, inst, y)
+    return outcome, swaps
+
+
+#: (n, seed) of jittered tilings where some swap drops the pair's left-moved
+#: sensor i, and where some swap drops its right-moved sensor j.
+DROPS_LEFT = ((10, 70), (10, 73), (8, 85), (8, 90))
+DROPS_RIGHT = ((10, 0), (6, 2), (8, 6), (8, 10))
+
+
+class TestPairOnlyDrops:
+    """A swap can make only its own pair redundant, so ``untangle`` re-checks only i and j."""
+
+    def _check(self, monkeypatch, n, seed, moved):
+        inst, y = jittered_tiling(n, seed)
+        want, swaps = reference_drops(monkeypatch, inst, y)
+        assert want[0] == "ok"
+        assert _outcome(untangle, inst, y) == want
+        assert any(dropped == {moved(pair)} for pair, dropped in swaps)
+
+    def test_left_moved_sensor_dropped(self, monkeypatch):
+        for n, seed in DROPS_LEFT:
+            self._check(monkeypatch, n, seed, lambda pair: pair.i)
+
+    def test_right_moved_sensor_dropped(self, monkeypatch):
+        for n, seed in DROPS_RIGHT:
+            self._check(monkeypatch, n, seed, lambda pair: pair.j)
+
+    def test_reference_drops_at_most_one_of_the_pair(self, monkeypatch):
+        counts = {"swaps": 0, "drops": 0}
+        for seed in range(60):
+            for n in (6, 8, 10, 12):
+                inst, y = jittered_tiling(n, seed)
+                want, swaps = reference_drops(monkeypatch, inst, y)
+                assert _outcome(untangle, inst, y) == want, f"n={n} seed={seed}"
+                for pair, dropped in swaps:
+                    assert dropped in ({pair.i}, {pair.j}, set()), f"n={n} seed={seed} {pair}"
+                    counts["swaps"] += 1
+                    counts["drops"] += bool(dropped)
+        assert counts["swaps"] >= 500 and counts["drops"] >= 20, counts
+
+    def test_three_sweeps_per_swap_on_fig5_n79(self, monkeypatch):
+        module = importlib.import_module("barriercover.untangle")
+        calls = {"swaps": 0, "sweeps": 0}
+
+        def swap_targets(*args):
+            calls["swaps"] += 1
+            return targets(*args)
+
+        def covers(*args):
+            calls["sweeps"] += 1
+            return sweep(*args)
+
+        targets, sweep = module._swap_targets, module._covers
+        monkeypatch.setattr(module, "_swap_targets", swap_targets)
+        monkeypatch.setattr(module, "_covers", covers)
+        inst, y = fig5_moved(160)
+        solution, active = untangle(inst, y)
+        assert is_order_preserving(inst, solution, active)
+        assert calls["swaps"] == 78
+        assert calls["sweeps"] <= 3 * calls["swaps"], calls

@@ -6,6 +6,7 @@ subcommands, run from the repository root:
 
     python tools/bench_dp.py rows --label after
     python tools/bench_dp.py rows --label before --src ../parent/src
+    python tools/bench_dp.py rows --label after --before ../parent/src
     python tools/bench_dp.py pairs --before ../parent --after . --pairs 10
     python tools/bench_dp.py --topic untangle rows --label after
     python tools/bench_dp.py --topic untangle pairs --before ../parent --pairs 10
@@ -16,8 +17,9 @@ subcommands, run from the repository root:
 loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
 ``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40}, and fig5
 L=40 ``dp_optimal`` against the exhaustive ``oracle_optimal``.  The
-untangle rows are ``untangle`` on fig5 L in {40, 80, 160} (n = 19, 39, 79)
-with the large sensor moved to L - 2, where it crosses the whole unit row.
+untangle rows are ``untangle`` on fig5 L in {40, 80, 160, 320} (n = 19, 39,
+79, 159) with the large sensor moved to L - 2, where it crosses the whole
+unit row.
 The search rows are ``oracle_optimal`` on fig5 L in {40, 44} and on
 ``gen_fig6(2, 8, 1/8)``, and ``oracle_optimal`` and
 ``brute_force_order_preserving`` on the deep tiling: L = 2200 with 1,100
@@ -26,7 +28,10 @@ Each row is the median of ``--k`` runs in process CPU time; a row whose
 search raises ``ResourceLimitError`` records the message under
 ``resource_limit`` instead.  The result goes under ``runs[label]``
 together with the Python version and the git SHA of the checkout that
-holds ``--src``.
+holds ``--src``.  With ``--before SRC`` the rows of both ``--src`` and
+``SRC`` are timed in child processes, one per row and side, with the side
+that runs first alternating from row to row, so host drift hits both sides
+alike; the second run goes under ``runs[--before-label]``.
 
 ``pairs`` runs ``perfbench/run.py --workload W`` (W defaults to the topic's
 workload: ``dp-order``, ``untangle-swaps`` or ``exact-oracle``) in the ``--before`` and
@@ -115,7 +120,7 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
 def untangle_rows(bc) -> dict[str, Callable[[], object]]:
     """fig5 with the large sensor at L - 2, untangled in (L - 4) / 2 swaps."""
     rows: dict[str, Callable[[], object]] = {}
-    for length in (40, 80, 160):
+    for length in (40, 80, 160, 320):
         inst = bc.gen_fig5(2, length)
         y = (Fraction(length - 2),) + inst.home()[1:]
         rows[f"untangle.fig5_L{length}"] = lambda i=inst, y=y: bc.untangle(i, y)
@@ -138,32 +143,84 @@ def search_rows(bc) -> dict[str, Callable[[], object]]:
 ROWS = {"dp": dp_rows, "untangle": untangle_rows, "search": search_rows}
 
 
-def cmd_rows(args: argparse.Namespace) -> dict:
-    src = Path(args.src).resolve()
+def load_package(src: Path):
+    """Import ``barriercover`` from ``src``, refusing any other copy."""
     sys.path.insert(0, str(src))
     bc = importlib.import_module("barriercover")
     if Path(bc.__file__).resolve().parent != src / "barriercover":
         raise SystemExit(f"imported barriercover from {bc.__file__}, not from {src}")
-    figures, limits = {}, {}
-    for name, fn in ROWS[args.topic](bc).items():
-        try:
-            figures[name] = round(median_cpu_s(fn, args.k), 4)
-        except bc.ResourceLimitError as exc:
-            limits[name] = str(exc)
-            print(f"{name:28s} resource limit: {exc}", flush=True)
-            continue
-        print(f"{name:28s} {figures[name]:10.4f} s", flush=True)
+    return bc
+
+
+def time_row(bc, fn: Callable[[], object], k: int) -> float | str:
+    """The median CPU time of ``fn``, or the message of its ``ResourceLimitError``."""
+    try:
+        return round(median_cpu_s(fn, k), 4)
+    except bc.ResourceLimitError as exc:
+        return str(exc)
+
+
+def print_row(topic: str, src: str, name: str, k: str) -> None:
+    """The child of ``rows --before``: time one row of ``src`` and print it as JSON."""
+    bc = load_package(Path(src))
+    print(json.dumps(time_row(bc, ROWS[topic](bc)[name], int(k))))
+
+
+def row_in_child(topic: str, src: Path, name: str, k: int) -> float | str:
+    code = "import sys; sys.path.insert(0, sys.argv[1]); import bench_dp; bench_dp.print_row(*sys.argv[2:])"
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(REPO / "tools"), topic, str(src), name, str(k)],
+        capture_output=True, text=True, check=True,
+    ).stdout
+    return json.loads(out)
+
+
+def show(label: str, name: str, figure: float | str) -> None:
+    if isinstance(figure, str):
+        print(f"{label:10s} {name:40s} resource limit: {figure}", flush=True)
+    else:
+        print(f"{label:10s} {name:40s} {figure:10.4f} s", flush=True)
+
+
+def run_record(label: str, src: Path, k: int, figures: dict[str, float | str]) -> dict:
     run = {
-        "label": args.label,
+        "label": label,
         "sha": git_sha(src),
         "python": platform.python_version(),
-        "k": args.k,
+        "k": k,
         "unit": "s (median process CPU time)",
-        "rows": figures,
+        "rows": {name: v for name, v in figures.items() if not isinstance(v, str)},
     }
+    limits = {name: v for name, v in figures.items() if isinstance(v, str)}
     if limits:
         run["resource_limit"] = limits
     return run
+
+
+def cmd_rows(args: argparse.Namespace) -> dict[str, dict]:
+    """Time the rows; return the run of each label timed."""
+    src = Path(args.src).resolve()
+    bc = load_package(src)
+    rows = ROWS[args.topic](bc)
+    if args.before is None:
+        figures = {}
+        for name, fn in rows.items():
+            figures[name] = time_row(bc, fn, args.k)
+            show(args.label, name, figures[name])
+        return {args.label: run_record(args.label, src, args.k, figures)}
+    if args.before_label == args.label:
+        raise SystemExit(f"--before-label and --label are both {args.label!r}")
+    sides = {args.before_label: Path(args.before).resolve(), args.label: src}
+    labels = list(sides)
+    results: dict[str, dict[str, float | str]] = {label: {} for label in labels}
+    for n, name in enumerate(rows):
+        for label in labels if n % 2 == 0 else labels[::-1]:
+            results[label][name] = row_in_child(args.topic, sides[label], name, args.k)
+            show(label, name, results[label][name])
+    runs = {label: run_record(label, sides[label], args.k, results[label]) for label in labels}
+    for label, other in zip(labels, labels[::-1]):
+        runs[label]["alternated_with"] = other
+    return runs
 
 
 def perfbench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict[str, float]:
@@ -208,6 +265,13 @@ def cmd_pairs(args: argparse.Namespace) -> dict:
     }
 
 
+def at_least_two(text: str) -> int:
+    value = int(text)
+    if value < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs for quartiles, got {value}")
+    return value
+
+
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--topic", choices=sorted(TOPICS), default="dp", help="which rows and workload")
@@ -217,11 +281,13 @@ def main() -> None:
     rows.add_argument("--label", required=True, help="key under 'runs', e.g. before or after")
     rows.add_argument("--src", default=str(REPO / "src"), help="directory holding barriercover/")
     rows.add_argument("--k", type=int, default=3, help="runs per row (median is kept)")
+    rows.add_argument("--before", help="also time this src directory, alternating row by row")
+    rows.add_argument("--before-label", default="before", help="key under 'runs' for --before")
     pairs = sub.add_parser("pairs", help="alternate benchmark runs in two checkouts")
     pairs.add_argument("--before", required=True, help="checkout of the earlier commit")
     pairs.add_argument("--after", default=str(REPO), help="checkout of the later commit")
     pairs.add_argument("--workload", help="perfbench workload (default: the topic's)")
-    pairs.add_argument("--pairs", type=int, default=10)
+    pairs.add_argument("--pairs", type=at_least_two, default=10)
     pairs.add_argument("--seed", type=int, default=0)
     pairs.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args()
@@ -231,7 +297,7 @@ def main() -> None:
     record = json.loads(out.read_text()) if out.exists() else {"topic": topic}
     record["host"] = {"platform": platform.platform(), "machine": platform.machine()}
     if args.cmd == "rows":
-        record.setdefault("runs", {})[args.label] = cmd_rows(args)
+        record.setdefault("runs", {}).update(cmd_rows(args))
     else:
         args.workload = args.workload or workload
         key = args.workload.replace("-", "_") + "_pairs"
