@@ -39,8 +39,8 @@ workload: ``dp-order``, ``untangle-swaps`` or ``exact-oracle``) in the ``--befor
 first alternating from pair to pair.  It records each side's median and
 quartiles of every end-to-end metric, and how many pairs the after side won
 on ``ops_per_s``, under ``<W>_pairs[seed]`` (dashes in W become
-underscores).  Each run is a separate process and reads only its own
-checkout.
+underscores; ``--key`` replaces ``<W>_pairs``).  Each run is a separate
+process and reads only its own checkout.
 """
 
 from __future__ import annotations
@@ -290,6 +290,7 @@ def main() -> None:
     pairs.add_argument("--pairs", type=at_least_two, default=10)
     pairs.add_argument("--seed", type=int, default=0)
     pairs.add_argument("--seconds", type=int, default=25)
+    pairs.add_argument("--key", help="top-level key of the record (default: <workload>_pairs)")
     args = parser.parse_args()
 
     topic, workload = TOPICS[args.topic]
@@ -300,7 +301,7 @@ def main() -> None:
         record.setdefault("runs", {}).update(cmd_rows(args))
     else:
         args.workload = args.workload or workload
-        key = args.workload.replace("-", "_") + "_pairs"
+        key = args.key or args.workload.replace("-", "_") + "_pairs"
         record.setdefault(key, {})[str(args.seed)] = cmd_pairs(args)
     out.write_text(json.dumps(record, indent=2) + "\n")
 
