@@ -13,10 +13,8 @@ integral, and the result is converted back to Fractions once.  Scaling by
 d > 0 keeps every comparison, so the schedule and the result are exactly
 those of the loop on Fractions.
 
-A swap keeps the union of the pair's intervals, so it cannot make any
-other active sensor redundant: after each swap the loop re-checks only
-the two sensors it moved, in at most three coverage sweeps (the proof is
-in ``untangle``'s docstring).
+After each swap the loop re-checks only the two sensors it moved;
+``untangle``'s docstring shows why that suffices.
 """
 
 from __future__ import annotations
@@ -24,7 +22,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .model import (
     ActiveSet,
@@ -135,16 +133,6 @@ def untangle(
       them against A less itself (and less the other, if that one went
       first).  These are the two checks below, made in the rule's order.
 
-    In fact at most one of i, j is dropped, so their order never matters.
-    Let G be the points of [0, L] that A - {i, j} misses; G lies in
-    [u1, u2].  If both were redundant after the swap, G would lie in
-    [u2 - 2r_j, u1 + 2r_i].  By minimality before the swap, G has a point
-    outside i's old interval.  It is at most u1 + 2r_i <= y_i + r_i, so it
-    is below y_i - r_i, and at least u2 - 2r_j >= y_i + r_i - 2r_j: thus
-    r_i < r_j.  G also has a point outside j's old interval.  It is at
-    least u2 - 2r_j >= y_j - r_j, so it is above y_j + r_j, and at most
-    u1 + 2r_i <= y_j - r_j + 2r_i: thus r_j < r_i, a contradiction.
-
     The active spans are kept sorted, and a swap replaces only the pair's
     two entries, so each swap costs one ``_covers`` sweep (the schedule-bug
     guard) and at most two drop checks.
@@ -152,17 +140,12 @@ def untangle(
     y = as_solution(instance, solution)
     scale, length, home, radii = on_grid(instance, *y)
     pos = [int(v * scale) for v in y]
-    spans: list[tuple[int, int, int]] = []  # the active sensors' clipped spans, sorted
-    span_of: dict[int, tuple[int, int, int]] = {}
-
-    def place(sensors: Iterable[int]) -> None:
-        for span in _clipped_spans(radii, pos, length, sensors):
-            insort(spans, span)
-            span_of[span[2]] = span
+    # sorted clipped spans of the active sensors (of all sensors until the
+    # first settle); unplace runs before a sensor moves, so it finds its span
+    spans = sorted(_clipped_spans(radii, pos, length, range(instance.n)))
 
     def unplace(k: int) -> None:
-        span = span_of.pop(k, None)
-        if span is not None:
+        for span in _clipped_spans(radii, pos, length, (k,)):
             del spans[bisect_left(spans, span)]
 
     def settle(old: Sequence[int], new: ActiveSet) -> ActiveSet:
@@ -175,7 +158,6 @@ def untangle(
     if active is None:
         raise InfeasibleError("cannot untangle a solution that does not cover")
     active = settle(range(instance.n), active)
-    place(active)
     keep = set(active)
     last: Optional[CrossingPair] = None
     for _ in range(instance.n * instance.n + 1):
@@ -201,7 +183,8 @@ def untangle(
         unplace(i)
         unplace(j)
         pos[i], pos[j] = _swap_targets(span, radii[i], radii[j])
-        place((i, j))
+        for span in _clipped_spans(radii, pos, length, (i, j)):
+            insort(spans, span)
         if not _covers(spans, keep, length):
             raise RuntimeError(f"swap of {pair} broke coverage; swap rule bug")
         for k in (i, j) if radii[i] > radii[j] else (j, i):

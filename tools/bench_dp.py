@@ -4,16 +4,14 @@ Stdlib only.  Three topics, ``dp`` (the order-preserving budget DP, the
 default), ``untangle`` and ``search`` (the exhaustive searches), and two
 subcommands, run from the repository root:
 
-    python tools/bench_dp.py rows --label after
-    python tools/bench_dp.py rows --label before --src ../parent/src
     python tools/bench_dp.py rows --label after --before ../parent/src
     python tools/bench_dp.py pairs --before ../parent --after . --pairs 10
     python tools/bench_dp.py --topic untangle rows --label after
     python tools/bench_dp.py --topic untangle pairs --before ../parent --pairs 10
     python tools/bench_dp.py --topic search rows --label after
 
-``rows`` imports ``barriercover`` from ``--src`` (default: this checkout's
-``src``) and times the topic's baseline rows.  The DP rows are the C3 gate
+``rows`` times the topic's baseline rows on the ``barriercover`` in
+``--src`` (default: this checkout's ``src``).  The DP rows are the C3 gate
 loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
 ``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40}, and fig5
 L=40 ``dp_optimal`` against the exhaustive ``oracle_optimal``.  The
@@ -24,14 +22,14 @@ The search rows are ``oracle_optimal`` on fig5 L in {40, 44} and on
 ``gen_fig6(2, 8, 1/8)``, and ``oracle_optimal`` and
 ``brute_force_order_preserving`` on the deep tiling: L = 2200 with 1,100
 sensors at x = 2i + 2, r = 1, whose only cover moves every sensor.
-Each row is the median of ``--k`` runs in process CPU time; a row whose
-search raises ``ResourceLimitError`` records the message under
-``resource_limit`` instead.  The result goes under ``runs[label]``
-together with the Python version and the git SHA of the checkout that
-holds ``--src``.  With ``--before SRC`` the rows of both ``--src`` and
-``SRC`` are timed in child processes, one per row and side, with the side
-that runs first alternating from row to row, so host drift hits both sides
-alike; the second run goes under ``runs[--before-label]``.
+Each row is timed in its own child process, as the median of ``--k``
+runs in process CPU time; a row whose search raises
+``ResourceLimitError`` records the message under ``resource_limit``
+instead.  The result goes under ``runs[--label]`` together with the
+Python version and the git SHA of the checkout that holds ``--src``.
+With ``--before SRC`` every row is also timed on ``SRC``, with the side
+that runs first alternating from row to row, so host drift hits both
+sides alike; that run goes under ``runs[--before-label]``.
 
 ``pairs`` runs ``perfbench/run.py --workload W`` (W defaults to the topic's
 workload: ``dp-order``, ``untangle-swaps`` or ``exact-oracle``) in the ``--before`` and
@@ -161,18 +159,21 @@ def time_row(bc, fn: Callable[[], object], k: int) -> float | str:
 
 
 def print_row(topic: str, src: str, name: str, k: str) -> None:
-    """The child of ``rows --before``: time one row of ``src`` and print it as JSON."""
+    """The child of ``rows``: time one row of ``src`` and print it as JSON."""
     bc = load_package(Path(src))
     print(json.dumps(time_row(bc, ROWS[topic](bc)[name], int(k))))
 
 
 def row_in_child(topic: str, src: Path, name: str, k: int) -> float | str:
+    """Time one row in a child process; its stderr (a traceback, say) passes through."""
     code = "import sys; sys.path.insert(0, sys.argv[1]); import bench_dp; bench_dp.print_row(*sys.argv[2:])"
-    out = subprocess.run(
+    child = subprocess.run(
         [sys.executable, "-c", code, str(REPO / "tools"), topic, str(src), name, str(k)],
-        capture_output=True, text=True, check=True,
-    ).stdout
-    return json.loads(out)
+        stdout=subprocess.PIPE, text=True,
+    )
+    if child.returncode:
+        raise SystemExit(f"row {name} on {src} exited with status {child.returncode}")
+    return json.loads(child.stdout)
 
 
 def show(label: str, name: str, figure: float | str) -> None:
@@ -198,28 +199,23 @@ def run_record(label: str, src: Path, k: int, figures: dict[str, float | str]) -
 
 
 def cmd_rows(args: argparse.Namespace) -> dict[str, dict]:
-    """Time the rows; return the run of each label timed."""
+    """Time the rows, alternating the sides row by row; return each side's run."""
     src = Path(args.src).resolve()
-    bc = load_package(src)
-    rows = ROWS[args.topic](bc)
-    if args.before is None:
-        figures = {}
-        for name, fn in rows.items():
-            figures[name] = time_row(bc, fn, args.k)
-            show(args.label, name, figures[name])
-        return {args.label: run_record(args.label, src, args.k, figures)}
-    if args.before_label == args.label:
-        raise SystemExit(f"--before-label and --label are both {args.label!r}")
-    sides = {args.before_label: Path(args.before).resolve(), args.label: src}
+    sides = {args.label: src}
+    if args.before is not None:
+        if args.before_label == args.label:
+            raise SystemExit(f"--before-label and --label are both {args.label!r}")
+        sides = {args.before_label: Path(args.before).resolve(), args.label: src}
     labels = list(sides)
     results: dict[str, dict[str, float | str]] = {label: {} for label in labels}
-    for n, name in enumerate(rows):
+    for n, name in enumerate(ROWS[args.topic](load_package(src))):
         for label in labels if n % 2 == 0 else labels[::-1]:
             results[label][name] = row_in_child(args.topic, sides[label], name, args.k)
             show(label, name, results[label][name])
     runs = {label: run_record(label, sides[label], args.k, results[label]) for label in labels}
-    for label, other in zip(labels, labels[::-1]):
-        runs[label]["alternated_with"] = other
+    if len(labels) == 2:
+        for label, other in zip(labels, labels[::-1]):
+            runs[label]["alternated_with"] = other
     return runs
 
 
@@ -277,7 +273,7 @@ def main() -> None:
     parser.add_argument("--topic", choices=sorted(TOPICS), default="dp", help="which rows and workload")
     parser.add_argument("--out", help="JSON file to update (default: BENCH_<topic>.json)")
     sub = parser.add_subparsers(dest="cmd", required=True)
-    rows = sub.add_parser("rows", help="time the topic's baseline rows for one checkout")
+    rows = sub.add_parser("rows", help="time the topic's baseline rows")
     rows.add_argument("--label", required=True, help="key under 'runs', e.g. before or after")
     rows.add_argument("--src", default=str(REPO / "src"), help="directory holding barriercover/")
     rows.add_argument("--k", type=int, default=3, help="runs per row (median is kept)")
