@@ -9,10 +9,13 @@ ints for speed.
 
 The searches are depth-first with admissible pruning only (budget, current
 incumbent, permanently wasted length, uncovered measure, reachability of
-the leftmost hole), so results are exact.  The three branch-and-bound
-searches run on one driver, ``_Search.run``, which keeps its own stack:
-depth costs nothing, and the node cap alone bounds the work, aborting
-with ``ResourceLimitError`` rather than ever reporting "no solution".
+the leftmost hole), so results are exact.  ``brute_force`` also applies the
+reachability test one level ahead, so a child that test would kill on entry
+is never made a node (its docstring has the proof).  The three
+branch-and-bound searches run on one driver, ``_Search.run``, which keeps
+its own stack: depth costs nothing, and the node cap alone bounds the work,
+aborting with ``ResourceLimitError`` rather than ever reporting "no
+solution".
 """
 
 from __future__ import annotations
@@ -214,6 +217,16 @@ def brute_force(
     cost is the exact optimum within the budget; None means no solution
     exists, never that the search gave up (that raises ResourceLimitError).
     The budget defaults to the greedy tiling cost, which is always enough.
+
+    Dead children are pruned in their parent.  Let p be the leftmost hole
+    of the sensors placed so far and r the radius of sensor i.  Placing i
+    at y > p + r leaves [p, p+1] uncovered, so the child's placed hole is
+    still p, and it lifts class r's floor to y, beyond every center that
+    covers p.  The child's own check is then ``min_reach(i + 1, p)`` with
+    class r excluded; when that is None, no such child can ever cover p
+    (at i + 1 = n none is left to try), so none of them is entered.  A
+    skipped child never offers a cover, so the incumbents, the bounds and
+    the result are those of the search that entered and killed each one.
     """
     d, length, xs, rs = on_grid(instance)
     limit = None if budget is None else grid_units(budget, d)
@@ -315,26 +328,31 @@ def brute_force(
         bnd = search.bound()
         if spent + lower > bnd:
             return
-        lo_pos = min(-rs[i], xs[i])
-        hi_pos = max(length + rs[i], xs[i])
-        floor = floors[rs[i]]
-        two_r = 2 * rs[i]
+        r = rs[i]
+        floor = floors[r]
+        lo_y = min(-r, xs[i]) if floor is None else max(min(-r, xs[i]), floor)
+        hi_y = max(length + r, xs[i])
+        if placed_hole >= 0:
+            # The children right of placed_hole + r, checked at once (see above).
+            floors[r] = placed_hole + r + 1
+            if min_reach(i + 1, placed_hole) is None:
+                hi_y = min(hi_y, placed_hole + r)
+            floors[r] = floor
+        two_r = 2 * r
         d = 0
-        while spent + d <= bnd:
+        while spent + d <= bnd and (xs[i] + d <= hi_y or xs[i] - d >= lo_y):
             for y in ((xs[i],) if d == 0 else (xs[i] + d, xs[i] - d)):
-                if y < lo_pos or y > hi_pos:
+                if y < lo_y or y > hi_y:
                     continue
-                if floor is not None and y < floor:
-                    continue
-                span = (y - rs[i], y + rs[i])
+                span = (y - r, y + r)
                 # Waste (overlap + off-barrier spill) only ever grows; more
                 # than the global slack means no completion can cover.
                 child_waste = waste + two_r - contribution(span, placed)
                 if child_waste > slack:
                     continue
-                positions[i] = floors[rs[i]] = y
+                positions[i] = floors[r] = y
                 yield i + 1, spent + d, _merge(placed + [span]), child_waste
-                positions[i], floors[rs[i]] = xs[i], floor
+                positions[i], floors[r] = xs[i], floor
             d += 1
             bnd = search.bound()
 

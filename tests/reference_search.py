@@ -1,0 +1,181 @@
+"""Reference oracle search: ``brute_force`` before its dead-child lookahead.
+
+``barriercover.exact.brute_force`` (and ``oracle_optimal``, which is its
+budget-free call) must return the very ``(solution, cost)`` this search
+returns on every input and budget.  This is the search as it stood before
+it learned to skip, in the parent node, the children its own hole checks
+would kill at entry; copied verbatim, it makes every such child a node of
+its own, about n^2 / 2 of them on a tiling, so it lives here as the test
+oracle and not in the library.
+"""
+
+from __future__ import annotations
+
+from bisect import bisect_left
+from typing import Iterator, Optional
+
+from barriercover.exact import (
+    DEFAULT_NODE_CAP,
+    _anchored_cover,
+    _merge,
+    _Search,
+    _Span,
+    _uncovered_two,
+)
+from barriercover.model import (
+    Instance,
+    Scalar,
+    ScalarLike,
+    Solution,
+    grid_units,
+    is_feasible,
+    on_grid,
+)
+from barriercover.order_dp import greedy_cover
+
+
+def brute_force(
+    instance: Instance,
+    budget: Optional[ScalarLike] = None,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> Optional[tuple[Solution, Scalar]]:
+    """Cheapest covering solution with grid movements summing to <= budget.
+
+    Exhausts movement vectors (positions limited to the useful window
+    [min(-r, x), max(L + r, x)]) with admissible pruning, so the returned
+    cost is the exact optimum within the budget; None means no solution
+    exists, never that the search gave up (that raises ResourceLimitError).
+    The budget defaults to the greedy tiling cost, which is always enough.
+    """
+    d, length, xs, rs = on_grid(instance)
+    limit = None if budget is None else grid_units(budget, d)
+    n = len(xs)
+    if not is_feasible(instance):
+        return None
+
+    suffix_home: list[list[_Span]] = [[] for _ in range(n + 1)]
+    for i in range(n - 1, -1, -1):
+        suffix_home[i] = _merge(suffix_home[i + 1] + [(xs[i] - rs[i], xs[i] + rs[i])])
+    slack = sum(2 * r for r in rs) - length
+    # Equal intervals may be assumed uncrossed (swapping their targets never
+    # raises the cost): ``floors[r]`` is where the latest sensor of radius r
+    # went, and later ones stay at or right of it.  A class's indices and
+    # homes both ascend (``Instance`` sorts by (x, r)), as min_reach needs.
+    members = {r: [j for j in range(n) if rs[j] == r] for r in dict.fromkeys(rs)}
+    classes = [(r, js, [xs[j] for j in js]) for r, js in members.items()]
+    floors: dict[int, Optional[int]] = dict.fromkeys(members)
+
+    greedy_y, greedy_cost = greedy_cover(instance)
+    search = _Search(node_cap, int(greedy_cost * d) if limit is None else limit, d)
+    search.offer(int(greedy_cost * d), [int(v * d) for v in greedy_y])
+    anchored = _anchored_cover(length, xs, rs)
+    if anchored is not None:
+        search.offer(sum(abs(y - x) for y, x in zip(anchored, xs)), anchored)
+
+    positions = list(xs)
+
+    def contribution(span: _Span, merged: list[_Span]) -> int:
+        """Length ``span`` adds to the barrier beyond what ``merged`` covers."""
+        lo, hi = max(span[0], 0), min(span[1], length)
+        total = 0
+        for mlo, mhi in merged:
+            if mhi <= lo:
+                continue
+            if mlo >= hi:
+                break
+            if mlo > lo:
+                total += mlo - lo
+            lo = max(lo, mhi)
+            if lo >= hi:
+                break
+        if hi > lo:
+            total += hi - lo
+        return total
+
+    def min_reach(i: int, p: int) -> Optional[int]:
+        """Cheapest movement for any sensor i.. to cover [p, p+1].
+
+        Radius r covers it from y in [p - r, p + r] at or above the class
+        floor.  The class's members still to place are a suffix, and the two
+        of their homes around the window's low end are the nearest.  None
+        means no remaining sensor can ever cover the point: a dead branch.
+        """
+        best: Optional[int] = None
+        for r, js, homes in classes:
+            lo_y, hi_y, f = p - r, p + r, floors[r]
+            if f is not None:
+                if f > hi_y:
+                    continue
+                if f > lo_y:
+                    lo_y = f
+            start = bisect_left(js, i)
+            k = bisect_left(homes, lo_y, start)
+            if k < len(homes):
+                c = homes[k] - hi_y
+                if c <= 0:
+                    return 0
+                if best is None or c < best:
+                    best = c
+            if k > start:
+                c = lo_y - homes[k - 1]
+                if best is None or c < best:
+                    best = c
+        return best
+
+    def visit(i: int, spent: int, placed: list[_Span], waste: int) -> Iterator[tuple]:
+        uncovered, first_hole = _uncovered_two(length, placed, suffix_home[i])
+        if i == n:
+            if uncovered == 0:
+                search.offer(spent, positions)
+            return
+        lower = uncovered
+        if first_hole >= 0:
+            reach = min_reach(i, first_hole)
+            if reach is None:
+                return
+            if reach > lower:
+                lower = reach
+        # A hole the suffix homes still cover can nevertheless be dead when
+        # the uncrossing floors keep every remaining sensor to its right.
+        _, placed_hole = _uncovered_two(length, placed, [])
+        if placed_hole >= 0 and placed_hole != first_hole:
+            reach = min_reach(i, placed_hole)
+            if reach is None:
+                return
+            if reach > lower:
+                lower = reach
+        bnd = search.bound()
+        if spent + lower > bnd:
+            return
+        lo_pos = min(-rs[i], xs[i])
+        hi_pos = max(length + rs[i], xs[i])
+        floor = floors[rs[i]]
+        two_r = 2 * rs[i]
+        d = 0
+        while spent + d <= bnd:
+            for y in ((xs[i],) if d == 0 else (xs[i] + d, xs[i] - d)):
+                if y < lo_pos or y > hi_pos:
+                    continue
+                if floor is not None and y < floor:
+                    continue
+                span = (y - rs[i], y + rs[i])
+                # Waste (overlap + off-barrier spill) only ever grows; more
+                # than the global slack means no completion can cover.
+                child_waste = waste + two_r - contribution(span, placed)
+                if child_waste > slack:
+                    continue
+                positions[i] = floors[rs[i]] = y
+                yield i + 1, spent + d, _merge(placed + [span]), child_waste
+                positions[i], floors[rs[i]] = xs[i], floor
+            d += 1
+            bnd = search.bound()
+
+    return search.run(visit, 0, 0, [], 0)
+
+
+def oracle_optimal(
+    instance: Instance,
+    node_cap: int = DEFAULT_NODE_CAP,
+) -> Optional[tuple[Solution, Scalar]]:
+    """Unrestricted optimum; None iff infeasible."""
+    return brute_force(instance, node_cap=node_cap)

@@ -128,12 +128,12 @@ class TestSolve:
         ) == 3
 
     def test_too_deep_search_exit_code(self, tmp_path, capsys):
-        """A deep search cut by the node cap exits 3 with the node-cap message."""
+        """A deep search cut 1,000 levels down by the node cap exits 3 with the node-cap message."""
         path = tmp_path / "deep.bc"
         sensors = "".join(f"{2 * i + 2} 1\n" for i in range(1100))
         path.write_text(f"L 2200\nN 1100\n{sensors}")
-        assert main(["solve", "--algo", "oracle", "--node-cap", "10000", str(path)]) == 3
-        assert "explored more than 10000 states" in capsys.readouterr().err
+        assert main(["solve", "--algo", "oracle", "--node-cap", "1000", str(path)]) == 3
+        assert "explored more than 1000 states" in capsys.readouterr().err
 
     def test_dp_optimal_name(self, i1_path, capsys):
         assert main(["solve", "--algo", "dp-optimal", i1_path]) == 0

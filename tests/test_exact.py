@@ -183,11 +183,11 @@ class TestDeepSearch:
     def test_oracle_too_deep_is_a_resource_limit(self):
         """Depth is free; a deep search stops only at the node cap.
 
-        The first descent is about 1,100 levels deep within 3,300 nodes,
-        and the search is still about 1,000 levels deep when the cap stops it.
+        Every dead placement is pruned in its parent, so each node is one
+        level deeper than the last: the cap stops the search 1,000 levels deep.
         """
-        with pytest.raises(ResourceLimitError, match="explored more than 10000 states"):
-            oracle_optimal(DEEP, node_cap=10_000)
+        with pytest.raises(ResourceLimitError, match="explored more than 1000 states"):
+            oracle_optimal(DEEP, node_cap=1_000)
 
     def test_order_preserving_too_deep_is_a_resource_limit(self):
         """The deep tiling is found in exactly 3,300 nodes; one fewer is a resource limit."""
@@ -217,15 +217,16 @@ class TestNodeCounts:
     @pytest.mark.parametrize(
         "search, nodes, expected",
         [
-            (lambda cap: oracle_optimal(gen_fig5(2, 24), cap), 1324, 22),
-            (lambda cap: oracle_optimal(gen_fig6(2, 6, F(1, 8)), cap), 409, F(15, 8)),
-            (lambda cap: oracle_optimal(PINNED, cap), 498, 13),
+            (lambda cap: oracle_optimal(gen_fig5(2, 24), cap), 167, 22),
+            (lambda cap: oracle_optimal(gen_fig6(2, 6, F(1, 8)), cap), 329, F(15, 8)),
+            (lambda cap: oracle_optimal(PINNED, cap), 467, 13),
+            (lambda cap: oracle_optimal(DEEP, cap), 1100, 1100),
             (lambda cap: fpt_solve(PINNED, 13, cap), 175, 13),
             (lambda cap: fpt_solve(PINNED, 12, cap), 123, None),
             (lambda cap: brute_force_order_preserving(PINNED, node_cap=cap), 155, 13),
         ],
-        ids=["oracle-fig5-L24", "oracle-fig6-m6", "oracle-random", "fpt-at-opt", "fpt-below-opt",
-             "order-preserving-random"],
+        ids=["oracle-fig5-L24", "oracle-fig6-m6", "oracle-random", "oracle-deep", "fpt-at-opt",
+             "fpt-below-opt", "order-preserving-random"],
     )
     def test_node_cap_boundary(self, search, nodes, expected):
         found = search(nodes)

@@ -51,9 +51,9 @@ class TestCompare:
         assert record.ratio is None
 
     def test_too_deep_search_is_a_resource_limit(self):
-        """A deep search cut by the node cap is recorded as resource-limit."""
+        """A deep search cut 1,000 levels down by the node cap is recorded as resource-limit."""
         deep = Instance(2200, tuple(Sensor(2 * i + 2, 1) for i in range(1100)))
-        (record,) = compare(deep, ["oracle"], "oracle", instance_id="deep", node_cap=10_000)
+        (record,) = compare(deep, ["oracle"], "oracle", instance_id="deep", node_cap=1_000)
         assert (record.status, record.cost, record.ratio) == (STATUS_RESOURCE, None, None)
 
     def test_eps_solver_adapter(self):

@@ -65,13 +65,20 @@ TOPICS = {
 
 
 def git_sha(path: Path) -> str:
+    """HEAD of the checkout holding ``path``, marked ``-dirty`` when its measured code differs.
+
+    Only ``src/`` and ``perfbench/`` count, named from the top of the
+    checkout so ``path`` may be its root or its ``src``: the BENCH files
+    this tool writes are not what it measures.
+    """
     try:
         out = subprocess.run(
             ["git", "-C", str(path), "rev-parse", "HEAD"],
             capture_output=True, text=True, check=True,
         ).stdout.strip()
         dirty = subprocess.run(
-            ["git", "-C", str(path), "status", "--porcelain", "--untracked-files=no"],
+            ["git", "-C", str(path), "status", "--porcelain", "--untracked-files=no",
+             "--", ":(top)src", ":(top)perfbench"],
             capture_output=True, text=True, check=True,
         ).stdout.strip()
     except (OSError, subprocess.CalledProcessError):
