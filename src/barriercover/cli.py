@@ -92,9 +92,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--ms", help="comma list of unit-sensor counts (fig6)")
     bench.add_argument("--delta", default="1/8")
     bench.add_argument("--dir", help="directory of .bc instance files")
-    bench.add_argument("--algos", default="oracle,dp-optimal")
-    bench.add_argument("--reference", default="oracle")
-    bench.add_argument("--eps", default="1/2")
+    bench.add_argument("--algos", help="comma list of algorithms (--dir; default: oracle,dp-optimal)")
+    bench.add_argument("--reference", help="algorithm rated against (--dir; default: oracle)")
+    bench.add_argument("--eps", help="approximation parameter (--dir; default: 1/2)")
     bench.add_argument("--node-cap", type=int, default=exact.DEFAULT_NODE_CAP)
     bench.add_argument("--out", help="output path (default: stdout)")
     return parser
@@ -202,6 +202,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if (args.family is None) == (args.dir is None):
         raise _CliError("bench needs exactly one of --family or --dir")
+    if args.family and (args.algos, args.reference, args.eps) != (None, None, None):
+        raise _CliError("--algos, --reference and --eps go with --dir; a --family runs its own")
     if args.family == "fig5":
         if not args.lengths:
             raise _CliError("--family fig5 needs --lengths")
@@ -216,16 +218,16 @@ def _cmd_bench(args: argparse.Namespace) -> int:
                 "m": [int(v) for v in args.ms.split(",")]}
         records = harness.ratio_sweep("fig6", grid, node_cap=args.node_cap)
     else:
-        algos = [a for a in args.algos.split(",") if a]
+        algos = [a for a in (args.algos or "oracle,dp-optimal").split(",") if a]
         records = []
         for path in sorted(Path(args.dir).glob("*.bc")):
             instance = _load_instance(str(path))
             records += harness.compare(
                 instance,
                 algos,
-                args.reference,
+                args.reference or "oracle",
                 instance_id=path.stem,
-                eps=parse_scalar(args.eps),
+                eps=parse_scalar(args.eps or "1/2"),
                 node_cap=args.node_cap,
             )
     _emit(harness.records_to_csv(records), args.out)

@@ -9,7 +9,9 @@ ints for speed.
 
 The searches are depth-first with admissible pruning only (budget, current
 incumbent, permanently wasted length, uncovered measure, reachability of
-the leftmost hole), so results are exact.  ``brute_force`` also applies the
+the leftmost hole), so results are exact.  Their holes come from the one
+coverage sweep, ``model._gaps``, as ``verify_coverage``'s do; this module
+keeps no span code of its own.  ``brute_force`` also applies the
 reachability test one level ahead, so a child that test would kill on entry
 is never made a node (its docstring has the proof).  The three
 branch-and-bound searches run on one driver, ``_Search.run``, which keeps
@@ -35,6 +37,7 @@ from .model import (
     Solution,
     _clipped_spans,
     _gaps,
+    _merge,
     as_scalar,
     grid_units,
     is_feasible,
@@ -44,8 +47,6 @@ from .model import (
 from .order_dp import greedy_cover
 
 DEFAULT_NODE_CAP = 10**8
-
-_Span = tuple[int, int]
 
 
 @dataclass(frozen=True)
@@ -84,56 +85,6 @@ class GapCandidateSet:
         seen = {j for group in self.left.values() for j in group}
         seen |= {j for group in self.right.values() for j in group}
         return tuple(sorted(seen))
-
-
-def _merge(spans: Iterable[_Span]) -> list[_Span]:
-    out: list[_Span] = []
-    for lo, hi in sorted(spans):
-        if out and lo <= out[-1][1]:
-            if hi > out[-1][1]:
-                out[-1] = (out[-1][0], hi)
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _uncovered_two(length: int, a: list[_Span], b: list[_Span]) -> tuple[int, int]:
-    """Uncovered measure of [0, length] under two merged span lists.
-
-    Returns (total uncovered, start of the first hole; -1 when covered).
-    Walking both lists by a two-pointer sweep keeps the hot search loop free
-    of sorting and list allocation.
-    """
-    cursor = 0
-    total = 0
-    first = -1
-    ia = ib = 0
-    na, nb = len(a), len(b)
-    while cursor < length:
-        while ia < na and a[ia][1] < cursor:
-            ia += 1
-        while ib < nb and b[ib][1] < cursor:
-            ib += 1
-        lo_a = a[ia][0] if ia < na else None
-        lo_b = b[ib][0] if ib < nb else None
-        if lo_a is not None and lo_a <= cursor:
-            cursor = a[ia][1]
-            ia += 1
-            continue
-        if lo_b is not None and lo_b <= cursor:
-            cursor = b[ib][1]
-            ib += 1
-            continue
-        nxt = length
-        if lo_a is not None and lo_a < nxt:
-            nxt = lo_a
-        if lo_b is not None and lo_b < nxt:
-            nxt = lo_b
-        if first < 0:
-            first = cursor
-        total += nxt - cursor
-        cursor = nxt
-    return total, first
 
 
 class _Search:
@@ -234,9 +185,10 @@ def brute_force(
     if not is_feasible(instance):
         return None
 
-    suffix_home: list[list[_Span]] = [[] for _ in range(n + 1)]
+    # Spans are (lo, hi, i), clipped to the barrier as the model's sweep needs.
+    suffix_home: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
     for i in range(n - 1, -1, -1):
-        suffix_home[i] = _merge(suffix_home[i + 1] + [(xs[i] - rs[i], xs[i] + rs[i])])
+        suffix_home[i] = _merge(suffix_home[i + 1] + _clipped_spans(rs, xs, length, (i,)))
     slack = sum(2 * r for r in rs) - length
     # Equal intervals may be assumed uncrossed (swapping their targets never
     # raises the cost): ``floors[r]`` is where the latest sensor of radius r
@@ -254,24 +206,6 @@ def brute_force(
         search.offer(sum(abs(y - x) for y, x in zip(anchored, xs)), anchored)
 
     positions = list(xs)
-
-    def contribution(span: _Span, merged: list[_Span]) -> int:
-        """Length ``span`` adds to the barrier beyond what ``merged`` covers."""
-        lo, hi = max(span[0], 0), min(span[1], length)
-        total = 0
-        for mlo, mhi in merged:
-            if mhi <= lo:
-                continue
-            if mlo >= hi:
-                break
-            if mlo > lo:
-                total += mlo - lo
-            lo = max(lo, mhi)
-            if lo >= hi:
-                break
-        if hi > lo:
-            total += hi - lo
-        return total
 
     def min_reach(i: int, p: int) -> Optional[int]:
         """Cheapest movement for any sensor i.. to cover [p, p+1].
@@ -303,13 +237,14 @@ def brute_force(
                     best = c
         return best
 
-    def visit(i: int, spent: int, placed: list[_Span], waste: int) -> Iterator[tuple]:
-        uncovered, first_hole = _uncovered_two(length, placed, suffix_home[i])
+    def visit(i: int, spent: int, placed: list[tuple[int, int, int]], waste: int) -> Iterator[tuple]:
+        holes = _gaps(sorted(placed + suffix_home[i]), length)
         if i == n:
-            if uncovered == 0:
+            if not holes:
                 search.offer(spent, positions)
             return
-        lower = uncovered
+        first_hole = holes[0][0] if holes else -1
+        lower = sum(hi - lo for lo, hi in holes)
         if first_hole >= 0:
             reach = min_reach(i, first_hole)
             if reach is None:
@@ -318,7 +253,8 @@ def brute_force(
                 lower = reach
         # A hole the suffix homes still cover can nevertheless be dead when
         # the uncrossing floors keep every remaining sensor to its right.
-        _, placed_hole = _uncovered_two(length, placed, [])
+        placed_holes = _gaps(placed, length)
+        placed_hole = placed_holes[0][0] if placed_holes else -1
         if placed_hole >= 0 and placed_hole != first_hole:
             reach = min_reach(i, placed_hole)
             if reach is None:
@@ -344,14 +280,22 @@ def brute_force(
             for y in ((xs[i],) if d == 0 else (xs[i] + d, xs[i] - d)):
                 if y < lo_y or y > hi_y:
                     continue
-                span = (y - r, y + r)
-                # Waste (overlap + off-barrier spill) only ever grows; more
+                lo = y - r if y > r else 0
+                hi = y + r if y + r < length else length
+                # Waste (overlap + off-barrier spill: the span's length less
+                # its overlap with the placed holes) only ever grows; more
                 # than the global slack means no completion can cover.
-                child_waste = waste + two_r - contribution(span, placed)
+                child_waste = waste + two_r
+                for h_lo, h_hi in placed_holes:
+                    if h_hi <= lo:
+                        continue
+                    if h_lo >= hi:
+                        break
+                    child_waste -= (hi if hi < h_hi else h_hi) - (lo if lo > h_lo else h_lo)
                 if child_waste > slack:
                     continue
                 positions[i] = floors[r] = y
-                yield i + 1, spent + d, _merge(placed + [span]), child_waste
+                yield i + 1, spent + d, _merge(placed + [(lo, hi, i)]) if lo < hi else placed, child_waste
                 positions[i], floors[r] = xs[i], floor
             d += 1
             bnd = search.bound()

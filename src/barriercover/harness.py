@@ -3,8 +3,9 @@
 ``SOLVERS`` is the one registry of named solvers, shared with the CLI.
 Every solver takes any rational instance (the grid-bound ones put it on the
 integer grid themselves) and a budget in input units, or None for the
-optimum.  Solver failures become record statuses; a batch never dies
-because one point was infeasible or hit a resource cap.
+optimum, and returns None when no cover exists within the budget or at
+all.  Solver failures become record statuses; a batch never dies because
+one point was infeasible or hit a resource cap.
 """
 
 from __future__ import annotations
@@ -19,13 +20,13 @@ from .fileio import format_scalar
 from .untangle import untangle as untangle_solution
 from .model import (
     Instance,
-    InfeasibleError,
     ResourceLimitError,
     Scalar,
     ScalarLike,
     Solution,
     as_scalar,
     cost,
+    is_feasible,
 )
 from .generators import gen_fig5, gen_fig6
 
@@ -73,19 +74,23 @@ def _oracle(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) 
 
 
 def _fpt(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
+    if not is_feasible(instance):
+        return None
     if budget is None:
         return _first(order_dp.cheapest_first(instance, lambda b: exact.fpt_solve(instance, b, node_cap)))
     return _first(exact.fpt_solve(instance, budget, node_cap=node_cap))
 
 
 def _dp_exact(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
+    if not is_feasible(instance):
+        return None
     if budget is None:
         return order_dp.dp_optimal(instance)[0]
     return _first(order_dp.dp_exact(instance, budget))
 
 
 def _dp_eps(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
-    return order_dp.dp_eps(instance, eps)[0]
+    return order_dp.dp_eps(instance, eps)[0] if is_feasible(instance) else None
 
 
 def _untangle_oracle(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
@@ -110,8 +115,6 @@ def _run_one(instance_id: str, instance: Instance, name: str, eps: ScalarLike, n
     try:
         solution = SOLVERS[name](instance, None, eps, node_cap)
         status = STATUS_INFEASIBLE if solution is None else STATUS_OK
-    except InfeasibleError:
-        solution, status = None, STATUS_INFEASIBLE
     except ResourceLimitError:
         solution, status = None, STATUS_RESOURCE
     elapsed = int((time.perf_counter() - start) * 1000)

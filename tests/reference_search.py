@@ -14,24 +14,59 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterator, Optional
 
-from barriercover.exact import (
-    DEFAULT_NODE_CAP,
-    _anchored_cover,
-    _merge,
-    _Search,
-    _Span,
-    _uncovered_two,
-)
+from barriercover.exact import DEFAULT_NODE_CAP, _anchored_cover, _Search
 from barriercover.model import (
     Instance,
     Scalar,
     ScalarLike,
     Solution,
+    _merge,
     grid_units,
     is_feasible,
     on_grid,
 )
 from barriercover.order_dp import greedy_cover
+
+_Span = tuple[int, int]
+
+
+def _uncovered_two(length: int, a: list[_Span], b: list[_Span]) -> tuple[int, int]:
+    """Uncovered measure of [0, length] under two merged span lists.
+
+    Returns (total uncovered, start of the first hole; -1 when covered).
+    Walking both lists by a two-pointer sweep keeps the hot search loop free
+    of sorting and list allocation.
+    """
+    cursor = 0
+    total = 0
+    first = -1
+    ia = ib = 0
+    na, nb = len(a), len(b)
+    while cursor < length:
+        while ia < na and a[ia][1] < cursor:
+            ia += 1
+        while ib < nb and b[ib][1] < cursor:
+            ib += 1
+        lo_a = a[ia][0] if ia < na else None
+        lo_b = b[ib][0] if ib < nb else None
+        if lo_a is not None and lo_a <= cursor:
+            cursor = a[ia][1]
+            ia += 1
+            continue
+        if lo_b is not None and lo_b <= cursor:
+            cursor = b[ib][1]
+            ib += 1
+            continue
+        nxt = length
+        if lo_a is not None and lo_a < nxt:
+            nxt = lo_a
+        if lo_b is not None and lo_b < nxt:
+            nxt = lo_b
+        if first < 0:
+            first = cursor
+        total += nxt - cursor
+        cursor = nxt
+    return total, first
 
 
 def brute_force(

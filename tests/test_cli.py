@@ -237,6 +237,12 @@ class TestBench:
     def test_family_and_dir_conflict(self, tmp_path):
         assert main(["bench", "--family", "fig5", "--dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("flag, value", [("--algos", "dp-eps"), ("--reference", "dp-eps"), ("--eps", "1/4")])
+    def test_family_refuses_dir_only_flags(self, flag, value, capsys):
+        """A family sweep runs its own algorithms, so a --dir flag is a usage error, not ignored."""
+        assert main(["bench", "--family", "fig5", "--lengths", "8", flag, value]) == 2
+        assert capsys.readouterr().out == ""
+
     def test_unknown_subcommand_usage(self):
         assert main(["frobnicate"]) == 2
 

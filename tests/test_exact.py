@@ -218,15 +218,22 @@ class TestNodeCounts:
         "search, nodes, expected",
         [
             (lambda cap: oracle_optimal(gen_fig5(2, 24), cap), 167, 22),
+            (lambda cap: oracle_optimal(gen_fig5(2, 32), cap), 317, 30),
+            (lambda cap: oracle_optimal(gen_fig5(2, 36), cap), 410, 34),
+            (lambda cap: oracle_optimal(gen_fig5(2, 40), cap), 515, 38),
+            (lambda cap: oracle_optimal(gen_fig5(2, 44), cap), 632, 42),
             (lambda cap: oracle_optimal(gen_fig6(2, 6, F(1, 8)), cap), 329, F(15, 8)),
+            (lambda cap: oracle_optimal(gen_fig6(2, 7, F(1, 8)), cap), 939, F(21, 8)),
+            (lambda cap: oracle_optimal(gen_fig6(2, 8, F(1, 8)), cap), 2454, F(7, 2)),
             (lambda cap: oracle_optimal(PINNED, cap), 467, 13),
             (lambda cap: oracle_optimal(DEEP, cap), 1100, 1100),
             (lambda cap: fpt_solve(PINNED, 13, cap), 175, 13),
             (lambda cap: fpt_solve(PINNED, 12, cap), 123, None),
             (lambda cap: brute_force_order_preserving(PINNED, node_cap=cap), 155, 13),
         ],
-        ids=["oracle-fig5-L24", "oracle-fig6-m6", "oracle-random", "oracle-deep", "fpt-at-opt",
-             "fpt-below-opt", "order-preserving-random"],
+        ids=["oracle-fig5-L24", "oracle-fig5-L32", "oracle-fig5-L36", "oracle-fig5-L40", "oracle-fig5-L44",
+             "oracle-fig6-m6", "oracle-fig6-m7", "oracle-fig6-m8", "oracle-random", "oracle-deep",
+             "fpt-at-opt", "fpt-below-opt", "order-preserving-random"],
     )
     def test_node_cap_boundary(self, search, nodes, expected):
         found = search(nodes)

@@ -1,10 +1,11 @@
 from fractions import Fraction as F
 from typing import Optional
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from barriercover import InfeasibleError, Instance, Sensor, cost, gen_random, scale_instance
+from barriercover import Instance, Sensor, cost, gen_random, scale_instance
 from barriercover.harness import (
     CSV_HEADER,
     SOLVERS,
@@ -110,10 +111,7 @@ CORPUS = list(random_corpus(40))
 
 def solved_cost(name: str, instance: Instance, budget: Optional[F]) -> Optional[F]:
     """Cost of a registry solver's answer; None when no cover fits the budget."""
-    try:
-        solution = SOLVERS[name](instance, budget, F(1, 2), 10**7)
-    except InfeasibleError:
-        return None
+    solution = SOLVERS[name](instance, budget, F(1, 2), 10**7)
     return None if solution is None else cost(instance, solution)
 
 
@@ -121,6 +119,12 @@ class TestSolverRegistry:
     def test_names(self):
         assert sorted(SOLVERS) == ["dp-eps", "dp-exact", "dp-optimal", "fpt", "oracle", "untangle-oracle"]
         assert SOLVERS["dp-exact"] is SOLVERS["dp-optimal"]
+
+    @pytest.mark.parametrize("budget", [None, 50])
+    @pytest.mark.parametrize("name", sorted(SOLVERS))
+    def test_infeasible_instance_gives_none(self, name, budget):
+        """No cover exists at all: every entry returns None, with or without a budget."""
+        assert SOLVERS[name](INFEASIBLE, budget, F(1, 2), 10**6) is None
 
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(

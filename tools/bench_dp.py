@@ -21,7 +21,10 @@ unit row.
 The search rows are ``oracle_optimal`` on fig5 L in {40, 44} and on
 ``gen_fig6(2, 8, 1/8)``, and ``oracle_optimal`` and
 ``brute_force_order_preserving`` on the deep tiling: L = 2200 with 1,100
-sensors at x = 2i + 2, r = 1, whose only cover moves every sensor.
+sensors at x = 2i + 2, r = 1, whose only cover moves every sensor, and
+``fpt_solve`` at budgets OPT and OPT - 1 on ``gen_random(6, 12, 1, 3,
+(-6, 18), s)`` for s = 0..14 with OPT > 0 (OPT comes from
+``oracle_optimal`` when the row is built, outside the timed call).
 Each row is timed in its own child process, as the median of ``--k``
 runs in process CPU time; a row whose search raises
 ``ResourceLimitError`` records the message under ``resource_limit``
@@ -142,6 +145,19 @@ def search_rows(bc) -> dict[str, Callable[[], object]]:
     deep = bc.Instance(2200, tuple(bc.Sensor(2 * i + 2, 1) for i in range(1100)))
     rows["oracle_optimal.deep_n1100"] = lambda: bc.oracle_optimal(deep)
     rows["brute_force_order_preserving.deep_n1100"] = lambda: bc.brute_force_order_preserving(deep)
+    optima = []
+    for seed in range(15):
+        inst = bc.gen_random(6, 12, 1, 3, (-6, 18), seed)
+        found = bc.oracle_optimal(inst)
+        if found is not None and found[1] > 0:
+            optima.append((inst, found[1]))
+
+    def fpt_at_and_below_opt() -> None:
+        for inst, opt in optima:
+            bc.fpt_solve(inst, opt)
+            bc.fpt_solve(inst, opt - 1)
+
+    rows["fpt_solve.random_n6_opt_and_opt_minus_1"] = fpt_at_and_below_opt
     return rows
 
 
