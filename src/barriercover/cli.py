@@ -87,10 +87,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser("bench", help="ratio experiments over a family or directory")
     bench.add_argument("--family", choices=["fig5", "fig6"])
-    bench.add_argument("--rho", default="2")
+    bench.add_argument("--rho", help="large-sensor radius (--family; default: 2)")
     bench.add_argument("--lengths", help="comma list of L values (fig5)")
     bench.add_argument("--ms", help="comma list of unit-sensor counts (fig6)")
-    bench.add_argument("--delta", default="1/8")
+    bench.add_argument("--delta", help="gap width between unit intervals (fig6; default: 1/8)")
     bench.add_argument("--dir", help="directory of .bc instance files")
     bench.add_argument("--algos", help="comma list of algorithms (--dir; default: oracle,dp-optimal)")
     bench.add_argument("--reference", help="algorithm rated against (--dir; default: oracle)")
@@ -98,6 +98,14 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--node-cap", type=int, default=exact.DEFAULT_NODE_CAP)
     bench.add_argument("--out", help="output path (default: stdout)")
     return parser
+
+
+#: bench options of the other mode, by --family (None: --dir); each is a usage error.
+_BENCH_REFUSED = {
+    "fig5": ("ms", "delta", "algos", "reference", "eps"),
+    "fig6": ("lengths", "algos", "reference", "eps"),
+    None: ("lengths", "ms", "rho", "delta"),
+}
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -202,19 +210,21 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if (args.family is None) == (args.dir is None):
         raise _CliError("bench needs exactly one of --family or --dir")
-    if args.family and (args.algos, args.reference, args.eps) != (None, None, None):
-        raise _CliError("--algos, --reference and --eps go with --dir; a --family runs its own")
+    mode = f"--family {args.family}" if args.family else "--dir"
+    for name in _BENCH_REFUSED[args.family]:
+        if getattr(args, name) is not None:
+            raise _CliError(f"--{name} does not go with {mode}")
     if args.family == "fig5":
         if not args.lengths:
             raise _CliError("--family fig5 needs --lengths")
-        grid = {"rho": [parse_scalar(args.rho)],
+        grid = {"rho": [parse_scalar(args.rho or "2")],
                 "L": [parse_scalar(v) for v in args.lengths.split(",")]}
         records = harness.ratio_sweep("fig5", grid, node_cap=args.node_cap)
     elif args.family == "fig6":
         if not args.ms:
             raise _CliError("--family fig6 needs --ms")
-        grid = {"rho": [parse_scalar(args.rho)],
-                "delta": [parse_scalar(args.delta)],
+        grid = {"rho": [parse_scalar(args.rho or "2")],
+                "delta": [parse_scalar(args.delta or "1/8")],
                 "m": [int(v) for v in args.ms.split(",")]}
         records = harness.ratio_sweep("fig6", grid, node_cap=args.node_cap)
     else:

@@ -14,18 +14,21 @@ its budget allows, found by one pointer per row) and left-bound splits
 (the sensor abuts prior coverage, found by bucketing each budget at which
 that placement becomes affordable and keeping a running maximum).  Ties
 go to skipping the sensor, then to the smaller split.  The arithmetic is
-exact: the fill runs on Python ints, with the instance and the unit put on
-one grid by ``model.on_grid``, and the table is converted back to
-Fractions once at the end.  The exact solvers run the DP with unit 1/d on
-the instance's own grid, so they take any rational instance and a budget
-in input units.
+exact: the instance and the unit are put on one integer grid by
+``model.on_grid``, and the fill, the scan for the cheapest covering budget
+and the reconstruction all run on Python ints.  Only the answer, the n
+positions of the solution, is converted back to Fractions.  The exact
+solvers run the DP with unit 1/d on the instance's own grid, so they take
+any rational instance and a budget in input units.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from .model import (
@@ -36,12 +39,14 @@ from .model import (
     Scalar,
     ScalarLike,
     Solution,
+    _clipped_spans,
+    _covers,
+    _to_grid,
     as_scalar,
     cost,
     grid_units,
     integral_scale_factor,
     is_feasible,
-    is_order_preserving,
     minimal_active_set,
     on_grid,
     verify_coverage,
@@ -55,16 +60,34 @@ DEFAULT_CELL_CAP = 500_000
 
 @dataclass
 class DpTable:
-    """Budget-indexed coverage table plus the choices that produced it.
+    """Budget-indexed coverage table plus the choices that produced it, on the grid 1/scale.
 
-    ``reach[i][b]`` is clamped at L and is nondecreasing in both indices.
-    ``parent[i][b]`` is either the skip marker or ``(k, y)``: sensor i-1
-    placed at position y using k budget units.
+    ``rows[i][b]`` is the reach of the first i sensors with b units of
+    ``unit``, times ``scale``: an int, clamped at L*scale and nondecreasing
+    in both indices.  ``choices[i][b]`` is either the skip marker or
+    ``(k, y)``: sensor i-1 placed at grid position y (input position
+    y/scale) using k budget units.  ``reach`` and ``parent`` are the same
+    table in input units, as Fractions; they are built when first read,
+    and the solvers never read them.
     """
 
     unit: Scalar
-    reach: list[list[Scalar]]
-    parent: list[list[tuple[int, Optional[Scalar]]]]
+    scale: int
+    rows: list[list[int]]
+    choices: list[list[tuple[int, Optional[int]]]]
+
+    @cached_property
+    def reach(self) -> list[list[Scalar]]:
+        exact = self._exact({v for row in self.rows for v in row})
+        return [[exact[v] for v in row] for row in self.rows]
+
+    @cached_property
+    def parent(self) -> list[list[tuple[int, Optional[Scalar]]]]:
+        exact = self._exact({y for row in self.choices for _, y in row if y is not None})
+        return [[c if c is _SKIP else (c[0], exact[c[1]]) for c in row] for row in self.choices]
+
+    def _exact(self, values: set[int]) -> dict[int, Scalar]:
+        return {v: Fraction(v, self.scale) for v in values}
 
 
 def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) -> DpTable:
@@ -86,7 +109,8 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     so; the previous row is nondecreasing, so the largest available j gives
     both the best value and the smallest k.  The fill runs on exact ints,
     every coordinate and the unit put on one grid by ``model.on_grid``, and
-    converts back to Fractions once.
+    the table stays on that grid: nothing is converted back to Fractions
+    here, only the answer that ``_dp_within`` reconstructs from it.
 
     A table of more than ``DEFAULT_CELL_CAP`` cells raises
     ``ResourceLimitError`` before anything is allocated.
@@ -100,19 +124,14 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     if cells > DEFAULT_CELL_CAP:
         raise ResourceLimitError(f"DP table of {cells} cells exceeds the cap {DEFAULT_CELL_CAP}")
     scale, length, xs, rs = on_grid(instance, unit)
-    step = int(unit * scale)
+    step = _to_grid(unit, scale)
     rows = [[0] * (budget_units + 1)]
     choices = [[_SKIP] * (budget_units + 1)]
     for x, r in zip(xs, rs):
         row, chosen = _fill_row(rows[-1], x, r, step, length)
         rows.append(row)
         choices.append(chosen)
-    values = {v for row in rows for v in row}
-    values.update(y for row in choices for _, y in row if y is not None)
-    exact = {v: Fraction(v, scale) for v in values}
-    reach = [[exact[v] for v in row] for row in rows]
-    parent = [[c if c is _SKIP else (c[0], exact[c[1]]) for c in row] for row in choices]
-    return DpTable(unit=unit, reach=reach, parent=parent)
+    return DpTable(unit=unit, scale=scale, rows=rows, choices=choices)
 
 
 def _fill_row(
@@ -155,14 +174,14 @@ def _fill_row(
     return row, chosen
 
 
-def _chain_active(placed: list[tuple[int, Scalar]]) -> list[int]:
+def _chain_active(placed: list[tuple[int, int]]) -> list[int]:
     """Reduce placed sensors to an increasing active chain.
 
     A later sensor placed at or left of earlier chain members makes those
     members redundant (its interval reaches further right and starts no
     later than the coverage they were responsible for), so they are popped.
     """
-    stack: list[tuple[int, Scalar]] = []
+    stack: list[tuple[int, int]] = []
     for i, y in placed:
         while stack and stack[-1][1] >= y:
             stack.pop()
@@ -171,24 +190,31 @@ def _chain_active(placed: list[tuple[int, Scalar]]) -> list[int]:
 
 
 def _reconstruct(instance: Instance, table: DpTable, b: int) -> tuple[Solution, ActiveSet]:
-    """Walk parent pointers from (n, b) back to row 0."""
-    y = list(instance.home())
-    placed: list[tuple[int, Scalar]] = []
+    """Walk the choices from (n, b) back to row 0, checking the cover on the grid.
+
+    The placed sensors' positions are converted to Fractions once, at the end.
+    """
+    scale = table.scale
+    placed: list[tuple[int, int]] = []
     for i in range(instance.n, 0, -1):
-        k, pos = table.parent[i][b]
+        k, pos = table.choices[i][b]
         if k >= 0:
             assert pos is not None
-            y[i - 1] = pos
             placed.append((i - 1, pos))
             b -= k
     placed.reverse()
-    solution = tuple(y)
     active = tuple(_chain_active(placed))
-    if not verify_coverage(instance, solution, active).covered:
+    centers = dict(placed)
+    radii = {i: _to_grid(instance.sensors[i].r, scale) for i in active}
+    length = _to_grid(instance.length, scale)
+    if not _covers(sorted(_clipped_spans(radii, centers, length, active)), set(active), length):
         raise RuntimeError("DP reconstruction lost coverage; table is corrupt")
-    if not is_order_preserving(instance, solution, active):
+    if not all(centers[i] < centers[j] for i, j in zip(active, active[1:])):
         raise RuntimeError("DP reconstruction is not order-preserving")
-    return solution, active
+    y = list(instance.home())
+    for i, pos in placed:
+        y[i] = Fraction(pos, scale)
+    return tuple(y), active
 
 
 def dp_exact(instance: Instance, budget: ScalarLike) -> Optional[tuple[Solution, ActiveSet]]:
@@ -209,11 +235,14 @@ def dp_exact(instance: Instance, budget: ScalarLike) -> Optional[tuple[Solution,
 
 
 def _dp_within(instance: Instance, units: int, unit: Scalar) -> Optional[tuple[Solution, ActiveSet]]:
-    """The DP's cover at the smallest budget of ``units`` steps of ``unit`` that covers, or None."""
+    """The DP's cover at the smallest budget of ``units`` steps of ``unit`` that covers, or None.
+
+    The last row is nondecreasing and clamped at L, so the smallest covering
+    budget is where L*scale would be inserted into it.
+    """
     table = budget_table(instance, units, unit)
-    final = table.reach[instance.n]
-    winner = next((b for b in range(units + 1) if final[b] >= instance.length), None)
-    if winner is None:
+    winner = bisect_left(table.rows[instance.n], _to_grid(instance.length, table.scale))
+    if winner > units:
         return None
     return _reconstruct(instance, table, winner)
 

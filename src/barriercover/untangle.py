@@ -6,12 +6,12 @@ swapping them inside the union of the two intervals fixes their order while
 covering exactly the same part of the barrier, so coverage is preserved
 swap by swap until the active set is order-preserving.
 
-``untangle`` runs its swap loop on the integer grid of ``model.on_grid``:
-every coordinate is multiplied by the lcm d of the instance's and the
-solution's denominators, so the swap targets u1 + r_i and u2 - r_j stay
-integral, and the result is converted back to Fractions once.  Scaling by
-d > 0 keeps every comparison, so the schedule and the result are exactly
-those of the loop on Fractions.
+``untangle`` runs its swap loop and its final order check on the integer
+grid of ``model.on_grid``: every coordinate is multiplied by the lcm d of
+the instance's and the solution's denominators, so the swap targets
+u1 + r_i and u2 - r_j stay integral, and the result is converted back to
+Fractions once.  Scaling by d > 0 keeps every comparison, so the schedule
+and the result are exactly those of the loop on Fractions.
 
 After each swap the loop re-checks only the two sensors it moved;
 ``untangle``'s docstring shows why that suffices.
@@ -34,8 +34,8 @@ from .model import (
     _clipped_spans,
     _covers,
     _minimal_cover,
+    _to_grid,
     as_solution,
-    is_order_preserving,
     on_grid,
 )
 
@@ -139,7 +139,7 @@ def untangle(
     """
     y = as_solution(instance, solution)
     scale, length, home, radii = on_grid(instance, *y)
-    pos = [int(v * scale) for v in y]
+    pos = [_to_grid(v, scale) for v in y]
     # sorted clipped spans of the active sensors (of all sensors until the
     # first settle); unplace runs before a sensor moves, so it finds its span
     spans = sorted(_clipped_spans(radii, pos, length, range(instance.n)))
@@ -195,7 +195,6 @@ def untangle(
             active = settle(active, tuple(sorted(keep)))
     else:
         raise RuntimeError("untangling exceeded its n^2 swap bound")
-    result = tuple(Fraction(v, scale) for v in pos)
-    if not is_order_preserving(instance, result, active):
+    if not all(pos[a] < pos[b] for a, b in zip(active, active[1:])):
         raise RuntimeError("untangling finished with an out-of-order active set")
-    return result, active
+    return tuple(Fraction(v, scale) for v in pos), active

@@ -1,21 +1,47 @@
-"""Reference budget-DP fill: the original quadratic split loop.
+"""Reference budget DP: the original quadratic fill and the Fraction reconstruction.
 
 ``barriercover.order_dp.budget_table`` must reproduce this table exactly,
 ``reach`` and ``parent`` alike.  The loop tries every split k <= b for
 every cell, O(n * U^2) Fraction operations, so it lives here as the test
 oracle for the O(n * U) fill and not in the library.
+
+``reference_dp_within`` is ``order_dp._dp_within`` as it stood before the
+scan and the reconstruction moved onto the integer grid, copied verbatim
+with its ``_reconstruct`` and ``_chain_active``: it reads the table's
+Fraction views and checks the cover with ``verify_coverage``.  Put in place
+of ``order_dp._dp_within``, it must leave ``dp_exact``, ``dp_optimal`` and
+``dp_eps`` returning the very same ``(solution, active)``.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Optional
 
 from barriercover import Instance
-from barriercover.model import ScalarLike, as_scalar
-from barriercover.order_dp import _SKIP, DpTable
+from barriercover.model import (
+    ActiveSet,
+    Scalar,
+    ScalarLike,
+    Solution,
+    as_scalar,
+    is_order_preserving,
+    verify_coverage,
+)
+from barriercover.order_dp import _SKIP, DpTable, budget_table
 
 
-def reference_budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) -> DpTable:
+@dataclass
+class FractionTable:
+    """The reference fill's table, in input units: what ``DpTable.reach``/``parent`` must equal."""
+
+    unit: Scalar
+    reach: list[list[Scalar]]
+    parent: list[list[tuple[int, Optional[Scalar]]]]
+
+
+def reference_budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) -> FractionTable:
     """Fill the DP table for budgets 0..budget_units in steps of ``unit``.
 
     Placing sensor i with k units on top of prior coverage t puts it at
@@ -54,4 +80,50 @@ def reference_budget_table(instance: Instance, budget_units: int, unit: ScalarLi
             choices.append(chosen)
         reach.append(row)
         parent.append(choices)
-    return DpTable(unit=unit, reach=reach, parent=parent)
+    return FractionTable(unit=unit, reach=reach, parent=parent)
+
+
+def _chain_active(placed: list[tuple[int, Scalar]]) -> list[int]:
+    """Reduce placed sensors to an increasing active chain.
+
+    A later sensor placed at or left of earlier chain members makes those
+    members redundant (its interval reaches further right and starts no
+    later than the coverage they were responsible for), so they are popped.
+    """
+    stack: list[tuple[int, Scalar]] = []
+    for i, y in placed:
+        while stack and stack[-1][1] >= y:
+            stack.pop()
+        stack.append((i, y))
+    return [i for i, _ in stack]
+
+
+def _reconstruct(instance: Instance, table: DpTable, b: int) -> tuple[Solution, ActiveSet]:
+    """Walk parent pointers from (n, b) back to row 0."""
+    y = list(instance.home())
+    placed: list[tuple[int, Scalar]] = []
+    for i in range(instance.n, 0, -1):
+        k, pos = table.parent[i][b]
+        if k >= 0:
+            assert pos is not None
+            y[i - 1] = pos
+            placed.append((i - 1, pos))
+            b -= k
+    placed.reverse()
+    solution = tuple(y)
+    active = tuple(_chain_active(placed))
+    if not verify_coverage(instance, solution, active).covered:
+        raise RuntimeError("DP reconstruction lost coverage; table is corrupt")
+    if not is_order_preserving(instance, solution, active):
+        raise RuntimeError("DP reconstruction is not order-preserving")
+    return solution, active
+
+
+def reference_dp_within(instance: Instance, units: int, unit: Scalar) -> Optional[tuple[Solution, ActiveSet]]:
+    """The DP's cover at the smallest budget of ``units`` steps of ``unit`` that covers, or None."""
+    table = budget_table(instance, units, unit)
+    final = table.reach[instance.n]
+    winner = next((b for b in range(units + 1) if final[b] >= instance.length), None)
+    if winner is None:
+        return None
+    return _reconstruct(instance, table, winner)

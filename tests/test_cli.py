@@ -243,6 +243,32 @@ class TestBench:
         assert main(["bench", "--family", "fig5", "--lengths", "8", flag, value]) == 2
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("mode, flag, value", [
+        (["--family", "fig5", "--lengths", "8"], "--ms", "3"),
+        (["--family", "fig5", "--lengths", "8"], "--delta", "1/4"),
+        (["--family", "fig6", "--ms", "3"], "--lengths", "8"),
+        (["--dir", "."], "--lengths", "8"),
+        (["--dir", "."], "--ms", "3"),
+        (["--dir", "."], "--rho", "3"),
+        (["--dir", "."], "--delta", "1/4"),
+    ])
+    def test_refuses_options_of_the_other_mode(self, mode, flag, value, capsys):
+        """A family or directory option given to the other mode is a usage error, not ignored."""
+        assert main(["bench", *mode, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{flag} does not go with" in captured.err
+
+    def test_fig6_family_defaults(self, capsys):
+        assert main(["bench", "--family", "fig6", "--ms", "2"]) == 0
+        default = capsys.readouterr().out
+        assert main(["bench", "--family", "fig6", "--ms", "2", "--rho", "2", "--delta", "1/8"]) == 0
+        explicit = capsys.readouterr().out
+        assert [row.rsplit(",", 1)[0] for row in default.splitlines()] == [
+            row.rsplit(",", 1)[0] for row in explicit.splitlines()
+        ]
+        assert len(default.splitlines()) == 3
+
     def test_unknown_subcommand_usage(self):
         assert main(["frobnicate"]) == 2
 

@@ -25,6 +25,8 @@ from barriercover import (
 from barriercover.model import grid_units, on_grid
 from conftest import random_corpus
 
+_rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
+
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
 I2 = Instance(12, (Sensor(0, 2), Sensor(1, 1), Sensor(3, 1), Sensor(5, 1), Sensor(7, 1)))
 
@@ -240,6 +242,21 @@ class TestHelpers:
         assert grid_units(F(7, 6), 6) == 7 and grid_units(F(7, 6), 4) == 4
         with pytest.raises(ValueError):
             grid_units(-1, 6)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(_rationals, _rationals.map(abs).filter(bool)), max_size=6),
+        _rationals.map(abs),
+        st.lists(_rationals, max_size=3),
+    )
+    def test_grid_scaling_is_the_fraction_product(self, sensors, length, extra):
+        """``on_grid``'s numerator scaling equals int(v * d) for every value."""
+        inst = Instance(length, tuple(Sensor(x, r) for x, r in sensors))
+        d, grid_length, xs, rs = on_grid(inst, *extra)
+        assert grid_length == int(inst.length * d)
+        assert xs == [int(s.x * d) for s in inst.sensors]
+        assert rs == [int(s.r * d) for s in inst.sensors]
+        assert all((v * d).denominator == 1 for v in extra)
 
     def test_scale_factor_half_radii(self):
         inst = Instance(F(5), (Sensor(F(-3), F(1, 2)),))

@@ -275,6 +275,19 @@ class TestLargeInstances:
                     assert verify_coverage(inst, solution, active).covered
                     assert is_order_preserving(inst, solution, active)
 
+    def test_eps_cost_scales_past_the_exact_cell_cap(self):
+        """Scaling the coordinates by c scales dp_eps's cost by c, at every scale.
+
+        At c = 1000 (and 1000/7) ``dp_optimal`` on this instance hits the
+        cell cap; ``dp_eps``'s grid follows its guess, so its table does not grow.
+        """
+        base = gen_random(20, 40, 1, 3, (-20, 60), 7)
+        for c in (F(1), F(100), F(1000), F(1000, 7)):
+            inst = scale_instance(base, c)
+            solution, active = dp_eps(inst, F(1, 2))
+            assert cost(inst, solution) == c * F(117, 5), c
+            assert verify_coverage(inst, solution, active).covered
+
     def test_fig5_order_preserving_optimum_at_l40(self):
         inst = gen_fig5(2, 40)
         solution, active = dp_optimal(inst)

@@ -13,8 +13,10 @@ subcommands, run from the repository root:
 ``rows`` times the topic's baseline rows on the ``barriercover`` in
 ``--src`` (default: this checkout's ``src``).  The DP rows are the C3 gate
 loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
-``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40}, and fig5
-L=40 ``dp_optimal`` against the exhaustive ``oracle_optimal``.  The
+``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40}, fig5
+L=40 ``dp_optimal`` against the exhaustive ``oracle_optimal``, and one
+``python -m barriercover solve --algo dp-optimal corpora/i1.bc`` child
+run on ``--src`` (interpreter start and import included).  The
 untangle rows are ``untangle`` on fig5 L in {40, 80, 160, 320} (n = 19, 39,
 79, 159) with the large sensor moved to L - 2, where it crosses the whole
 unit row.
@@ -26,7 +28,8 @@ sensors at x = 2i + 2, r = 1, whose only cover moves every sensor, and
 (-6, 18), s)`` for s = 0..14 with OPT > 0 (OPT comes from
 ``oracle_optimal`` when the row is built, outside the timed call).
 Each row is timed in its own child process, as the median of ``--k``
-runs in process CPU time; a row whose search raises
+runs in process CPU time (the CPU time of the row's own finished children
+included); a row whose search raises
 ``ResourceLimitError`` records the message under ``resource_limit``
 instead.  The result goes under ``runs[--label]`` together with the
 Python version and the git SHA of the checkout that holds ``--src``.
@@ -49,7 +52,9 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -89,12 +94,18 @@ def git_sha(path: Path) -> str:
     return out + ("-dirty" if dirty else "")
 
 
+def cpu_s() -> float:
+    """CPU time of this process and of its finished children, in seconds."""
+    children = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return time.process_time() + children.ru_utime + children.ru_stime
+
+
 def median_cpu_s(fn: Callable[[], object], k: int) -> float:
     times = []
     for _ in range(k):
-        start = time.process_time()
+        start = cpu_s()
         fn()
-        times.append(time.process_time() - start)
+        times.append(cpu_s() - start)
     return statistics.median(times)
 
 
@@ -122,6 +133,12 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
     fig5 = bc.gen_fig5(2, 40)
     rows["dp_optimal.fig5_L40"] = lambda: bc.dp_optimal(fig5)
     rows["oracle_optimal.fig5_L40"] = lambda: bc.oracle_optimal(fig5)
+    solve = [sys.executable, "-m", "barriercover", "solve", "--algo", "dp-optimal",
+             str(REPO / "corpora" / "i1.bc")]
+    env = {**os.environ, "PYTHONPATH": str(Path(bc.__file__).resolve().parent.parent)}
+    rows["cli.solve_dp_optimal.i1"] = lambda: subprocess.run(
+        solve, env=env, stdout=subprocess.DEVNULL, check=True
+    )
     return rows
 
 
@@ -212,7 +229,7 @@ def run_record(label: str, src: Path, k: int, figures: dict[str, float | str]) -
         "sha": git_sha(src),
         "python": platform.python_version(),
         "k": k,
-        "unit": "s (median process CPU time)",
+        "unit": "s (median process CPU time, children included)",
         "rows": {name: v for name, v in figures.items() if not isinstance(v, str)},
     }
     limits = {name: v for name, v in figures.items() if isinstance(v, str)}
