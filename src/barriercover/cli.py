@@ -48,6 +48,17 @@ class _CliError(Exception):
     """Usage-level problem; maps to exit code 2."""
 
 
+def _node_cap(text: str) -> int:
+    """``--node-cap``: search states allowed; 0 is a cap, a negative number a usage error."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {cap}")
+    return cap
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="barriercover",
@@ -75,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget", help="movement budget in input units; without it the "
                        "exact solvers return the optimum (dp-eps ignores it)")
     solve.add_argument("--eps", default="1/2", help="approximation parameter (dp-eps)")
-    solve.add_argument("--node-cap", type=int, default=exact.DEFAULT_NODE_CAP)
+    solve.add_argument("--node-cap", type=_node_cap, default=exact.DEFAULT_NODE_CAP)
     solve.add_argument("--out", help="output path (default: stdout)")
     solve.add_argument("instance", help="instance file path")
 
@@ -95,7 +106,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--algos", help="comma list of algorithms (--dir; default: oracle,dp-optimal)")
     bench.add_argument("--reference", help="algorithm rated against (--dir; default: oracle)")
     bench.add_argument("--eps", help="approximation parameter (--dir; default: 1/2)")
-    bench.add_argument("--node-cap", type=int, default=exact.DEFAULT_NODE_CAP)
+    bench.add_argument("--node-cap", type=_node_cap, default=exact.DEFAULT_NODE_CAP)
     bench.add_argument("--out", help="output path (default: stdout)")
     return parser
 

@@ -99,6 +99,8 @@ class _Search:
     """
 
     def __init__(self, node_cap: int, budget: int, d: int) -> None:
+        if node_cap < 0:
+            raise ValueError(f"node cap must be >= 0, got {node_cap}")
         self.node_cap = node_cap
         self.budget = budget
         self.d = d

@@ -6,6 +6,13 @@ center, and its cost is the total distance moved.  All coordinates are
 `fractions.Fraction`, so coverage and cost comparisons are decided exactly;
 nothing in this module (or its tests) may rely on floating-point tolerance.
 
+Exact comparisons need not be Fraction comparisons.  Every instance has
+one integer grid 1/d, d the lcm of its denominators (``on_grid``); it is
+computed once per ``Instance`` and kept on it.  Scaled by d every
+coordinate is an int and every comparison keeps its outcome, so the
+feasibility test, the greedy tiling and the coverage sweep run on Python
+ints and convert only what they return back to Fractions.
+
 All types are immutable values and all operations are pure functions, so
 everything here is safe to share across threads.
 """
@@ -15,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Container, Iterable, Optional, Sequence, Union
 
 Scalar = Fraction
@@ -94,6 +102,25 @@ class Instance:
     def total_coverage(self) -> Scalar:
         """Sum of all interval lengths, the most the sensors can ever cover."""
         return sum((2 * s.r for s in self.sensors), start=Fraction(0))
+
+    @cached_property
+    def _grid(self) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
+        """``(d, L*d, xs*d, rs*d)`` on the instance's own grid; read it through ``on_grid``.
+
+        Computed on first read and kept in the instance's ``__dict__``; it is
+        not a field, so equality, hashing and ``repr`` ignore it.
+        """
+        dens = [self.length.denominator]
+        for s in self.sensors:
+            dens.append(s.x.denominator)
+            dens.append(s.r.denominator)
+        d = math.lcm(*dens)
+        return (
+            d,
+            _to_grid(self.length, d),
+            tuple(_to_grid(s.x, d) for s in self.sensors),
+            tuple(_to_grid(s.r, d) for s in self.sensors),
+        )
 
 
 @dataclass(frozen=True)
@@ -237,17 +264,28 @@ def verify_coverage(
 
     Intervals are closed, so touching endpoints leave no gap.  ``indices``
     restricts the check to a subset of sensors (used for active-set work).
-    An empty barrier (L = 0) counts as covered.
+    An empty barrier (L = 0) counts as covered.  The sweep runs on the grid
+    of ``on_grid(instance, *solution)``; only the gaps it finds are turned
+    back into Fractions.
     """
     y = as_solution(instance, solution)
+    d, length, _, radii = on_grid(instance, *y)
+    centers = [_to_grid(v, d) for v in y]
     idx = range(instance.n) if indices is None else indices
-    gaps = _gaps(sorted(_clipped_spans(_radii(instance), y, instance.length, idx)), instance.length)
-    return CoverageReport(covered=not gaps, gaps=tuple(gaps))
+    gaps = _gaps(sorted(_clipped_spans(radii, centers, length, idx)), length)
+    return CoverageReport(
+        covered=not gaps,
+        gaps=tuple((Fraction(lo, d), Fraction(hi, d)) for lo, hi in gaps),
+    )
 
 
 def is_feasible(instance: Instance) -> bool:
-    """Sensors may move anywhere, so total interval length is the only obstruction."""
-    return instance.total_coverage() >= instance.length
+    """Sensors may move anywhere, so total interval length is the only obstruction.
+
+    Decided on the instance's grid: 2 * sum(r*d) >= L*d.
+    """
+    _, length, _, radii = instance._grid
+    return 2 * sum(radii) >= length
 
 
 def minimal_active_set(
@@ -312,11 +350,7 @@ def max_stab_count(
 
 def integral_scale_factor(instance: Instance) -> int:
     """Smallest positive integer c making L and every x and r integral once scaled by c."""
-    dens = [instance.length.denominator]
-    for s in instance.sensors:
-        dens.append(s.x.denominator)
-        dens.append(s.r.denominator)
-    return math.lcm(*dens)
+    return instance._grid[0]
 
 
 def on_grid(instance: Instance, *extra: Number) -> tuple[int, int, list[int], list[int]]:
@@ -326,14 +360,17 @@ def on_grid(instance: Instance, *extra: Number) -> tuple[int, int, list[int], li
     of ``extra`` (a budget unit, solution positions).  Scaling by d > 0 keeps
     every comparison and multiplies every cost by d, so a solver may run on
     these ints and divide its answer by d.
+
+    The instance's own grid is computed once per ``Instance`` and kept on
+    it; an extra with a new denominator rescales it by the int factor
+    lcm(d, extras) / d.  The lists are fresh on every call, so a caller may
+    change them.
     """
-    d = math.lcm(integral_scale_factor(instance), *(v.denominator for v in extra))
-    return (
-        d,
-        _to_grid(instance.length, d),
-        [_to_grid(s.x, d) for s in instance.sensors],
-        [_to_grid(s.r, d) for s in instance.sensors],
-    )
+    d, length, xs, rs = instance._grid
+    f = math.lcm(d, *(v.denominator for v in extra)) // d
+    if f == 1:
+        return d, length, list(xs), list(rs)
+    return d * f, length * f, [x * f for x in xs], [r * f for r in rs]
 
 
 def _to_grid(value: Number, d: int) -> int:

@@ -19,7 +19,10 @@ exact: the instance and the unit are put on one integer grid by
 and the reconstruction all run on Python ints.  Only the answer, the n
 positions of the solution, is converted back to Fractions.  The exact
 solvers run the DP with unit 1/d on the instance's own grid, so they take
-any rational instance and a budget in input units.
+any rational instance and a budget in input units.  A call's setup is on
+the grid too: the instance's grid is computed once and kept on the
+``Instance``, and the feasibility test, the greedy tiling that caps the
+budget and the coverage check of the home solution all run on its ints.
 """
 
 from __future__ import annotations
@@ -165,12 +168,16 @@ def _fill_row(
             if best_right > best:
                 best, k = best_right, k_right
         if left >= 0:
-            value = min(prev[left] + 2 * r, length)
+            value = prev[left] + 2 * r
+            if value > length:
+                value = length
             if value > best or (value == best and k >= 0 and b - left < k):
                 best, k = value, b - left
         row[b] = best
         if k >= 0:
-            chosen[b] = (k, min(x + k * u, prev[b - k] + r))
+            moved = x + k * u
+            abut = prev[b - k] + r
+            chosen[b] = (k, moved if moved <= abut else abut)
     return row, chosen
 
 
@@ -272,19 +279,22 @@ def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
     """Left-to-right tiling; a cheap order-preserving upper bound, not optimal.
 
     Sensors are stacked edge to edge from 0 until the barrier is covered;
-    the rest stay home.
+    the rest stay home.  The tiling runs on the instance's grid
+    (``model.on_grid``); only the n positions and the cost become Fractions.
     """
     if not is_feasible(instance):
         raise InfeasibleError("total sensor length is below the barrier length")
+    d, length, xs, rs = on_grid(instance)
     y = list(instance.home())
-    reach = moved = Fraction(0)
-    for i, s in enumerate(instance.sensors):
-        if reach >= instance.length:
+    reach = moved = 0
+    for i, (x, r) in enumerate(zip(xs, rs)):
+        if reach >= length:
             break
-        y[i] = reach + s.r
-        moved += abs(y[i] - s.x)
-        reach += 2 * s.r
-    return tuple(y), moved
+        center = reach + r
+        y[i] = Fraction(center, d)
+        moved += abs(center - x)
+        reach += 2 * r
+    return tuple(y), Fraction(moved, d)
 
 
 def dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:

@@ -1,0 +1,68 @@
+"""Reference Fraction paths of the model: the coverage sweep, feasibility and the greedy tiling.
+
+``barriercover.model.verify_coverage``, ``model.is_feasible`` and
+``order_dp.greedy_cover`` run on the instance's integer grid and convert
+only what they return to Fractions.  The functions below are those three
+as they stood before, when every coordinate stayed a Fraction, copied
+verbatim; the library's versions must return exactly what these do,
+Fraction types included.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Iterable, Optional, Sequence
+
+from barriercover.model import (
+    CoverageReport,
+    InfeasibleError,
+    Instance,
+    Scalar,
+    ScalarLike,
+    Solution,
+    _clipped_spans,
+    _gaps,
+    _radii,
+    as_solution,
+)
+
+
+def verify_coverage(
+    instance: Instance,
+    solution: Sequence[ScalarLike],
+    indices: Optional[Iterable[int]] = None,
+) -> CoverageReport:
+    """Sweep the clipped intervals and report every maximal uncovered gap.
+
+    Intervals are closed, so touching endpoints leave no gap.  ``indices``
+    restricts the check to a subset of sensors (used for active-set work).
+    An empty barrier (L = 0) counts as covered.
+    """
+    y = as_solution(instance, solution)
+    idx = range(instance.n) if indices is None else indices
+    gaps = _gaps(sorted(_clipped_spans(_radii(instance), y, instance.length, idx)), instance.length)
+    return CoverageReport(covered=not gaps, gaps=tuple(gaps))
+
+
+def is_feasible(instance: Instance) -> bool:
+    """Sensors may move anywhere, so total interval length is the only obstruction."""
+    return instance.total_coverage() >= instance.length
+
+
+def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
+    """Left-to-right tiling; a cheap order-preserving upper bound, not optimal.
+
+    Sensors are stacked edge to edge from 0 until the barrier is covered;
+    the rest stay home.
+    """
+    if not is_feasible(instance):
+        raise InfeasibleError("total sensor length is below the barrier length")
+    y = list(instance.home())
+    reach = moved = Fraction(0)
+    for i, s in enumerate(instance.sensors):
+        if reach >= instance.length:
+            break
+        y[i] = reach + s.r
+        moved += abs(y[i] - s.x)
+        reach += 2 * s.r
+    return tuple(y), moved

@@ -127,6 +127,18 @@ class TestSolve:
             ["solve", "--algo", "oracle", "--node-cap", "3", str(path)]
         ) == 3
 
+    def test_negative_node_cap_is_usage_error(self, tmp_path, capsys):
+        """A negative cap is refused before any search; a cap of 0 still stops the search (exit 3)."""
+        path = tmp_path / "wide.bc"
+        path.write_text("L 12\nN 4\n-8 2\n-5 2\n13 2\n16 2\n")
+        assert main(["solve", "--algo", "oracle", "--node-cap", "-5", str(path)]) == 2
+        assert "--node-cap: must be >= 0, got -5" in capsys.readouterr().err
+        assert main(["bench", "--dir", str(tmp_path), "--node-cap", "-5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--node-cap: must be >= 0, got -5" in captured.err
+        assert main(["solve", "--algo", "oracle", "--node-cap", "0", str(path)]) == 3
+        assert "explored more than 0 states" in capsys.readouterr().err
+
     def test_too_deep_search_exit_code(self, tmp_path, capsys):
         """A deep search cut 1,000 levels down by the node cap exits 3 with the node-cap message."""
         path = tmp_path / "deep.bc"

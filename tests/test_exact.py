@@ -56,6 +56,11 @@ class TestBruteForce:
         with pytest.raises(ResourceLimitError):
             brute_force(inst, 40, node_cap=5)
 
+    def test_negative_node_cap_is_refused(self):
+        inst = Instance(12, tuple(Sensor(-8 + 3 * i, 1) for i in range(6)))
+        with pytest.raises(ValueError, match="node cap must be >= 0"):
+            brute_force(inst, 40, node_cap=-1)
+
     def test_rejects_fractional_input(self):
         """Fractional input is solved on its own grid: the scaled answer divided by d."""
         inst = Instance(4, (Sensor(F(1, 2), 1), Sensor(3, 1)))

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction as F
 
 import pytest
@@ -242,6 +244,36 @@ class TestHelpers:
         assert grid_units(F(7, 6), 6) == 7 and grid_units(F(7, 6), 4) == 4
         with pytest.raises(ValueError):
             grid_units(-1, 6)
+
+    def test_grid_lists_are_fresh(self):
+        """The grid is kept on the instance, but a caller changing the lists it got changes nothing."""
+        inst = Instance(F(5, 2), (Sensor(F(-1, 3), F(1, 2)), Sensor(2, 1)))
+        for extra in ((), (F(1, 4),)):
+            first = on_grid(inst, *extra)
+            first[2].append(99)
+            first[3][0] = -7
+            assert on_grid(inst, *extra) == on_grid(Instance(inst.length, inst.sensors), *extra)
+        assert on_grid(inst) == (6, 15, [-2, 12], [3, 6])
+        assert is_feasible(inst) and verify_coverage(inst, (F(1, 2), F(3, 2))).covered
+
+    def test_grid_cache_keeps_equality_and_hash(self):
+        """Reading the grid of one of two equal instances leaves them equal, with equal hashes."""
+        a = Instance(F(5, 2), (Sensor(F(-1, 3), F(1, 2)), Sensor(2, 1)))
+        b = Instance(F(5, 2), (Sensor(2, 1), Sensor(F(-1, 3), F(1, 2))))
+        on_grid(a)
+        assert a == b and b == a
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert repr(a) == repr(b)
+
+    @pytest.mark.parametrize("read_grid", [False, True])
+    def test_grid_cache_survives_pickle_and_copy(self, read_grid):
+        inst = Instance(F(5, 2), (Sensor(F(-1, 3), F(1, 2)), Sensor(2, 1)))
+        if read_grid:
+            on_grid(inst)
+        for twin in (pickle.loads(pickle.dumps(inst)), copy.copy(inst), copy.deepcopy(inst)):
+            assert twin == inst and hash(twin) == hash(inst)
+            assert on_grid(twin) == on_grid(inst) == (6, 15, [-2, 12], [3, 6])
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(
