@@ -240,6 +240,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         records = harness.ratio_sweep("fig6", grid, node_cap=args.node_cap)
     else:
         algos = [a for a in (args.algos or "oracle,dp-optimal").split(",") if a]
+        if not Path(args.dir).is_dir():
+            raise _CliError(f"cannot read directory {args.dir}: not an existing directory")
         records = []
         for path in sorted(Path(args.dir).glob("*.bc")):
             instance = _load_instance(str(path))

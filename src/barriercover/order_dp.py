@@ -8,6 +8,9 @@ the rounded cost sum(ceil(|y_i - x_i| / q)) instead, which is what the
 (1 + eps) approximation runs on.
 
 Each row is filled in O(U) for U budget units, so a table costs O(n*U).
+Cell (i, b) reads row i-1 only at budgets <= b, so a table grows without
+a refill (``DpTable.grow``): ``dp_optimal`` grows one table through all its
+budget doublings, and a call fills O(n*W) cells for its final width W.
 The best split of budget b between the first i-1 sensors and sensor i has
 two candidate cases: right-bound splits (the sensor moves right as far as
 its budget allows, found by one pointer per row) and left-bound splits
@@ -29,10 +32,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .model import (
     ActiveSet,
@@ -71,13 +74,29 @@ class DpTable:
     ``(k, y)``: sensor i-1 placed at grid position y (input position
     y/scale) using k budget units.  ``reach`` and ``parent`` are the same
     table in input units, as Fractions; they are built when first read,
-    and the solvers never read them.
+    and the solvers never read them.  ``fills`` resume the rows' fills.
     """
 
     unit: Scalar
     scale: int
     rows: list[list[int]]
     choices: list[list[tuple[int, Optional[int]]]]
+    fills: list[Iterator[None]] = field(repr=False, compare=False)
+
+    def grow(self, budget_units: int) -> None:
+        """Widen to budgets 0..budget_units; each row resumes its fill, so no column is filled twice.
+
+        The cell cap is checked first, and the Fraction views are dropped.
+        """
+        cells = len(self.rows) * (budget_units + 1)
+        if cells > DEFAULT_CELL_CAP:
+            raise ResourceLimitError(f"DP table of {cells} cells exceeds the cap {DEFAULT_CELL_CAP}")
+        self.rows[0][:] = [0] * (budget_units + 1)
+        self.choices[0][:] = [_SKIP] * (budget_units + 1)
+        for fill in self.fills:
+            next(fill)
+        self.__dict__.pop("reach", None)
+        self.__dict__.pop("parent", None)
 
     @cached_property
     def reach(self) -> list[list[Scalar]]:
@@ -123,62 +142,70 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
         raise ValueError("budget unit must be positive")
     if budget_units < 0:
         raise ValueError("budget must be >= 0")
-    cells = (instance.n + 1) * (budget_units + 1)
-    if cells > DEFAULT_CELL_CAP:
-        raise ResourceLimitError(f"DP table of {cells} cells exceeds the cap {DEFAULT_CELL_CAP}")
     scale, length, xs, rs = on_grid(instance, unit)
     step = _to_grid(unit, scale)
-    rows = [[0] * (budget_units + 1)]
-    choices = [[_SKIP] * (budget_units + 1)]
-    for x, r in zip(xs, rs):
-        row, chosen = _fill_row(rows[-1], x, r, step, length)
-        rows.append(row)
-        choices.append(chosen)
-    return DpTable(unit=unit, scale=scale, rows=rows, choices=choices)
+    rows: list[list[int]] = [[] for _ in range(instance.n + 1)]
+    choices: list[list[tuple[int, Optional[int]]]] = [[] for _ in rows]
+    fills = [_fill_row(prev, row, chosen, x, r, step, length)
+             for prev, row, chosen, x, r in zip(rows, rows[1:], choices[1:], xs, rs)]
+    table = DpTable(unit=unit, scale=scale, rows=rows, choices=choices, fills=fills)
+    table.grow(budget_units)
+    return table
 
 
 def _fill_row(
-    prev: list[int], x: int, r: int, u: int, length: int
-) -> tuple[list[int], list[tuple[int, Optional[int]]]]:
-    """One ``budget_table`` row on the integer grid, in O(len(prev))."""
-    width = len(prev)
-    latest = [-1] * width
-    for j, t in enumerate(prev):
-        at = j - (-abs(t + r - x) // u)
-        if at < width:
-            latest[at] = j
+    prev: list[int], row: list[int], chosen: list[tuple[int, Optional[int]]], x: int, r: int, u: int, length: int
+) -> Iterator[None]:
+    """One ``budget_table`` row on the integer grid, widened to len(prev) at each resume.
+
+    The right pointer, the running left maximum and the left-bound j that
+    become available past the filled width (``later``) carry over.
+    """
     clamp_k = max(0, -((x + r - length) // u))
-    row = [0] * width
-    chosen: list[tuple[int, Optional[int]]] = [_SKIP] * width
-    right = -1
-    left = -1
-    for b in range(width):
-        if latest[b] > left:
-            left = latest[b]
-        while right < b and x + (right + 1) * u <= prev[b - right - 1] + r:
-            right += 1
-        best = prev[b]
-        k = -1
-        if right >= 0:
-            value = x + right * u + r
-            if value >= length:
-                best_right, k_right = length, clamp_k
+    right = left = -1
+    later: dict[int, int] = {}
+    start = 0
+    while True:
+        width = len(prev)
+        latest = [-1] * width
+        for at in [at for at in later if at < width]:
+            latest[at] = later.pop(at)
+        for j in range(start, width):
+            at = j - (-abs(prev[j] + r - x) // u)
+            if at < width:
+                latest[at] = j
             else:
-                best_right, k_right = value, right
-            if best_right > best:
-                best, k = best_right, k_right
-        if left >= 0:
-            value = prev[left] + 2 * r
-            if value > length:
-                value = length
-            if value > best or (value == best and k >= 0 and b - left < k):
-                best, k = value, b - left
-        row[b] = best
-        if k >= 0:
-            moved = x + k * u
-            abut = prev[b - k] + r
-            chosen[b] = (k, moved if moved <= abut else abut)
-    return row, chosen
+                later[at] = j
+        row += [0] * (width - start)
+        chosen += [_SKIP] * (width - start)
+        for b in range(start, width):
+            if latest[b] > left:
+                left = latest[b]
+            while right < b and x + (right + 1) * u <= prev[b - right - 1] + r:
+                right += 1
+            best = prev[b]
+            k = -1
+            if right >= 0:
+                value = x + right * u + r
+                if value >= length:
+                    best_right, k_right = length, clamp_k
+                else:
+                    best_right, k_right = value, right
+                if best_right > best:
+                    best, k = best_right, k_right
+            if left >= 0:
+                value = prev[left] + 2 * r
+                if value > length:
+                    value = length
+                if value > best or (value == best and k >= 0 and b - left < k):
+                    best, k = value, b - left
+            row[b] = best
+            if k >= 0:
+                moved = x + k * u
+                abut = prev[b - k] + r
+                chosen[b] = (k, moved if moved <= abut else abut)
+        start = width
+        yield
 
 
 def _chain_active(placed: list[tuple[int, int]]) -> list[int]:
@@ -247,11 +274,12 @@ def _dp_within(instance: Instance, units: int, unit: Scalar) -> Optional[tuple[S
     The last row is nondecreasing and clamped at L, so the smallest covering
     budget is where L*scale would be inserted into it.
     """
-    table = budget_table(instance, units, unit)
+    return _cheapest_cover(instance, budget_table(instance, units, unit))
+
+
+def _cheapest_cover(instance: Instance, table: DpTable) -> Optional[tuple[Solution, ActiveSet]]:
     winner = bisect_left(table.rows[instance.n], _to_grid(instance.length, table.scale))
-    if winner > units:
-        return None
-    return _reconstruct(instance, table, winner)
+    return None if winner == len(table.rows[0]) else _reconstruct(instance, table, winner)
 
 
 def cheapest_first(instance: Instance, solve: Callable[[Scalar], Optional[tuple]]) -> tuple:
@@ -259,8 +287,9 @@ def cheapest_first(instance: Instance, solve: Callable[[Scalar], Optional[tuple]
 
     d is the instance's grid.  Budgets are capped at the greedy cover's
     cost, where an exact solver must hit; one that returns its cheapest
-    cover within the budget thus yields the optimum.  Raises
-    InfeasibleError when no cover exists.
+    cover within the budget thus yields the optimum.  Budgets never
+    decrease, so ``solve`` may widen one table from call to call, as
+    ``dp_optimal`` does.  Raises InfeasibleError when no cover exists.
     """
     d = integral_scale_factor(instance)
     _, upper = greedy_cover(instance)
@@ -302,12 +331,22 @@ def dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:
 
     The first successful table already contains the optimum: each step scans
     for the smallest feasible budget row, and a solution's exact movements
-    are themselves a valid budget split.
+    are themselves a valid budget split.  The doublings grow one table, so
+    a call fills O(n*W) cells for its final width W.
     """
     if verify_coverage(instance, instance.home()).covered:
         return instance.home(), minimal_active_set(instance, instance.home())
     d = integral_scale_factor(instance)
-    return cheapest_first(instance, lambda budget: _dp_within(instance, int(budget * d), Fraction(1, d)))
+    tables: list[DpTable] = []
+
+    def solve(budget: Scalar) -> Optional[tuple[Solution, ActiveSet]]:
+        if tables:
+            tables[0].grow(int(budget * d))
+        else:
+            tables.append(budget_table(instance, int(budget * d), Fraction(1, d)))
+        return _cheapest_cover(instance, tables[0])
+
+    return cheapest_first(instance, solve)
 
 
 @dataclass(frozen=True)
@@ -347,6 +386,12 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
     eps absorbs that factor so the advertised bound survives.  The first
     guess, half the widest uncovered gap, can never overshoot (covering a
     gap costs at least its width).
+
+    A guess whose table must come back empty is doubled unfilled.  Moving a
+    sensor by δ covers at most δ of new length, so every cover costs at
+    least G, the home solution's total gap.  A cover in the table moves each
+    placed sensor by at most its k steps of q, so it costs at most units*q.
+    While units*q < G, i.e. G*n > units*(eps/2)*guess, the table is empty.
     """
     eps = as_scalar(eps)
     if eps <= 0:
@@ -358,11 +403,12 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
         return instance.home(), minimal_active_set(instance, instance.home())
     half = eps / 2
     guess = max(hi - lo for lo, hi in report.gaps) / 2
+    gap = sum(hi - lo for lo, hi in report.gaps)
     _, upper = greedy_cover(instance)
     units = math.ceil(instance.n / half) + instance.n
     while True:
         params = EpsParams(eps=half, opt_guess=guess, n=instance.n)
-        found = _dp_within(instance, units, params.q)
+        found = None if units * params.q < gap else _dp_within(instance, units, params.q)
         if found is not None and cost(instance, found[0]) <= (1 + half) * guess:
             return found
         if guess > 2 * upper:

@@ -11,10 +11,18 @@ with its ``_reconstruct`` and ``_chain_active``: it reads the table's
 Fraction views and checks the cover with ``verify_coverage``.  Put in place
 of ``order_dp._dp_within``, it must leave ``dp_exact``, ``dp_optimal`` and
 ``dp_eps`` returning the very same ``(solution, active)``.
+
+``reference_dp_optimal`` and ``reference_dp_eps`` are ``order_dp.dp_optimal``
+and ``order_dp.dp_eps`` as they stood before ``dp_optimal`` grew one table
+through its doublings and ``dp_eps`` skipped guesses below the gap bound,
+copied verbatim: every budget refills a table from column 0 through
+``_dp_within``, and every guess fills its table.  They look ``_dp_within``
+up in this module, so a test can swap it here too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -22,14 +30,27 @@ from typing import Optional
 from barriercover import Instance
 from barriercover.model import (
     ActiveSet,
+    InfeasibleError,
     Scalar,
     ScalarLike,
     Solution,
     as_scalar,
+    cost,
+    integral_scale_factor,
+    is_feasible,
     is_order_preserving,
+    minimal_active_set,
     verify_coverage,
 )
-from barriercover.order_dp import _SKIP, DpTable, budget_table
+from barriercover.order_dp import (
+    _SKIP,
+    DpTable,
+    EpsParams,
+    _dp_within,
+    budget_table,
+    cheapest_first,
+    greedy_cover,
+)
 
 
 @dataclass
@@ -127,3 +148,48 @@ def reference_dp_within(instance: Instance, units: int, unit: Scalar) -> Optiona
     if winner is None:
         return None
     return _reconstruct(instance, table, winner)
+
+
+def reference_dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:
+    """Optimal order-preserving solution by doubling the budget until the DP hits.
+
+    The first successful table already contains the optimum: each step scans
+    for the smallest feasible budget row, and a solution's exact movements
+    are themselves a valid budget split.
+    """
+    if verify_coverage(instance, instance.home()).covered:
+        return instance.home(), minimal_active_set(instance, instance.home())
+    d = integral_scale_factor(instance)
+    return cheapest_first(instance, lambda budget: _dp_within(instance, int(budget * d), Fraction(1, d)))
+
+
+def reference_dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
+    """Order-preserving cover of true cost within (1 + eps) of the best one.
+
+    Runs the budget DP on a rounded cost grid and guesses the optimum by
+    doubling.  Internally the scheme runs at eps/2: a guess may overshoot
+    the optimum by up to 2x before the acceptance test fires, and halving
+    eps absorbs that factor so the advertised bound survives.  The first
+    guess, half the widest uncovered gap, can never overshoot (covering a
+    gap costs at least its width).
+    """
+    eps = as_scalar(eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    if not is_feasible(instance):
+        raise InfeasibleError("instance cannot cover the barrier")
+    report = verify_coverage(instance, instance.home())
+    if report.covered:
+        return instance.home(), minimal_active_set(instance, instance.home())
+    half = eps / 2
+    guess = max(hi - lo for lo, hi in report.gaps) / 2
+    _, upper = greedy_cover(instance)
+    units = math.ceil(instance.n / half) + instance.n
+    while True:
+        params = EpsParams(eps=half, opt_guess=guess, n=instance.n)
+        found = _dp_within(instance, units, params.q)
+        if found is not None and cost(instance, found[0]) <= (1 + half) * guess:
+            return found
+        if guess > 2 * upper:
+            raise RuntimeError("guess doubling escaped its upper bound")
+        guess *= 2

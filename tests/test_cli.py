@@ -222,6 +222,20 @@ class TestBench:
         out = capsys.readouterr().out
         assert out.strip() == "instance,algo,status,cost,ref_cost,ratio,time_ms"
 
+    def test_missing_directory_is_usage_error(self, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        assert main(["bench", "--dir", str(missing)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot read directory {missing}" in captured.err
+
+    def test_file_as_directory_is_usage_error(self, capsys):
+        instance_file = CORPORA / "i1.bc"
+        assert main(["bench", "--dir", str(instance_file)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: cannot read directory {instance_file}" in captured.err
+
     def test_directory_mode(self, tmp_path):
         (tmp_path / "a.bc").write_text(I1_TEXT)
         out = tmp_path / "out.csv"

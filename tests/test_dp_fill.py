@@ -3,8 +3,14 @@
 ``budget_table`` must return the very table the reference builds: every
 ``reach`` value and every ``parent`` choice, tie-breaks included, so that
 reconstruction (and with it dp_exact, dp_optimal and dp_eps) is unchanged.
+A table grown budget by budget must equal the table filled at once.
+
+The corpus check runs the quadratic Fraction reference 1,200 times, so its
+instances are spread over a few worker processes.
 """
 
+import os
+from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -32,13 +38,18 @@ def _assert_same(instance, units, unit, reference):
     assert got.parent == [row[: units + 1] for row in reference.parent], where
 
 
-def test_matches_reference_on_corpus():
+def _matches_reference_at_every_unit(inst):
     top = max(CORPUS_BUDGETS)
-    for _, inst, _ in random_corpus(200):
-        for unit in CORPUS_UNITS:
-            reference = reference_budget_table(inst, top, unit)
-            for units in CORPUS_BUDGETS:
-                _assert_same(inst, units, unit, reference)
+    for unit in CORPUS_UNITS:
+        reference = reference_budget_table(inst, top, unit)
+        for units in CORPUS_BUDGETS:
+            _assert_same(inst, units, unit, reference)
+
+
+def test_matches_reference_on_corpus():
+    instances = [inst for _, inst, _ in random_corpus(200)]
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, 4)) as pool:
+        assert len(list(pool.map(_matches_reference_at_every_unit, instances, chunksize=10))) == 200
 
 
 def test_matches_reference_on_fig5():
@@ -46,6 +57,34 @@ def test_matches_reference_on_fig5():
         inst = gen_fig5(2, length)
         for unit, units in ((F(1), 2 * length), (F(1, 2), 3 * length)):
             _assert_same(inst, units, unit, reference_budget_table(inst, units, unit))
+
+
+def _assert_grown_equals_filled(instance, units, unit):
+    """Grown 1, 2, 4, ... up to ``units``, the table equals ``budget_table(instance, units, unit)``.
+
+    The Fraction views are read at every width, so a stale one would show.
+    """
+    grown = budget_table(instance, 1, unit)
+    while len(grown.rows[0]) <= units:
+        assert len(grown.reach[0]) == len(grown.parent[-1]) == len(grown.rows[0])
+        grown.grow(min(2 * (len(grown.rows[0]) - 1), units))
+    filled = budget_table(instance, units, unit)
+    where = f"{instance} U={units} unit={unit}"
+    assert (grown.rows, grown.choices) == (filled.rows, filled.choices), where
+    assert (grown.reach, grown.parent) == (filled.reach, filled.parent), where
+
+
+def test_grown_table_equals_filled_table_on_corpus():
+    for _, inst, _ in random_corpus(200):
+        for unit in CORPUS_UNITS:
+            _assert_grown_equals_filled(inst, max(CORPUS_BUDGETS), unit)
+
+
+def test_grown_table_equals_filled_table_on_fig5():
+    for length in range(6, 42, 2):
+        inst = gen_fig5(2, length)
+        for unit, units in ((F(1), 2 * length), (F(1, 2), 3 * length), (F(1, 3), 5 * length)):
+            _assert_grown_equals_filled(inst, units, unit)
 
 
 def test_matches_reference_with_half_integral_radii():

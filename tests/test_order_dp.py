@@ -28,6 +28,8 @@ from barriercover import (
 
 from barriercover import order_dp
 from conftest import random_corpus
+import reference_dp
+from reference_dp import reference_dp_eps
 
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
 I2 = Instance(12, (Sensor(0, 2), Sensor(1, 1), Sensor(3, 1), Sensor(5, 1), Sensor(7, 1)))
@@ -118,21 +120,48 @@ class TestDpOptimal:
         assert len(calls) == 1
 
     def test_budgets_double_from_one_grid_step(self, monkeypatch):
-        units = []
+        """The budgets tried double from one grid step, and one table grows through them all.
 
-        def recorded(instance, budget_units, unit=1):
-            units.append((budget_units, unit))
-            return budget_table(instance, budget_units, unit)
+        ``budget_table`` fills the first budget and ``DpTable.grow`` widens
+        that table to every budget (the first one included).  Each row is
+        filled once per column: 43 columns up to the final budget 42, not
+        the 112 of a fresh table per budget.
+        """
+        tables = []
+        widths = []
+        columns = []
+        real_table, real_grow, real_fill = budget_table, order_dp.DpTable.grow, order_dp._fill_row
 
-        monkeypatch.setattr(order_dp, "budget_table", recorded)
-        # fig5 L=24: OPT_op and the greedy cap are both 42.
-        dp_optimal(gen_fig5(2, 24))
-        assert units == [(2**k, 1) for k in range(6)] + [(42, 1)]
-        units.clear()
-        # Halved, it sits on the grid 1/2: the same steps, of half the size.
-        solution, _ = dp_optimal(scale_instance(gen_fig5(2, 24), F(1, 2)))
-        assert units == [(2**k, F(1, 2)) for k in range(6)] + [(42, F(1, 2))]
-        assert cost(scale_instance(gen_fig5(2, 24), F(1, 2)), solution) == 21
+        def recorded_table(instance, budget_units, unit=1):
+            tables.append((budget_units, unit))
+            return real_table(instance, budget_units, unit)
+
+        def recorded_grow(table, budget_units):
+            widths.append((budget_units, table.unit))
+            real_grow(table, budget_units)
+
+        def counted_fill(prev, row, *rest):
+            filled = []
+            columns.append(filled)
+            for _ in real_fill(prev, row, *rest):
+                filled.append(len(row) - sum(filled))
+                yield
+
+        monkeypatch.setattr(order_dp, "budget_table", recorded_table)
+        monkeypatch.setattr(order_dp.DpTable, "grow", recorded_grow)
+        monkeypatch.setattr(order_dp, "_fill_row", counted_fill)
+        # fig5 L=24: OPT_op and the greedy cap are both 42.  Halved, it sits
+        # on the grid 1/2: the same steps, of half the size.
+        for inst, unit in ((gen_fig5(2, 24), 1), (scale_instance(gen_fig5(2, 24), F(1, 2)), F(1, 2))):
+            tables.clear()
+            widths.clear()
+            columns.clear()
+            solution, _ = dp_optimal(inst)
+            assert cost(inst, solution) == 42 * unit
+            assert tables == [(1, unit)]
+            assert widths == [(2**k, unit) for k in range(6)] + [(42, unit)]
+            assert columns == [[2, 1, 2, 4, 8, 16, 10]] * inst.n
+            assert sum(map(sum, columns)) == 43 * inst.n
 
     def test_matches_order_preserving_oracle_on_corpus(self):
         for _, inst, _ in random_corpus(60):
@@ -247,6 +276,21 @@ class TestDpEps:
                 value = cost(inst, solution)
                 assert opt <= value <= (1 + eps) * opt
                 assert verify_coverage(inst, solution, active).covered
+
+    def test_guesses_below_the_gap_bound_fill_no_table(self, monkeypatch):
+        """fig5 L=18: the first guess, 1/16 per step, cannot pay for the home gaps, so 5 tables become 4."""
+        for module, solver, tables in ((order_dp, dp_eps, 4), (reference_dp, reference_dp_eps, 5)):
+            units = []
+            real = module._dp_within
+
+            def recorded(instance, budget_units, unit, real=real):
+                units.append((budget_units, unit))
+                return real(instance, budget_units, unit)
+
+            monkeypatch.setattr(module, "_dp_within", recorded)
+            solution, _ = solver(gen_fig5(2, 18), F(1, 2))
+            assert cost(gen_fig5(2, 18), solution) == 30
+            assert units == [(40, F(2**k, 16)) for k in range(5 - tables, 5)]
 
     def test_fractional_instance(self):
         # No integrality requirement: eighth-grid coordinates work directly.

@@ -13,8 +13,10 @@ subcommands, run from the repository root:
 ``rows`` times the topic's baseline rows on the ``barriercover`` in
 ``--src`` (default: this checkout's ``src``).  The DP rows are the C3 gate
 loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
-``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40}, fig5
-L=40 ``dp_optimal`` against the exhaustive ``oracle_optimal``, and one
+``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40},
+``dp_optimal`` on the n = 20 instance scaled by 100 (13 budget doublings
+on the grid 1), fig5 L=40 ``dp_optimal`` against the exhaustive
+``oracle_optimal``, and one
 ``python -m barriercover solve --algo dp-optimal corpora/i1.bc`` child
 run on ``--src`` (interpreter start and import included).  The
 untangle rows are ``untangle`` on fig5 L in {40, 80, 160, 320} (n = 19, 39,
@@ -130,6 +132,8 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
         inst = bc.gen_random(n, 2 * n, 1, 3, (-n, 3 * n), 7)
         rows[f"dp_eps_half.random_n{n}"] = lambda i=inst: bc.dp_eps(i, Fraction(1, 2))
         rows[f"dp_optimal.random_n{n}"] = lambda i=inst: bc.dp_optimal(i)
+    scaled = bc.scale_instance(bc.gen_random(20, 40, 1, 3, (-20, 60), 7), 100)
+    rows["dp_optimal.random_n20_x100"] = lambda: bc.dp_optimal(scaled)
     fig5 = bc.gen_fig5(2, 40)
     rows["dp_optimal.fig5_L40"] = lambda: bc.dp_optimal(fig5)
     rows["oracle_optimal.fig5_L40"] = lambda: bc.oracle_optimal(fig5)
