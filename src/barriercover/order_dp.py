@@ -88,6 +88,8 @@ class DpTable:
 
         The cell cap is checked first, and the Fraction views are dropped.
         """
+        if budget_units + 1 < len(self.rows[0]):
+            raise ValueError(f"cannot shrink a DP table from budget {len(self.rows[0]) - 1} to {budget_units}")
         cells = len(self.rows) * (budget_units + 1)
         if cells > DEFAULT_CELL_CAP:
             raise ResourceLimitError(f"DP table of {cells} cells exceeds the cap {DEFAULT_CELL_CAP}")
@@ -168,8 +170,9 @@ def _fill_row(
     while True:
         width = len(prev)
         latest = [-1] * width
-        for at in [at for at in later if at < width]:
-            latest[at] = later.pop(at)
+        for at in list(later):
+            if at < width:
+                latest[at] = later.pop(at)
         for j in range(start, width):
             at = j - (-abs(prev[j] + r - x) // u)
             if at < width:
@@ -269,15 +272,16 @@ def dp_exact(instance: Instance, budget: ScalarLike) -> Optional[tuple[Solution,
 
 
 def _dp_within(instance: Instance, units: int, unit: Scalar) -> Optional[tuple[Solution, ActiveSet]]:
-    """The DP's cover at the smallest budget of ``units`` steps of ``unit`` that covers, or None.
-
-    The last row is nondecreasing and clamped at L, so the smallest covering
-    budget is where L*scale would be inserted into it.
-    """
+    """The DP's cover at the smallest budget of ``units`` steps of ``unit`` that covers, or None."""
     return _cheapest_cover(instance, budget_table(instance, units, unit))
 
 
 def _cheapest_cover(instance: Instance, table: DpTable) -> Optional[tuple[Solution, ActiveSet]]:
+    """The cover at the table's smallest covering budget, or None.
+
+    The last row is nondecreasing and clamped at L, so the smallest covering
+    budget is where L*scale would be inserted into it.
+    """
     winner = bisect_left(table.rows[instance.n], _to_grid(instance.length, table.scale))
     return None if winner == len(table.rows[0]) else _reconstruct(instance, table, winner)
 
@@ -391,7 +395,7 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
     sensor by δ covers at most δ of new length, so every cover costs at
     least G, the home solution's total gap.  A cover in the table moves each
     placed sensor by at most its k steps of q, so it costs at most units*q.
-    While units*q < G, i.e. G*n > units*(eps/2)*guess, the table is empty.
+    While units*q < G, i.e. guess < G*n / (units*eps/2), the table is empty.
     """
     eps = as_scalar(eps)
     if eps <= 0:
@@ -402,13 +406,13 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
     if report.covered:
         return instance.home(), minimal_active_set(instance, instance.home())
     half = eps / 2
-    guess = max(hi - lo for lo, hi in report.gaps) / 2
-    gap = sum(hi - lo for lo, hi in report.gaps)
-    _, upper = greedy_cover(instance)
     units = math.ceil(instance.n / half) + instance.n
+    guess = max(hi - lo for lo, hi in report.gaps) / 2
+    floor = sum(hi - lo for lo, hi in report.gaps) * instance.n / (units * half)
+    _, upper = greedy_cover(instance)
     while True:
-        params = EpsParams(eps=half, opt_guess=guess, n=instance.n)
-        found = None if units * params.q < gap else _dp_within(instance, units, params.q)
+        q = EpsParams(eps=half, opt_guess=guess, n=instance.n).q
+        found = _dp_within(instance, units, q) if guess >= floor else None
         if found is not None and cost(instance, found[0]) <= (1 + half) * guess:
             return found
         if guess > 2 * upper:

@@ -9,6 +9,7 @@ The corpus check runs the quadratic Fraction reference 1,200 times, so its
 instances are spread over a few worker processes.
 """
 
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction as F
@@ -48,7 +49,8 @@ def _matches_reference_at_every_unit(inst):
 
 def test_matches_reference_on_corpus():
     instances = [inst for _, inst, _ in random_corpus(200)]
-    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, 4)) as pool:
+    spawn = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=min(os.cpu_count() or 1, 4), mp_context=spawn) as pool:
         assert len(list(pool.map(_matches_reference_at_every_unit, instances, chunksize=10))) == 200
 
 

@@ -181,6 +181,22 @@ class TestTableInvariants:
         with pytest.raises(ResourceLimitError, match="18 cells exceeds the cap 15"):
             budget_table(I1, 5)
 
+    def test_grow_checks_the_cell_cap_first(self, monkeypatch):
+        monkeypatch.setattr(order_dp, "DEFAULT_CELL_CAP", 3 * 5)
+        table = budget_table(I1, 2)
+        table.grow(4)
+        filled = budget_table(I1, 4)
+        with pytest.raises(ResourceLimitError, match="18 cells exceeds the cap 15"):
+            table.grow(5)
+        assert (table.rows, table.choices) == (filled.rows, filled.choices)
+
+    def test_grow_never_shrinks(self):
+        table = budget_table(I1, 4)
+        table.grow(4)
+        with pytest.raises(ValueError, match="cannot shrink a DP table from budget 4 to 3"):
+            table.grow(3)
+        assert [len(row) for row in table.rows] == [5, 5, 5]
+
     def test_base_row_is_zero(self):
         table = budget_table(I1, 6)
         assert all(v == 0 for v in table.reach[0])

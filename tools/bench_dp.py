@@ -14,8 +14,8 @@ subcommands, run from the repository root:
 ``--src`` (default: this checkout's ``src``).  The DP rows are the C3 gate
 loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
 ``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40},
-``dp_optimal`` on the n = 20 instance scaled by 100 (13 budget doublings
-on the grid 1), fig5 L=40 ``dp_optimal`` against the exhaustive
+``dp_optimal`` on the n = 20 instance scaled by 100 (13 budgets, 1 to
+4,096 grid steps), fig5 L=40 ``dp_optimal`` against the exhaustive
 ``oracle_optimal``, and one
 ``python -m barriercover solve --algo dp-optimal corpora/i1.bc`` child
 run on ``--src`` (interpreter start and import included).  The
