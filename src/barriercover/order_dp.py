@@ -60,7 +60,7 @@ from .model import (
 
 _SKIP = (-1, None)
 
-#: Largest table ``budget_table`` fills, in cells: (n + 1) * (budget_units + 1).
+#: Largest table ``budget_table`` fills or ``DpTable.grow`` widens, in cells: (n + 1) * (budget_units + 1).
 DEFAULT_CELL_CAP = 500_000
 
 
@@ -137,7 +137,7 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     here, only the answer that ``_dp_within`` reconstructs from it.
 
     A table of more than ``DEFAULT_CELL_CAP`` cells raises
-    ``ResourceLimitError`` before anything is allocated.
+    ``ResourceLimitError`` before any cell is allocated.
     """
     unit = as_scalar(unit)
     if unit <= 0:
