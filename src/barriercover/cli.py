@@ -33,6 +33,7 @@ from .model import (
     Instance,
     InfeasibleError,
     ResourceLimitError,
+    Scalar,
     cost,
     moved_indices,
     verify_coverage,
@@ -48,15 +49,26 @@ class _CliError(Exception):
     """Usage-level problem; maps to exit code 2."""
 
 
-def _node_cap(text: str) -> int:
-    """``--node-cap``: search states allowed; 0 is a cap, a negative number a usage error."""
+def _count(text: str) -> int:
+    """``--node-cap``, ``--max-movers``: 0 is a bound, a negative number a usage error."""
     try:
-        cap = int(text)
+        value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if cap < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {cap}")
-    return cap
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _cost_bound(text: str) -> Scalar:
+    """``--max-cost``: a rational bound >= 0, as ``_count`` checks a count."""
+    try:
+        value = parse_scalar(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {text.strip()}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -86,13 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget", help="movement budget in input units; without it the "
                        "exact solvers return the optimum (dp-eps ignores it)")
     solve.add_argument("--eps", default="1/2", help="approximation parameter (dp-eps)")
-    solve.add_argument("--node-cap", type=_node_cap, default=exact.DEFAULT_NODE_CAP)
+    solve.add_argument("--node-cap", type=_count, default=exact.DEFAULT_NODE_CAP)
     solve.add_argument("--out", help="output path (default: stdout)")
     solve.add_argument("instance", help="instance file path")
 
     verify = sub.add_parser("verify", help="check a solution file against an instance")
-    verify.add_argument("--max-cost", help="fail unless cost <= this bound")
-    verify.add_argument("--max-movers", type=int, help="fail unless movers <= this bound")
+    verify.add_argument("--max-cost", type=_cost_bound, help="fail unless cost <= this bound")
+    verify.add_argument("--max-movers", type=_count, help="fail unless movers <= this bound")
     verify.add_argument("instance", help="instance file path")
     verify.add_argument("solution", help="solution file path")
 
@@ -106,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--algos", help="comma list of algorithms (--dir; default: oracle,dp-optimal)")
     bench.add_argument("--reference", help="algorithm rated against (--dir; default: oracle)")
     bench.add_argument("--eps", help="approximation parameter (--dir; default: 1/2)")
-    bench.add_argument("--node-cap", type=_node_cap, default=exact.DEFAULT_NODE_CAP)
+    bench.add_argument("--node-cap", type=_count, default=exact.DEFAULT_NODE_CAP)
     bench.add_argument("--out", help="output path (default: stdout)")
     return parser
 
@@ -209,8 +221,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"cost: {format_scalar(total)}")
     print(f"movers: {len(movers)}")
     ok = report.covered
-    if args.max_cost is not None and total > parse_scalar(args.max_cost):
-        print(f"cost exceeds bound {args.max_cost}", file=sys.stderr)
+    if args.max_cost is not None and total > args.max_cost:
+        print(f"cost exceeds bound {format_scalar(args.max_cost)}", file=sys.stderr)
         ok = False
     if args.max_movers is not None and len(movers) > args.max_movers:
         print(f"mover count exceeds bound {args.max_movers}", file=sys.stderr)

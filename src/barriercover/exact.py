@@ -9,25 +9,29 @@ ints for speed.
 
 The searches are depth-first with admissible pruning only (budget, current
 incumbent, permanently wasted length, uncovered measure, reachability of
-the leftmost hole), so results are exact.  Their holes come from the one
-coverage sweep, ``model._gaps``, as ``verify_coverage``'s do; this module
-keeps no span code of its own.  ``brute_force`` also applies the
-reachability test one level ahead, so a child that test would kill on entry
-is never made a node (its docstring has the proof).  The three
-branch-and-bound searches run on one driver, ``_Search.run``, which keeps
-its own stack: depth costs nothing, and the node cap alone bounds the work,
-aborting with ``ResourceLimitError`` rather than ever reporting "no
-solution".
+the leftmost hole), so results are exact.  ``fpt_solve`` takes its holes
+from the one coverage sweep, ``model._gaps``, as ``verify_coverage`` does.
+A ``brute_force`` node instead carries the holes its placed sensors leave,
+cut by each child's span in O(holes); the holes of the unplaced sensors'
+homes are swept once per call, and a node's uncovered measure and first
+hole come from bisecting those for each placed hole.  ``brute_force`` also
+applies the reachability and bound tests one level ahead, so a child those
+tests would kill on entry is never made a node (its docstring has the
+proofs).  The three branch-and-bound searches run on one driver,
+``_Search.run``, which keeps its own stack: depth costs nothing, and the
+node cap alone bounds the work, aborting with ``ResourceLimitError`` rather
+than ever reporting "no solution".
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Callable, Container, Iterable, Iterator, Optional
+from itertools import accumulate, combinations
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional
 
 from .model import (
     Instance,
@@ -95,7 +99,9 @@ class _Search:
     child's subtree is done, so after each ``yield`` it re-reads ``bound()``
     and undoes whatever it changed in place for that child.  Open nodes
     live on an explicit stack, so depth costs no interpreter stack; every
-    node, the root included, counts against the node cap.
+    node, the root included, counts against the node cap.  ``nodes`` and
+    ``pruned`` (early returns and skipped children, by rule, as the search
+    counts them) stay readable after ``run``.
     """
 
     def __init__(self, node_cap: int, budget: int, d: int) -> None:
@@ -105,6 +111,7 @@ class _Search:
         self.budget = budget
         self.d = d
         self.nodes = 0
+        self.pruned: Counter[str] = Counter()
         self.best_cost: Optional[int] = None
         self.best: Optional[list[int]] = None
 
@@ -158,6 +165,68 @@ def _anchored_cover(length: int, xs: list[int], rs: list[int]) -> Optional[list[
     return y
 
 
+class _HoleIndex(NamedTuple):
+    """Sorted disjoint holes as parallel starts and ends, with prefix sums of their measures."""
+
+    starts: list[int]
+    ends: list[int]
+    sums: list[int]
+
+
+def _hole_index(holes: list[tuple[int, int]]) -> _HoleIndex:
+    return _HoleIndex(
+        [lo for lo, _ in holes],
+        [hi for _, hi in holes],
+        list(accumulate((hi - lo for lo, hi in holes), initial=0)),
+    )
+
+
+def _open_measure(holes: list[tuple[int, int]], index: _HoleIndex) -> tuple[int, int]:
+    """Measure and start (-1: none) of what ``index``'s holes leave of ``holes``.
+
+    Both are sorted disjoint open stretches, so the indexed holes meeting one
+    of ``holes`` are a run found by two bisections; their prefix sums, less
+    the overhang at either end, give the overlap.  O(len(holes) log n).
+    """
+    starts, ends, sums = index
+    total = 0
+    first = -1
+    for a, b in holes:
+        j = bisect_right(ends, a)
+        stop = bisect_left(starts, b, j)
+        if j < stop:
+            s, e = starts[j], ends[stop - 1]
+            total += sums[stop] - sums[j] - (a - s if a > s else 0) - (e - b if e > b else 0)
+            if first < 0:
+                first = a if a > s else s
+    return total, first
+
+
+def _open_stretches(holes: list[tuple[int, int]], index: _HoleIndex) -> list[tuple[int, int]]:
+    """The stretches ``_open_measure`` measures, sorted and disjoint."""
+    starts, ends, _ = index
+    out = []
+    for a, b in holes:
+        j = bisect_right(ends, a)
+        for k in range(j, bisect_left(starts, b, j)):
+            out.append((a if a > starts[k] else starts[k], b if b < ends[k] else ends[k]))
+    return out
+
+
+def _cut(holes: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]]:
+    """The holes left once the span [lo, hi] (lo < hi) is covered too."""
+    out = []
+    for a, b in holes:
+        if b <= lo or a >= hi:
+            out.append((a, b))
+            continue
+        if a < lo:
+            out.append((a, lo))
+        if b > hi:
+            out.append((hi, b))
+    return out
+
+
 def brute_force(
     instance: Instance,
     budget: Optional[ScalarLike] = None,
@@ -180,6 +249,22 @@ def brute_force(
     (at i + 1 = n none is left to try), so none of them is entered.  A
     skipped child never offers a cover, so the incumbents, the bounds and
     the result are those of the search that entered and killed each one.
+
+    Bound-dead children are cut in their parent too.  Let ``base`` be the
+    measure of the placed holes that the homes of sensors i + 1.. leave
+    open.  A child placing span s leaves open exactly ``base`` less the
+    overlap of s with those stretches, which is its own entry's uncovered
+    measure, so when ``spent + d`` plus that exceeds ``bound()`` the child
+    would return at entry (as a leaf at i + 1 = n, its cover would cost
+    more than ``offer`` accepts).  Skipping it changes no incumbent, and
+    each node count falls by exactly the children skipped.
+
+    The waste test admits a span only when its overlap with the placed
+    holes is at least ``need = waste + 2r - slack``.  That overlap is at
+    most the span's overlap with the holes' hull [a, b], which is at most
+    y + r - a and b - (y - r); so with need > 0, every y below a - r + need
+    or above b + r - need fails the test, and with no placed hole every y
+    does.  The d loop skips those y without testing them.
     """
     d, length, xs, rs = on_grid(instance)
     limit = None if budget is None else grid_units(budget, d)
@@ -187,10 +272,14 @@ def brute_force(
     if not is_feasible(instance):
         return None
 
-    # Spans are (lo, hi, i), clipped to the barrier as the model's sweep needs.
-    suffix_home: list[list[tuple[int, int, int]]] = [[] for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        suffix_home[i] = _merge(suffix_home[i + 1] + _clipped_spans(rs, xs, length, (i,)))
+    # ``suffix[i]``: the holes the homes of sensors i.. leave, indexed once.
+    suffix: list[_HoleIndex] = []
+    home: list[tuple[int, int, int]] = []
+    for i in range(n, -1, -1):
+        if i < n:
+            home = _merge(home + _clipped_spans(rs, xs, length, (i,)))
+        suffix.append(_hole_index(_gaps(home, length)))
+    suffix.reverse()
     slack = sum(2 * r for r in rs) - length
     # Equal intervals may be assumed uncrossed (swapping their targets never
     # raises the cost): ``floors[r]`` is where the latest sensor of radius r
@@ -202,6 +291,7 @@ def brute_force(
 
     greedy_y, greedy_cost = greedy_cover(instance)
     search = _Search(node_cap, int(greedy_cost * d) if limit is None else limit, d)
+    pruned = search.pruned
     search.offer(int(greedy_cost * d), [int(v * d) for v in greedy_y])
     anchored = _anchored_cover(length, xs, rs)
     if anchored is not None:
@@ -239,44 +329,56 @@ def brute_force(
                     best = c
         return best
 
-    def visit(i: int, spent: int, placed: list[tuple[int, int, int]], waste: int) -> Iterator[tuple]:
-        holes = _gaps(sorted(placed + suffix_home[i]), length)
+    def visit(i: int, spent: int, holes: list[tuple[int, int]], waste: int) -> Iterator[tuple]:
+        # ``holes``: the placed sensors' holes, sorted and disjoint.
         if i == n:
             if not holes:
                 search.offer(spent, positions)
             return
-        first_hole = holes[0][0] if holes else -1
-        lower = sum(hi - lo for lo, hi in holes)
+        lower, first_hole = _open_measure(holes, suffix[i])
         if first_hole >= 0:
             reach = min_reach(i, first_hole)
             if reach is None:
+                pruned["dead-hole"] += 1
                 return
             if reach > lower:
                 lower = reach
         # A hole the suffix homes still cover can nevertheless be dead when
         # the uncrossing floors keep every remaining sensor to its right.
-        placed_holes = _gaps(placed, length)
-        placed_hole = placed_holes[0][0] if placed_holes else -1
+        placed_hole = holes[0][0] if holes else -1
         if placed_hole >= 0 and placed_hole != first_hole:
             reach = min_reach(i, placed_hole)
             if reach is None:
+                pruned["dead-placed-hole"] += 1
                 return
             if reach > lower:
                 lower = reach
         bnd = search.bound()
         if spent + lower > bnd:
+            pruned["bound"] += 1
             return
         r = rs[i]
+        two_r = 2 * r
         floor = floors[r]
         lo_y = min(-r, xs[i]) if floor is None else max(min(-r, xs[i]), floor)
         hi_y = max(length + r, xs[i])
+        need = waste + two_r - slack
+        if need > 0:
+            # Only a span overlapping the holes' hull by need can pass the waste test.
+            if not holes:
+                return
+            lo_y = max(lo_y, placed_hole - r + need)
+            hi_y = min(hi_y, holes[-1][1] + r - need)
         if placed_hole >= 0:
             # The children right of placed_hole + r, checked at once (see above).
             floors[r] = placed_hole + r + 1
             if min_reach(i + 1, placed_hole) is None:
                 hi_y = min(hi_y, placed_hole + r)
             floors[r] = floor
-        two_r = 2 * r
+        # What the suffix homes from i + 1 leave of the holes: a child's
+        # uncovered measure is ``base`` less its span's overlap with ``ahead``.
+        ahead = _open_stretches(holes, suffix[i + 1])
+        base = sum(hi - lo for lo, hi in ahead)
         d = 0
         while spent + d <= bnd and (xs[i] + d <= hi_y or xs[i] - d >= lo_y):
             for y in ((xs[i],) if d == 0 else (xs[i] + d, xs[i] - d)):
@@ -288,21 +390,32 @@ def brute_force(
                 # its overlap with the placed holes) only ever grows; more
                 # than the global slack means no completion can cover.
                 child_waste = waste + two_r
-                for h_lo, h_hi in placed_holes:
+                for h_lo, h_hi in holes:
                     if h_hi <= lo:
                         continue
                     if h_lo >= hi:
                         break
                     child_waste -= (hi if hi < h_hi else h_hi) - (lo if lo > h_lo else h_lo)
                 if child_waste > slack:
+                    pruned["waste"] += 1
+                    continue
+                uncovered = base
+                for h_lo, h_hi in ahead:
+                    if h_hi <= lo:
+                        continue
+                    if h_lo >= hi:
+                        break
+                    uncovered -= (hi if hi < h_hi else h_hi) - (lo if lo > h_lo else h_lo)
+                if spent + d + uncovered > bnd:
+                    pruned["bound-cut"] += 1
                     continue
                 positions[i] = floors[r] = y
-                yield i + 1, spent + d, _merge(placed + [(lo, hi, i)]) if lo < hi else placed, child_waste
+                yield i + 1, spent + d, _cut(holes, lo, hi) if lo < hi else holes, child_waste
                 positions[i], floors[r] = xs[i], floor
+                bnd = search.bound()
             d += 1
-            bnd = search.bound()
 
-    return search.run(visit, 0, 0, [], 0)
+    return search.run(visit, 0, 0, _gaps([], length), 0)
 
 
 def brute_force_order_preserving(

@@ -197,6 +197,28 @@ class TestVerify:
         sol.write_text("COST 3\n1\n3\n")
         assert main(["verify", "--max-cost", "2", i1_path, str(sol)]) == 1
 
+    def test_negative_cost_bound_is_usage_error(self, i1_path, tmp_path, capsys):
+        """A negative --max-cost is refused before the solution is read, as --node-cap is."""
+        sol = tmp_path / "sol.txt"
+        sol.write_text("COST 3\n1\n3\n")
+        assert main(["verify", "--max-cost", "-1", i1_path, str(sol)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-cost: must be >= 0, got -1" in captured.err
+        assert main(["verify", "--max-cost=-1/2", i1_path, str(sol)]) == 2
+        assert "--max-cost: must be >= 0, got -1/2" in capsys.readouterr().err
+        assert main(["verify", "--max-cost", "0", i1_path, str(sol)]) == 1
+        assert "cost exceeds bound 0" in capsys.readouterr().err
+
+    def test_negative_movers_bound_is_usage_error(self, i1_path, tmp_path, capsys):
+        """A negative --max-movers is refused with exit 2; a bound of 0 still applies (exit 1)."""
+        sol = tmp_path / "sol.txt"
+        sol.write_text("COST 3\n1\n3\n")
+        assert main(["verify", "--max-movers", "-1", i1_path, str(sol)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--max-movers: must be >= 0, got -1" in captured.err
+        assert main(["verify", "--max-movers", "0", i1_path, str(sol)]) == 1
+        assert "mover count exceeds bound 0" in capsys.readouterr().err
+
     def test_corrupt_cost_line(self, i1_path, tmp_path):
         sol = tmp_path / "sol.txt"
         sol.write_text("COST 7\n1\n3\n")

@@ -21,6 +21,7 @@ from barriercover import (
     scale_instance,
     verify_coverage,
 )
+from barriercover import exact
 from barriercover.exact import gap_candidates
 
 from conftest import random_corpus
@@ -227,11 +228,11 @@ class TestNodeCounts:
             (lambda cap: oracle_optimal(gen_fig5(2, 36), cap), 410, 34),
             (lambda cap: oracle_optimal(gen_fig5(2, 40), cap), 515, 38),
             (lambda cap: oracle_optimal(gen_fig5(2, 44), cap), 632, 42),
-            (lambda cap: oracle_optimal(gen_fig6(2, 6, F(1, 8)), cap), 329, F(15, 8)),
-            (lambda cap: oracle_optimal(gen_fig6(2, 7, F(1, 8)), cap), 939, F(21, 8)),
-            (lambda cap: oracle_optimal(gen_fig6(2, 8, F(1, 8)), cap), 2454, F(7, 2)),
-            (lambda cap: oracle_optimal(PINNED, cap), 467, 13),
-            (lambda cap: oracle_optimal(DEEP, cap), 1100, 1100),
+            (lambda cap: oracle_optimal(gen_fig6(2, 6, F(1, 8)), cap), 114, F(15, 8)),
+            (lambda cap: oracle_optimal(gen_fig6(2, 7, F(1, 8)), cap), 351, F(21, 8)),
+            (lambda cap: oracle_optimal(gen_fig6(2, 8, F(1, 8)), cap), 963, F(7, 2)),
+            (lambda cap: oracle_optimal(PINNED, cap), 220, 13),
+            (lambda cap: oracle_optimal(DEEP, cap), 1099, 1100),
             (lambda cap: fpt_solve(PINNED, 13, cap), 175, 13),
             (lambda cap: fpt_solve(PINNED, 12, cap), 123, None),
             (lambda cap: brute_force_order_preserving(PINNED, node_cap=cap), 155, 13),
@@ -245,6 +246,39 @@ class TestNodeCounts:
         assert (None if found is None else found[1]) == expected
         with pytest.raises(ResourceLimitError, match=f"explored more than {nodes - 1} states"):
             search(nodes - 1)
+
+    @pytest.mark.parametrize(
+        "instance, nodes_before_cut",
+        [
+            (gen_fig6(2, 6, F(1, 8)), 329),
+            (gen_fig6(2, 7, F(1, 8)), 939),
+            (gen_fig6(2, 8, F(1, 8)), 2454),
+            (PINNED, 467),
+            (DEEP, 1100),
+            (gen_fig5(2, 44), 632),
+        ],
+        ids=["fig6-m6", "fig6-m7", "fig6-m8", "random", "deep", "fig5-L44"],
+    )
+    def test_bound_cut_children_were_nodes(self, monkeypatch, instance, nodes_before_cut):
+        """Each child cut on the bound in its parent was one node before the cut.
+
+        The oracle's counts before the parent learned the cut, as pinned
+        then: the nodes left plus the children cut give them back exactly.
+        """
+        searches = []
+
+        class Recorded(exact._Search):
+            def __init__(self, *args):
+                super().__init__(*args)
+                searches.append(self)
+
+        monkeypatch.setattr(exact, "_Search", Recorded)
+        oracle_optimal(instance)
+        (search,) = searches
+        assert search.nodes + search.pruned["bound-cut"] == nodes_before_cut
+        assert set(search.pruned) <= {"bound", "dead-hole", "dead-placed-hole", "waste", "bound-cut"}
+        if instance == gen_fig5(2, 44):
+            assert search.pruned["bound-cut"] == 0
 
 
 class TestOracleOptimal:

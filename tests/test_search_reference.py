@@ -1,18 +1,24 @@
 """The oracle search against the verbatim search it replaced.
 
 ``brute_force`` skips, in the parent node, every child whose own hole
-checks would kill it at entry.  A skipped child never offers a cover, so
-the incumbents and bounds follow the same sequence as before: the search
-must return the very ``(solution, cost)`` the reference returns, budget-free
-(``oracle_optimal``) and at budgets 0, 1 and 2 alike.
+checks or bound test would kill it at entry.  A skipped child never offers
+a cover, so the incumbents and bounds follow the same sequence as before:
+the search must return the very ``(solution, cost)`` the reference returns,
+budget-free (``oracle_optimal``) and at budgets 0, 1 and 2 alike.  Its node
+state, the placed sensors' holes, must measure what the merged-span sweep
+measures.
 """
 
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_search as ref
-from barriercover import brute_force, gen_fig5, gen_fig6, oracle_optimal
+from barriercover import brute_force, gen_fig5, gen_fig6, gen_random, oracle_optimal
+from barriercover.exact import _cut, _hole_index, _open_measure, _open_stretches
+from barriercover.model import _gaps, _merge
 
 from conftest import random_corpus
 
@@ -36,6 +42,44 @@ def test_matches_reference_on_fig5(rho, lengths):
         _assert_same(gen_fig5(rho, length))
 
 
+def test_matches_reference_on_random_family():
+    """The benchmark's random oracle instances, on every seed it can draw from."""
+    for seed in range(200):
+        _assert_same(gen_random(6, 12, 1, 3, (-6, 18), seed))
+
+
 def test_matches_reference_on_fig6():
     for m in range(2, 9):
         _assert_same(gen_fig6(2, m, F(1, 8)))
+
+
+def test_matches_reference_on_fig6_rho3():
+    for m in range(2, 9):
+        _assert_same(gen_fig6(3, m, F(1, 8)))
+
+
+_spans = st.lists(
+    st.tuples(st.integers(-4, 30), st.integers(1, 12)).map(lambda t: (t[0], t[0] + t[1], 0)),
+    max_size=6,
+)
+
+
+def _clip(spans, length):
+    return [(max(lo, 0), min(hi, length), i) for lo, hi, i in spans if lo < length and hi > 0]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(placed=_spans, home=_spans, length=st.integers(0, 26))
+def test_bisected_holes_match_the_sweep(placed, home, length):
+    """Holes cut span by span, bisected against the home holes, equal one sweep of both."""
+    placed, home = _clip(placed, length), _clip(home, length)
+    holes = _gaps([], length)
+    for lo, hi, _ in placed:
+        holes = _cut(holes, lo, hi)
+    assert holes == _gaps(_merge(placed), length)
+    index = _hole_index(_gaps(_merge(home), length))
+    swept = _gaps(sorted(placed + _merge(home)), length)
+    total, first = _open_measure(holes, index)
+    assert total == sum(hi - lo for lo, hi in swept)
+    assert first == (swept[0][0] if swept else -1)
+    assert _open_stretches(holes, index) == swept
