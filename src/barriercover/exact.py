@@ -263,8 +263,10 @@ def brute_force(
     holes is at least ``need = waste + 2r - slack``.  That overlap is at
     most the span's overlap with the holes' hull [a, b], which is at most
     y + r - a and b - (y - r); so with need > 0, every y below a - r + need
-    or above b + r - need fails the test, and with no placed hole every y
-    does.  The d loop skips those y without testing them.
+    or above b + r - need fails the test, and the d loop skips those y
+    without testing them.  The hull exists then: waste is the placed
+    lengths less the measure they cover, so need is the placed holes'
+    measure less the lengths of sensors i + 1.., and is at most the former.
     """
     d, length, xs, rs = on_grid(instance)
     limit = None if budget is None else grid_units(budget, d)
@@ -365,8 +367,6 @@ def brute_force(
         need = waste + two_r - slack
         if need > 0:
             # Only a span overlapping the holes' hull by need can pass the waste test.
-            if not holes:
-                return
             lo_y = max(lo_y, placed_hole - r + need)
             hi_y = min(hi_y, holes[-1][1] + r - need)
         if placed_hole >= 0:
