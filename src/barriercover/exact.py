@@ -31,7 +31,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, combinations
-from typing import Callable, Container, Iterable, Iterator, NamedTuple, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 from .model import (
     Instance,
@@ -165,16 +165,12 @@ def _anchored_cover(length: int, xs: list[int], rs: list[int]) -> Optional[list[
     return y
 
 
-class _HoleIndex(NamedTuple):
-    """Sorted disjoint holes as parallel starts and ends, with prefix sums of their measures."""
-
-    starts: list[int]
-    ends: list[int]
-    sums: list[int]
+# Sorted disjoint holes as parallel starts and ends, with prefix sums of their measures.
+_HoleIndex = tuple[list[int], list[int], list[int]]
 
 
 def _hole_index(holes: list[tuple[int, int]]) -> _HoleIndex:
-    return _HoleIndex(
+    return (
         [lo for lo, _ in holes],
         [hi for _, hi in holes],
         list(accumulate((hi - lo for lo, hi in holes), initial=0)),
@@ -182,7 +178,7 @@ def _hole_index(holes: list[tuple[int, int]]) -> _HoleIndex:
 
 
 def _open_measure(holes: list[tuple[int, int]], index: _HoleIndex) -> tuple[int, int]:
-    """Measure and start (-1: none) of what ``index``'s holes leave of ``holes``.
+    """Measure and start (-1: none) of what is open both in ``holes`` and in ``index``.
 
     Both are sorted disjoint open stretches, so the indexed holes meeting one
     of ``holes`` are a run found by two bisections; their prefix sums, less
@@ -203,7 +199,7 @@ def _open_measure(holes: list[tuple[int, int]], index: _HoleIndex) -> tuple[int,
 
 
 def _open_stretches(holes: list[tuple[int, int]], index: _HoleIndex) -> list[tuple[int, int]]:
-    """The stretches ``_open_measure`` measures, sorted and disjoint."""
+    """The stretches open both in ``holes`` and in ``index``, sorted and disjoint."""
     starts, ends, _ = index
     out = []
     for a, b in holes:
