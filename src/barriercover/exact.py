@@ -17,20 +17,21 @@ homes are swept once per call, and a node's uncovered measure and first
 hole come from bisecting those for each placed hole.  ``brute_force`` also
 applies the reachability and bound tests one level ahead, so a child those
 tests would kill on entry is never made a node (its docstring has the
-proofs).  The three branch-and-bound searches run on one driver,
-``_Search.run``, which keeps its own stack: depth costs nothing, and the
-node cap alone bounds the work, aborting with ``ResourceLimitError`` rather
-than ever reporting "no solution".
+proofs).  The three branch-and-bound searches, ``brute_force``,
+``brute_force_order_preserving`` and ``fpt_solve`` (which, given a mover
+cap, also decides the k-mover variant), run on one driver, ``_Search.run``,
+which keeps its own stack: depth costs nothing, and the node cap alone
+bounds the work, aborting with ``ResourceLimitError`` rather than ever
+reporting "no solution".
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, combinations
+from itertools import accumulate
 from typing import Callable, Container, Iterable, Iterator, Optional
 
 from .model import (
@@ -46,26 +47,10 @@ from .model import (
     grid_units,
     is_feasible,
     on_grid,
-    verify_coverage,
 )
 from .order_dp import greedy_cover
 
 DEFAULT_NODE_CAP = 10**8
-
-
-@dataclass(frozen=True)
-class KMoveQuery:
-    """Budget plus a bound on how many sensors may move at all."""
-
-    budget: Scalar
-    movers: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "budget", as_scalar(self.budget))
-        if self.budget < 0:
-            raise ValueError("budget must be >= 0")
-        if self.movers < 0:
-            raise ValueError("mover bound must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,7 +63,10 @@ class GapCandidateSet:
     ``model.on_grid``.  Each point keeps only the budget+1 longest sensors
     (ties to the lower index): with at most ``budget`` movers, a discarded
     shorter sensor can be replaced at equal cost by a kept unmoved one,
-    whose own home stays covered by a second kept one.
+    whose own home stays covered by a second kept one.  The exchange moves
+    the kept sensor in place of the discarded one, which then stays home,
+    so it keeps the number of movers too: the trim is just as valid under
+    ``fpt_solve``'s mover cap.
     """
 
     gap: tuple[Scalar, Scalar]
@@ -439,13 +427,15 @@ def brute_force_order_preserving(
         suffix_len[i] = suffix_len[i + 1] + 2 * rs[i]
 
     search = _Search(node_cap, limit, d)
+    pruned = search.pruned
     positions = list(xs)
 
     def visit(i: int, spent: int, reach: int, last_y: Optional[int]) -> Iterator[tuple]:
         if reach >= length:
             search.offer(spent, positions)
             return
-        if i == n or reach + suffix_len[i] < length:
+        if reach + suffix_len[i] < length:  # also every i == n: suffix_len[n] is 0
+            pruned["short"] += 1
             return
         yield i + 1, spent, reach, last_y  # sensor i stays home, inactive
         lo = reach - rs[i] + 1
@@ -454,6 +444,7 @@ def brute_force_order_preserving(
         for y in range(lo, reach + rs[i] + 1):
             move = abs(y - xs[i])
             if spent + move > search.bound():
+                pruned["bound"] += 1
                 continue
             positions[i] = y
             yield i + 1, spent + move, max(reach, y + rs[i]), y
@@ -508,6 +499,7 @@ def fpt_solve(
     instance: Instance,
     budget: ScalarLike,
     node_cap: int = DEFAULT_NODE_CAP,
+    movers: Optional[int] = None,
 ) -> Optional[tuple[Solution, Scalar]]:
     """Budget-parameterized branching: who closes the leftmost gap, and where.
 
@@ -518,11 +510,27 @@ def fpt_solve(
     sensors — trimmed per edge group as in GapCandidateSet — and over every
     grid center covering the unit within the remaining budget.  Every move
     costs at least one grid unit, so the depth is bounded by the budget.
+
+    ``movers=k`` decides the k-mover variant: covers moving at most k
+    sensors.  A node with holes and k sensors moved returns unbranched, and
+    the search stays complete.  Take a cover T with at most k movers that
+    agrees with the node on every sensor in ``moved`` (each other sensor is
+    still home).  T covers the first unit of the leftmost gap with some
+    sensor j; j is not in ``moved`` (those sit where T puts them, and leave
+    the unit open) and not home in T (its home leaves the unit open too).
+    So j is a mover of T outside ``moved``, and ``len(moved) < k``.  The
+    candidate trim stays valid under the cap: its exchange swaps one mover
+    for another, so T keeps its mover count (see GapCandidateSet).
     """
+    if movers is not None and movers < 0:
+        raise ValueError(f"mover bound must be >= 0, got {movers}")
     d, length, xs, rs = on_grid(instance)
     limit = grid_units(budget, d)
+    if not is_feasible(instance):
+        return None
 
     search = _Search(node_cap, limit, d)
+    pruned = search.pruned
     positions = list(xs)
     moved: set[int] = set()
 
@@ -531,8 +539,12 @@ def fpt_solve(
         if not holes:
             search.offer(spent, positions)
             return
+        if movers is not None and len(moved) >= movers:
+            pruned["movers"] += 1
+            return
         room = search.bound() - spent
         if sum(hi - lo for lo, hi in holes) > room:
+            pruned["gap-measure"] += 1
             return
         gap_lo, gap_hi = holes[0]
         left, right = _edge_groups(xs, rs, gap_lo, gap_hi, room, moved)
@@ -549,61 +561,6 @@ def fpt_solve(
             moved.discard(j)
 
     return search.run(visit, 0)
-
-
-def kmove_brute_force(
-    instance: Instance,
-    query: KMoveQuery,
-    state_cap: int = DEFAULT_NODE_CAP,
-) -> Optional[Solution]:
-    """Any covering solution moving at most k sensors at total cost <= budget.
-
-    Enumerates mover subsets and, for each mover, grid positions in
-    [-r, L + r]; refuses up front (resource error) when the state estimate
-    blows past the cap.
-    """
-    d, length, xs, rs = on_grid(instance)
-    limit = grid_units(query.budget, d)
-    n = len(xs)
-    k = min(query.movers, n)
-
-    widest = max((length + 2 * r + 2 for r in rs), default=1)
-    estimate = sum(math.comb(n, size) * widest**size for size in range(k + 1))
-    if estimate > state_cap:
-        raise ResourceLimitError(f"k-move estimate {estimate} exceeds cap {state_cap}")
-
-    home = instance.home()
-    if verify_coverage(instance, home).covered:
-        return home
-
-    for size in range(1, k + 1):
-        for movers in combinations(range(n), size):
-
-            def assign(idx: int, spent: int, current: list[int]) -> Optional[Solution]:
-                if idx == size:
-                    candidate = list(xs)
-                    for j, y in zip(movers, current):
-                        candidate[j] = y
-                    sol = tuple(Fraction(v, d) for v in candidate)
-                    if verify_coverage(instance, sol).covered:
-                        return sol
-                    return None
-                j = movers[idx]
-                for y in range(-rs[j], length + rs[j] + 1):
-                    if y == xs[j]:
-                        continue
-                    step = abs(y - xs[j])
-                    if spent + step > limit:
-                        continue
-                    found = assign(idx + 1, spent + step, current + [y])
-                    if found is not None:
-                        return found
-                return None
-
-            found = assign(0, 0, [])
-            if found is not None:
-                return found
-    return None
 
 
 def oracle_optimal(

@@ -16,7 +16,6 @@ from barriercover import (
     ExactCoverInstance,
     InfeasibleError,
     Instance,
-    KMoveQuery,
     Sensor,
     brute_force,
     brute_force_order_preserving,
@@ -28,7 +27,6 @@ from barriercover import (
     gen_fig6,
     integral_scale_factor,
     is_order_preserving,
-    kmove_brute_force,
     max_stab_count,
     minimal_active_set,
     oracle_optimal,
@@ -235,7 +233,7 @@ def test_c7_reduction_cross_validation():
         reduced = reduce_exact_cover(ec)
         doubled = scale_instance(reduced.instance, 2)
         got = (
-            kmove_brute_force(doubled, KMoveQuery(reduced.budget * 2, reduced.movers))
+            fpt_solve(doubled, reduced.budget * 2, movers=reduced.movers)
             is not None
         )
         assert truth == got, f"reduction disagrees on {ec}"

@@ -5,7 +5,6 @@ import pytest
 from barriercover import (
     ExactCoverInstance,
     Instance,
-    KMoveQuery,
     ResourceLimitError,
     Sensor,
     brute_force,
@@ -15,7 +14,6 @@ from barriercover import (
     gen_fig5,
     gen_fig6,
     gen_random,
-    kmove_brute_force,
     oracle_optimal,
     reduce_exact_cover,
     scale_instance,
@@ -128,6 +126,15 @@ class TestFpt:
     def test_gap_measure_bound_fails_fast(self):
         inst = Instance(10, (Sensor(20, 1),))
         assert fpt_solve(inst, 3) is None
+        # Feasible, so only the gap-measure prune answers it, at the root:
+        # the gaps (0, 4) measure 4 > 3.
+        feasible = Instance(4, (Sensor(-10, 1), Sensor(20, 1)))
+        assert fpt_solve(feasible, 3, node_cap=1) is None
+
+    def test_infeasible_is_absent_at_once(self):
+        # Total length 32 < 40: no cover exists, and no node is explored.
+        inst = Instance(40, tuple(Sensor(5 * i, 2) for i in range(8)))
+        assert fpt_solve(inst, 100, node_cap=0) is None
 
     def test_rejects_fractional_input(self):
         """Fractional input is solved on its own grid: the scaled answer divided by d."""
@@ -161,28 +168,36 @@ class TestKMove:
         ec = ExactCoverInstance(2, (frozenset({1}), frozenset({1, 2}), frozenset({2})), 2)
         red = reduce_exact_cover(ec)
         doubled = scale_instance(red.instance, 2)
-        found = kmove_brute_force(doubled, KMoveQuery(red.budget * 2, red.movers))
+        found = fpt_solve(doubled, red.budget * 2, movers=red.movers)
         assert found is not None
-        assert verify_coverage(doubled, found).covered
+        assert verify_coverage(doubled, found[0]).covered
 
     def test_zero_movers_on_uncovered_instance(self):
-        assert kmove_brute_force(I1, KMoveQuery(10, 0)) is None
+        assert fpt_solve(I1, 10, movers=0) is None
 
     def test_unconstrained_feasible(self):
-        found = kmove_brute_force(I1, KMoveQuery(100, I1.n))
+        found = fpt_solve(I1, 100, movers=I1.n)
         assert found is not None
-        assert verify_coverage(I1, found).covered
+        assert verify_coverage(I1, found[0]).covered
 
-    def test_estimate_cap(self):
+    def test_node_cap(self):
+        """The node cap bounds the capped search; infeasibility needs no search.
+
+        The old subset enumeration refused this infeasible instance (total
+        length 32 < 40) up front on its state estimate; it is now proven
+        absent without a node.  A feasible search past its cap still raises.
+        """
         inst = Instance(40, tuple(Sensor(5 * i, 2) for i in range(8)))
+        assert fpt_solve(inst, 100, node_cap=0, movers=8) is None
+        assert fpt_solve(PINNED, 13, 175, movers=6)[1] == 13
         with pytest.raises(ResourceLimitError):
-            kmove_brute_force(inst, KMoveQuery(100, 8), state_cap=1000)
+            fpt_solve(PINNED, 13, 174, movers=6)
 
     def test_query_validation(self):
         with pytest.raises(ValueError):
-            KMoveQuery(-1, 0)
-        with pytest.raises(ValueError):
-            KMoveQuery(0, -1)
+            fpt_solve(I1, -1, movers=0)
+        with pytest.raises(ValueError, match="mover bound must be >= 0"):
+            fpt_solve(I1, 0, movers=-1)
 
 
 class TestDeepSearch:
@@ -215,6 +230,25 @@ class TestDeepSearch:
 
 
 PINNED = gen_random(6, 12, 1, 3, (-6, 18), 9)
+# TestKMove's yes-instance, the reduction of {{1}, {1, 2}, {2}} with k = 2,
+# doubled onto the integer grid.
+REDUCTION = reduce_exact_cover(
+    ExactCoverInstance(2, (frozenset({1}), frozenset({1, 2}), frozenset({2})), 2)
+)
+DOUBLED_REDUCTION = scale_instance(REDUCTION.instance, 2)
+
+
+def _record_searches(monkeypatch):
+    """Patch ``exact._Search`` so each search made is appended to the list returned."""
+    searches = []
+
+    class Recorded(exact._Search):
+        def __init__(self, *args):
+            super().__init__(*args)
+            searches.append(self)
+
+    monkeypatch.setattr(exact, "_Search", Recorded)
+    return searches
 
 
 class TestNodeCounts:
@@ -235,11 +269,15 @@ class TestNodeCounts:
             (lambda cap: oracle_optimal(DEEP, cap), 1099, 1100),
             (lambda cap: fpt_solve(PINNED, 13, cap), 175, 13),
             (lambda cap: fpt_solve(PINNED, 12, cap), 123, None),
+            (lambda cap: fpt_solve(PINNED, 13, cap, movers=2), 83, None),
+            (lambda cap: fpt_solve(DOUBLED_REDUCTION, 2 * REDUCTION.budget, cap, movers=REDUCTION.movers),
+             40, 650),
             (lambda cap: brute_force_order_preserving(PINNED, node_cap=cap), 155, 13),
         ],
         ids=["oracle-fig5-L24", "oracle-fig5-L32", "oracle-fig5-L36", "oracle-fig5-L40", "oracle-fig5-L44",
              "oracle-fig6-m6", "oracle-fig6-m7", "oracle-fig6-m8", "oracle-random", "oracle-deep",
-             "fpt-at-opt", "fpt-below-opt", "order-preserving-random"],
+             "fpt-at-opt", "fpt-below-opt", "fpt-two-movers", "fpt-reduction-two-movers",
+             "order-preserving-random"],
     )
     def test_node_cap_boundary(self, search, nodes, expected):
         found = search(nodes)
@@ -266,18 +304,31 @@ class TestNodeCounts:
         then: the nodes left plus the children cut give them back exactly
         (fig5 L=44 keeps all 632 nodes, so it has no cut).
         """
-        searches = []
-
-        class Recorded(exact._Search):
-            def __init__(self, *args):
-                super().__init__(*args)
-                searches.append(self)
-
-        monkeypatch.setattr(exact, "_Search", Recorded)
+        searches = _record_searches(monkeypatch)
         oracle_optimal(instance)
         (search,) = searches
         assert search.nodes + search.pruned["bound-cut"] == nodes_before_cut
         assert set(search.pruned) <= {"bound", "dead-hole", "dead-placed-hole", "waste", "bound-cut"}
+
+    @pytest.mark.parametrize(
+        "search, nodes, pruned",
+        [
+            (lambda: fpt_solve(PINNED, 13), 175, {"gap-measure": 120}),
+            (lambda: fpt_solve(PINNED, 12), 123, {"gap-measure": 86}),
+            (lambda: fpt_solve(PINNED, 13, movers=2), 83, {"movers": 70, "gap-measure": 3}),
+            (lambda: brute_force_order_preserving(PINNED, 13), 150, {"short": 70, "bound": 113}),
+            (lambda: brute_force_order_preserving(PINNED, 12), 143, {"short": 66, "bound": 112}),
+        ],
+        ids=["fpt-at-opt", "fpt-below-opt", "fpt-two-movers", "order-preserving-at-opt",
+             "order-preserving-below-opt"],
+    )
+    def test_prune_counts(self, monkeypatch, search, nodes, pruned):
+        """Each early return and skipped placement, counted by rule."""
+        searches = _record_searches(monkeypatch)
+        search()
+        (recorded,) = searches
+        assert recorded.nodes == nodes
+        assert recorded.pruned == pruned
 
 
 class TestOracleOptimal:
