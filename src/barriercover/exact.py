@@ -16,8 +16,9 @@ cut by each child's span in O(holes); the holes of the unplaced sensors'
 homes are swept once per call, and a node's uncovered measure and first
 hole come from bisecting those for each placed hole.  ``brute_force`` also
 applies the reachability and bound tests one level ahead, so a child those
-tests would kill on entry is never made a node (its docstring has the
-proofs).  The three branch-and-bound searches, ``brute_force``,
+tests would kill on entry is never made a node, and dominated states are
+skipped: a child whose holes and uncrossing floors were entered before at
+no higher spend (its docstring has the proofs).  The three branch-and-bound searches, ``brute_force``,
 ``brute_force_order_preserving`` and ``fpt_solve`` (which, given a mover
 cap, also decides the k-mover variant), run on one driver, ``_Search.run``,
 which keeps its own stack: depth costs nothing, and the node cap alone
@@ -51,6 +52,8 @@ from .model import (
 from .order_dp import greedy_cover
 
 DEFAULT_NODE_CAP = 10**8
+# Most entries ``brute_force``'s dominance memo records per call.
+_MEMO_CAP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -251,6 +254,26 @@ def brute_force(
     without testing them.  The hull exists then: waste is the placed
     lengths less the measure they cover, so need is the placed holes'
     measure less the lengths of sensors i + 1.., and is at most the former.
+    The d loop starts at the window, so it tests the same y in the same order.
+
+    Dominated children are skipped.  The subtree below a node depends only
+    on its state (i, holes, floors), on ``spent`` and on ``bound()``: its
+    waste is sum(2 r_j, j < i) - (L - |holes|), by induction from the root,
+    and ``positions`` only feeds ``offer``.  A child whose state was entered before at a spend s1 <= s2,
+    its spend now, is skipped.  Indices rise along a path, so the first
+    visit is no ancestor, and its subtree is done.  Take any completion C of
+    cost c.  Either that subtree offered C, so the incumbent is at most
+    s1 + c <= s2 + c and ``offer`` rejects it now; or a rule cut C.  A rule
+    that reads the state alone (holes, waste, floors, lookahead) cuts it
+    again, and a bound rule cut it at a bound no lower than today's, as
+    ``bound()`` only falls.  So no incumbent, solution or cost changes.  The
+    memo maps each state to the least spend it was entered with.  It is
+    consulted only when the child's waste is positive: a state with none
+    has disjoint on-barrier spans and recurs only when unequal radii are
+    permuted over a tiled stretch, so an instance with no slack pays
+    nothing for it.  It stops recording at ``_MEMO_CAP`` entries but keeps
+    answering, which is sound (a missing entry only loses a skip), so its
+    size is bounded whatever the node cap.
     """
     d, length, xs, rs = on_grid(instance)
     limit = None if budget is None else grid_units(budget, d)
@@ -284,6 +307,8 @@ def brute_force(
         search.offer(sum(abs(y - x) for y, x in zip(anchored, xs)), anchored)
 
     positions = list(xs)
+    # Child state (i, holes, *floors) -> the least spend it was entered with.
+    seen: dict[tuple, int] = {}
 
     def min_reach(i: int, p: int) -> Optional[int]:
         """Cheapest movement for any sensor i.. to cover [p, p+1].
@@ -363,7 +388,7 @@ def brute_force(
         # uncovered measure is ``base`` less its span's overlap with ``ahead``.
         ahead = _open_stretches(holes, suffix[i + 1])
         base = sum(hi - lo for lo, hi in ahead)
-        d = 0
+        d = max(0, lo_y - xs[i], xs[i] - hi_y)
         while spent + d <= bnd and (xs[i] + d <= hi_y or xs[i] - d >= lo_y):
             for y in ((xs[i],) if d == 0 else (xs[i] + d, xs[i] - d)):
                 if y < lo_y or y > hi_y:
@@ -394,7 +419,17 @@ def brute_force(
                     pruned["bound-cut"] += 1
                     continue
                 positions[i] = floors[r] = y
-                yield i + 1, spent + d, _cut(holes, lo, hi) if lo < hi else holes, child_waste
+                child_holes = _cut(holes, lo, hi) if lo < hi else holes
+                if child_waste > 0:
+                    key = (i, tuple(child_holes), *floors.values())
+                    entered = seen.get(key)
+                    if entered is not None and entered <= spent + d:
+                        pruned["dominated"] += 1
+                        positions[i], floors[r] = xs[i], floor
+                        continue
+                    if entered is not None or len(seen) < _MEMO_CAP:
+                        seen[key] = spent + d
+                yield i + 1, spent + d, child_holes, child_waste
                 positions[i], floors[r] = xs[i], floor
                 bnd = search.bound()
             d += 1

@@ -24,6 +24,7 @@ relative to.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .model import Instance, Scalar, Sensor, Solution, as_scalar, cost
@@ -34,7 +35,18 @@ def format_scalar(value: Scalar) -> str:
 
 
 def parse_scalar(text: str) -> Scalar:
+    """A rational from ``p/q``, an integer or a decimal with optional exponent.
+
+    ``Fraction("1e<k>")`` computes 10**k, so an exponent whose magnitude
+    passes the interpreter's int-digit limit (``sys.get_int_max_str_digits``,
+    none when 0) is refused, as ``int`` refuses that many digits: the parse
+    does bounded work.
+    """
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    _, marker, exponent = text.lower().partition("e")
     try:
+        if marker and cap and abs(int(exponent)) > cap:
+            raise ValueError(f"exponent beyond {cap}")
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
@@ -66,6 +78,8 @@ def parse_instance_with_order(text: str) -> tuple[Instance, tuple[int, ...]]:
         count = int(lines[1][2:])
     except ValueError as exc:
         raise ValueError(f"bad sensor count: {lines[1]!r}") from exc
+    if count < 0:
+        raise ValueError(f"sensor count must be >= 0, got {count}")
     body = lines[2:]
     if len(body) != count:
         raise ValueError(f"expected {count} sensor lines, found {len(body)}")

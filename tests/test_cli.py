@@ -107,6 +107,13 @@ class TestSolve:
         path.write_text("L 10\nN 1\n0 1\n")
         assert main(["solve", "--algo", "oracle", str(path)]) == 1
 
+    def test_huge_exponent_is_usage_error(self, tmp_path, capsys):
+        """A length line whose 10**k would never finish is refused at once (exit 2)."""
+        path = tmp_path / "huge.bc"
+        path.write_text("L 1e9999999999\nN 0\n")
+        assert main(["solve", "--algo", "oracle", str(path)]) == 2
+        assert "not a rational number" in capsys.readouterr().err
+
     def test_missing_budget_is_usage_error(self, i1_path, capsys):
         """Without --budget, fpt returns the optimum; a negative budget is a usage error."""
         assert main(["solve", "--algo", "fpt", i1_path]) == 0

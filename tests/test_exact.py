@@ -22,6 +22,7 @@ from barriercover import (
 from barriercover import exact
 from barriercover.exact import gap_candidates
 
+import reference_search as ref
 from conftest import random_corpus
 
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
@@ -262,10 +263,12 @@ class TestNodeCounts:
             (lambda cap: oracle_optimal(gen_fig5(2, 36), cap), 410, 34),
             (lambda cap: oracle_optimal(gen_fig5(2, 40), cap), 515, 38),
             (lambda cap: oracle_optimal(gen_fig5(2, 44), cap), 632, 42),
-            (lambda cap: oracle_optimal(gen_fig6(2, 6, F(1, 8)), cap), 114, F(15, 8)),
-            (lambda cap: oracle_optimal(gen_fig6(2, 7, F(1, 8)), cap), 351, F(21, 8)),
-            (lambda cap: oracle_optimal(gen_fig6(2, 8, F(1, 8)), cap), 963, F(7, 2)),
-            (lambda cap: oracle_optimal(PINNED, cap), 220, 13),
+            (lambda cap: oracle_optimal(gen_fig6(2, 6, F(1, 8)), cap), 104, F(15, 8)),
+            (lambda cap: oracle_optimal(gen_fig6(2, 7, F(1, 8)), cap), 260, F(21, 8)),
+            (lambda cap: oracle_optimal(gen_fig6(2, 8, F(1, 8)), cap), 492, F(7, 2)),
+            (lambda cap: oracle_optimal(gen_fig6(2, 10, F(1, 8)), cap), 1265, F(45, 8)),
+            (lambda cap: oracle_optimal(gen_fig6(3, 8, F(1, 8)), cap), 372, F(21, 8)),
+            (lambda cap: oracle_optimal(PINNED, cap), 115, 13),
             (lambda cap: oracle_optimal(DEEP, cap), 1099, 1100),
             (lambda cap: fpt_solve(PINNED, 13, cap), 175, 13),
             (lambda cap: fpt_solve(PINNED, 12, cap), 123, None),
@@ -275,7 +278,8 @@ class TestNodeCounts:
             (lambda cap: brute_force_order_preserving(PINNED, node_cap=cap), 155, 13),
         ],
         ids=["oracle-fig5-L24", "oracle-fig5-L32", "oracle-fig5-L36", "oracle-fig5-L40", "oracle-fig5-L44",
-             "oracle-fig6-m6", "oracle-fig6-m7", "oracle-fig6-m8", "oracle-random", "oracle-deep",
+             "oracle-fig6-m6", "oracle-fig6-m7", "oracle-fig6-m8", "oracle-fig6-m10", "oracle-fig6-rho3-m8",
+             "oracle-random", "oracle-deep",
              "fpt-at-opt", "fpt-below-opt", "fpt-two-movers", "fpt-reduction-two-movers",
              "order-preserving-random"],
     )
@@ -284,6 +288,23 @@ class TestNodeCounts:
         assert (None if found is None else found[1]) == expected
         with pytest.raises(ResourceLimitError, match=f"explored more than {nodes - 1} states"):
             search(nodes - 1)
+
+    @pytest.mark.parametrize(
+        "instance, nodes, expected",
+        [
+            (gen_fig6(2, 6, F(1, 8)), 114, F(15, 8)),
+            (gen_fig6(2, 7, F(1, 8)), 351, F(21, 8)),
+            (gen_fig6(2, 8, F(1, 8)), 963, F(7, 2)),
+            (PINNED, 220, 13),
+        ],
+        ids=["fig6-m6", "fig6-m7", "fig6-m8", "random"],
+    )
+    def test_node_cap_boundary_without_memo(self, monkeypatch, instance, nodes, expected):
+        """With the dominance memo off, the oracle takes the counts pinned before it."""
+        monkeypatch.setattr(exact, "_MEMO_CAP", 0)
+        assert oracle_optimal(instance, nodes)[1] == expected
+        with pytest.raises(ResourceLimitError, match=f"explored more than {nodes - 1} states"):
+            oracle_optimal(instance, nodes - 1)
 
     @pytest.mark.parametrize(
         "instance, nodes_before_cut",
@@ -302,24 +323,29 @@ class TestNodeCounts:
 
         The oracle's counts before the parent learned the cut, as pinned
         then: the nodes left plus the children cut give them back exactly
-        (fig5 L=44 keeps all 632 nodes, so it has no cut).
+        (fig5 L=44 keeps all 632 nodes, so it has no cut).  The memo is off:
+        a child it skips was never a node, cut or not.
         """
+        monkeypatch.setattr(exact, "_MEMO_CAP", 0)
         searches = _record_searches(monkeypatch)
         oracle_optimal(instance)
         (search,) = searches
         assert search.nodes + search.pruned["bound-cut"] == nodes_before_cut
         assert set(search.pruned) <= {"bound", "dead-hole", "dead-placed-hole", "waste", "bound-cut"}
+        assert "dominated" not in search.pruned
 
     @pytest.mark.parametrize(
         "search, nodes, pruned",
         [
+            (lambda: oracle_optimal(gen_fig6(2, 8, F(1, 8))), 492, {"bound-cut": 970, "dominated": 370}),
+            (lambda: oracle_optimal(PINNED), 115, {"bound": 70, "bound-cut": 153, "dominated": 55}),
             (lambda: fpt_solve(PINNED, 13), 175, {"gap-measure": 120}),
             (lambda: fpt_solve(PINNED, 12), 123, {"gap-measure": 86}),
             (lambda: fpt_solve(PINNED, 13, movers=2), 83, {"movers": 70, "gap-measure": 3}),
             (lambda: brute_force_order_preserving(PINNED, 13), 150, {"short": 70, "bound": 113}),
             (lambda: brute_force_order_preserving(PINNED, 12), 143, {"short": 66, "bound": 112}),
         ],
-        ids=["fpt-at-opt", "fpt-below-opt", "fpt-two-movers", "order-preserving-at-opt",
+        ids=["oracle-fig6-m8", "oracle-random", "fpt-at-opt", "fpt-below-opt", "fpt-two-movers", "order-preserving-at-opt",
              "order-preserving-below-opt"],
     )
     def test_prune_counts(self, monkeypatch, search, nodes, pruned):
@@ -329,6 +355,22 @@ class TestNodeCounts:
         (recorded,) = searches
         assert recorded.nodes == nodes
         assert recorded.pruned == pruned
+
+
+class TestDominanceMemo:
+    """The memo may stop recording at any size: a missing entry only loses a skip."""
+
+    @pytest.mark.parametrize("memo_cap", [0, 3])
+    def test_capped_memo_matches_reference(self, monkeypatch, memo_cap):
+        monkeypatch.setattr(exact, "_MEMO_CAP", memo_cap)
+        searches = _record_searches(monkeypatch)
+        instances = [gen_fig6(rho, m, F(1, 8)) for rho in (2, 3) for m in range(2, 9)]
+        instances += [gen_random(6, 12, 1, 3, (-6, 18), seed) for seed in range(50)]
+        for instance in instances:
+            assert oracle_optimal(instance) == ref.oracle_optimal(instance), instance
+        dominated = sum(search.pruned["dominated"] for search in searches)
+        # A full memo still answers lookups; an empty one never does.
+        assert (dominated > 0) == (memo_cap > 0)
 
 
 class TestOracleOptimal:

@@ -28,6 +28,15 @@ class TestScalars:
         with pytest.raises(ValueError):
             parse_scalar("1/0")
 
+    def test_exponent_is_bounded(self):
+        """An exponent past the interpreter's int-digit limit is refused before 10**k is built."""
+        assert parse_scalar("1e300") == 10**300
+        assert parse_scalar("1e-300") == F(1, 10**300)
+        assert parse_scalar("2.5E3") == 2500
+        for text in ("1e5000", "1e-5000", "1e9999999999", "1E+9999999999"):
+            with pytest.raises(ValueError, match="not a rational number"):
+                parse_scalar(text)
+
 
 class TestInstanceFiles:
     def test_round_trip(self):
@@ -58,6 +67,10 @@ class TestInstanceFiles:
         ):
             with pytest.raises(ValueError):
                 parse_instance(text)
+
+    def test_negative_count(self):
+        with pytest.raises(ValueError, match="sensor count must be >= 0, got -1"):
+            parse_instance("L 4\nN -1\n")
 
 
 class TestSolutionFiles:
