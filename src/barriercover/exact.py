@@ -16,14 +16,14 @@ cut by each child's span in O(holes); the holes of the unplaced sensors'
 homes are swept once per call, and a node's uncovered measure and first
 hole come from bisecting those for each placed hole.  ``brute_force`` also
 applies the reachability and bound tests one level ahead, so a child those
-tests would kill on entry is never made a node, and dominated states are
-skipped: a child whose holes and uncrossing floors were entered before at
-no higher spend (its docstring has the proofs).  The three branch-and-bound searches, ``brute_force``,
-``brute_force_order_preserving`` and ``fpt_solve`` (which, given a mover
-cap, also decides the k-mover variant), run on one driver, ``_Search.run``,
-which keeps its own stack: depth costs nothing, and the node cap alone
-bounds the work, aborting with ``ResourceLimitError`` rather than ever
-reporting "no solution".
+tests would kill on entry is never made a node; dominated states are
+skipped too, a child being dominated when its holes and uncrossing floors
+were entered before at no higher spend (its docstring has the proofs).  The three branch-and-bound
+searches, ``brute_force``, ``brute_force_order_preserving`` and
+``fpt_solve`` (which, given a mover cap, also decides the k-mover variant),
+run on one driver, ``_Search.run``, which keeps its own stack: depth costs
+nothing, and the node cap alone bounds the work, aborting with
+``ResourceLimitError`` rather than ever reporting "no solution".
 """
 
 from __future__ import annotations
@@ -259,9 +259,10 @@ def brute_force(
     Dominated children are skipped.  The subtree below a node depends only
     on its state (i, holes, floors), on ``spent`` and on ``bound()``: its
     waste is sum(2 r_j, j < i) - (L - |holes|), by induction from the root,
-    and ``positions`` only feeds ``offer``.  A child whose state was entered before at a spend s1 <= s2,
-    its spend now, is skipped.  Indices rise along a path, so the first
-    visit is no ancestor, and its subtree is done.  Take any completion C of
+    and ``positions`` only feeds ``offer``.  A child whose state was entered
+    before at a spend s1 <= s2, its spend now, is skipped.  Indices rise
+    along a path, so the first visit is no ancestor, and its subtree is
+    done.  Take any completion C of
     cost c.  Either that subtree offered C, so the incumbent is at most
     s1 + c <= s2 + c and ``offer`` rejects it now; or a rule cut C.  A rule
     that reads the state alone (holes, waste, floors, lookahead) cuts it

@@ -345,8 +345,8 @@ class TestNodeCounts:
             (lambda: brute_force_order_preserving(PINNED, 13), 150, {"short": 70, "bound": 113}),
             (lambda: brute_force_order_preserving(PINNED, 12), 143, {"short": 66, "bound": 112}),
         ],
-        ids=["oracle-fig6-m8", "oracle-random", "fpt-at-opt", "fpt-below-opt", "fpt-two-movers", "order-preserving-at-opt",
-             "order-preserving-below-opt"],
+        ids=["oracle-fig6-m8", "oracle-random", "fpt-at-opt", "fpt-below-opt", "fpt-two-movers",
+             "order-preserving-at-opt", "order-preserving-below-opt"],
     )
     def test_prune_counts(self, monkeypatch, search, nodes, pruned):
         """Each early return and skipped placement, counted by rule."""
