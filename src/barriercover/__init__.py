@@ -19,12 +19,10 @@ from .model import (
     integral_scale_factor,
     is_feasible,
     is_order_preserving,
-    max_stab_count,
     minimal_active_set,
     moved_indices,
     radius_ratio,
     scale_instance,
-    scale_solution,
     verify_coverage,
 )
 from .exact import (
@@ -45,13 +43,11 @@ from .generators import (
 )
 from .order_dp import (
     DpTable,
-    EpsParams,
     budget_table,
     dp_eps,
     dp_exact,
     dp_optimal,
     greedy_cover,
-    rounded_cost,
 )
 from .untangle import CrossingPair, crossing_pairs, swap_pair, untangle
 
@@ -62,7 +58,6 @@ __all__ = [
     "CoverageReport",
     "CrossingPair",
     "DpTable",
-    "EpsParams",
     "ExactCoverInstance",
     "GapCandidateSet",
     "InfeasibleError",
@@ -89,15 +84,12 @@ __all__ = [
     "integral_scale_factor",
     "is_feasible",
     "is_order_preserving",
-    "max_stab_count",
     "minimal_active_set",
     "moved_indices",
     "oracle_optimal",
     "radius_ratio",
     "reduce_exact_cover",
-    "rounded_cost",
     "scale_instance",
-    "scale_solution",
     "solve_exact_cover_brute",
     "swap_pair",
     "untangle",

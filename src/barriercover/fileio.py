@@ -40,14 +40,21 @@ def parse_scalar(text: str) -> Scalar:
     ``Fraction("1e<k>")`` computes 10**k, so an exponent whose magnitude
     passes the interpreter's int-digit limit (``sys.get_int_max_str_digits``,
     none when 0) is refused, as ``int`` refuses that many digits: the parse
-    does bounded work.
+    does bounded work.  A numerator or denominator with more digits than
+    that limit (``1e4300``, ``0.1...1``) is refused too, since no output
+    could print it; a part below 2**(3*cap) < 10**cap passes on its bit
+    length alone, so only a long one is compared with 10**cap.
     """
     cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     _, marker, exponent = text.lower().partition("e")
     try:
         if marker and cap and abs(int(exponent)) > cap:
             raise ValueError(f"exponent beyond {cap}")
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
+        for part in (value.numerator, value.denominator):
+            if cap and part.bit_length() > 3 * cap and abs(part) >= 10**cap:
+                raise ValueError(f"more than {cap} digits")
+        return value
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational number: {text!r}") from exc
 

@@ -329,25 +329,6 @@ def radius_ratio(instance: Instance) -> Scalar:
     return max(radii) / min(radii)
 
 
-def max_stab_count(
-    instance: Instance,
-    solution: Sequence[ScalarLike],
-    indices: Iterable[int],
-) -> int:
-    """Largest number of the chosen intervals sharing one point of [0, L].
-
-    With closed intervals the maximum is attained at an interval endpoint,
-    so checking clipped endpoints is exhaustive.
-    """
-    y = as_solution(instance, solution)
-    spans = _clipped_spans(_radii(instance), y, instance.length, sorted(indices))
-    points = {p for lo, hi, _ in spans for p in (lo, hi)}
-    best = 0
-    for p in points:
-        best = max(best, sum(1 for lo, hi, _ in spans if lo <= p <= hi))
-    return best
-
-
 def integral_scale_factor(instance: Instance) -> int:
     """Smallest positive integer c making L and every x and r integral once scaled by c."""
     return instance._grid[0]
@@ -401,9 +382,3 @@ def scale_instance(instance: Instance, factor: ScalarLike) -> Instance:
         length=instance.length * c,
         sensors=tuple(Sensor(s.x * c, s.r * c) for s in instance.sensors),
     )
-
-
-def scale_solution(solution: Sequence[ScalarLike], factor: ScalarLike) -> Solution:
-    """Multiply every position by ``factor`` (same grid change as the instance)."""
-    c = as_scalar(factor)
-    return tuple(as_scalar(v) * c for v in solution)

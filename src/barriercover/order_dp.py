@@ -1,6 +1,6 @@
 """Order-preserving solutions via dynamic programming over movement budgets.
 
-The table entry ``reach[i][b]`` is the rightmost point of the barrier
+The table entry at (i, b) is the rightmost point of the barrier
 coverable by an order-preserving solution that uses only the first ``i``
 sensors and moves them a total of at most ``b`` budget units.  With unit
 size 1 on integer instances the DP is exact; with unit size q it optimizes
@@ -34,7 +34,6 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from typing import Callable, Iterator, Optional
 
 from .model import (
@@ -72,9 +71,7 @@ class DpTable:
     ``unit``, times ``scale``: an int, clamped at L*scale and nondecreasing
     in both indices.  ``choices[i][b]`` is either the skip marker or
     ``(k, y)``: sensor i-1 placed at grid position y (input position
-    y/scale) using k budget units.  ``reach`` and ``parent`` are the same
-    table in input units, as Fractions; they are built when first read,
-    and the solvers never read them.  ``fills`` resume the rows' fills.
+    y/scale) using k budget units.  ``fills`` resume the rows' fills.
     """
 
     unit: Scalar
@@ -86,7 +83,7 @@ class DpTable:
     def grow(self, budget_units: int) -> None:
         """Widen to budgets 0..budget_units; each row resumes its fill, so no column is filled twice.
 
-        The cell cap is checked first, and the Fraction views are dropped.
+        The cell cap is checked first.
         """
         if budget_units + 1 < len(self.rows[0]):
             raise ValueError(f"cannot shrink a DP table from budget {len(self.rows[0]) - 1} to {budget_units}")
@@ -97,21 +94,6 @@ class DpTable:
         self.choices[0][:] = [_SKIP] * (budget_units + 1)
         for fill in self.fills:
             next(fill)
-        self.__dict__.pop("reach", None)
-        self.__dict__.pop("parent", None)
-
-    @cached_property
-    def reach(self) -> list[list[Scalar]]:
-        exact = self._exact({v for row in self.rows for v in row})
-        return [[exact[v] for v in row] for row in self.rows]
-
-    @cached_property
-    def parent(self) -> list[list[tuple[int, Optional[Scalar]]]]:
-        exact = self._exact({y for row in self.choices for _, y in row if y is not None})
-        return [[c if c is _SKIP else (c[0], exact[c[1]]) for c in row] for row in self.choices]
-
-    def _exact(self, values: set[int]) -> dict[int, Scalar]:
-        return {v: Fraction(v, self.scale) for v in values}
 
 
 def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) -> DpTable:
@@ -353,41 +335,14 @@ def dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:
     return cheapest_first(instance, solve)
 
 
-@dataclass(frozen=True)
-class EpsParams:
-    """Rounding grid for the (1 + eps) scheme: unit q = eps * guess / n."""
-
-    eps: Scalar
-    opt_guess: Scalar
-    n: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "eps", as_scalar(self.eps))
-        object.__setattr__(self, "opt_guess", as_scalar(self.opt_guess))
-        if self.eps <= 0 or self.opt_guess <= 0 or self.n <= 0:
-            raise ValueError("eps, guess and n must all be positive")
-
-    @property
-    def q(self) -> Scalar:
-        return self.eps * self.opt_guess / self.n
-
-
-def rounded_cost(instance: Instance, solution: Solution, q: ScalarLike) -> int:
-    """Movement cost in grid units: sum of ceil(|y_i - x_i| / q)."""
-    q = as_scalar(q)
-    if q <= 0:
-        raise ValueError("grid unit must be positive")
-    y = tuple(as_scalar(v) for v in solution)
-    return sum(math.ceil(abs(yi - s.x) / q) for s, yi in zip(instance.sensors, y))
-
-
 def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
     """Order-preserving cover of true cost within (1 + eps) of the best one.
 
-    Runs the budget DP on a rounded cost grid and guesses the optimum by
-    doubling.  Internally the scheme runs at eps/2: a guess may overshoot
-    the optimum by up to 2x before the acceptance test fires, and halving
-    eps absorbs that factor so the advertised bound survives.  The first
+    Runs the budget DP on a rounded cost grid, unit q = (eps/2) * guess / n,
+    and guesses the optimum by doubling.  Internally the scheme runs at
+    eps/2: a guess may overshoot the optimum by up to 2x before the
+    acceptance test fires, and halving eps absorbs that factor so the
+    advertised bound survives.  The first
     guess, half the widest uncovered gap, can never overshoot (covering a
     gap costs at least its width).
 
@@ -411,8 +366,7 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
     floor = sum(hi - lo for lo, hi in report.gaps) * instance.n / (units * half)
     _, upper = greedy_cover(instance)
     while True:
-        q = EpsParams(eps=half, opt_guess=guess, n=instance.n).q
-        found = _dp_within(instance, units, q) if guess >= floor else None
+        found = _dp_within(instance, units, half * guess / instance.n) if guess >= floor else None
         if found is not None and cost(instance, found[0]) <= (1 + half) * guess:
             return found
         if guess > 2 * upper:

@@ -3,14 +3,17 @@
 ``barriercover.order_dp.budget_table`` must reproduce this table exactly,
 ``reach`` and ``parent`` alike.  The loop tries every split k <= b for
 every cell, O(n * U^2) Fraction operations, so it lives here as the test
-oracle for the O(n * U) fill and not in the library.
+oracle for the O(n * U) fill and not in the library.  ``fraction_reach``
+and ``fraction_parent`` read a ``DpTable``, whose fill stays on the integer
+grid, as that same pair of Fraction tables in input units.
 
 ``reference_dp_within`` is ``order_dp._dp_within`` as it stood before the
 scan and the reconstruction moved onto the integer grid, copied verbatim
 with its ``_reconstruct`` and ``_chain_active``: it reads the table's
-Fraction views and checks the cover with ``verify_coverage``.  Put in place
-of ``order_dp._dp_within``, it must leave ``dp_exact``, ``dp_optimal`` and
-``dp_eps`` returning the very same ``(solution, active)``.
+Fraction views (``fraction_reach``, ``fraction_parent``) and checks the
+cover with ``verify_coverage``.  Put in place of ``order_dp._dp_within``,
+it must leave ``dp_exact``, ``dp_optimal`` and ``dp_eps`` returning the
+very same ``(solution, active)``.
 
 ``reference_dp_optimal`` and ``reference_dp_eps`` are ``order_dp.dp_optimal``
 and ``order_dp.dp_eps`` as they stood before ``dp_optimal`` grew one table
@@ -18,6 +21,10 @@ through its doublings and ``dp_eps`` skipped guesses below the gap bound,
 copied verbatim: every budget refills a table from column 0 through
 ``_dp_within``, and every guess fills its table.  They look ``_dp_within``
 up in this module, so a test can swap it here too.
+
+``EpsParams`` and ``rounded_cost`` are the (1 + eps) scheme's rounding grid
+and rounded cost, as they stood in ``order_dp`` before ``dp_eps`` computed
+its unit q itself; ``reference_dp_eps`` still takes q from ``EpsParams``.
 """
 
 from __future__ import annotations
@@ -45,7 +52,6 @@ from barriercover.model import (
 from barriercover.order_dp import (
     _SKIP,
     DpTable,
-    EpsParams,
     _dp_within,
     budget_table,
     cheapest_first,
@@ -53,9 +59,53 @@ from barriercover.order_dp import (
 )
 
 
+def _exact(scale: int, values: set[int]) -> dict[int, Scalar]:
+    return {v: Fraction(v, scale) for v in values}
+
+
+def fraction_reach(table: DpTable) -> list[list[Scalar]]:
+    """``table.rows`` in input units: the reach of the first i sensors with b units, as Fractions."""
+    exact = _exact(table.scale, {v for row in table.rows for v in row})
+    return [[exact[v] for v in row] for row in table.rows]
+
+
+def fraction_parent(table: DpTable) -> list[list[tuple[int, Optional[Scalar]]]]:
+    """``table.choices`` in input units: the skip marker or (k, position), positions as Fractions."""
+    exact = _exact(table.scale, {y for row in table.choices for _, y in row if y is not None})
+    return [[c if c is _SKIP else (c[0], exact[c[1]]) for c in row] for row in table.choices]
+
+
+@dataclass(frozen=True)
+class EpsParams:
+    """Rounding grid for the (1 + eps) scheme: unit q = eps * guess / n."""
+
+    eps: Scalar
+    opt_guess: Scalar
+    n: int
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "eps", as_scalar(self.eps))
+        object.__setattr__(self, "opt_guess", as_scalar(self.opt_guess))
+        if self.eps <= 0 or self.opt_guess <= 0 or self.n <= 0:
+            raise ValueError("eps, guess and n must all be positive")
+
+    @property
+    def q(self) -> Scalar:
+        return self.eps * self.opt_guess / self.n
+
+
+def rounded_cost(instance: Instance, solution: Solution, q: ScalarLike) -> int:
+    """Movement cost in grid units: sum of ceil(|y_i - x_i| / q)."""
+    q = as_scalar(q)
+    if q <= 0:
+        raise ValueError("grid unit must be positive")
+    y = tuple(as_scalar(v) for v in solution)
+    return sum(math.ceil(abs(yi - s.x) / q) for s, yi in zip(instance.sensors, y))
+
+
 @dataclass
 class FractionTable:
-    """The reference fill's table, in input units: what ``DpTable.reach``/``parent`` must equal."""
+    """The reference fill's table, in input units: what ``fraction_reach``/``fraction_parent`` must return."""
 
     unit: Scalar
     reach: list[list[Scalar]]
@@ -121,10 +171,11 @@ def _chain_active(placed: list[tuple[int, Scalar]]) -> list[int]:
 
 def _reconstruct(instance: Instance, table: DpTable, b: int) -> tuple[Solution, ActiveSet]:
     """Walk parent pointers from (n, b) back to row 0."""
+    parent = fraction_parent(table)
     y = list(instance.home())
     placed: list[tuple[int, Scalar]] = []
     for i in range(instance.n, 0, -1):
-        k, pos = table.parent[i][b]
+        k, pos = parent[i][b]
         if k >= 0:
             assert pos is not None
             y[i - 1] = pos
@@ -143,7 +194,7 @@ def _reconstruct(instance: Instance, table: DpTable, b: int) -> tuple[Solution, 
 def reference_dp_within(instance: Instance, units: int, unit: Scalar) -> Optional[tuple[Solution, ActiveSet]]:
     """The DP's cover at the smallest budget of ``units`` steps of ``unit`` that covers, or None."""
     table = budget_table(instance, units, unit)
-    final = table.reach[instance.n]
+    final = fraction_reach(table)[instance.n]
     winner = next((b for b in range(units + 1) if final[b] >= instance.length), None)
     if winner is None:
         return None

@@ -2,10 +2,14 @@
 
 ``barriercover.model.verify_coverage``, ``model.is_feasible`` and
 ``order_dp.greedy_cover`` run on the instance's integer grid and convert
-only what they return to Fractions.  The functions below are those three
-as they stood before, when every coordinate stayed a Fraction, copied
-verbatim; the library's versions must return exactly what these do,
+only what they return to Fractions.  The first three functions below are
+those three as they stood before, when every coordinate stayed a Fraction,
+copied verbatim; the library's versions must return exactly what these do,
 Fraction types included.
+
+``max_stab_count`` and ``scale_solution`` are test helpers that no solver
+calls; they left ``barriercover.model`` and are kept here verbatim for the
+acceptance gate C8 and the untangle scaling test.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from barriercover.model import (
     _clipped_spans,
     _gaps,
     _radii,
+    as_scalar,
     as_solution,
 )
 
@@ -66,3 +71,28 @@ def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
         moved += abs(y[i] - s.x)
         reach += 2 * s.r
     return tuple(y), moved
+
+
+def max_stab_count(
+    instance: Instance,
+    solution: Sequence[ScalarLike],
+    indices: Iterable[int],
+) -> int:
+    """Largest number of the chosen intervals sharing one point of [0, L].
+
+    With closed intervals the maximum is attained at an interval endpoint,
+    so checking clipped endpoints is exhaustive.
+    """
+    y = as_solution(instance, solution)
+    spans = _clipped_spans(_radii(instance), y, instance.length, sorted(indices))
+    points = {p for lo, hi, _ in spans for p in (lo, hi)}
+    best = 0
+    for p in points:
+        best = max(best, sum(1 for lo, hi, _ in spans if lo <= p <= hi))
+    return best
+
+
+def scale_solution(solution: Sequence[ScalarLike], factor: ScalarLike) -> Solution:
+    """Multiply every position by ``factor`` (same grid change as the instance)."""
+    c = as_scalar(factor)
+    return tuple(as_scalar(v) * c for v in solution)

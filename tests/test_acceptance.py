@@ -12,7 +12,6 @@ import time
 from fractions import Fraction as F
 
 from barriercover import (
-    EpsParams,
     ExactCoverInstance,
     InfeasibleError,
     Instance,
@@ -27,11 +26,9 @@ from barriercover import (
     gen_fig6,
     integral_scale_factor,
     is_order_preserving,
-    max_stab_count,
     minimal_active_set,
     oracle_optimal,
     reduce_exact_cover,
-    rounded_cost,
     scale_instance,
     solve_exact_cover_brute,
     untangle,
@@ -40,6 +37,8 @@ from barriercover import (
 from barriercover.generators import RandomStream
 
 from conftest import random_corpus
+from reference_dp import EpsParams, rounded_cost
+from reference_model import max_stab_count
 
 CORPUS_SIZE = 200
 

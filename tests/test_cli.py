@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from barriercover import harness
 from barriercover.cli import main
 from barriercover.fileio import parse_instance, parse_solution
 
@@ -113,6 +114,16 @@ class TestSolve:
         path.write_text("L 1e9999999999\nN 0\n")
         assert main(["solve", "--algo", "oracle", str(path)]) == 2
         assert "not a rational number" in capsys.readouterr().err
+
+    def test_unprintable_digits_are_refused_before_solving(self, tmp_path, capsys, monkeypatch):
+        """10**4300 has one digit more than the output could print, so the parse refuses it (exit 2)."""
+        path = tmp_path / "wide.bc"
+        path.write_text("L 4\nN 3\n0 1\n3 1\n1e4300 1\n")
+        solved = []
+        monkeypatch.setitem(harness.SOLVERS, "dp-optimal", lambda *args: solved.append(args))
+        assert main(["solve", "--algo", "dp-optimal", str(path)]) == 2
+        assert "not a rational number: '1e4300'" in capsys.readouterr().err
+        assert solved == []
 
     def test_missing_budget_is_usage_error(self, i1_path, capsys):
         """Without --budget, fpt returns the optimum; a negative budget is a usage error."""

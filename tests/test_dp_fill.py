@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from barriercover import Instance, Sensor, budget_table, gen_fig5
 
 from conftest import random_corpus
-from reference_dp import reference_budget_table
+from reference_dp import fraction_parent, fraction_reach, reference_budget_table
 
 CORPUS_UNITS = (F(1), F(1, 2), F(1, 3), F(2), F(5, 7), F(3, 2))
 CORPUS_BUDGETS = (0, 1, 3, 8, 17, 33)
@@ -35,8 +35,8 @@ def _assert_same(instance, units, unit, reference):
     got = budget_table(instance, units, unit)
     where = f"{instance} U={units} unit={unit}"
     assert got.unit == reference.unit, where
-    assert got.reach == [row[: units + 1] for row in reference.reach], where
-    assert got.parent == [row[: units + 1] for row in reference.parent], where
+    assert fraction_reach(got) == [row[: units + 1] for row in reference.reach], where
+    assert fraction_parent(got) == [row[: units + 1] for row in reference.parent], where
 
 
 def _matches_reference_at_every_unit(inst):
@@ -64,16 +64,17 @@ def test_matches_reference_on_fig5():
 def _assert_grown_equals_filled(instance, units, unit):
     """Grown 1, 2, 4, ... up to ``units``, the table equals ``budget_table(instance, units, unit)``.
 
-    The Fraction views are read at every width, so a stale one would show.
+    The Fraction views are read at every width and must span it.
     """
     grown = budget_table(instance, 1, unit)
     while len(grown.rows[0]) <= units:
-        assert len(grown.reach[0]) == len(grown.parent[-1]) == len(grown.rows[0])
+        assert len(fraction_reach(grown)[0]) == len(fraction_parent(grown)[-1]) == len(grown.rows[0])
         grown.grow(min(2 * (len(grown.rows[0]) - 1), units))
     filled = budget_table(instance, units, unit)
     where = f"{instance} U={units} unit={unit}"
     assert (grown.rows, grown.choices) == (filled.rows, filled.choices), where
-    assert (grown.reach, grown.parent) == (filled.reach, filled.parent), where
+    views = (fraction_reach(grown), fraction_parent(grown))
+    assert views == (fraction_reach(filled), fraction_parent(filled)), where
 
 
 def test_grown_table_equals_filled_table_on_corpus():

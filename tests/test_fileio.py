@@ -29,11 +29,19 @@ class TestScalars:
             parse_scalar("1/0")
 
     def test_exponent_is_bounded(self):
-        """An exponent past the interpreter's int-digit limit is refused before 10**k is built."""
+        """An exponent past the interpreter's int-digit limit is refused before 10**k is built.
+
+        So is a numerator or denominator with more digits than the limit
+        (4,300 by default), which ``format_scalar`` could not print.
+        """
         assert parse_scalar("1e300") == 10**300
         assert parse_scalar("1e-300") == F(1, 10**300)
         assert parse_scalar("2.5E3") == 2500
-        for text in ("1e5000", "1e-5000", "1e9999999999", "1E+9999999999"):
+        nines = "9" * 4300
+        assert format_scalar(parse_scalar(nines)) == nines
+        for text in (
+            "1e5000", "1e-5000", "1e9999999999", "1E+9999999999", "1e4300", "123e4298", "0." + "1" * 4300,
+        ):
             with pytest.raises(ValueError, match="not a rational number"):
                 parse_scalar(text)
 

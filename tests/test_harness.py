@@ -1,10 +1,14 @@
+import importlib.util
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 from typing import Optional
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import barriercover
 from barriercover import Instance, Sensor, cost, gen_random, scale_instance
 from barriercover.harness import (
     CSV_HEADER,
@@ -152,3 +156,22 @@ class TestSolverRegistry:
         # intervals moves nobody further), so OPT_op equals OPT.
         inst = gen_random(n, length, r, r, (-10, 15), seed)
         assert solved_cost("dp-optimal", inst, None) == solved_cost("oracle", inst, None)
+
+
+class TestPublicNames:
+    """A deleted name that the benchmark traces or the package exports fails here, not in a run."""
+
+    def test_traced_layers_resolve(self, monkeypatch):
+        # ``Tracer.install`` calls getattr on every LAYERS entry, so one missing name fails every run.
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        path = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+        spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+        tracer = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(tracer)
+        traced = [(module, func) for module, funcs in tracer.LAYERS.items() for func in funcs]
+        assert len(traced) >= 20
+        for module, func in traced:
+            assert callable(getattr(importlib.import_module(f"barriercover.{module}"), func, None)), f"{module}.{func}"
+
+    def test_all_names_resolve(self):
+        assert [name for name in barriercover.__all__ if not hasattr(barriercover, name)] == []

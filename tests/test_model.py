@@ -15,12 +15,10 @@ from barriercover import (
     integral_scale_factor,
     is_feasible,
     is_order_preserving,
-    max_stab_count,
     minimal_active_set,
     moved_indices,
     radius_ratio,
     scale_instance,
-    scale_solution,
     verify_coverage,
 )
 
@@ -222,11 +220,6 @@ class TestHelpers:
     def test_moved_indices(self):
         assert moved_indices(I1, (0, 3)) == (1,)
 
-    def test_max_stab_count(self):
-        inst = Instance(4, (Sensor(1, 1), Sensor(2, 2), Sensor(3, 1)))
-        assert max_stab_count(inst, inst.home(), (0, 1, 2)) == 3
-        assert max_stab_count(inst, inst.home(), (0, 2)) == 2
-
     def test_scale_round_trip(self):
         inst = Instance(F(5), (Sensor(F(-129, 2), F(1, 2)), Sensor(F(-258), F(2))))
         factor = integral_scale_factor(inst)
@@ -235,7 +228,6 @@ class TestHelpers:
         assert integral_scale_factor(scaled) == 1
         back = scale_instance(scaled, F(1, factor))
         assert back == inst
-        assert scale_solution(scale_solution((F(1, 2),), 2), F(1, 2)) == (F(1, 2),)
 
     def test_grid_scaling(self):
         inst = Instance(F(5, 2), (Sensor(F(-1, 3), F(1, 2)), Sensor(2, 1)))

@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from barriercover import (
-    EpsParams,
     InfeasibleError,
     Instance,
     ResourceLimitError,
@@ -21,7 +20,6 @@ from barriercover import (
     greedy_cover,
     is_order_preserving,
     oracle_optimal,
-    rounded_cost,
     scale_instance,
     verify_coverage,
 )
@@ -29,7 +27,7 @@ from barriercover import (
 from barriercover import order_dp
 from conftest import random_corpus
 import reference_dp
-from reference_dp import reference_dp_eps
+from reference_dp import fraction_reach, reference_dp_eps, rounded_cost
 
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
 I2 = Instance(12, (Sensor(0, 2), Sensor(1, 1), Sensor(3, 1), Sensor(5, 1), Sensor(7, 1)))
@@ -177,7 +175,7 @@ class TestDpOptimal:
 class TestTableInvariants:
     def test_cell_cap(self, monkeypatch):
         monkeypatch.setattr(order_dp, "DEFAULT_CELL_CAP", 3 * 5)
-        assert len(budget_table(I1, 4).reach) == 3
+        assert len(fraction_reach(budget_table(I1, 4))) == 3
         with pytest.raises(ResourceLimitError, match="18 cells exceeds the cap 15"):
             budget_table(I1, 5)
 
@@ -199,12 +197,12 @@ class TestTableInvariants:
 
     def test_base_row_is_zero(self):
         table = budget_table(I1, 6)
-        assert all(v == 0 for v in table.reach[0])
+        assert all(v == 0 for v in fraction_reach(table)[0])
 
     def test_monotone_and_clamped(self):
         for _, inst, budget in random_corpus(30):
             table = budget_table(inst, budget + 4)
-            rows = table.reach
+            rows = fraction_reach(table)
             for i in range(len(rows)):
                 for b in range(len(rows[i])):
                     assert rows[i][b] <= inst.length
@@ -225,18 +223,6 @@ class TestTableInvariants:
             assert verify_coverage(inst, solution, active).covered
             if value > 0:
                 assert dp_exact(inst, value - 1) is None
-
-
-class TestEpsParams:
-    def test_grid_unit(self):
-        params = EpsParams(F(1, 2), F(8), 4)
-        assert params.q == 1
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            EpsParams(0, 1, 1)
-        with pytest.raises(ValueError):
-            EpsParams(F(1, 2), 0, 1)
 
 
 class TestRoundedCost:

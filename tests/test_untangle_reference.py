@@ -25,7 +25,6 @@ from barriercover import (
     minimal_active_set,
     oracle_optimal,
     scale_instance,
-    scale_solution,
     swap_pair,
     untangle,
     verify_coverage,
@@ -33,6 +32,7 @@ from barriercover import (
 from barriercover.generators import RandomStream
 
 from conftest import random_corpus
+from reference_model import scale_solution
 
 _FAILURES = (InfeasibleError, RuntimeError, ValueError, TypeError, IndexError)
 
