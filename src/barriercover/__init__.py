@@ -3,7 +3,15 @@
 Exact rational arithmetic throughout; see the README for the solver lineup
 (order-preserving DP, budget-branching exact search, brute-force oracles),
 the instance generators and the benchmarking harness.
+
+``import barriercover`` loads ``model`` and ``untangle`` only; the names
+from ``exact``, ``order_dp`` and ``generators`` load their module on first
+access.  ``untangle`` stays eager: the package exports a function of that
+name, and a lazy one would let a prior ``import barriercover.untangle``
+bind the package attribute to the submodule instead.
 """
+
+from importlib import import_module as _import_module
 
 from .model import (
     ActiveSet,
@@ -25,73 +33,66 @@ from .model import (
     scale_instance,
     verify_coverage,
 )
-from .exact import (
-    GapCandidateSet,
-    brute_force,
-    brute_force_order_preserving,
-    fpt_solve,
-    oracle_optimal,
-)
-from .generators import (
-    ExactCoverInstance,
-    ReductionOutput,
-    gen_fig5,
-    gen_fig6,
-    gen_random,
-    reduce_exact_cover,
-    solve_exact_cover_brute,
-)
-from .order_dp import (
-    DpTable,
-    budget_table,
-    dp_eps,
-    dp_exact,
-    dp_optimal,
-    greedy_cover,
-)
 from .untangle import CrossingPair, crossing_pairs, swap_pair, untangle
 
 __version__ = "0.1.0"
 
-__all__ = [
+#: Exported names resolved on first access, by the submodule that defines them.
+_LAZY = {
+    "GapCandidateSet": "exact",
+    "brute_force": "exact",
+    "brute_force_order_preserving": "exact",
+    "fpt_solve": "exact",
+    "oracle_optimal": "exact",
+    "ExactCoverInstance": "generators",
+    "ReductionOutput": "generators",
+    "gen_fig5": "generators",
+    "gen_fig6": "generators",
+    "gen_random": "generators",
+    "reduce_exact_cover": "generators",
+    "solve_exact_cover_brute": "generators",
+    "DpTable": "order_dp",
+    "budget_table": "order_dp",
+    "dp_eps": "order_dp",
+    "dp_exact": "order_dp",
+    "dp_optimal": "order_dp",
+    "greedy_cover": "order_dp",
+}
+
+__all__ = sorted([
     "ActiveSet",
     "CoverageReport",
     "CrossingPair",
-    "DpTable",
-    "ExactCoverInstance",
-    "GapCandidateSet",
     "InfeasibleError",
     "Instance",
-    "ReductionOutput",
     "ResourceLimitError",
     "Scalar",
     "Sensor",
     "Solution",
     "as_scalar",
-    "brute_force",
-    "brute_force_order_preserving",
-    "budget_table",
     "cost",
     "crossing_pairs",
-    "dp_eps",
-    "dp_exact",
-    "dp_optimal",
-    "fpt_solve",
-    "gen_fig5",
-    "gen_fig6",
-    "gen_random",
-    "greedy_cover",
     "integral_scale_factor",
     "is_feasible",
     "is_order_preserving",
     "minimal_active_set",
     "moved_indices",
-    "oracle_optimal",
     "radius_ratio",
-    "reduce_exact_cover",
     "scale_instance",
-    "solve_exact_cover_brute",
     "swap_pair",
     "untangle",
     "verify_coverage",
-]
+    *_LAZY,
+])
+
+
+def __getattr__(name: str):
+    # Not cached in the package: every access reads the home module, so a
+    # patch there (a tracer's wrapper, say) is what the caller gets.
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{_LAZY[name]}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*__all__, *globals()})

@@ -8,12 +8,11 @@ A search cutoff is never reported as "no solution".
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import exact, harness
+from . import harness
 from .fileio import (
     format_scalar,
     parse_instance,
@@ -22,14 +21,8 @@ from .fileio import (
     serialize_solution,
     load_solution,
 )
-from .generators import (
-    ExactCoverInstance,
-    gen_fig5,
-    gen_fig6,
-    gen_random,
-    reduce_exact_cover,
-)
 from .model import (
+    DEFAULT_NODE_CAP,
     Instance,
     InfeasibleError,
     ResourceLimitError,
@@ -98,7 +91,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget", help="movement budget in input units; without it the "
                        "exact solvers return the optimum (dp-eps ignores it)")
     solve.add_argument("--eps", default="1/2", help="approximation parameter (dp-eps)")
-    solve.add_argument("--node-cap", type=_count, default=exact.DEFAULT_NODE_CAP)
+    solve.add_argument("--node-cap", type=_count, default=DEFAULT_NODE_CAP)
     solve.add_argument("--out", help="output path (default: stdout)")
     solve.add_argument("instance", help="instance file path")
 
@@ -118,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--algos", help="comma list of algorithms (--dir; default: oracle,dp-optimal)")
     bench.add_argument("--reference", help="algorithm rated against (--dir; default: oracle)")
     bench.add_argument("--eps", help="approximation parameter (--dir; default: 1/2)")
-    bench.add_argument("--node-cap", type=_count, default=exact.DEFAULT_NODE_CAP)
+    bench.add_argument("--node-cap", type=_count, default=DEFAULT_NODE_CAP)
     bench.add_argument("--out", help="output path (default: stdout)")
     return parser
 
@@ -131,9 +124,23 @@ _BENCH_REFUSED = {
 }
 
 
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text()
+    except OSError as exc:
+        raise _CliError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _CliError(f"cannot write {path}: {exc}") from exc
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out:
-        Path(out).write_text(text)
+        _write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -145,6 +152,8 @@ def _require(args: argparse.Namespace, names: Sequence[str]) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
+    from .generators import ExactCoverInstance, gen_fig5, gen_fig6, gen_random, reduce_exact_cover
+
     if args.family == "fig5":
         _require(args, ["rho", "length"])
         instance = gen_fig5(parse_scalar(args.rho), parse_scalar(args.length))
@@ -165,7 +174,9 @@ def _cmd_gen(args: argparse.Namespace) -> int:
         _require(args, ["spec"])
         if not args.out:
             raise _CliError("--family exact-cover needs --out for the sidecar file")
-        raw = json.loads(Path(args.spec).read_text())
+        import json
+
+        raw = json.loads(_read(args.spec))
         ec = ExactCoverInstance(
             universe_size=raw["m"],
             sets=tuple(frozenset(s) for s in raw["sets"]),
@@ -178,17 +189,16 @@ def _cmd_gen(args: argparse.Namespace) -> int:
             "k": reduced.movers,
             "source_sets": list(reduced.source_sets),
         }
-        Path(args.out + ".meta.json").write_text(json.dumps(sidecar, indent=2) + "\n")
+        _write(args.out + ".meta.json", json.dumps(sidecar, indent=2) + "\n")
         return EXIT_OK
     _emit(serialize_instance(instance), args.out)
     return EXIT_OK
 
 
 def _load_instance(path: str) -> Instance:
+    text = _read(path)
     try:
-        return parse_instance(Path(path).read_text())
-    except OSError as exc:
-        raise _CliError(f"cannot read {path}: {exc}") from exc
+        return parse_instance(text)
     except ValueError as exc:
         raise _CliError(f"bad instance file {path}: {exc}") from exc
 
@@ -206,10 +216,9 @@ def _cmd_solve(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     instance = _load_instance(args.instance)
+    text = _read(args.solution)
     try:
-        solution = load_solution(instance, Path(args.solution).read_text())
-    except OSError as exc:
-        raise _CliError(f"cannot read {args.solution}: {exc}") from exc
+        solution = load_solution(instance, text)
     except ValueError as exc:
         raise _CliError(f"bad solution file: {exc}") from exc
     report = verify_coverage(instance, solution)
@@ -286,7 +295,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except _CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, TypeError, json.JSONDecodeError, KeyError) as exc:
+    except (ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:

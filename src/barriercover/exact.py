@@ -36,6 +36,7 @@ from itertools import accumulate
 from typing import Callable, Container, Iterable, Iterator, Optional
 
 from .model import (
+    DEFAULT_NODE_CAP,
     Instance,
     ResourceLimitError,
     Scalar,
@@ -51,7 +52,6 @@ from .model import (
 )
 from .order_dp import greedy_cover
 
-DEFAULT_NODE_CAP = 10**8
 # Most entries ``brute_force``'s dominance memo records per call.
 _MEMO_CAP = 1 << 16
 

@@ -4,8 +4,10 @@
 Every solver takes any rational instance (the grid-bound ones put it on the
 integer grid themselves) and a budget in input units, or None for the
 optimum, and returns None when no cover exists within the budget or at
-all.  Solver failures become record statuses; a batch never dies because
-one point was infeasible or hit a resource cap.
+all.  Each solver imports its modules when called, so naming the registry
+(as the CLI does for ``--algo``) loads no solver module.  Solver failures
+become record statuses; a batch never dies because one point was
+infeasible or hit a resource cap.
 """
 
 from __future__ import annotations
@@ -15,10 +17,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Mapping, Optional, Sequence
 
-from . import exact, order_dp
 from .fileio import format_scalar
-from .untangle import untangle as untangle_solution
 from .model import (
+    DEFAULT_NODE_CAP,
     Instance,
     ResourceLimitError,
     Scalar,
@@ -28,7 +29,6 @@ from .model import (
     cost,
     is_feasible,
 )
-from .generators import gen_fig5, gen_fig6
 
 CSV_HEADER = "instance,algo,status,cost,ref_cost,ratio,time_ms"
 
@@ -70,10 +70,14 @@ def _first(found: Optional[tuple]) -> Optional[Solution]:
 
 
 def _oracle(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
+    from . import exact
+
     return _first(exact.brute_force(instance, budget, node_cap=node_cap))
 
 
 def _fpt(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
+    from . import exact, order_dp
+
     if not is_feasible(instance):
         return None
     if budget is None:
@@ -82,6 +86,8 @@ def _fpt(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> 
 
 
 def _dp_exact(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
+    from . import order_dp
+
     if not is_feasible(instance):
         return None
     if budget is None:
@@ -90,12 +96,16 @@ def _dp_exact(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int
 
 
 def _dp_eps(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
+    from . import order_dp
+
     return order_dp.dp_eps(instance, eps)[0] if is_feasible(instance) else None
 
 
 def _untangle_oracle(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
+    from .untangle import untangle
+
     found = _oracle(instance, budget, eps, node_cap)
-    return None if found is None else untangle_solution(instance, found)[0]
+    return None if found is None else untangle(instance, found)[0]
 
 
 #: Every named solver.  ``dp-eps`` ignores the budget; ``dp-exact`` and
@@ -136,7 +146,7 @@ def compare(
     reference: str,
     instance_id: str = "instance",
     eps: ScalarLike = Fraction(1, 2),
-    node_cap: int = exact.DEFAULT_NODE_CAP,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> list[RunRecord]:
     """Run every algorithm on one instance, rating each against the reference.
 
@@ -146,6 +156,9 @@ def compare(
     unknown = sorted({reference, *algorithms}.difference(SOLVERS))
     if unknown:
         raise ValueError(f"unknown algorithm {unknown[0]!r}; pick from {sorted(SOLVERS)}")
+    # Load the solver modules before any run is timed, so no time_ms counts an import.
+    from . import exact, order_dp
+
     ref_record = _run_one(instance_id, instance, reference, eps, node_cap)
     records = []
     for name in algorithms:
@@ -174,7 +187,7 @@ def compare(
 def ratio_sweep(
     family: str,
     grid: Mapping[str, Sequence],
-    node_cap: int = exact.DEFAULT_NODE_CAP,
+    node_cap: int = DEFAULT_NODE_CAP,
 ) -> list[RunRecord]:
     """Run a family's ratio experiment over a parameter grid.
 
@@ -182,6 +195,8 @@ def ratio_sweep(
     optimum; fig6 measures the cost of untangling the oracle's optimum
     against that optimum.
     """
+    from .generators import gen_fig5, gen_fig6
+
     records: list[RunRecord] = []
     if family == "fig5":
         rho = as_scalar(grid.get("rho", [2])[0])

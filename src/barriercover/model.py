@@ -47,6 +47,11 @@ class ResourceLimitError(Exception):
     """A search exceeded its configured resource cap; not a 'no solution'."""
 
 
+#: The exhaustive searches' default node cap; kept here so the CLI and harness
+#: can default to it without importing ``exact``.
+DEFAULT_NODE_CAP = 10**8
+
+
 def as_scalar(value: ScalarLike) -> Scalar:
     """Coerce to an exact rational; floats are refused to keep arithmetic exact."""
     if isinstance(value, float):

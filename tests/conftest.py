@@ -1,4 +1,4 @@
-"""Shared instance corpora for the test suite.
+"""Shared instance corpora, and a fresh-interpreter runner, for the test suite.
 
 The random corpus parameters (n <= 6, x in [-10, 15], r in {1, 2, 3},
 L <= 12, B <= 8) are pinned: they keep every instance within easy reach of
@@ -8,8 +8,13 @@ and badly-shuffled cases.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
 from typing import Iterator
 
+import barriercover
 from barriercover import Instance, gen_random
 from barriercover.generators import RandomStream
 
@@ -25,3 +30,11 @@ def random_corpus(count: int, seed0: int = CORPUS_SEED) -> Iterator[tuple[int, I
         budget = meta.next_int(0, 8)
         instance = gen_random(n, length, 1, 3, (-10, 15), seed0 + 1000 + case)
         yield case, instance, budget
+
+
+def fresh_python(code: str, *args: str) -> str:
+    """Run ``code`` in a new interpreter on this ``barriercover``; return its stdout."""
+    env = {**os.environ, "PYTHONPATH": str(Path(barriercover.__file__).resolve().parent.parent)}
+    child = subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    return child.stdout

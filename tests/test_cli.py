@@ -8,6 +8,8 @@ from barriercover import harness
 from barriercover.cli import main
 from barriercover.fileio import parse_instance, parse_solution
 
+from conftest import fresh_python
+
 CORPORA = Path(__file__).resolve().parent.parent / "corpora"
 I1_TEXT = "L 4\nN 2\n0 1\n5 1\n"
 
@@ -59,6 +61,29 @@ class TestGen:
         spec = tmp_path / "ec.json"
         spec.write_text(json.dumps({"m": 1, "sets": [[1]], "k": 1}))
         assert main(["gen", "--family", "exact-cover", "--spec", str(spec)]) == 2
+
+    @pytest.mark.parametrize("spec", ["missing.json", "."])
+    def test_unreadable_spec_is_usage_error(self, spec, tmp_path, capsys):
+        path = tmp_path / spec
+        args = ["gen", "--family", "exact-cover", "--spec", str(path), "--out", str(tmp_path / "ec.bc")]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+    @pytest.mark.parametrize("family", [
+        ["--family", "random", "--n", "3", "--length", "6"],
+        ["--family", "exact-cover", "--spec", str(CORPORA / "e1.json")],
+    ])
+    def test_out_under_missing_directory_is_usage_error(self, family, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.bc"
+        assert main(["gen", *family, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
+
+    def test_unwritable_sidecar_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "ec.bc"
+        (tmp_path / "ec.bc.meta.json").mkdir()
+        spec = str(CORPORA / "e1.json")
+        assert main(["gen", "--family", "exact-cover", "--spec", spec, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}.meta.json: ")
 
 
 class TestSolve:
@@ -178,6 +203,17 @@ class TestSolve:
         assert main(["solve", "--algo", "dp-eps", "--eps", "1/2", str(path)]) == 0
         assert default == capsys.readouterr().out
         assert parse_solution(default)[0] == 18
+
+    @pytest.mark.parametrize("instance", ["missing.bc", "."])
+    def test_unreadable_instance_is_usage_error(self, instance, tmp_path, capsys):
+        path = tmp_path / instance
+        assert main(["solve", "--algo", "dp-optimal", str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot read {path}: ")
+
+    def test_out_under_missing_directory_is_usage_error(self, i1_path, tmp_path, capsys):
+        out = tmp_path / "missing" / "sol.txt"
+        assert main(["solve", "--algo", "dp-optimal", i1_path, "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: cannot write {out}: ")
 
     def test_output_file(self, i1_path, tmp_path):
         out = tmp_path / "sol.txt"
@@ -348,3 +384,31 @@ class TestGoldenFiles:
     def test_e1_sidecar(self):
         sidecar = json.loads((CORPORA / "e1.bc.meta.json").read_text())
         assert sidecar["B"] == "330" and sidecar["k"] == 2
+
+
+class TestImportFootprint:
+    """Each command loads only the solver modules it runs (import is most of a small CLI call)."""
+
+    CODE = (
+        "import sys\n"
+        "from barriercover.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('barriercover.')))\n"
+    )
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["gen", "--family", "random", "--n", "3", "--length", "6"], {"exact", "order_dp"}),
+        (["verify", "{i1}", "{sol}"], {"exact", "order_dp", "generators"}),
+        (["solve", "--algo", "dp-exact", "{i1}"], {"exact", "generators"}),
+        (["solve", "--algo", "dp-eps", "{i1}"], {"exact", "generators"}),
+        (["solve", "--algo", "oracle", "{i1}"], {"generators"}),
+        (["solve", "--algo", "fpt", "{i1}"], {"generators"}),
+    ])
+    def test_command_loads_only_what_it_runs(self, argv, absent, tmp_path):
+        sol = tmp_path / "sol.txt"
+        sol.write_text("COST 3\n1\n3\n")
+        paths = {"i1": str(CORPORA / "i1.bc"), "sol": str(sol)}
+        code, *loaded = fresh_python(self.CODE, *(a.format(**paths) for a in argv)).splitlines()[-1].split()
+        assert code == "0"
+        assert "barriercover.model" in loaded
+        assert absent.isdisjoint(m.removeprefix("barriercover.") for m in loaded)

@@ -21,7 +21,7 @@ from barriercover.harness import (
     records_to_csv,
 )
 
-from conftest import random_corpus
+from conftest import fresh_python, random_corpus
 
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
 I2 = Instance(12, (Sensor(0, 2), Sensor(1, 1), Sensor(3, 1), Sensor(5, 1), Sensor(7, 1)))
@@ -175,3 +175,19 @@ class TestPublicNames:
 
     def test_all_names_resolve(self):
         assert [name for name in barriercover.__all__ if not hasattr(barriercover, name)] == []
+
+    def test_lazy_exports_in_a_fresh_interpreter(self):
+        # This process has loaded every submodule already, so only a new one takes the lazy path.
+        code = """
+import sys
+import barriercover.untangle
+from barriercover import untangle
+assert untangle is sys.modules["barriercover.untangle"].untangle, untangle
+import barriercover.exact, barriercover.order_dp, barriercover.generators
+for name in barriercover.__all__:
+    home = barriercover._LAZY.get(name) or ("model" if name in vars(barriercover.model) else "untangle")
+    assert getattr(barriercover, name) is getattr(sys.modules["barriercover." + home], name), name
+assert set(barriercover.__all__) <= set(dir(barriercover))
+print("ok")
+"""
+        assert fresh_python(code) == "ok\n"

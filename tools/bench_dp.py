@@ -16,9 +16,10 @@ loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
 ``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40},
 ``dp_optimal`` on the n = 20 instance scaled by 100 (13 budgets, 1 to
 4,096 grid steps), fig5 L=40 ``dp_optimal`` against the exhaustive
-``oracle_optimal``, and one
-``python -m barriercover solve --algo dp-optimal corpora/i1.bc`` child
-run on ``--src`` (interpreter start and import included).  The
+``oracle_optimal``, and three ``python -m barriercover`` child runs on
+``--src`` (interpreter start and import included): ``solve --algo
+dp-optimal corpora/i1.bc``, ``gen --family random --n 6 --length 12`` and
+``verify corpora/i1.bc /dev/stdin`` with a covering solution on stdin.  The
 untangle rows are ``untangle`` on fig5 L in {40, 80, 160, 320} (n = 19, 39,
 79, 159) with the large sensor moved to L - 2, where it crosses the whole
 unit row.
@@ -137,12 +138,16 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
     fig5 = bc.gen_fig5(2, 40)
     rows["dp_optimal.fig5_L40"] = lambda: bc.dp_optimal(fig5)
     rows["oracle_optimal.fig5_L40"] = lambda: bc.oracle_optimal(fig5)
-    solve = [sys.executable, "-m", "barriercover", "solve", "--algo", "dp-optimal",
-             str(REPO / "corpora" / "i1.bc")]
     env = {**os.environ, "PYTHONPATH": str(Path(bc.__file__).resolve().parent.parent)}
-    rows["cli.solve_dp_optimal.i1"] = lambda: subprocess.run(
-        solve, env=env, stdout=subprocess.DEVNULL, check=True
-    )
+    i1 = str(REPO / "corpora" / "i1.bc")
+
+    def child(*argv: str, stdin: str = "") -> Callable[[], object]:
+        return lambda: subprocess.run([sys.executable, "-m", "barriercover", *argv], env=env,
+                                      input=stdin, text=True, stdout=subprocess.DEVNULL, check=True)
+
+    rows["cli.solve_dp_optimal.i1"] = child("solve", "--algo", "dp-optimal", i1)
+    rows["cli.gen_random.n6"] = child("gen", "--family", "random", "--n", "6", "--length", "12")
+    rows["cli.verify.i1"] = child("verify", i1, "/dev/stdin", stdin="COST 3\n1\n3\n")
     return rows
 
 
