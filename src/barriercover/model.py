@@ -53,7 +53,12 @@ DEFAULT_NODE_CAP = 10**8
 
 
 def as_scalar(value: ScalarLike) -> Scalar:
-    """Coerce to an exact rational; floats are refused to keep arithmetic exact."""
+    """Coerce to an exact rational; floats are refused to keep arithmetic exact.
+
+    A plain ``Fraction`` is returned as it is (it is immutable).
+    """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass a Fraction, int or 'p/q' string")
     return Fraction(value)

@@ -19,18 +19,22 @@ that placement becomes affordable and keeping a running maximum).  Ties
 go to skipping the sensor, then to the smaller split.  The arithmetic is
 exact: the instance and the unit are put on one integer grid by
 ``model.on_grid``, and the fill, the scan for the cheapest covering budget
-and the reconstruction all run on Python ints.  Only the answer, the n
+and the reconstruction all run on Python ints.  A cell's choice is one int,
+the k units its sensor moves (-1: skipped), and the reconstruction
+recomputes the position from k as the fill did.  Only the answer, the n
 positions of the solution, is converted back to Fractions.  The exact
 solvers run the DP with unit 1/d on the instance's own grid, so they take
 any rational instance and a budget in input units.  A call's setup is on
 the grid too: the instance's grid is computed once and kept on the
 ``Instance``, and the feasibility test, the greedy tiling that caps the
 budget and the coverage check of the home solution all run on its ints.
+``dp_eps`` takes its home gaps, first guess and skip floor from that grid
+and runs its acceptance test in grid units; only each guess's unit q is a
+Fraction.
 """
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -46,9 +50,9 @@ from .model import (
     Solution,
     _clipped_spans,
     _covers,
+    _gaps,
     _to_grid,
     as_scalar,
-    cost,
     grid_units,
     integral_scale_factor,
     is_feasible,
@@ -56,8 +60,6 @@ from .model import (
     on_grid,
     verify_coverage,
 )
-
-_SKIP = (-1, None)
 
 #: Largest table ``budget_table`` fills or ``DpTable.grow`` widens, in cells: (n + 1) * (budget_units + 1).
 DEFAULT_CELL_CAP = 500_000
@@ -69,15 +71,21 @@ class DpTable:
 
     ``rows[i][b]`` is the reach of the first i sensors with b units of
     ``unit``, times ``scale``: an int, clamped at L*scale and nondecreasing
-    in both indices.  ``choices[i][b]`` is either the skip marker or
-    ``(k, y)``: sensor i-1 placed at grid position y (input position
-    y/scale) using k budget units.  ``fills`` resume the rows' fills.
+    in both indices.  ``choices[i][b]`` is one int: -1 when sensor i-1 is
+    skipped, else the k budget units it moves.  Its grid position is then
+    min(xs[i-1] + k*step, rows[i-1][b-k] + rs[i-1]), input position over
+    ``scale``; ``length``, ``xs``, ``rs`` and ``step`` (the unit) are the
+    instance on the table's grid.  ``fills`` resume the rows' fills.
     """
 
     unit: Scalar
     scale: int
+    length: int
+    xs: list[int]
+    rs: list[int]
+    step: int
     rows: list[list[int]]
-    choices: list[list[tuple[int, Optional[int]]]]
+    choices: list[list[int]]
     fills: list[Iterator[None]] = field(repr=False, compare=False)
 
     def grow(self, budget_units: int) -> None:
@@ -91,7 +99,7 @@ class DpTable:
         if cells > DEFAULT_CELL_CAP:
             raise ResourceLimitError(f"DP table of {cells} cells exceeds the cap {DEFAULT_CELL_CAP}")
         self.rows[0][:] = [0] * (budget_units + 1)
-        self.choices[0][:] = [_SKIP] * (budget_units + 1)
+        self.choices[0][:] = [-1] * (budget_units + 1)
         for fill in self.fills:
             next(fill)
 
@@ -129,21 +137,22 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     scale, length, xs, rs = on_grid(instance, unit)
     step = _to_grid(unit, scale)
     rows: list[list[int]] = [[] for _ in range(instance.n + 1)]
-    choices: list[list[tuple[int, Optional[int]]]] = [[] for _ in rows]
+    choices: list[list[int]] = [[] for _ in rows]
     fills = [_fill_row(prev, row, chosen, x, r, step, length)
              for prev, row, chosen, x, r in zip(rows, rows[1:], choices[1:], xs, rs)]
-    table = DpTable(unit=unit, scale=scale, rows=rows, choices=choices, fills=fills)
+    table = DpTable(unit, scale, length, xs, rs, step, rows, choices, fills)
     table.grow(budget_units)
     return table
 
 
 def _fill_row(
-    prev: list[int], row: list[int], chosen: list[tuple[int, Optional[int]]], x: int, r: int, u: int, length: int
+    prev: list[int], row: list[int], chosen: list[int], x: int, r: int, u: int, length: int
 ) -> Iterator[None]:
     """One ``budget_table`` row on the integer grid, widened to len(prev) at each resume.
 
     The right pointer, the running left maximum and the left-bound j that
-    become available past the filled width (``later``) carry over.
+    become available past the filled width (``later``) carry over; a resume
+    allocates ``latest`` for its new columns only.
     """
     clamp_k = max(0, -((x + r - length) // u))
     right = left = -1
@@ -151,21 +160,19 @@ def _fill_row(
     start = 0
     while True:
         width = len(prev)
-        latest = [-1] * width
+        latest = [-1] * (width - start)
         for at in list(later):
             if at < width:
-                latest[at] = later.pop(at)
+                latest[at - start] = later.pop(at)
         for j in range(start, width):
             at = j - (-abs(prev[j] + r - x) // u)
             if at < width:
-                latest[at] = j
+                latest[at - start] = j
             else:
                 later[at] = j
-        row += [0] * (width - start)
-        chosen += [_SKIP] * (width - start)
-        for b in range(start, width):
-            if latest[b] > left:
-                left = latest[b]
+        for b, late in enumerate(latest, start):
+            if late > left:
+                left = late
             while right < b and x + (right + 1) * u <= prev[b - right - 1] + r:
                 right += 1
             best = prev[b]
@@ -184,11 +191,8 @@ def _fill_row(
                     value = length
                 if value > best or (value == best and k >= 0 and b - left < k):
                     best, k = value, b - left
-            row[b] = best
-            if k >= 0:
-                moved = x + k * u
-                abut = prev[b - k] + r
-                chosen[b] = (k, moved if moved <= abut else abut)
+            row.append(best)
+            chosen.append(k)
         start = width
         yield
 
@@ -211,22 +215,20 @@ def _chain_active(placed: list[tuple[int, int]]) -> list[int]:
 def _reconstruct(instance: Instance, table: DpTable, b: int) -> tuple[Solution, ActiveSet]:
     """Walk the choices from (n, b) back to row 0, checking the cover on the grid.
 
-    The placed sensors' positions are converted to Fractions once, at the end.
+    Each placed sensor's position is recomputed from its k as the fill
+    placed it; the positions are converted to Fractions once, at the end.
     """
-    scale = table.scale
+    scale, length, xs, rs, step, rows = table.scale, table.length, table.xs, table.rs, table.step, table.rows
     placed: list[tuple[int, int]] = []
     for i in range(instance.n, 0, -1):
-        k, pos = table.choices[i][b]
+        k = table.choices[i][b]
         if k >= 0:
-            assert pos is not None
-            placed.append((i - 1, pos))
             b -= k
+            placed.append((i - 1, min(xs[i - 1] + k * step, rows[i - 1][b] + rs[i - 1])))
     placed.reverse()
     active = tuple(_chain_active(placed))
     centers = dict(placed)
-    radii = {i: _to_grid(instance.sensors[i].r, scale) for i in active}
-    length = _to_grid(instance.length, scale)
-    if not _covers(sorted(_clipped_spans(radii, centers, length, active)), set(active), length):
+    if not _covers(sorted(_clipped_spans(rs, centers, length, active)), set(active), length):
         raise RuntimeError("DP reconstruction lost coverage; table is corrupt")
     if not all(centers[i] < centers[j] for i, j in zip(active, active[1:])):
         raise RuntimeError("DP reconstruction is not order-preserving")
@@ -264,7 +266,7 @@ def _cheapest_cover(instance: Instance, table: DpTable) -> Optional[tuple[Soluti
     The last row is nondecreasing and clamped at L, so the smallest covering
     budget is where L*scale would be inserted into it.
     """
-    winner = bisect_left(table.rows[instance.n], _to_grid(instance.length, table.scale))
+    winner = bisect_left(table.rows[instance.n], table.length)
     return None if winner == len(table.rows[0]) else _reconstruct(instance, table, winner)
 
 
@@ -279,13 +281,13 @@ def cheapest_first(instance: Instance, solve: Callable[[Scalar], Optional[tuple]
     """
     d = integral_scale_factor(instance)
     _, upper = greedy_cover(instance)
+    top = _to_grid(upper, d)
     units = 1
     while True:
-        budget = min(Fraction(units, d), upper)
-        found = solve(budget)
+        found = solve(Fraction(units, d) if units < top else upper)
         if found is not None:
             return found
-        if budget == upper:
+        if units >= top:
             raise RuntimeError("budget doubling found nothing at the greedy cost")
         units *= 2
 
@@ -327,9 +329,9 @@ def dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:
 
     def solve(budget: Scalar) -> Optional[tuple[Solution, ActiveSet]]:
         if tables:
-            tables[0].grow(int(budget * d))
+            tables[0].grow(_to_grid(budget, d))
         else:
-            tables.append(budget_table(instance, int(budget * d), Fraction(1, d)))
+            tables.append(budget_table(instance, _to_grid(budget, d), Fraction(1, d)))
         return _cheapest_cover(instance, tables[0])
 
     return cheapest_first(instance, solve)
@@ -351,24 +353,35 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
     least G, the home solution's total gap.  A cover in the table moves each
     placed sensor by at most its k steps of q, so it costs at most units*q.
     While units*q < G, i.e. guess < G*n / (units*eps/2), the table is empty.
+
+    Everything but the DP's unit runs on ints: with eps = p/s and the
+    instance's grid 1/d, the home gaps come from the grid, a guess is
+    g/(2d), and a cover is accepted when its cost on the grid 1/(4sdn),
+    which holds every position a table places, is at most (2s + p)*g*n.
     """
     eps = as_scalar(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     if not is_feasible(instance):
         raise InfeasibleError("instance cannot cover the barrier")
-    report = verify_coverage(instance, instance.home())
-    if report.covered:
+    d, length, xs, rs = on_grid(instance)
+    n = instance.n
+    gaps = _gaps(sorted(_clipped_spans(rs, xs, length, range(n))), length)
+    if not gaps:
         return instance.home(), minimal_active_set(instance, instance.home())
-    half = eps / 2
-    units = math.ceil(instance.n / half) + instance.n
-    guess = max(hi - lo for lo, hi in report.gaps) / 2
-    floor = sum(hi - lo for lo, hi in report.gaps) * instance.n / (units * half)
+    p, s = eps.numerator, eps.denominator
+    f = 4 * s * n
+    units = -(-2 * n * s // p) + n
+    g = max(hi - lo for lo, hi in gaps)
+    floor = f * sum(hi - lo for lo, hi in gaps)
     _, upper = greedy_cover(instance)
+    top = 4 * _to_grid(upper, d)
     while True:
-        found = _dp_within(instance, units, half * guess / instance.n) if guess >= floor else None
-        if found is not None and cost(instance, found[0]) <= (1 + half) * guess:
-            return found
-        if guess > 2 * upper:
+        found = _dp_within(instance, units, Fraction(p * g, f * d)) if g * units * p >= floor else None
+        if found is not None:
+            moved = sum(abs(_to_grid(y, f * d) - x * f) for y, x in zip(found[0], xs))
+            if moved <= (2 * s + p) * g * n:
+                return found
+        if g > top:
             raise RuntimeError("guess doubling escaped its upper bound")
-        guess *= 2
+        g *= 2

@@ -50,13 +50,15 @@ from barriercover.model import (
     verify_coverage,
 )
 from barriercover.order_dp import (
-    _SKIP,
     DpTable,
     _dp_within,
     budget_table,
     cheapest_first,
     greedy_cover,
 )
+
+#: The reference tables' choice for a skipped sensor.
+_SKIP = (-1, None)
 
 
 def _exact(scale: int, values: set[int]) -> dict[int, Scalar]:
@@ -70,9 +72,19 @@ def fraction_reach(table: DpTable) -> list[list[Scalar]]:
 
 
 def fraction_parent(table: DpTable) -> list[list[tuple[int, Optional[Scalar]]]]:
-    """``table.choices`` in input units: the skip marker or (k, position), positions as Fractions."""
-    exact = _exact(table.scale, {y for row in table.choices for _, y in row if y is not None})
-    return [[c if c is _SKIP else (c[0], exact[c[1]]) for c in row] for row in table.choices]
+    """``table.choices`` in input units: the skip marker or (k, position), positions as Fractions.
+
+    A choice k >= 0 for sensor i-1 at budget b places it at grid position
+    min(x + k*step, rows[i-1][b-k] + r), as the fill does.
+    """
+    parent = [[_SKIP] * len(table.choices[0])]
+    for i, row in enumerate(table.choices[1:], start=1):
+        x, r, prev = table.xs[i - 1], table.rs[i - 1], table.rows[i - 1]
+        parent.append([
+            _SKIP if k < 0 else (k, Fraction(min(x + k * table.step, prev[b - k] + r), table.scale))
+            for b, k in enumerate(row)
+        ])
+    return parent
 
 
 @dataclass(frozen=True)

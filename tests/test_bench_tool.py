@@ -1,0 +1,77 @@
+"""``tools/bench_dp.py`` never replaces a recorded figure.
+
+A ``rows`` label or a ``pairs`` key and seed that the JSON file already
+holds is refused with ``SystemExit`` before anything is timed, and the file
+is left as it was.  The timing entry points are replaced by a stub that
+raises, so a test that reaches them fails loudly instead of timing.
+"""
+
+import importlib.util
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_dp.py"
+
+
+class Timed(Exception):
+    """Raised by the stubbed timing entry points."""
+
+
+@pytest.fixture
+def bench_dp(monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_dp_under_test", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+
+    def timed(*args, **kwargs):
+        raise Timed
+
+    monkeypatch.setattr(sys, "path", list(sys.path))  # ``rows`` puts its --src first
+    monkeypatch.setattr(module, "row_in_child", timed)
+    monkeypatch.setattr(module, "perfbench_run", timed)
+    return module
+
+
+def _run(bench_dp, monkeypatch, out, *argv):
+    monkeypatch.setattr(sys, "argv", ["bench_dp.py", "--topic", "untangle", "--out", str(out), *argv])
+    bench_dp.main()
+
+
+RECORD = {"topic": "t", "runs": {"before": {}, "old_after": {}}, "untangle_swaps_pairs": {"0": {}}, "k": {"1": {}}}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rows", "--label", "old_after"),
+        ("rows", "--label", "new_after", "--before", "src"),
+        ("rows", "--label", "new_after", "--before", "src", "--before-label", "old_after"),
+        ("rows", "--label", "same", "--before", "src", "--before-label", "same"),
+        ("pairs", "--before", "."),
+        ("pairs", "--before", ".", "--key", "k", "--seed", "1"),
+    ],
+)
+def test_refuses_a_recorded_label_or_key_before_timing(bench_dp, monkeypatch, tmp_path, argv):
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps(RECORD))
+    with pytest.raises(SystemExit):
+        _run(bench_dp, monkeypatch, out, *argv)
+    assert json.loads(out.read_text()) == RECORD
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rows", "--label", "new_after", "--before", "src", "--before-label", "new_before"),
+        ("pairs", "--before", ".", "--seed", "1"),
+        ("pairs", "--before", ".", "--key", "k", "--seed", "0"),
+    ],
+)
+def test_new_labels_and_keys_reach_the_timing(bench_dp, monkeypatch, tmp_path, argv):
+    out = tmp_path / "BENCH.json"
+    out.write_text(json.dumps(RECORD))
+    with pytest.raises(Timed):
+        _run(bench_dp, monkeypatch, out, *argv)

@@ -50,22 +50,22 @@ def _outcome(fn, *args):
         return type(exc), str(exc)
 
 
-def _runs(inst, optimal=dp_optimal, eps_solver=dp_eps):
+def _runs(inst, optimal=dp_optimal, eps_solver=dp_eps, eps_values=EPS):
     """Every DP solver's outcome on ``inst``: dp_optimal, dp_exact at its cost, dp_eps."""
     best = _outcome(optimal, inst)
     runs = [best]
     if best[0] == "ok":
         runs.append(_outcome(dp_exact, inst, cost(inst, best[1][0])))
-    runs += [_outcome(eps_solver, inst, eps) for eps in EPS]
+    runs += [_outcome(eps_solver, inst, eps) for eps in eps_values]
     return runs
 
 
-def _assert_same(inst):
-    got = _runs(inst)
+def _assert_same(inst, eps_values=EPS):
+    got = _runs(inst, eps_values=eps_values)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(order_dp, "_dp_within", reference_dp_within)
         patch.setattr(reference_dp, "_dp_within", reference_dp_within)
-        want = _runs(inst, reference_dp_optimal, reference_dp_eps)
+        want = _runs(inst, reference_dp_optimal, reference_dp_eps, eps_values)
     assert got == want, f"{inst}"
     return got
 
@@ -148,3 +148,19 @@ def test_skipped_guesses_match_at_the_bound(length, sensors, eps):
     """
     inst = Instance(length, tuple(Sensor(x, r) for x, r in sensors))
     assert _outcome(dp_eps, inst, eps) == _outcome(reference_dp_eps, inst, eps)
+
+
+def _mixed(lo, hi):
+    return st.builds(F, st.integers(lo, hi), st.sampled_from([1, 2, 3, 7]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mixed(6, 42), st.lists(st.tuples(_mixed(-12, 48), _mixed(1, 14)), min_size=2, max_size=5))
+def test_matches_reference_on_mixed_denominators(length, sensors):
+    """Coordinates over halves, thirds and sevenths, so a table's grid 1/scale is finer than the instance's.
+
+    ``dp_eps``'s unit q then has its own denominator, the table's positions
+    sit on a grid the instance's does not hold, and the int choices and the
+    grid-unit acceptance test must still give what the Fraction forms give.
+    """
+    _assert_same(Instance(length, tuple(Sensor(x, r) for x, r in sensors)), (F(1), F(1, 2), F(1, 3)))

@@ -75,6 +75,29 @@ class TestTypes:
         assert s.x == F(1, 2) and s.r == F(5, 2)
 
 
+class TestAsScalar:
+    def test_a_fraction_comes_back_as_it_is(self):
+        value = F(7, 3)
+        assert as_scalar(value) is value
+
+    def test_a_fraction_subclass_becomes_a_plain_fraction(self):
+        class Tagged(F):
+            pass
+
+        got = as_scalar(Tagged(7, 3))
+        assert type(got) is F and got == F(7, 3)
+
+    @pytest.mark.parametrize("value, want", [(0, F(0)), (-4, F(-4)), ("5/2", F(5, 2)), ("-3/6", F(-1, 2)), ("7", F(7))])
+    def test_ints_and_strings_convert(self, value, want):
+        got = as_scalar(value)
+        assert type(got) is F and got == want
+
+    @pytest.mark.parametrize("value", [0.25, 2.0, float("inf")])
+    def test_floats_raise(self, value):
+        with pytest.raises(TypeError):
+            as_scalar(value)
+
+
 class TestCost:
     def test_two_sensor_example(self):
         assert cost(I1, (1, 3)) == 3

@@ -4,11 +4,11 @@ Stdlib only.  Three topics, ``dp`` (the order-preserving budget DP, the
 default), ``untangle`` and ``search`` (the exhaustive searches), and two
 subcommands, run from the repository root:
 
-    python tools/bench_dp.py rows --label after --before ../parent/src
-    python tools/bench_dp.py pairs --before ../parent --after . --pairs 10
-    python tools/bench_dp.py --topic untangle rows --label after
-    python tools/bench_dp.py --topic untangle pairs --before ../parent --pairs 10
-    python tools/bench_dp.py --topic search rows --label after
+    python tools/bench_dp.py rows --label new_after --before ../parent/src --before-label new_before
+    python tools/bench_dp.py pairs --before ../parent --after . --pairs 10 --key dp_order_pairs_new
+    python tools/bench_dp.py --topic untangle rows --label new_after
+    python tools/bench_dp.py --topic untangle pairs --before ../parent --pairs 10 --key untangle_swaps_pairs_new
+    python tools/bench_dp.py --topic search rows --label new_after
 
 ``rows`` times the topic's baseline rows on the ``barriercover`` in
 ``--src`` (default: this checkout's ``src``).  The DP rows are the C3 gate
@@ -48,6 +48,10 @@ quartiles of every end-to-end metric, and how many pairs the after side won
 on ``ops_per_s``, under ``<W>_pairs[seed]`` (dashes in W become
 underscores; ``--key`` replaces ``<W>_pairs``).  Each run is a separate
 process and reads only its own checkout.
+
+Recorded figures are never replaced: a ``rows`` label, or a ``pairs`` key
+and seed, that the JSON file already holds is refused before anything is
+timed.
 """
 
 from __future__ import annotations
@@ -252,8 +256,6 @@ def cmd_rows(args: argparse.Namespace) -> dict[str, dict]:
     src = Path(args.src).resolve()
     sides = {args.label: src}
     if args.before is not None:
-        if args.before_label == args.label:
-            raise SystemExit(f"--before-label and --label are both {args.label!r}")
         sides = {args.before_label: Path(args.before).resolve(), args.label: src}
     labels = list(sides)
     results: dict[str, dict[str, float | str]] = {label: {} for label in labels}
@@ -343,10 +345,18 @@ def main() -> None:
     record = json.loads(out.read_text()) if out.exists() else {"topic": topic}
     record["host"] = {"platform": platform.platform(), "machine": platform.machine()}
     if args.cmd == "rows":
+        labels = [args.label] if args.before is None else [args.before_label, args.label]
+        if len(set(labels)) < len(labels):
+            raise SystemExit(f"--before-label and --label are both {args.label!r}")
+        taken = [label for label in labels if label in record.get("runs", {})]
+        if taken:
+            raise SystemExit(f"{out} already holds runs {taken}; choose new labels")
         record.setdefault("runs", {}).update(cmd_rows(args))
     else:
         args.workload = args.workload or workload
         key = args.key or args.workload.replace("-", "_") + "_pairs"
+        if str(args.seed) in record.get(key, {}):
+            raise SystemExit(f"{out} already holds {key}[{args.seed}]; choose a new --key")
         record.setdefault(key, {})[str(args.seed)] = cmd_pairs(args)
     out.write_text(json.dumps(record, indent=2) + "\n")
 
