@@ -13,17 +13,18 @@ the leftmost hole), so results are exact.  ``fpt_solve`` takes its holes
 from the one coverage sweep, ``model._gaps``, as ``verify_coverage`` does.
 A ``brute_force`` node instead carries the holes its placed sensors leave,
 cut by each child's span in O(holes); the holes of the unplaced sensors'
-homes are swept once per call, and a node's uncovered measure and first
-hole come from bisecting those for each placed hole.  ``brute_force`` also
-applies the reachability and bound tests one level ahead, so a child those
-tests would kill on entry is never made a node; dominated states are
-skipped too, a child being dominated when its holes and uncrossing floors
-were entered before at no higher spend (its docstring has the proofs).  The three branch-and-bound
-searches, ``brute_force``, ``brute_force_order_preserving`` and
-``fpt_solve`` (which, given a mover cap, also decides the k-mover variant),
-run on one driver, ``_Search.run``, which keeps its own stack: depth costs
-nothing, and the node cap alone bounds the work, aborting with
-``ResourceLimitError`` rather than ever reporting "no solution".
+homes are swept once per call.  Each node lists what its holes and those
+leave open, and takes each child's uncovered measure and first open point
+from that list less the child's span.  With them it runs the child's entry
+tests (bound, reachability) itself, so a child they kill is never made a
+node; dominated states are skipped too, a child being dominated when its
+holes and uncrossing floors were entered before at no higher spend (its
+docstring has the proofs).  The three branch-and-bound searches,
+``brute_force``, ``brute_force_order_preserving`` and ``fpt_solve`` (which,
+given a mover cap, also decides the k-mover variant), run on one driver,
+``_Search.run``, which keeps its own stack: depth costs nothing, and the
+node cap alone bounds the work, aborting with ``ResourceLimitError`` rather
+than ever reporting "no solution".
 """
 
 from __future__ import annotations
@@ -92,30 +93,30 @@ class _Search:
     live on an explicit stack, so depth costs no interpreter stack; every
     node, the root included, counts against the node cap.  ``nodes`` and
     ``pruned`` (early returns and skipped children, by rule, as the search
-    counts them) stay readable after ``run``.
+    counts them) stay readable after ``run``.  ``limit`` is ``bound()``, for
+    hot loops that read it once per child.
     """
 
     def __init__(self, node_cap: int, budget: int, d: int) -> None:
         if node_cap < 0:
             raise ValueError(f"node cap must be >= 0, got {node_cap}")
         self.node_cap = node_cap
-        self.budget = budget
         self.d = d
         self.nodes = 0
         self.pruned: Counter[str] = Counter()
         self.best_cost: Optional[int] = None
         self.best: Optional[list[int]] = None
+        self.limit = budget
 
     def offer(self, cost_value: int, positions: list[int]) -> None:
-        if cost_value <= self.budget and (self.best_cost is None or cost_value < self.best_cost):
+        if cost_value <= self.limit:
             self.best_cost = cost_value
             self.best = list(positions)
+            self.limit = cost_value - 1
 
     def bound(self) -> int:
-        """Largest total cost still worth exploring."""
-        if self.best_cost is None:
-            return self.budget
-        return min(self.budget, self.best_cost - 1)
+        """Largest total cost still worth exploring: the budget, or below the incumbent."""
+        return self.limit
 
     def run(self, visit: Callable[..., Iterator[tuple]], *root: object) -> Optional[tuple[Solution, Scalar]]:
         """Search depth-first from ``visit(*root)``; the best cover found, in input units."""
@@ -129,6 +130,10 @@ class _Search:
             if self.nodes > self.node_cap:
                 raise ResourceLimitError(f"search explored more than {self.node_cap} states")
             stack.append(visit(*args))
+        return self.result()
+
+    def result(self) -> Optional[tuple[Solution, Scalar]]:
+        """The best cover offered so far, in input units."""
         if self.best_cost is None:
             return None
         assert self.best is not None
@@ -166,27 +171,6 @@ def _hole_index(holes: list[tuple[int, int]]) -> _HoleIndex:
         [hi for _, hi in holes],
         list(accumulate((hi - lo for lo, hi in holes), initial=0)),
     )
-
-
-def _open_measure(holes: list[tuple[int, int]], index: _HoleIndex) -> tuple[int, int]:
-    """Measure and start (-1: none) of what is open both in ``holes`` and in ``index``.
-
-    Both are sorted disjoint open stretches, so the indexed holes meeting one
-    of ``holes`` are a run found by two bisections; their prefix sums, less
-    the overhang at either end, give the overlap.  O(len(holes) log n).
-    """
-    starts, ends, sums = index
-    total = 0
-    first = -1
-    for a, b in holes:
-        j = bisect_right(ends, a)
-        stop = bisect_left(starts, b, j)
-        if j < stop:
-            s, e = starts[j], ends[stop - 1]
-            total += sums[stop] - sums[j] - (a - s if a > s else 0) - (e - b if e > b else 0)
-            if first < 0:
-                first = a if a > s else s
-    return total, first
 
 
 def _open_stretches(holes: list[tuple[int, int]], index: _HoleIndex) -> list[tuple[int, int]]:
@@ -227,26 +211,33 @@ def brute_force(
     exists, never that the search gave up (that raises ResourceLimitError).
     The budget defaults to the greedy tiling cost, which is always enough.
 
-    Dead children are pruned in their parent.  Let p be the leftmost hole
-    of the sensors placed so far and r the radius of sensor i.  Placing i
-    at y > p + r leaves [p, p+1] uncovered, so the child's placed hole is
-    still p, and it lifts class r's floor to y, beyond every center that
-    covers p.  The child's own check is then ``min_reach(i + 1, p)`` with
-    class r excluded; when that is None, no such child can ever cover p
-    (at i + 1 = n none is left to try), so none of them is entered.  A
-    skipped child never offers a cover, so the incumbents, the bounds and
-    the result are those of the search that entered and killed each one.
+    Each child's entry test runs in its parent, so only a child that passes
+    it becomes a node.  Let ``ahead`` be the stretches of the placed holes
+    that the homes of sensors i + 1.. leave open, and ``base`` their
+    measure.  A child placing span [lo, hi] leaves open ``ahead`` less the
+    span, so its uncovered measure is ``base`` less their overlap and its
+    first open point is the first point of ``ahead`` outside the span: what
+    its entry read from its holes and ``suffix[i + 1]``.  With class r's
+    floor at y, ``min_reach(i + 1, first)`` is the child's own call, and
+    ``bound()`` is its entry's.  A child is cut and counted in ``pruned``
+    as ``"bound-cut"`` when ``spent + d`` plus its uncovered measure exceeds
+    ``bound()``; then, after the memo, as ``"dead-hole-cut"`` when that
+    reach is None (as for every leaf with holes) and as ``"reach-cut"``
+    when ``spent + d`` plus it exceeds ``bound()``.  Each would return at
+    entry, offering nothing, so no incumbent moves and each node count
+    falls by exactly the children cut.  The root is tested so too, before
+    it becomes a node.  A node returns at entry on its placed hole p (its
+    holes' first point) unless p is its first open point: as
+    ``"dead-placed-hole"`` when ``min_reach(i, p)`` is None (the floors can
+    keep every sensor left to its right), as ``"bound"`` when ``spent``
+    plus that reach exceeds ``bound()``.
 
-    Bound-dead children are cut in their parent too.  Let ``base`` be the
-    measure of the placed holes that the homes of sensors i + 1.. leave
-    open.  A child placing span s leaves open exactly ``base`` less the
-    overlap of s with those stretches, which is its own entry's uncovered
-    measure, so when ``spent + d`` plus that exceeds ``bound()`` the child
-    would return at entry (as a leaf at i + 1 = n, its cover would cost
-    more than ``offer`` accepts).  Skipping it changes no incumbent, and
-    each node count falls by exactly the children skipped.
-
-    The waste test admits a span only when its overlap with the placed
+    Some children are skipped uncounted.  With r the radius of sensor i,
+    placing it at y > p + r leaves [p, p+1] open, so the child's p is still
+    p, and it lifts class r's floor to y, beyond every center that covers
+    p.  The child's own test of p is then ``min_reach(i + 1, p)`` with class
+    r excluded; when that is None, no such y is tried.  The waste test
+    (``"waste"``) admits a span only when its overlap with the placed
     holes is at least ``need = waste + 2r - slack``.  That overlap is at
     most the span's overlap with the holes' hull [a, b], which is at most
     y + r - a and b - (y - r); so with need > 0, every y below a - r + need
@@ -267,7 +258,9 @@ def brute_force(
     s1 + c <= s2 + c and ``offer`` rejects it now; or a rule cut C.  A rule
     that reads the state alone (holes, waste, floors, lookahead) cuts it
     again, and a bound rule cut it at a bound no lower than today's, as
-    ``bound()`` only falls.  So no incumbent, solution or cost changes.  The
+    ``bound()`` only falls.  So no incumbent, solution or cost changes.
+    Each skip is counted as ``dominated``.  A child the entry test cuts
+    after its lookup is still recorded: its subtree is empty and done.  The
     memo maps each state to the least spend it was entered with.  It is
     consulted only when the child's waste is positive: a state with none
     has disjoint on-barrier spans and recurs only when unequal radii are
@@ -296,7 +289,9 @@ def brute_force(
     # went, and later ones stay at or right of it.  A class's indices and
     # homes both ascend (``Instance`` sorts by (x, r)), as min_reach needs.
     members = {r: [j for j in range(n) if rs[j] == r] for r in dict.fromkeys(rs)}
-    classes = [(r, js, [xs[j] for j in js]) for r, js in members.items()]
+    # Per class: r, ``starts[i]`` (its first member from index i on) and its homes.
+    classes = [(r, [bisect_left(js, i) for i in range(n + 1)], [xs[j] for j in js])
+               for r, js in members.items()]
     floors: dict[int, Optional[int]] = dict.fromkeys(members)
 
     greedy_y, greedy_cost = greedy_cover(instance)
@@ -320,14 +315,14 @@ def brute_force(
         means no remaining sensor can ever cover the point: a dead branch.
         """
         best: Optional[int] = None
-        for r, js, homes in classes:
+        for r, starts, homes in classes:
             lo_y, hi_y, f = p - r, p + r, floors[r]
             if f is not None:
                 if f > hi_y:
                     continue
                 if f > lo_y:
                     lo_y = f
-            start = bisect_left(js, i)
+            start = starts[i]
             k = bisect_left(homes, lo_y, start)
             if k < len(homes):
                 c = homes[k] - hi_y
@@ -341,34 +336,22 @@ def brute_force(
                     best = c
         return best
 
-    def visit(i: int, spent: int, holes: list[tuple[int, int]], waste: int) -> Iterator[tuple]:
-        # ``holes``: the placed sensors' holes, sorted and disjoint.
+    def visit(i: int, spent: int, holes: list[tuple[int, int]], waste: int, first: int) -> Iterator[tuple]:
+        # ``holes``: the placed sensors' holes, sorted and disjoint; ``first``:
+        # the first point they and the homes of sensors i.. leave open (-1: none).
         if i == n:
-            if not holes:
-                search.offer(spent, positions)
+            search.offer(spent, positions)  # a leaf with holes fails its entry test
             return
-        lower, first_hole = _open_measure(holes, suffix[i])
-        if first_hole >= 0:
-            reach = min_reach(i, first_hole)
-            if reach is None:
-                pruned["dead-hole"] += 1
-                return
-            if reach > lower:
-                lower = reach
-        # A hole the suffix homes still cover can nevertheless be dead when
-        # the uncrossing floors keep every remaining sensor to its right.
+        bnd = search.limit
         placed_hole = holes[0][0] if holes else -1
-        if placed_hole >= 0 and placed_hole != first_hole:
+        if placed_hole >= 0 and placed_hole != first:
             reach = min_reach(i, placed_hole)
             if reach is None:
                 pruned["dead-placed-hole"] += 1
                 return
-            if reach > lower:
-                lower = reach
-        bnd = search.bound()
-        if spent + lower > bnd:
-            pruned["bound"] += 1
-            return
+            if spent + reach > bnd:
+                pruned["bound"] += 1
+                return
         r = rs[i]
         two_r = 2 * r
         floor = floors[r]
@@ -385,8 +368,8 @@ def brute_force(
             if min_reach(i + 1, placed_hole) is None:
                 hi_y = min(hi_y, placed_hole + r)
             floors[r] = floor
-        # What the suffix homes from i + 1 leave of the holes: a child's
-        # uncovered measure is ``base`` less its span's overlap with ``ahead``.
+        # What the suffix homes from i + 1 leave of the holes: a child's open
+        # stretches are ``ahead`` less its span.
         ahead = _open_stretches(holes, suffix[i + 1])
         base = sum(hi - lo for lo, hi in ahead)
         d = max(0, lo_y - xs[i], xs[i] - hi_y)
@@ -430,12 +413,33 @@ def brute_force(
                         continue
                     if entered is not None or len(seen) < _MEMO_CAP:
                         seen[key] = spent + d
-                yield i + 1, spent + d, child_holes, child_waste
+                child_first = -1
+                for h_lo, h_hi in ahead:
+                    if h_lo < lo or h_lo >= hi:
+                        child_first = h_lo
+                        break
+                    if h_hi > hi:
+                        child_first = hi
+                        break
+                # The rest of the child's entry test (uncovered passed above).
+                reach = 0 if child_first < 0 else min_reach(i + 1, child_first)
+                if reach is None or spent + d + reach > bnd:
+                    pruned["dead-hole-cut" if reach is None else "reach-cut"] += 1
+                else:
+                    yield i + 1, spent + d, child_holes, child_waste, child_first
+                    bnd = search.limit
                 positions[i], floors[r] = xs[i], floor
-                bnd = search.bound()
             d += 1
 
-    return search.run(visit, 0, 0, _gaps([], length), 0)
+    # The root's entry test, as its parent would run it.
+    root = _gaps([], length)
+    ahead = _open_stretches(root, suffix[0])
+    first = ahead[0][0] if ahead else -1
+    reach = 0 if first < 0 else min_reach(0, first)
+    if reach is None or max(reach, sum(hi - lo for lo, hi in ahead)) > search.limit:
+        pruned["dead-hole-cut" if reach is None else "reach-cut"] += 1
+        return search.result()
+    return search.run(visit, 0, 0, root, 0, first)
 
 
 def brute_force_order_preserving(

@@ -252,24 +252,37 @@ def _record_searches(monkeypatch):
     return searches
 
 
+# Each oracle row: its node count before the parent ran each child's entry
+# test, the children that test now cuts (``dead-hole-cut`` plus
+# ``reach-cut``, each one a node before), and the optimum.
+ORACLE_PINS = [
+    ("oracle-fig5-L24", gen_fig5(2, 24), 167, 1, 22),
+    ("oracle-fig5-L32", gen_fig5(2, 32), 317, 1, 30),
+    ("oracle-fig5-L36", gen_fig5(2, 36), 410, 1, 34),
+    ("oracle-fig5-L40", gen_fig5(2, 40), 515, 1, 38),
+    ("oracle-fig5-L44", gen_fig5(2, 44), 632, 1, 42),
+    ("oracle-fig6-m6", gen_fig6(2, 6, F(1, 8)), 104, 0, F(15, 8)),
+    ("oracle-fig6-m7", gen_fig6(2, 7, F(1, 8)), 260, 0, F(21, 8)),
+    ("oracle-fig6-m8", gen_fig6(2, 8, F(1, 8)), 492, 0, F(7, 2)),
+    ("oracle-fig6-m10", gen_fig6(2, 10, F(1, 8)), 1265, 13, F(45, 8)),
+    ("oracle-fig6-rho3-m8", gen_fig6(3, 8, F(1, 8)), 372, 0, F(21, 8)),
+    ("oracle-random", PINNED, 115, 70, 13),
+    ("oracle-deep", DEEP, 1099, 0, 1100),
+]
+
+
+def _entry_cuts(search):
+    return search.pruned["dead-hole-cut"] + search.pruned["reach-cut"]
+
+
 class TestNodeCounts:
     """Each search's node count, pinned from outside: cap N succeeds, N - 1 raises."""
 
     @pytest.mark.parametrize(
         "search, nodes, expected",
         [
-            (lambda cap: oracle_optimal(gen_fig5(2, 24), cap), 167, 22),
-            (lambda cap: oracle_optimal(gen_fig5(2, 32), cap), 317, 30),
-            (lambda cap: oracle_optimal(gen_fig5(2, 36), cap), 410, 34),
-            (lambda cap: oracle_optimal(gen_fig5(2, 40), cap), 515, 38),
-            (lambda cap: oracle_optimal(gen_fig5(2, 44), cap), 632, 42),
-            (lambda cap: oracle_optimal(gen_fig6(2, 6, F(1, 8)), cap), 104, F(15, 8)),
-            (lambda cap: oracle_optimal(gen_fig6(2, 7, F(1, 8)), cap), 260, F(21, 8)),
-            (lambda cap: oracle_optimal(gen_fig6(2, 8, F(1, 8)), cap), 492, F(7, 2)),
-            (lambda cap: oracle_optimal(gen_fig6(2, 10, F(1, 8)), cap), 1265, F(45, 8)),
-            (lambda cap: oracle_optimal(gen_fig6(3, 8, F(1, 8)), cap), 372, F(21, 8)),
-            (lambda cap: oracle_optimal(PINNED, cap), 115, 13),
-            (lambda cap: oracle_optimal(DEEP, cap), 1099, 1100),
+            *((lambda cap, i=instance: oracle_optimal(i, cap), pin - cut, expected)
+              for _, instance, pin, cut, expected in ORACLE_PINS),
             (lambda cap: fpt_solve(PINNED, 13, cap), 175, 13),
             (lambda cap: fpt_solve(PINNED, 12, cap), 123, None),
             (lambda cap: fpt_solve(PINNED, 13, cap, movers=2), 83, None),
@@ -277,9 +290,7 @@ class TestNodeCounts:
              40, 650),
             (lambda cap: brute_force_order_preserving(PINNED, node_cap=cap), 155, 13),
         ],
-        ids=["oracle-fig5-L24", "oracle-fig5-L32", "oracle-fig5-L36", "oracle-fig5-L40", "oracle-fig5-L44",
-             "oracle-fig6-m6", "oracle-fig6-m7", "oracle-fig6-m8", "oracle-fig6-m10", "oracle-fig6-rho3-m8",
-             "oracle-random", "oracle-deep",
+        ids=[*(name for name, *_ in ORACLE_PINS),
              "fpt-at-opt", "fpt-below-opt", "fpt-two-movers", "fpt-reduction-two-movers",
              "order-preserving-random"],
     )
@@ -290,17 +301,38 @@ class TestNodeCounts:
             search(nodes - 1)
 
     @pytest.mark.parametrize(
+        "instance, pin, cut",
+        [(instance, pin, cut) for _, instance, pin, cut, _ in ORACLE_PINS],
+        ids=[name for name, *_ in ORACLE_PINS],
+    )
+    def test_entry_cut_children_were_nodes(self, monkeypatch, instance, pin, cut):
+        """Each child its parent cuts on the entry test was one node before the cut."""
+        searches = _record_searches(monkeypatch)
+        oracle_optimal(instance)
+        (search,) = searches
+        assert _entry_cuts(search) == cut
+        assert search.nodes + _entry_cuts(search) == pin
+
+    def test_entry_cuts_on_the_random_family(self, monkeypatch):
+        """The benchmark's 200 random oracles: the cut nodes come back, and the memo skips as before."""
+        searches = _record_searches(monkeypatch)
+        for seed in range(200):
+            oracle_optimal(gen_random(6, 12, 1, 3, (-6, 18), seed))
+        assert sum(search.nodes + _entry_cuts(search) for search in searches) == 11059
+        assert sum(search.pruned["dominated"] for search in searches) == 1704
+
+    @pytest.mark.parametrize(
         "instance, nodes, expected",
         [
             (gen_fig6(2, 6, F(1, 8)), 114, F(15, 8)),
             (gen_fig6(2, 7, F(1, 8)), 351, F(21, 8)),
             (gen_fig6(2, 8, F(1, 8)), 963, F(7, 2)),
-            (PINNED, 220, 13),
+            (PINNED, 220 - 152, 13),
         ],
         ids=["fig6-m6", "fig6-m7", "fig6-m8", "random"],
     )
     def test_node_cap_boundary_without_memo(self, monkeypatch, instance, nodes, expected):
-        """With the dominance memo off, the oracle takes the counts pinned before it."""
+        """With the dominance memo off, the oracle takes the counts pinned before it, less its entry cuts."""
         monkeypatch.setattr(exact, "_MEMO_CAP", 0)
         assert oracle_optimal(instance, nodes)[1] == expected
         with pytest.raises(ResourceLimitError, match=f"explored more than {nodes - 1} states"):
@@ -319,26 +351,28 @@ class TestNodeCounts:
         ids=["fig6-m6", "fig6-m7", "fig6-m8", "random", "deep", "fig5-L44"],
     )
     def test_bound_cut_children_were_nodes(self, monkeypatch, instance, nodes_before_cut):
-        """Each child cut on the bound in its parent was one node before the cut.
+        """Each child cut on the bound or its entry test in its parent was one node before the cuts.
 
-        The oracle's counts before the parent learned the cut, as pinned
-        then: the nodes left plus the children cut give them back exactly
-        (fig5 L=44 keeps all 632 nodes, so it has no cut).  The memo is off:
-        a child it skips was never a node, cut or not.
+        The oracle's counts before the parent learned the bound cut, as
+        pinned then: the nodes left plus the children cut give them back
+        exactly (fig5 L=44 keeps 631 of its 632 nodes and cuts one on its
+        entry test).  The memo is off: a child it skips was never a node,
+        cut or not.
         """
         monkeypatch.setattr(exact, "_MEMO_CAP", 0)
         searches = _record_searches(monkeypatch)
         oracle_optimal(instance)
         (search,) = searches
-        assert search.nodes + search.pruned["bound-cut"] == nodes_before_cut
-        assert set(search.pruned) <= {"bound", "dead-hole", "dead-placed-hole", "waste", "bound-cut"}
+        assert search.nodes + search.pruned["bound-cut"] + _entry_cuts(search) == nodes_before_cut
+        assert set(search.pruned) <= {
+            "bound", "dead-placed-hole", "waste", "bound-cut", "dead-hole-cut", "reach-cut"}
         assert "dominated" not in search.pruned
 
     @pytest.mark.parametrize(
         "search, nodes, pruned",
         [
             (lambda: oracle_optimal(gen_fig6(2, 8, F(1, 8))), 492, {"bound-cut": 970, "dominated": 370}),
-            (lambda: oracle_optimal(PINNED), 115, {"bound": 70, "bound-cut": 153, "dominated": 55}),
+            (lambda: oracle_optimal(PINNED), 115 - 70, {"reach-cut": 70, "bound-cut": 153, "dominated": 55}),
             (lambda: fpt_solve(PINNED, 13), 175, {"gap-measure": 120}),
             (lambda: fpt_solve(PINNED, 12), 123, {"gap-measure": 86}),
             (lambda: fpt_solve(PINNED, 13, movers=2), 83, {"movers": 70, "gap-measure": 3}),

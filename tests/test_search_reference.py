@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference_search as ref
 from barriercover import brute_force, gen_fig5, gen_fig6, gen_random, oracle_optimal
-from barriercover.exact import _cut, _hole_index, _open_measure, _open_stretches
+from barriercover.exact import _cut, _hole_index, _open_stretches
 from barriercover.model import _gaps, _merge
 
 from conftest import random_corpus
@@ -71,15 +71,19 @@ def _clip(spans, length):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(placed=_spans, home=_spans, length=st.integers(0, 26))
 def test_bisected_holes_match_the_sweep(placed, home, length):
-    """Holes cut span by span, bisected against the home holes, equal one sweep of both."""
+    """Holes cut span by span, bisected against the home holes, equal one sweep of both.
+
+    At each cut, what the child's holes leave open of the home holes is
+    what its parent's left, less the span: the stretches the parent reads
+    the child's uncovered measure and first open point from.
+    """
     placed, home = _clip(placed, length), _clip(home, length)
+    index = _hole_index(_gaps(_merge(home), length))
     holes = _gaps([], length)
     for lo, hi, _ in placed:
+        ahead = _cut(_open_stretches(holes, index), lo, hi)
         holes = _cut(holes, lo, hi)
+        assert _open_stretches(holes, index) == ahead
     assert holes == _gaps(_merge(placed), length)
-    index = _hole_index(_gaps(_merge(home), length))
     swept = _gaps(sorted(placed + _merge(home)), length)
-    total, first = _open_measure(holes, index)
-    assert total == sum(hi - lo for lo, hi in swept)
-    assert first == (swept[0][0] if swept else -1)
     assert _open_stretches(holes, index) == swept

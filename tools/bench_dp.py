@@ -23,8 +23,10 @@ dp-optimal corpora/i1.bc``, ``gen --family random --n 6 --length 12`` and
 untangle rows are ``untangle`` on fig5 L in {40, 80, 160, 320} (n = 19, 39,
 79, 159) with the large sensor moved to L - 2, where it crosses the whole
 unit row.
-The search rows are ``oracle_optimal`` on fig5 L in {40, 44} and on
-``gen_fig6(2, m, 1/8)`` for m in {8, 12}, and ``oracle_optimal`` and
+The search rows are ``oracle_optimal`` on fig5 L in {40, 44}, on
+``gen_fig6(2, m, 1/8)`` for m in {8, 12} and, in one row, on all 200
+instances ``gen_random(6, 12, 1, 3, (-6, 18), s)`` for s = 0..199 (the
+``exact-oracle`` workload's random family), and ``oracle_optimal`` and
 ``brute_force_order_preserving`` on the deep tiling: L = 2200 with 1,100
 sensors at x = 2i + 2, r = 1, whose only cover moves every sensor, and
 ``fpt_solve`` at budgets OPT and OPT - 1 on ``gen_random(6, 12, 1, 3,
@@ -166,12 +168,14 @@ def untangle_rows(bc) -> dict[str, Callable[[], object]]:
 
 
 def search_rows(bc) -> dict[str, Callable[[], object]]:
-    """The exact-oracle workload's largest fig5/fig6 oracles, fig6 m=12, and the deep tiling."""
+    """The exact-oracle workload's largest oracles and random family, fig6 m=12, and the deep tiling."""
     rows: dict[str, Callable[[], object]] = {}
     for length in (40, 44):
         rows[f"oracle_optimal.fig5_L{length}"] = lambda i=bc.gen_fig5(2, length): bc.oracle_optimal(i)
     for m in (8, 12):
         rows[f"oracle_optimal.fig6_m{m}"] = lambda i=bc.gen_fig6(2, m, Fraction(1, 8)): bc.oracle_optimal(i)
+    family = [bc.gen_random(6, 12, 1, 3, (-6, 18), s) for s in range(200)]
+    rows["oracle_optimal.random_family_200"] = lambda: [bc.oracle_optimal(i) for i in family]
     deep = bc.Instance(2200, tuple(bc.Sensor(2 * i + 2, 1) for i in range(1100)))
     rows["oracle_optimal.deep_n1100"] = lambda: bc.oracle_optimal(deep)
     rows["brute_force_order_preserving.deep_n1100"] = lambda: bc.brute_force_order_preserving(deep)
