@@ -233,12 +233,13 @@ def brute_force(
     plus that reach exceeds ``bound()``.
 
     Some children are skipped uncounted.  With r the radius of sensor i,
-    placing it at y > p + r leaves [p, p+1] open, so the child's p is still
-    p, and it lifts class r's floor to y, beyond every center that covers
-    p.  The child's own test of p is then ``min_reach(i + 1, p)`` with class
-    r excluded; when that is None, no such y is tried.  The waste test
-    (``"waste"``) admits a span only when its overlap with the placed
-    holes is at least ``need = waste + 2r - slack``.  That overlap is at
+    placing it at y > p + r leaves [p, p+1] open, so p stays the child's
+    placed hole, and it lifts class r's floor to y, beyond every center
+    that covers p.  The child's own test of p is then
+    ``min_reach(i + 1, p)`` with class r excluded; when that is None, no
+    such y is tried.  The waste test (``"waste"``) admits a span only when
+    its overlap with the placed holes is at least ``need = waste + 2r -
+    slack``.  That overlap is at
     most the span's overlap with the holes' hull [a, b], which is at most
     y + r - a and b - (y - r); so with need > 0, every y below a - r + need
     or above b + r - need fails the test, and the d loop skips those y

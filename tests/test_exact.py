@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -314,12 +315,19 @@ class TestNodeCounts:
         assert search.nodes + _entry_cuts(search) == pin
 
     def test_entry_cuts_on_the_random_family(self, monkeypatch):
-        """The benchmark's 200 random oracles: the cut nodes come back, and the memo skips as before."""
+        """The benchmark's 200 random oracles: the cut nodes come back, and the memo skips as before.
+
+        The family is the only pinned case where nodes still return at entry
+        on their placed hole (``dead-placed-hole`` and ``bound``).
+        """
         searches = _record_searches(monkeypatch)
         for seed in range(200):
             oracle_optimal(gen_random(6, 12, 1, 3, (-6, 18), seed))
         assert sum(search.nodes + _entry_cuts(search) for search in searches) == 11059
         assert sum(search.pruned["dominated"] for search in searches) == 1704
+        assert sum((search.pruned for search in searches), Counter()) == {
+            "bound-cut": 14239, "reach-cut": 5338, "dominated": 1704, "waste": 1276,
+            "dead-hole-cut": 63, "bound": 16, "dead-placed-hole": 7}
 
     @pytest.mark.parametrize(
         "instance, nodes, expected",
