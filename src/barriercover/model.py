@@ -190,8 +190,9 @@ def _clipped_spans(
 def _covers(spans: Sequence[tuple[Number, Number, int]], keep: Container[int], length: Number) -> bool:
     """Do the spans whose index is in ``keep`` cover [0, length]?
 
-    ``spans`` come from ``_clipped_spans``, sorted by (lo, hi, i).  One pass,
-    returning at the first gap; any exact number type works.
+    ``spans`` come from ``_clipped_spans``, sorted by (lo, hi, i); ``untangle``
+    passes them unclipped, which gives the same answer (its docstring shows
+    why).  One pass, returning at the first gap; any exact number type works.
     """
     reach = 0
     for lo, hi, i in spans:

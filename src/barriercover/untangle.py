@@ -13,8 +13,11 @@ u1 + r_i and u2 - r_j stay integral, and the result is converted back to
 Fractions once.  Scaling by d > 0 keeps every comparison, so the schedule
 and the result are exactly those of the loop on Fractions.
 
-After each swap the loop re-checks only the two sensors it moved;
-``untangle``'s docstring shows why that suffices.
+The loop keeps the active sensors' spans in one list sorted by their left
+end.  It finds the next pair by walking that list, pairing each span only
+with the later spans that overlap it, and after each swap it re-checks
+only the two sensors it moved; ``untangle``'s docstring shows why both
+suffice.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ from .model import (
     Number,
     ScalarLike,
     Solution,
-    _clipped_spans,
     _covers,
     _minimal_cover,
     _to_grid,
@@ -82,6 +84,36 @@ def _swap_targets(span: tuple[Number, Number], ri: Number, rj: Number) -> tuple[
     return u1 + ri, u2 - rj
 
 
+def _next_swap(
+    spans: Sequence[tuple[Number, Number, int]],
+    pos: Sequence[Number],
+) -> Optional[tuple[tuple[Number, Number], int, int]]:
+    """The least ``((u1, u2), i, j)`` over the crossing pairs whose spans overlap, or None.
+
+    ``spans`` are ``(y - r, y + r, k)`` sorted by (lo, hi, k), unclipped, and
+    ``pos`` holds each sensor's center; any exact number type works.  Each
+    entry is paired only with the later entries that start inside it, and
+    the walk stops once an entry starts right of the best union's start
+    (``untangle``'s docstring shows why that finds the least pair).
+    """
+    best = None
+    count = len(spans)
+    for n in range(count):
+        lo, hi, a = spans[n]
+        if best is not None and lo > best[0][0]:
+            break
+        for m in range(n + 1, count):
+            lo_b, hi_b, b = spans[m]
+            if lo_b > hi:
+                break
+            i, j = (a, b) if a < b else (b, a)
+            if pos[i] > pos[j]:
+                found = ((lo, max(hi, hi_b)), i, j)
+                if best is None or found < best:
+                    best = found
+    return best
+
+
 def swap_pair(
     instance: Instance,
     solution: Sequence[ScalarLike],
@@ -118,6 +150,35 @@ def untangle(
     checked after every swap, and a run is bounded by n^2 swaps; either
     failing is a schedule bug, not a property of the input.
 
+    The active sensors' unclipped spans ``(y - r, y + r, k)`` are kept in
+    one list sorted by (lo, hi, k); a swap replaces only its pair's two
+    entries.  ``_next_swap`` picks the next pair from that list:
+
+    * Sort order puts one sensor a of an overlapping pair {a, b} first, so
+      lo_a <= lo_b, and the two overlap exactly when lo_b <= hi_a.  Every
+      entry between them has lo_a <= lo <= lo_b <= hi_a, so the walk from
+      a, which stops at the first entry with lo > hi_a, reaches b; each
+      entry it reaches does overlap a.  So each overlapping pair is seen
+      once, from its lower-lo end, and no disjoint pair is seen.  Its
+      union is [lo_a, max(hi_a, hi_b)].
+    * A crossing pair (i < j, y_i > y_j) can only be separated by
+      lo_i > hi_j, so for it "overlapping" is ``_union_span``'s test, and
+      the pairs kept are exactly the candidates of the schedule.
+    * Every pair seen from an entry has union start lo of that entry, and
+      entries come in increasing lo.  Once an entry's lo passes the best
+      u1 found, no later pair can beat it, so the walk stops there.
+    * When no overlapping crossing pair exists, any crossing pair left is a
+      descent pos[a] > pos[b] between neighbours of the active tuple; one
+      is a schedule bug, none means the set is in order.
+
+    ``_covers`` answers on these unclipped spans as on the clipped ones of
+    ``_minimal_cover``: its sweep is right for any order in which the
+    clipped lo, max(lo, 0), never falls, and max(lo, 0) is monotone in lo.
+    Clipping lo to 0 changes no test, since reach starts at 0; a span with
+    hi <= 0 never raises reach; a hi past L ends the sweep as L would; and a
+    span with lo > L is only met with reach < L, after a gap that the
+    clipped sweep finds as well.
+
     Re-minimizing after a swap of (i, j) tests only i and j, yet yields the
     active set of the full drop rule (candidates in decreasing radius, ties
     to the higher index, each dropped if the rest still cover [0, L]):
@@ -133,66 +194,55 @@ def untangle(
       them against A less itself (and less the other, if that one went
       first).  These are the two checks below, made in the rule's order.
 
-    The active spans are kept sorted, and a swap replaces only the pair's
-    two entries, so each swap costs one ``_covers`` sweep (the schedule-bug
-    guard) and at most two drop checks.
+    So a swap costs one walk, one ``_covers`` sweep (the schedule-bug
+    guard) and at most two drop checks.  The active set is a minimal cover
+    when the walk runs, so no span holds another and no point lies in three
+    spans: each entry meets O(1) partners and a walk takes O(|A|) steps,
+    where a scan of every active pair took O(|A|^2).
     """
     y = as_solution(instance, solution)
     scale, length, home, radii = on_grid(instance, *y)
     pos = [_to_grid(v, scale) for v in y]
-    # sorted clipped spans of the active sensors (of all sensors until the
-    # first settle); unplace runs before a sensor moves, so it finds its span
-    spans = sorted(_clipped_spans(radii, pos, length, range(instance.n)))
-
-    def unplace(k: int) -> None:
-        for span in _clipped_spans(radii, pos, length, (k,)):
-            del spans[bisect_left(spans, span)]
-
-    def settle(old: Sequence[int], new: ActiveSet) -> ActiveSet:
-        for k in set(old).difference(new):
-            unplace(k)
-            pos[k] = home[k]
-        return new
-
     active = _minimal_cover(radii, pos, length, range(instance.n))
     if active is None:
         raise InfeasibleError("cannot untangle a solution that does not cover")
-    active = settle(range(instance.n), active)
+    for k in set(range(instance.n)).difference(active):
+        pos[k] = home[k]
+    # sorted unclipped spans of the active sensors; unplace runs before a
+    # sensor moves, so it finds its span
+    spans = sorted((pos[k] - radii[k], pos[k] + radii[k], k) for k in active)
+
+    def unplace(k: int) -> None:
+        del spans[bisect_left(spans, (pos[k] - radii[k], pos[k] + radii[k], k))]
+
     keep = set(active)
-    last: Optional[CrossingPair] = None
+    last: Optional[tuple[int, int]] = None
     for _ in range(instance.n * instance.n + 1):
-        crossing = False
-        best = None
-        for k, a in enumerate(active):
-            ya, ra = pos[a], radii[a]
-            for b in active[k + 1 :]:
-                if ya > pos[b]:
-                    crossing = True
-                    span = _union_span(ya, ra, pos[b], radii[b])
-                    if span is not None and (best is None or (span, a, b) < best):
-                        best = (span, a, b)
-        if not crossing:
-            break
+        best = _next_swap(spans, pos)
         if best is None:
-            raise RuntimeError("crossing pairs remain but none overlap; schedule bug")
+            if any(pos[a] > pos[b] for a, b in zip(active, active[1:])):
+                raise RuntimeError("crossing pairs remain but none overlap; schedule bug")
+            break
         span, i, j = best
-        pair = CrossingPair(i, j)
-        if pair == last:
-            raise RuntimeError(f"pair {pair} selected twice in a row; schedule bug")
-        last = pair
+        if (i, j) == last:
+            raise RuntimeError(f"pair {CrossingPair(i, j)} selected twice in a row; schedule bug")
+        last = i, j
         unplace(i)
         unplace(j)
         pos[i], pos[j] = _swap_targets(span, radii[i], radii[j])
-        for span in _clipped_spans(radii, pos, length, (i, j)):
-            insort(spans, span)
+        for k in (i, j):
+            insort(spans, (pos[k] - radii[k], pos[k] + radii[k], k))
         if not _covers(spans, keep, length):
-            raise RuntimeError(f"swap of {pair} broke coverage; swap rule bug")
+            raise RuntimeError(f"swap of {CrossingPair(i, j)} broke coverage; swap rule bug")
         for k in (i, j) if radii[i] > radii[j] else (j, i):
             keep.remove(k)
             if not _covers(spans, keep, length):
                 keep.add(k)
         if len(keep) < len(active):
-            active = settle(active, tuple(sorted(keep)))
+            for k in set(active).difference(keep):
+                unplace(k)
+                pos[k] = home[k]
+            active = tuple(sorted(keep))
     else:
         raise RuntimeError("untangling exceeded its n^2 swap bound")
     if not all(pos[a] < pos[b] for a, b in zip(active, active[1:])):

@@ -1,4 +1,8 @@
+from fractions import Fraction as F
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barriercover import (
     CrossingPair,
@@ -14,6 +18,7 @@ from barriercover import (
     untangle,
     verify_coverage,
 )
+from barriercover.untangle import _next_swap, _union_span
 
 from conftest import random_corpus
 
@@ -110,3 +115,69 @@ class TestUntangle:
                 assert cost(inst, solution) <= bound
             checked += 1
         assert checked >= 20
+
+
+def brute_next_swap(inst, y, active):
+    """The least ((u1, u2), i, j) over every overlapping crossing pair in ``active``."""
+    found = []
+    for pair in crossing_pairs(inst, y, active):
+        span = _union_span(y[pair.i], inst.sensors[pair.i].r, y[pair.j], inst.sensors[pair.j].r)
+        if span is not None:
+            found.append((span, pair.i, pair.j))
+    return min(found, default=None)
+
+
+def next_swap(inst, y, active):
+    spans = sorted((y[k] - inst.sensors[k].r, y[k] + inst.sensors[k].r, k) for k in active)
+    return _next_swap(spans, y)
+
+
+#: Three mutually overlapping spans whose leftmost-union pair, (0, 1) with
+#: union [4, 11], is not adjacent in position order (1 at 7, 2 at 9, 0 at 10).
+THREE_OVERLAP = Instance(20, (Sensor(0, 1), Sensor(1, 3), Sensor(2, 1)))
+
+_q = st.sampled_from([1, 2, 3])
+
+
+@st.composite
+def crowded_spans(draw):
+    """Positions with three or more sensors covering one shared point, and an active subset.
+
+    Nothing asks the spans to cover a barrier or to be minimal, so several
+    spans may overlap at once, nest, or coincide.
+    """
+    n = draw(st.integers(3, 8))
+    point = F(draw(st.integers(-8, 8)), draw(_q))
+    sensors, y = [], []
+    for k in range(n):
+        r = F(draw(st.integers(1, 8)), draw(_q))
+        if k < 3:
+            y.append(point + r * F(draw(st.integers(-4, 4)), 4))
+        else:
+            y.append(F(draw(st.integers(-24, 24)), draw(_q)))
+        sensors.append(Sensor(draw(st.integers(-10, 10)), r))
+    order = draw(st.permutations(range(n)))
+    inst = Instance(1, tuple(sensors[k] for k in order))
+    y = tuple(y[k] for k in order)
+    shared = {order.index(k) for k in range(3)}
+    extra = draw(st.sets(st.integers(0, n - 1)))
+    return inst, y, tuple(sorted(shared | extra))
+
+
+class TestNextSwap:
+    """The pair choice agrees with a brute-force minimum, on spans that need not be minimal covers."""
+
+    def test_leftmost_union_pair_need_not_be_position_adjacent(self):
+        y = (F(10), F(7), F(9))
+        assert next_swap(THREE_OVERLAP, y, (0, 1, 2)) == ((4, 11), 0, 1)
+        assert brute_next_swap(THREE_OVERLAP, y, (0, 1, 2)) == ((4, 11), 0, 1)
+
+    def test_no_overlapping_crossing_pair(self):
+        assert next_swap(TANGLED, (F(9), F(2)), (0, 1)) is None  # crossing but disjoint
+        assert next_swap(TANGLED, (F(1), F(4)), (0, 1)) is None  # in order
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(crowded_spans())
+    def test_matches_brute_force(self, case):
+        inst, y, active = case
+        assert next_swap(inst, y, active) == brute_next_swap(inst, y, active)

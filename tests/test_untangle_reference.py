@@ -18,6 +18,7 @@ from barriercover import (
     InfeasibleError,
     Instance,
     Sensor,
+    cost,
     crossing_pairs,
     gen_fig5,
     gen_random,
@@ -200,6 +201,19 @@ class TestOracleFree:
         assert is_order_preserving(inst, solution, active)
         assert all(solution[i] == inst.sensors[i].x for i in range(inst.n) if i not in active)
         assert elapsed < 1, f"untangle took {elapsed:.2f} s of CPU time at n = 79"
+
+    def test_fig5_closed_form_up_to_n319(self):
+        """The large sensor ends at 2 and each unit sensor 4 right of home: cost 2L - 6."""
+        for length, n, want in ((12, 5, 18), (16, 7, 26), (640, 319, 1274)):
+            inst, y = fig5_moved(length)
+            assert inst.n == n
+            start = time.process_time()
+            solution, active = untangle(inst, y)
+            elapsed = time.process_time() - start
+            assert solution == (2,) + tuple(s.x + 4 for s in inst.sensors[1:])
+            assert active == tuple(range(n))
+            assert cost(inst, solution) == 2 * length - 6 == want
+            assert elapsed < 1, f"untangle took {elapsed:.2f} s of CPU time at n = {n}"
 
 
 def jittered_tiling(n, seed):

@@ -20,9 +20,9 @@ loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
 ``--src`` (interpreter start and import included): ``solve --algo
 dp-optimal corpora/i1.bc``, ``gen --family random --n 6 --length 12`` and
 ``verify corpora/i1.bc /dev/stdin`` with a covering solution on stdin.  The
-untangle rows are ``untangle`` on fig5 L in {40, 80, 160, 320} (n = 19, 39,
-79, 159) with the large sensor moved to L - 2, where it crosses the whole
-unit row.
+untangle rows are ``untangle`` on fig5 L in {40, 80, 160, 320, 640} (n = 19,
+39, 79, 159, 319) with the large sensor moved to L - 2, where it crosses the
+whole unit row.
 The search rows are ``oracle_optimal`` on fig5 L in {40, 44}, on
 ``gen_fig6(2, m, 1/8)`` for m in {8, 12} and, in one row, on all 200
 instances ``gen_random(6, 12, 1, 3, (-6, 18), s)`` for s = 0..199 (the
@@ -34,7 +34,7 @@ sensors at x = 2i + 2, r = 1, whose only cover moves every sensor, and
 ``oracle_optimal`` when the row is built, outside the timed call).
 Each row is timed in its own child process, as the median of ``--k``
 runs in process CPU time (the CPU time of the row's own finished children
-included); a row whose search raises
+included), recorded to the microsecond; a row whose search raises
 ``ResourceLimitError`` records the message under ``resource_limit``
 instead.  The result goes under ``runs[--label]`` together with the
 Python version and the git SHA of the checkout that holds ``--src``.
@@ -160,7 +160,7 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
 def untangle_rows(bc) -> dict[str, Callable[[], object]]:
     """fig5 with the large sensor at L - 2, untangled in (L - 4) / 2 swaps."""
     rows: dict[str, Callable[[], object]] = {}
-    for length in (40, 80, 160, 320):
+    for length in (40, 80, 160, 320, 640):
         inst = bc.gen_fig5(2, length)
         y = (Fraction(length - 2),) + inst.home()[1:]
         rows[f"untangle.fig5_L{length}"] = lambda i=inst, y=y: bc.untangle(i, y)
@@ -210,7 +210,7 @@ def load_package(src: Path):
 def time_row(bc, fn: Callable[[], object], k: int) -> float | str:
     """The median CPU time of ``fn``, or the message of its ``ResourceLimitError``."""
     try:
-        return round(median_cpu_s(fn, k), 4)
+        return round(median_cpu_s(fn, k), 6)
     except bc.ResourceLimitError as exc:
         return str(exc)
 
@@ -237,7 +237,7 @@ def show(label: str, name: str, figure: float | str) -> None:
     if isinstance(figure, str):
         print(f"{label:10s} {name:40s} resource limit: {figure}", flush=True)
     else:
-        print(f"{label:10s} {name:40s} {figure:10.4f} s", flush=True)
+        print(f"{label:10s} {name:40s} {figure:10.6f} s", flush=True)
 
 
 def run_record(label: str, src: Path, k: int, figures: dict[str, float | str]) -> dict:
