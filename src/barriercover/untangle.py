@@ -208,12 +208,16 @@ def untangle(
         raise InfeasibleError("cannot untangle a solution that does not cover")
     for k in set(range(instance.n)).difference(active):
         pos[k] = home[k]
+
+    def entry(k: int) -> tuple[int, int, int]:
+        return pos[k] - radii[k], pos[k] + radii[k], k
+
     # sorted unclipped spans of the active sensors; unplace runs before a
     # sensor moves, so it finds its span
-    spans = sorted((pos[k] - radii[k], pos[k] + radii[k], k) for k in active)
+    spans = sorted(entry(k) for k in active)
 
     def unplace(k: int) -> None:
-        del spans[bisect_left(spans, (pos[k] - radii[k], pos[k] + radii[k], k))]
+        del spans[bisect_left(spans, entry(k))]
 
     keep = set(active)
     last: Optional[tuple[int, int]] = None
@@ -230,8 +234,8 @@ def untangle(
         unplace(i)
         unplace(j)
         pos[i], pos[j] = _swap_targets(span, radii[i], radii[j])
-        for k in (i, j):
-            insort(spans, (pos[k] - radii[k], pos[k] + radii[k], k))
+        insort(spans, entry(i))
+        insort(spans, entry(j))
         if not _covers(spans, keep, length):
             raise RuntimeError(f"swap of {CrossingPair(i, j)} broke coverage; swap rule bug")
         for k in (i, j) if radii[i] > radii[j] else (j, i):

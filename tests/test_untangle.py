@@ -155,7 +155,7 @@ def crowded_spans(draw):
             y.append(point + r * F(draw(st.integers(-4, 4)), 4))
         else:
             y.append(F(draw(st.integers(-24, 24)), draw(_q)))
-        sensors.append(Sensor(draw(st.integers(-10, 10)), r))
+        sensors.append(Sensor(0, r))
     order = draw(st.permutations(range(n)))
     inst = Instance(1, tuple(sensors[k] for k in order))
     y = tuple(y[k] for k in order)
