@@ -39,7 +39,6 @@ __version__ = "0.1.0"
 
 #: Exported names resolved on first access, by the submodule that defines them.
 _LAZY = {
-    "GapCandidateSet": "exact",
     "brute_force": "exact",
     "brute_force_order_preserving": "exact",
     "fpt_solve": "exact",

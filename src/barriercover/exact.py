@@ -8,33 +8,35 @@ positions and costs come back as Fractions of d.  Internals run on plain
 ints for speed.
 
 The searches are depth-first with admissible pruning only (budget, current
-incumbent, permanently wasted length, uncovered measure, reachability of
-the leftmost hole), so results are exact.  ``fpt_solve`` takes its holes
-from the one coverage sweep, ``model._gaps``, as ``verify_coverage`` does.
-A ``brute_force`` node instead carries the holes its placed sensors leave,
-cut by each child's span in O(holes); the holes of the unplaced sensors'
-homes are swept once per call.  Each node lists what its holes and those
-leave open, and takes each child's uncovered measure and first open point
-from that list less the child's span.  With them it runs the child's entry
-tests (bound, reachability) itself, so a child they kill is never made a
-node; dominated states are skipped too, a child being dominated when its
-holes and uncrossing floors were entered before at no higher spend (its
-docstring has the proofs).  The three branch-and-bound searches,
-``brute_force``, ``brute_force_order_preserving`` and ``fpt_solve`` (which,
-given a mover cap, also decides the k-mover variant), run on one driver,
-``_Search.run``, which keeps its own stack: depth costs nothing, and the
-node cap alone bounds the work, aborting with ``ResourceLimitError`` rather
-than ever reporting "no solution".
+incumbent, permanently wasted length, uncovered measure, reachability of the
+leftmost hole), so results are exact.  ``fpt_solve`` takes its holes from
+the one coverage sweep, ``model._gaps``, as ``verify_coverage`` does.  A
+``brute_force`` node instead carries the holes its placed sensors leave, cut
+by each child's span in O(holes) with ``_cut``, which also builds, once per
+call, the holes the unplaced sensors' homes leave.  Each node lists what its
+holes and those leave open, and takes each child's uncovered measure and
+first open point from that list less the child's span.  With them it runs
+the child's entry tests (bound, reachability) itself, so a child they kill
+is never made a node; dominated states are skipped too, a child being
+dominated when its holes and uncrossing floors were entered before at no
+higher spend (its docstring has the proofs).  The three branch-and-bound
+searches, ``brute_force``, ``brute_force_order_preserving`` and
+``fpt_solve`` (which, given a mover cap, also decides the k-mover variant),
+run on one driver, ``_Search.run``, which keeps its own stack: depth costs
+nothing.  Every node counts against the node cap, and so does every child
+``brute_force`` cuts on its entry test, so a search aborts with
+``ResourceLimitError`` rather than ever reporting "no solution".  The
+placements a node skips uncounted lie in its window of at most 2(B + 1) grid
+positions for a budget of B grid units.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Callable, Container, Iterable, Iterator, Optional
+from typing import Callable, Container, Iterator, Optional
 
 from .model import (
     DEFAULT_NODE_CAP,
@@ -45,8 +47,6 @@ from .model import (
     Solution,
     _clipped_spans,
     _gaps,
-    _merge,
-    as_scalar,
     grid_units,
     is_feasible,
     on_grid,
@@ -57,44 +57,20 @@ from .order_dp import greedy_cover
 _MEMO_CAP = 1 << 16
 
 
-@dataclass(frozen=True)
-class GapCandidateSet:
-    """Sensors worth moving into one gap, keyed by their facing interval edge.
-
-    ``left[p]`` lists sensors whose home right edge is the grid point p
-    in [gap_lo - budget, gap_lo]; ``right[p]`` those whose home left edge
-    is p in [gap_hi, gap_hi + budget], both in units of the grid 1/d of
-    ``model.on_grid``.  Each point keeps only the budget+1 longest sensors
-    (ties to the lower index): with at most ``budget`` movers, a discarded
-    shorter sensor can be replaced at equal cost by a kept unmoved one,
-    whose own home stays covered by a second kept one.  The exchange moves
-    the kept sensor in place of the discarded one, which then stays home,
-    so it keeps the number of movers too: the trim is just as valid under
-    ``fpt_solve``'s mover cap.
-    """
-
-    gap: tuple[Scalar, Scalar]
-    left: dict[int, tuple[int, ...]]
-    right: dict[int, tuple[int, ...]]
-
-    def sensors(self) -> tuple[int, ...]:
-        seen = {j for group in self.left.values() for j in group}
-        seen |= {j for group in self.right.values() for j in group}
-        return tuple(sorted(seen))
-
-
 class _Search:
     """Incumbent bookkeeping and the one depth-first driver on the grid 1/d.
 
     A search is a generator function ``visit(*args)`` for one node: it
     yields each child's argument tuple in order and is resumed once that
-    child's subtree is done, so after each ``yield`` it re-reads ``bound()``
-    and undoes whatever it changed in place for that child.  Open nodes
-    live on an explicit stack, so depth costs no interpreter stack; every
-    node, the root included, counts against the node cap.  ``nodes`` and
-    ``pruned`` (early returns and skipped children, by rule, as the search
-    counts them) stay readable after ``run``.  ``limit`` is ``bound()``, for
-    hot loops that read it once per child.
+    child's subtree is done, so after each ``yield`` it re-reads ``limit``
+    (the largest total cost still worth exploring: the budget, or below the
+    incumbent) and undoes whatever it changed in place for that child.
+    Open nodes live on an explicit stack, so depth costs no interpreter
+    stack.  Every node, the root included, counts against the node cap,
+    and so does every child a parent cuts on its entry test (``cut``): it
+    stands for the node it would have been.  ``nodes`` and ``pruned``
+    (early returns and skipped children, by rule, as the search counts
+    them) stay readable after ``run``.
     """
 
     def __init__(self, node_cap: int, budget: int, d: int) -> None:
@@ -103,6 +79,7 @@ class _Search:
         self.node_cap = node_cap
         self.d = d
         self.nodes = 0
+        self.cuts = 0
         self.pruned: Counter[str] = Counter()
         self.best_cost: Optional[int] = None
         self.best: Optional[list[int]] = None
@@ -114,9 +91,12 @@ class _Search:
             self.best = list(positions)
             self.limit = cost_value - 1
 
-    def bound(self) -> int:
-        """Largest total cost still worth exploring: the budget, or below the incumbent."""
-        return self.limit
+    def cut(self, rule: str) -> None:
+        """Count a child cut on its entry test under ``rule``, and against the node cap."""
+        self.pruned[rule] += 1
+        self.cuts += 1
+        if self.nodes + self.cuts > self.node_cap:
+            raise ResourceLimitError(f"search explored more than {self.node_cap} states")
 
     def run(self, visit: Callable[..., Iterator[tuple]], *root: object) -> Optional[tuple[Solution, Scalar]]:
         """Search depth-first from ``visit(*root)``; the best cover found, in input units."""
@@ -127,7 +107,7 @@ class _Search:
                 stack.pop()
                 continue
             self.nodes += 1
-            if self.nodes > self.node_cap:
+            if self.nodes + self.cuts > self.node_cap:
                 raise ResourceLimitError(f"search explored more than {self.node_cap} states")
             stack.append(visit(*args))
         return self.result()
@@ -198,6 +178,21 @@ def _cut(holes: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]
     return out
 
 
+def _home_holes(length: int, xs: list[int], rs: list[int]) -> list[list[tuple[int, int]]]:
+    """Entry i: the holes the homes of sensors i.. leave in [0, L], cut span by span from the right.
+
+    ``_cut`` takes each hole less the span, so a home reaching past 0 or L,
+    or missing the barrier, needs no clipping; radii are positive, as its
+    lo < hi needs.
+    """
+    holes = _gaps([], length)
+    out = [holes]
+    for i in range(len(xs) - 1, -1, -1):
+        holes = _cut(holes, xs[i] - rs[i], xs[i] + rs[i])
+        out.append(holes)
+    return out[::-1]
+
+
 def brute_force(
     instance: Instance,
     budget: Optional[ScalarLike] = None,
@@ -219,18 +214,20 @@ def brute_force(
     first open point is the first point of ``ahead`` outside the span: what
     its entry read from its holes and ``suffix[i + 1]``.  With class r's
     floor at y, ``min_reach(i + 1, first)`` is the child's own call, and
-    ``bound()`` is its entry's.  A child is cut and counted in ``pruned``
-    as ``"bound-cut"`` when ``spent + d`` plus its uncovered measure exceeds
-    ``bound()``; then, after the memo, as ``"dead-hole-cut"`` when that
-    reach is None (as for every leaf with holes) and as ``"reach-cut"``
-    when ``spent + d`` plus it exceeds ``bound()``.  Each would return at
-    entry, offering nothing, so no incumbent moves and each node count
-    falls by exactly the children cut.  The root is tested so too, before
-    it becomes a node.  A node returns at entry on its placed hole p (its
-    holes' first point) unless p is its first open point: as
-    ``"dead-placed-hole"`` when ``min_reach(i, p)`` is None (the floors can
-    keep every sensor left to its right), as ``"bound"`` when ``spent``
-    plus that reach exceeds ``bound()``.
+    ``search.limit`` is its entry's.  A child is cut and counted in
+    ``pruned`` as ``"bound-cut"`` when ``spent + d`` plus its uncovered
+    measure exceeds the limit; then, after the memo, as ``"dead-hole-cut"``
+    when that reach is None (as for every leaf with holes) and as
+    ``"reach-cut"`` when ``spent + d`` plus it exceeds the limit.  Each
+    would return at entry, offering nothing, so no incumbent moves.  The
+    last two count against the node cap (``_Search.cut``) as the nodes they
+    would have been: nodes plus those cuts is the count from when they were
+    nodes.  The root is tested so too, before it becomes a node.  A node
+    returns at entry on its placed hole p (its holes' first point) unless p
+    is its first open point: as ``"dead-placed-hole"`` when
+    ``min_reach(i, p)`` is None (the floors can keep every sensor left to
+    its right), as ``"bound"`` when ``spent`` plus that reach exceeds the
+    limit.
 
     Some children are skipped uncounted.  With r the radius of sensor i,
     placing it at y > p + r leaves [p, p+1] open, so p stays the child's
@@ -249,7 +246,7 @@ def brute_force(
     The d loop starts at the window, so it tests the same y in the same order.
 
     Dominated children are skipped.  The subtree below a node depends only
-    on its state (i, holes, floors), on ``spent`` and on ``bound()``: its
+    on its state (i, holes, floors), on ``spent`` and on ``search.limit``: its
     waste is sum(2 r_j, j < i) - (L - |holes|), by induction from the root,
     and ``positions`` only feeds ``offer``.  A child whose state was entered
     before at a spend s1 <= s2, its spend now, is skipped.  Indices rise
@@ -259,7 +256,7 @@ def brute_force(
     s1 + c <= s2 + c and ``offer`` rejects it now; or a rule cut C.  A rule
     that reads the state alone (holes, waste, floors, lookahead) cuts it
     again, and a bound rule cut it at a bound no lower than today's, as
-    ``bound()`` only falls.  So no incumbent, solution or cost changes.
+    the limit only falls.  So no incumbent, solution or cost changes.
     Each skip is counted as ``dominated``.  A child the entry test cuts
     after its lookup is still recorded: its subtree is empty and done.  The
     memo maps each state to the least spend it was entered with.  It is
@@ -277,13 +274,8 @@ def brute_force(
         return None
 
     # ``suffix[i]``: the holes the homes of sensors i.. leave, indexed once.
-    suffix: list[_HoleIndex] = []
-    home: list[tuple[int, int, int]] = []
-    for i in range(n, -1, -1):
-        if i < n:
-            home = _merge(home + _clipped_spans(rs, xs, length, (i,)))
-        suffix.append(_hole_index(_gaps(home, length)))
-    suffix.reverse()
+    home_holes = _home_holes(length, xs, rs)
+    suffix = [_hole_index(holes) for holes in home_holes]
     slack = sum(2 * r for r in rs) - length
     # Equal intervals may be assumed uncrossed (swapping their targets never
     # raises the cost): ``floors[r]`` is where the latest sensor of radius r
@@ -425,22 +417,22 @@ def brute_force(
                 # The rest of the child's entry test (uncovered passed above).
                 reach = 0 if child_first < 0 else min_reach(i + 1, child_first)
                 if reach is None or spent + d + reach > bnd:
-                    pruned["dead-hole-cut" if reach is None else "reach-cut"] += 1
+                    search.cut("dead-hole-cut" if reach is None else "reach-cut")
                 else:
                     yield i + 1, spent + d, child_holes, child_waste, child_first
                     bnd = search.limit
                 positions[i], floors[r] = xs[i], floor
             d += 1
 
-    # The root's entry test, as its parent would run it.
-    root = _gaps([], length)
-    ahead = _open_stretches(root, suffix[0])
+    # The root's entry test, as its parent would run it: its ``ahead`` is
+    # what all the homes leave open.
+    ahead = home_holes[0]
     first = ahead[0][0] if ahead else -1
     reach = 0 if first < 0 else min_reach(0, first)
     if reach is None or max(reach, sum(hi - lo for lo, hi in ahead)) > search.limit:
-        pruned["dead-hole-cut" if reach is None else "reach-cut"] += 1
+        search.cut("dead-hole-cut" if reach is None else "reach-cut")
         return search.result()
-    return search.run(visit, 0, 0, root, 0, first)
+    return search.run(visit, 0, 0, home_holes[n], 0, first)  # nothing placed: the whole barrier
 
 
 def brute_force_order_preserving(
@@ -484,7 +476,7 @@ def brute_force_order_preserving(
             lo = max(lo, last_y + 1)
         for y in range(lo, reach + rs[i] + 1):
             move = abs(y - xs[i])
-            if spent + move > search.bound():
+            if spent + move > search.limit:
                 pruned["bound"] += 1
                 continue
             positions[i] = y
@@ -495,25 +487,22 @@ def brute_force_order_preserving(
 
 
 def gap_candidates(
-    instance: Instance,
-    gap: tuple[ScalarLike, ScalarLike],
-    budget: ScalarLike,
-    exclude: Iterable[int] = (),
-) -> GapCandidateSet:
-    """Per-edge candidate groups for one gap (see GapCandidateSet)."""
-    d, _, xs, rs = on_grid(instance)
-    gap_lo, gap_hi = as_scalar(gap[0]), as_scalar(gap[1])
-    if (gap_lo * d).denominator != 1 or (gap_hi * d).denominator != 1:
-        raise ValueError(f"gap endpoints must lie on the instance's grid 1/{d}")
-    limit = grid_units(budget, d)
-    left, right = _edge_groups(xs, rs, int(gap_lo * d), int(gap_hi * d), limit, set(exclude))
-    return GapCandidateSet(gap=(gap_lo, gap_hi), left=left, right=right)
-
-
-def _edge_groups(
     xs: list[int], rs: list[int], gap_lo: int, gap_hi: int, limit: int, banned: Container[int]
 ) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
-    """``gap_candidates``' left and right groups, all on the grid."""
+    """Sensors worth moving into the gap (gap_lo, gap_hi), keyed by their facing edge.
+
+    All on the grid 1/d of ``model.on_grid``, with ``limit`` the movement
+    still affordable.  The left groups map each grid point p in
+    [gap_lo - limit, gap_lo] to the sensors whose home right edge is p; the
+    right groups map each p in [gap_hi, gap_hi + limit] to those whose home
+    left edge is p.  Sensors in ``banned`` are left out.  Each point keeps
+    only the limit+1 longest sensors (ties to the lower index): with at
+    most ``limit`` movers, a discarded shorter sensor can be replaced at
+    equal cost by a kept unmoved one, whose own home stays covered by a
+    second kept one.  The exchange moves the kept sensor in place of the
+    discarded one, which then stays home, so it keeps the number of movers
+    too: the trim is just as valid under ``fpt_solve``'s mover cap.
+    """
     left: dict[int, list[int]] = {}
     right: dict[int, list[int]] = {}
     for j in range(len(xs)):
@@ -548,7 +537,7 @@ def fpt_solve(
     Otherwise some still-unmoved sensor must cover the first unit of the
     leftmost gap (endpoints are integral, so an interval meeting the gap's
     interior covers that whole unit); we branch over that gap's candidate
-    sensors — trimmed per edge group as in GapCandidateSet — and over every
+    sensors — trimmed per edge group as in gap_candidates — and over every
     grid center covering the unit within the remaining budget.  Every move
     costs at least one grid unit, so the depth is bounded by the budget.
 
@@ -561,7 +550,7 @@ def fpt_solve(
     the unit open) and not home in T (its home leaves the unit open too).
     So j is a mover of T outside ``moved``, and ``len(moved) < k``.  The
     candidate trim stays valid under the cap: its exchange swaps one mover
-    for another, so T keeps its mover count (see GapCandidateSet).
+    for another, so T keeps its mover count (see gap_candidates).
     """
     if movers is not None and movers < 0:
         raise ValueError(f"mover bound must be >= 0, got {movers}")
@@ -583,12 +572,12 @@ def fpt_solve(
         if movers is not None and len(moved) >= movers:
             pruned["movers"] += 1
             return
-        room = search.bound() - spent
+        room = search.limit - spent
         if sum(hi - lo for lo, hi in holes) > room:
             pruned["gap-measure"] += 1
             return
         gap_lo, gap_hi = holes[0]
-        left, right = _edge_groups(xs, rs, gap_lo, gap_hi, room, moved)
+        left, right = gap_candidates(xs, rs, gap_lo, gap_hi, room, moved)
         for j in sorted({j for group in (*left.values(), *right.values()) for j in group}):
             lo = max(gap_lo + 1 - rs[j], xs[j] - room)
             hi = min(gap_lo + rs[j], xs[j] + room)

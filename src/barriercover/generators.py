@@ -6,6 +6,9 @@ barrier exactly, so any solution that keeps index order must shuffle the whole
 row instead of sending the large sensor across it.  fig6 does not force that:
 its optimum is the order-preserving nudge described in ``gen_fig6``, where the
 large sensor's spare length absorbs the row's gaps.
+
+Every generator refuses more than ``SENSOR_CAP`` sensors (``ResourceLimitError``,
+CLI exit 3) from the closed-form count, before it builds a sensor.
 """
 
 from __future__ import annotations
@@ -24,6 +27,14 @@ from .model import (
 )
 
 _MASK64 = (1 << 64) - 1
+
+#: Most sensors a generated instance may hold.
+SENSOR_CAP = 100_000
+
+
+def _check_size(n: int) -> None:
+    if n > SENSOR_CAP:
+        raise ResourceLimitError(f"{n} sensors exceed the generator cap {SENSOR_CAP}")
 
 
 class RandomStream:
@@ -103,6 +114,7 @@ def gen_fig5(rho: ScalarLike, length: ScalarLike) -> Instance:
     count = (length - 2 * rho) / 2
     if count.denominator != 1 or count <= 0:
         raise ValueError(f"(L - 2*rho)/2 must be a positive integer, got {count}")
+    _check_size(int(count) + 1)
     sensors = [Sensor(0, rho)]
     sensors += [Sensor(2 * i + 1, 1) for i in range(int(count))]
     return Instance(length=length, sensors=tuple(sensors))
@@ -132,6 +144,7 @@ def gen_fig6(rho: ScalarLike, m: int, delta: ScalarLike) -> Instance:
         raise ValueError("gap width must be positive")
     if m * delta >= 2 * rho:
         raise ValueError("m*delta must stay below 2*rho")
+    _check_size(m + 1)
     sensors = [Sensor(0, rho)]
     sensors += [Sensor(1 + i * (2 + delta), 1) for i in range(m)]
     return Instance(length=2 * m + (m - 1) * delta, sensors=tuple(sensors))
@@ -204,6 +217,7 @@ def gen_random(
         raise ValueError("sensor count must be >= 0")
     if not (0 < r_min <= r_max):
         raise ValueError("need 0 < r_min <= r_max")
+    _check_size(n)
     stream = RandomStream(seed)
     sensors = []
     for _ in range(n):

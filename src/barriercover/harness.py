@@ -193,13 +193,20 @@ def ratio_sweep(
 
     fig5 measures the optimal order-preserving cost against the unrestricted
     optimum; fig6 measures the cost of untangling the oracle's optimum
-    against that optimum.
+    against that optimum.  The grid sweeps ``L`` (fig5) or ``m`` (fig6);
+    ``rho`` (default 2) and fig6's ``delta`` (default 1/8) take one value.
     """
     from .generators import gen_fig5, gen_fig6
 
+    def single(key: str, default: ScalarLike) -> Scalar:
+        values = grid.get(key, [default])
+        if len(values) != 1:
+            raise ValueError(f"grid[{key!r}] must hold exactly one value, got {len(values)}")
+        return as_scalar(values[0])
+
     records: list[RunRecord] = []
     if family == "fig5":
-        rho = as_scalar(grid.get("rho", [2])[0])
+        rho = single("rho", 2)
         for length in grid["L"]:
             instance = gen_fig5(rho, as_scalar(length))
             instance_id = f"fig5:rho={rho}:L={as_scalar(length)}"
@@ -207,8 +214,8 @@ def ratio_sweep(
                 instance, ["oracle", "dp-optimal"], "oracle", instance_id, node_cap=node_cap
             )
     elif family == "fig6":
-        rho = as_scalar(grid.get("rho", [2])[0])
-        delta = as_scalar(grid.get("delta", [Fraction(1, 8)])[0])
+        rho = single("rho", 2)
+        delta = single("delta", Fraction(1, 8))
         for m in grid["m"]:
             instance = gen_fig6(rho, int(m), delta)
             instance_id = f"fig6:rho={rho}:m={int(m)}:delta={delta}"

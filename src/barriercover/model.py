@@ -224,21 +224,6 @@ def _gaps(spans: Iterable[tuple[Number, Number, int]], length: Number) -> list[t
     return gaps
 
 
-def _merge(spans: Iterable[tuple]) -> list[tuple]:
-    """The union of ``(lo, hi)`` or ``(lo, hi, i)`` spans, sorted and disjoint.
-
-    Touching spans join, keeping the index of the last one that extended them.
-    """
-    out: list[tuple] = []
-    for span in sorted(spans):
-        if out and span[0] <= out[-1][1]:
-            if span[1] > out[-1][1]:
-                out[-1] = (out[-1][0],) + span[1:]
-        else:
-            out.append(span)
-    return out
-
-
 def _minimal_cover(
     radii: Sequence[Number],
     centers: Sequence[Number],

@@ -12,7 +12,7 @@ oracle and not in the library.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from barriercover.exact import DEFAULT_NODE_CAP, _anchored_cover, _Search
 from barriercover.model import (
@@ -20,7 +20,6 @@ from barriercover.model import (
     Scalar,
     ScalarLike,
     Solution,
-    _merge,
     grid_units,
     is_feasible,
     on_grid,
@@ -28,6 +27,21 @@ from barriercover.model import (
 from barriercover.order_dp import greedy_cover
 
 _Span = tuple[int, int]
+
+
+def _merge(spans: Iterable[tuple]) -> list[tuple]:
+    """The union of ``(lo, hi)`` or ``(lo, hi, i)`` spans, sorted and disjoint.
+
+    Touching spans join, keeping the index of the last one that extended them.
+    """
+    out: list[tuple] = []
+    for span in sorted(spans):
+        if out and span[0] <= out[-1][1]:
+            if span[1] > out[-1][1]:
+                out[-1] = (out[-1][0],) + span[1:]
+        else:
+            out.append(span)
+    return out
 
 
 def _uncovered_two(length: int, a: list[_Span], b: list[_Span]) -> tuple[int, int]:
@@ -179,7 +193,7 @@ def brute_force(
                 return
             if reach > lower:
                 lower = reach
-        bnd = search.bound()
+        bnd = search.limit
         if spent + lower > bnd:
             return
         lo_pos = min(-rs[i], xs[i])
@@ -203,7 +217,7 @@ def brute_force(
                 yield i + 1, spent + d, _merge(placed + [span]), child_waste
                 positions[i], floors[rs[i]] = xs[i], floor
             d += 1
-            bnd = search.bound()
+            bnd = search.limit
 
     return search.run(visit, 0, 0, [], 0)
 

@@ -6,6 +6,7 @@ is left as it was.  The timing entry points are replaced by a stub that
 raises, so a test that reaches them fails loudly instead of timing.
 """
 
+import argparse
 import importlib.util
 import json
 import sys
@@ -75,3 +76,25 @@ def test_new_labels_and_keys_reach_the_timing(bench_dp, monkeypatch, tmp_path, a
     out.write_text(json.dumps(RECORD))
     with pytest.raises(Timed):
         _run(bench_dp, monkeypatch, out, *argv)
+
+
+def test_rows_keep_the_least_child_median(bench_dp, monkeypatch):
+    """Each row runs in three children per side, the sides alternating; the least child median is kept."""
+    calls = []
+    figures = iter([0.5, 0.2, 0.3, 0.1, 0.4, 0.6] + ["search explored more than 9 states"] * 6)
+
+    def child(topic, src, name, k):
+        calls.append((name, src.name))
+        return next(figures)
+
+    monkeypatch.setattr(bench_dp, "row_in_child", child)
+    monkeypatch.setattr(bench_dp, "load_package", lambda src: None)
+    monkeypatch.setitem(bench_dp.ROWS, "untangle", lambda bc: {"fast": None, "limited": None})
+    monkeypatch.setattr(bench_dp, "git_sha", lambda path: "sha")
+    args = argparse.Namespace(topic="untangle", src="new", label="after", before="old", before_label="before", k=1)
+    runs = bench_dp.cmd_rows(args)
+    assert calls[:6] == [("fast", "old"), ("fast", "new"), ("fast", "new"), ("fast", "old"),
+                         ("fast", "old"), ("fast", "new")]
+    assert calls[6:8] == [("limited", "new"), ("limited", "old")]
+    assert runs["before"]["rows"] == {"fast": 0.1} and runs["after"]["rows"] == {"fast": 0.2}
+    assert runs["after"]["resource_limit"] == {"limited": "search explored more than 9 states"}

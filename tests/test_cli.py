@@ -42,6 +42,19 @@ class TestGen:
         inst = parse_instance(capsys.readouterr().out)
         assert inst.n == 0
 
+    def test_past_the_generator_cap_exits_3(self, capsys):
+        """Each family one sensor past the cap is refused before a sensor is built."""
+        from barriercover.generators import SENSOR_CAP
+
+        n = SENSOR_CAP + 1
+        for argv in (["--family", "fig5", "--rho", "1", "--length", str(2 * n)],
+                     ["--family", "fig6", "--rho", "2", "--m", str(n - 1), "--delta", f"1/{n}"],
+                     ["--family", "random", "--n", str(n), "--length", "12"]):
+            assert main(["gen", *argv]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"{n} sensors exceed the generator cap {SENSOR_CAP}" in captured.err
+
     def test_missing_family_parameter(self, capsys):
         assert main(["gen", "--family", "fig5", "--rho", "2"]) == 2
 

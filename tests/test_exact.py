@@ -92,29 +92,25 @@ class TestOrderPreservingBruteForce:
 
 class TestGapCandidates:
     def test_edge_groups(self):
-        inst = Instance(10, (Sensor(-3, 1), Sensor(-2, 2), Sensor(13, 2)))
         # Home coverage is empty within [0, 10]: one gap (0, 10).
-        cands = gap_candidates(inst, (0, 10), 4)
-        assert cands.left == {-2: (0,), 0: (1,)}
-        assert cands.right == {11: (2,)}
+        left, right = gap_candidates([-3, -2, 13], [1, 2, 2], 0, 10, 4, ())
+        assert left == {-2: (0,), 0: (1,)}
+        assert right == {11: (2,)}
 
     def test_longest_trim_and_tie_break(self):
         # Four sensors share the edge point 0; budget 1 keeps the two longest.
-        sensors = tuple(Sensor(-r, r) for r in (1, 2, 3, 4))
-        inst = Instance(8, sensors)
-        cands = gap_candidates(inst, (0, 8), 1)
-        members = cands.left[0]
+        rs = [1, 2, 3, 4]
+        left, _ = gap_candidates([-r for r in rs], rs, 0, 8, 1, ())
+        members = left[0]
         assert len(members) == 2
-        assert [inst.sensors[j].r for j in members] == [4, 3]
+        assert [rs[j] for j in members] == [4, 3]
         # Equal lengths break ties toward the lower index.
-        twins = Instance(8, (Sensor(-2, 2), Sensor(-2, 2), Sensor(-2, 2)))
-        cands = gap_candidates(twins, (0, 8), 1)
-        assert cands.left[0] == (0, 1)
+        left, _ = gap_candidates([-2, -2, -2], [2, 2, 2], 0, 8, 1, ())
+        assert left[0] == (0, 1)
 
     def test_excluded_sensors_are_skipped(self):
-        inst = Instance(4, (Sensor(-1, 1), Sensor(-1, 1)))
-        cands = gap_candidates(inst, (0, 4), 3, exclude=(0,))
-        assert cands.sensors() == (1,)
+        left, right = gap_candidates([-1, -1], [1, 1], 0, 4, 3, {0})
+        assert {j for group in (*left.values(), *right.values()) for j in group} == {1}
 
 
 class TestFpt:
@@ -255,7 +251,8 @@ def _record_searches(monkeypatch):
 
 # Each oracle row: its node count before the parent ran each child's entry
 # test, the children that test now cuts (``dead-hole-cut`` plus
-# ``reach-cut``, each one a node before), and the optimum.
+# ``reach-cut``, each one a node before, and each still counted against the
+# node cap, so the pin is the cap's boundary), and the optimum.
 ORACLE_PINS = [
     ("oracle-fig5-L24", gen_fig5(2, 24), 167, 1, 22),
     ("oracle-fig5-L32", gen_fig5(2, 32), 317, 1, 30),
@@ -282,8 +279,8 @@ class TestNodeCounts:
     @pytest.mark.parametrize(
         "search, nodes, expected",
         [
-            *((lambda cap, i=instance: oracle_optimal(i, cap), pin - cut, expected)
-              for _, instance, pin, cut, expected in ORACLE_PINS),
+            *((lambda cap, i=instance: oracle_optimal(i, cap), pin, expected)
+              for _, instance, pin, _, expected in ORACLE_PINS),
             (lambda cap: fpt_solve(PINNED, 13, cap), 175, 13),
             (lambda cap: fpt_solve(PINNED, 12, cap), 123, None),
             (lambda cap: fpt_solve(PINNED, 13, cap, movers=2), 83, None),
@@ -300,6 +297,21 @@ class TestNodeCounts:
         assert (None if found is None else found[1]) == expected
         with pytest.raises(ResourceLimitError, match=f"explored more than {nodes - 1} states"):
             search(nodes - 1)
+
+    def test_node_cap_bounds_the_work_on_a_fine_grid(self, monkeypatch):
+        """The random pin scaled by 1,000 stops at its 201st node or entry cut under cap 200.
+
+        Each entry cut counts against the cap as the node it would have
+        been, so the work before the abort does not grow with the grid:
+        the parents' d loops walk the window a grid unit at a time, and
+        every reach-cut they make is counted.
+        """
+        searches = _record_searches(monkeypatch)
+        with pytest.raises(ResourceLimitError, match="explored more than 200 states"):
+            brute_force(scale_instance(PINNED, 1000), node_cap=200)
+        (search,) = searches
+        assert search.nodes + search.cuts == 201
+        assert (search.nodes, search.pruned) == (3, {"reach-cut": 198})
 
     @pytest.mark.parametrize(
         "instance, pin, cut",
@@ -335,12 +347,12 @@ class TestNodeCounts:
             (gen_fig6(2, 6, F(1, 8)), 114, F(15, 8)),
             (gen_fig6(2, 7, F(1, 8)), 351, F(21, 8)),
             (gen_fig6(2, 8, F(1, 8)), 963, F(7, 2)),
-            (PINNED, 220 - 152, 13),
+            (PINNED, 220, 13),
         ],
         ids=["fig6-m6", "fig6-m7", "fig6-m8", "random"],
     )
     def test_node_cap_boundary_without_memo(self, monkeypatch, instance, nodes, expected):
-        """With the dominance memo off, the oracle takes the counts pinned before it, less its entry cuts."""
+        """With the dominance memo off, the oracle takes the counts pinned before it, entry cuts included."""
         monkeypatch.setattr(exact, "_MEMO_CAP", 0)
         assert oracle_optimal(instance, nodes)[1] == expected
         with pytest.raises(ResourceLimitError, match=f"explored more than {nodes - 1} states"):

@@ -11,7 +11,8 @@ from barriercover import (
     reduce_exact_cover,
     solve_exact_cover_brute,
 )
-from barriercover.generators import RandomStream
+from barriercover import generators
+from barriercover.generators import SENSOR_CAP, RandomStream
 from barriercover.fileio import parse_instance, serialize_instance
 from barriercover.model import ResourceLimitError
 
@@ -218,3 +219,28 @@ class TestRandomStream:
     def test_empty_range(self):
         with pytest.raises(ValueError):
             RandomStream(0).next_int(3, 2)
+
+
+# Each family at n sensors: fig5 has one large and n - 1 unit sensors, and
+# so does fig6, whose gaps total (n - 1)/n < 2*rho.
+SIZED = [
+    lambda n: gen_fig5(1, 2 * n),
+    lambda n: gen_fig6(2, n - 1, F(1, n)),
+    lambda n: gen_random(n, 12, 1, 3, (-6, 18), 0),
+]
+
+
+class TestSensorCap:
+    """Each generator refuses more than ``SENSOR_CAP`` sensors before building one."""
+
+    @pytest.mark.parametrize("make", SIZED, ids=["fig5", "fig6", "random"])
+    def test_cap_plus_one_is_refused(self, make):
+        with pytest.raises(ResourceLimitError, match=f"{SENSOR_CAP + 1} sensors exceed the generator cap {SENSOR_CAP}$"):
+            make(SENSOR_CAP + 1)
+
+    @pytest.mark.parametrize("make", SIZED, ids=["fig5", "fig6", "random"])
+    def test_the_cap_itself_is_built(self, monkeypatch, make):
+        monkeypatch.setattr(generators, "SENSOR_CAP", 5)
+        assert make(5).n == 5
+        with pytest.raises(ResourceLimitError, match="6 sensors exceed the generator cap 5"):
+            make(6)

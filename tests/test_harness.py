@@ -90,6 +90,21 @@ class TestRatioSweep:
         assert all(r.ratio >= 1 for r in measured)
 
 
+    @pytest.mark.parametrize(
+        "family, grid, key",
+        [
+            ("fig5", {"rho": [2, 3], "L": [12]}, "rho"),
+            ("fig5", {"rho": [], "L": [12]}, "rho"),
+            ("fig6", {"rho": [2, 3], "m": [2]}, "rho"),
+            ("fig6", {"delta": [F(1, 8), F(1, 4)], "m": [2]}, "delta"),
+        ],
+    )
+    def test_fixed_parameter_takes_one_value(self, family, grid, key):
+        """A swept family fixes rho (and fig6's delta): a list of any other length is refused, not cut to its head."""
+        with pytest.raises(ValueError, match=f"grid\\['{key}'\\] must hold exactly one value"):
+            ratio_sweep(family, grid)
+
+
 class TestCsv:
     def test_header_and_rational_formatting(self):
         records = compare(I2, ["dp-optimal"], "oracle", instance_id="i2")

@@ -12,13 +12,14 @@ measures.
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import reference_search as ref
 from barriercover import brute_force, gen_fig5, gen_fig6, gen_random, oracle_optimal
-from barriercover.exact import _cut, _hole_index, _open_stretches
-from barriercover.model import _gaps, _merge
+from barriercover.exact import _cut, _hole_index, _home_holes, _open_stretches
+from barriercover.model import _clipped_spans, _gaps
+from reference_search import _merge
 
 from conftest import random_corpus
 
@@ -68,14 +69,22 @@ def _clip(spans, length):
     return [(max(lo, 0), min(hi, length), i) for lo, hi, i in spans if lo < length and hi > 0]
 
 
+_homes = st.lists(st.tuples(st.integers(-8, 34), st.integers(1, 6)), max_size=6)
+
+
 @settings(max_examples=400, deadline=None, derandomize=True)
-@given(placed=_spans, home=_spans, length=st.integers(0, 26))
-def test_bisected_holes_match_the_sweep(placed, home, length):
+@given(placed=_spans, home=_spans, length=st.integers(0, 26), sensors=_homes)
+# Homes touching the barrier at 0 or L in a single point, and an empty barrier.
+@example(placed=[], home=[], length=10, sensors=[(-2, 2), (3, 1), (13, 3)])
+@example(placed=[], home=[], length=0, sensors=[(-1, 1), (0, 2), (4, 1)])
+def test_bisected_holes_match_the_sweep(placed, home, length, sensors):
     """Holes cut span by span, bisected against the home holes, equal one sweep of both.
 
     At each cut, what the child's holes leave open of the home holes is
     what its parent's left, less the span: the stretches the parent reads
-    the child's uncovered measure and first open point from.
+    the child's uncovered measure and first open point from.  The oracle's
+    per-suffix home holes, cut from the right, equal a sweep of each
+    suffix's merged homes clipped to [0, L], point spans at 0 or L included.
     """
     placed, home = _clip(placed, length), _clip(home, length)
     index = _hole_index(_gaps(_merge(home), length))
@@ -87,3 +96,10 @@ def test_bisected_holes_match_the_sweep(placed, home, length):
     assert holes == _gaps(_merge(placed), length)
     swept = _gaps(sorted(placed + _merge(home)), length)
     assert _open_stretches(holes, index) == swept
+
+    xs, rs = [x for x, _ in sensors], [r for _, r in sensors]
+    suffix = _home_holes(length, xs, rs)
+    assert len(suffix) == len(sensors) + 1
+    for i, holes in enumerate(suffix):
+        homes = _merge(_clipped_spans(rs, xs, length, range(i, len(sensors))))
+        assert _hole_index(holes) == _hole_index(_gaps(homes, length))

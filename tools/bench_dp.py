@@ -32,15 +32,17 @@ sensors at x = 2i + 2, r = 1, whose only cover moves every sensor, and
 ``fpt_solve`` at budgets OPT and OPT - 1 on ``gen_random(6, 12, 1, 3,
 (-6, 18), s)`` for s = 0..14 with OPT > 0 (OPT comes from
 ``oracle_optimal`` when the row is built, outside the timed call).
-Each row is timed in its own child process, as the median of ``--k``
-runs in process CPU time (the CPU time of the row's own finished children
-included), recorded to the microsecond; a row whose search raises
-``ResourceLimitError`` records the message under ``resource_limit``
-instead.  The result goes under ``runs[--label]`` together with the
-Python version and the git SHA of the checkout that holds ``--src``.
-With ``--before SRC`` every row is also timed on ``SRC``, with the side
-that runs first alternating from row to row, so host drift hits both
-sides alike; that run goes under ``runs[--before-label]``.
+Each row is timed in ``CHILDREN`` (3) child processes per side, each
+taking the median of ``--k`` runs in process CPU time (the CPU time of
+the row's own finished subprocesses included); the least of those child
+medians is recorded, to the microsecond, so one slow child does not move
+the row.  A row whose search raises ``ResourceLimitError`` records the
+message under ``resource_limit`` instead.  The result goes under
+``runs[--label]`` together with the Python version and the git SHA of the
+checkout that holds ``--src``.  With ``--before SRC`` every row is also
+timed on ``SRC``, the two sides' children alternating, and the side that
+runs first alternating from child to child and row to row, so host drift
+hits both sides alike; that run goes under ``runs[--before-label]``.
 
 ``pairs`` runs ``perfbench/run.py --workload W`` (W defaults to the topic's
 workload: ``dp-order``, ``untangle-swaps`` or ``exact-oracle``) in the ``--before`` and
@@ -73,6 +75,8 @@ from pathlib import Path
 from typing import Callable
 
 REPO = Path(__file__).resolve().parent.parent
+#: Child processes that time each row on each side; the least child median is kept.
+CHILDREN = 3
 #: topic -> (what it measures, the benchmark workload that loads it)
 TOPICS = {
     "dp": ("order-preserving budget DP", "dp-order"),
@@ -246,7 +250,8 @@ def run_record(label: str, src: Path, k: int, figures: dict[str, float | str]) -
         "sha": git_sha(src),
         "python": platform.python_version(),
         "k": k,
-        "unit": "s (median process CPU time, children included)",
+        "unit": f"s (least of {CHILDREN} child processes' median process CPU time, "
+                "the row's own subprocesses included)",
         "rows": {name: v for name, v in figures.items() if not isinstance(v, str)},
     }
     limits = {name: v for name, v in figures.items() if isinstance(v, str)}
@@ -256,7 +261,7 @@ def run_record(label: str, src: Path, k: int, figures: dict[str, float | str]) -
 
 
 def cmd_rows(args: argparse.Namespace) -> dict[str, dict]:
-    """Time the rows, alternating the sides row by row; return each side's run."""
+    """Time the rows in ``CHILDREN`` children per side, alternating the sides; return each side's run."""
     src = Path(args.src).resolve()
     sides = {args.label: src}
     if args.before is not None:
@@ -264,8 +269,13 @@ def cmd_rows(args: argparse.Namespace) -> dict[str, dict]:
     labels = list(sides)
     results: dict[str, dict[str, float | str]] = {label: {} for label in labels}
     for n, name in enumerate(ROWS[args.topic](load_package(src))):
-        for label in labels if n % 2 == 0 else labels[::-1]:
-            results[label][name] = row_in_child(args.topic, sides[label], name, args.k)
+        figures: dict[str, list[float | str]] = {label: [] for label in labels}
+        for c in range(CHILDREN):
+            for label in labels if (n + c) % 2 == 0 else labels[::-1]:
+                figures[label].append(row_in_child(args.topic, sides[label], name, args.k))
+        for label in labels:
+            limits = [f for f in figures[label] if isinstance(f, str)]
+            results[label][name] = limits[0] if limits else min(figures[label])
             show(label, name, results[label][name])
     runs = {label: run_record(label, sides[label], args.k, results[label]) for label in labels}
     if len(labels) == 2:
@@ -331,7 +341,7 @@ def main() -> None:
     rows = sub.add_parser("rows", help="time the topic's baseline rows")
     rows.add_argument("--label", required=True, help="key under 'runs', e.g. before or after")
     rows.add_argument("--src", default=str(REPO / "src"), help="directory holding barriercover/")
-    rows.add_argument("--k", type=int, default=3, help="runs per row (median is kept)")
+    rows.add_argument("--k", type=int, default=3, help="runs per child (its median is kept)")
     rows.add_argument("--before", help="also time this src directory, alternating row by row")
     rows.add_argument("--before-label", default="before", help="key under 'runs' for --before")
     pairs = sub.add_parser("pairs", help="alternate benchmark runs in two checkouts")
