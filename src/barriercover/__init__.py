@@ -49,7 +49,6 @@ _LAZY = {
     "gen_fig6": "generators",
     "gen_random": "generators",
     "reduce_exact_cover": "generators",
-    "solve_exact_cover_brute": "generators",
     "DpTable": "order_dp",
     "budget_table": "order_dp",
     "dp_eps": "order_dp",

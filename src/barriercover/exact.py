@@ -35,7 +35,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from fractions import Fraction
-from itertools import accumulate
 from typing import Callable, Container, Iterator, Optional
 
 from .model import (
@@ -141,21 +140,17 @@ def _anchored_cover(length: int, xs: list[int], rs: list[int]) -> Optional[list[
     return y
 
 
-# Sorted disjoint holes as parallel starts and ends, with prefix sums of their measures.
-_HoleIndex = tuple[list[int], list[int], list[int]]
+# Sorted disjoint holes as parallel starts and ends.
+_HoleIndex = tuple[list[int], list[int]]
 
 
 def _hole_index(holes: list[tuple[int, int]]) -> _HoleIndex:
-    return (
-        [lo for lo, _ in holes],
-        [hi for _, hi in holes],
-        list(accumulate((hi - lo for lo, hi in holes), initial=0)),
-    )
+    return [lo for lo, _ in holes], [hi for _, hi in holes]
 
 
 def _open_stretches(holes: list[tuple[int, int]], index: _HoleIndex) -> list[tuple[int, int]]:
     """The stretches open both in ``holes`` and in ``index``, sorted and disjoint."""
-    starts, ends, _ = index
+    starts, ends = index
     out = []
     for a, b in holes:
         j = bisect_right(ends, a)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 
 from .model import (
     Instance,
@@ -180,24 +179,6 @@ def reduce_exact_cover(ec: ExactCoverInstance) -> ReductionOutput:
         movers=ec.max_sets,
         source_sets=tuple(order),
     )
-
-
-def solve_exact_cover_brute(ec: ExactCoverInstance, subset_cap: int = 10**8) -> bool:
-    """Decide exact cover by enumerating subfamilies of size <= k."""
-    n = len(ec.sets)
-    if 2**n > subset_cap:
-        raise ResourceLimitError(f"2^{n} subfamilies exceed the cap {subset_cap}")
-    universe = frozenset(range(1, ec.universe_size + 1))
-    for size in range(min(ec.max_sets, n) + 1):
-        for chosen in combinations(range(n), size):
-            covered: set[int] = set()
-            total = 0
-            for i in chosen:
-                covered |= ec.sets[i]
-                total += len(ec.sets[i])
-            if covered == universe and total == ec.universe_size:
-                return True
-    return False
 
 
 def gen_random(

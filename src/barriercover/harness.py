@@ -184,6 +184,10 @@ def compare(
     return sorted(records, key=lambda r: (r.instance, r.algo))
 
 
+#: family -> its swept grid key, then the keys it fixes to one value
+_SWEEP_KEYS = {"fig5": ("L", "rho"), "fig6": ("m", "rho", "delta")}
+
+
 def ratio_sweep(
     family: str,
     grid: Mapping[str, Sequence],
@@ -195,8 +199,19 @@ def ratio_sweep(
     optimum; fig6 measures the cost of untangling the oracle's optimum
     against that optimum.  The grid sweeps ``L`` (fig5) or ``m`` (fig6);
     ``rho`` (default 2) and fig6's ``delta`` (default 1/8) take one value.
+    A grid that lacks the swept key, or holds a key the family does not
+    read, is refused before any run.
     """
     from .generators import gen_fig5, gen_fig6
+
+    if family not in _SWEEP_KEYS:
+        raise ValueError(f"unknown sweep family {family!r}")
+    keys = _SWEEP_KEYS[family]
+    for key in grid:
+        if key not in keys:
+            raise ValueError(f"{family} sweep does not read grid[{key!r}]")
+    if keys[0] not in grid:
+        raise ValueError(f"{family} sweep needs grid[{keys[0]!r}]")
 
     def single(key: str, default: ScalarLike) -> Scalar:
         values = grid.get(key, [default])
@@ -213,7 +228,7 @@ def ratio_sweep(
             records += compare(
                 instance, ["oracle", "dp-optimal"], "oracle", instance_id, node_cap=node_cap
             )
-    elif family == "fig6":
+    else:
         rho = single("rho", 2)
         delta = single("delta", Fraction(1, 8))
         for m in grid["m"]:
@@ -226,8 +241,6 @@ def ratio_sweep(
                 instance_id,
                 node_cap=node_cap,
             )
-    else:
-        raise ValueError(f"unknown sweep family {family!r}")
     return records
 
 

@@ -14,10 +14,9 @@ Fractions once.  Scaling by d > 0 keeps every comparison, so the schedule
 and the result are exactly those of the loop on Fractions.
 
 The loop keeps the active sensors' spans in one list sorted by their left
-end.  It finds the next pair by walking that list, pairing each span only
-with the later spans that overlap it, and after each swap it re-checks
-only the two sensors it moved; ``untangle``'s docstring shows why both
-suffice.
+end.  It finds the next pair among that list's neighbours, and after each
+swap it re-checks only the two sensors it moved; ``untangle``'s docstring
+shows why both suffice.
 """
 
 from __future__ import annotations
@@ -25,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import pairwise
 from typing import Optional, Sequence
 
 from .model import (
@@ -88,30 +88,19 @@ def _next_swap(
     spans: Sequence[tuple[Number, Number, int]],
     pos: Sequence[Number],
 ) -> Optional[tuple[tuple[Number, Number], int, int]]:
-    """The least ``((u1, u2), i, j)`` over the crossing pairs whose spans overlap, or None.
+    """The first pair of neighbouring spans that overlap and cross, as ``((u1, u2), i, j)``, or None.
 
     ``spans`` are ``(y - r, y + r, k)`` sorted by (lo, hi, k), unclipped, and
-    ``pos`` holds each sensor's center; any exact number type works.  Each
-    entry is paired only with the later entries that start inside it, and
-    the walk stops once an entry starts right of the best union's start
-    (``untangle``'s docstring shows why that finds the least pair).
+    ``pos`` holds each sensor's center; any exact number type works.  On the
+    spans of a minimal cover this is the least such triple over every
+    overlapping crossing pair (``untangle``'s docstring shows why).
     """
-    best = None
-    count = len(spans)
-    for n in range(count):
-        lo, hi, a = spans[n]
-        if best is not None and lo > best[0][0]:
-            break
-        for m in range(n + 1, count):
-            lo_b, hi_b, b = spans[m]
-            if lo_b > hi:
-                break
+    for (lo, hi, a), (lo_b, hi_b, b) in pairwise(spans):
+        if lo_b <= hi:
             i, j = (a, b) if a < b else (b, a)
             if pos[i] > pos[j]:
-                found = ((lo, max(hi, hi_b)), i, j)
-                if best is None or found < best:
-                    best = found
-    return best
+                return (lo, max(hi, hi_b)), i, j
+    return None
 
 
 def swap_pair(
@@ -152,24 +141,32 @@ def untangle(
 
     The active sensors' unclipped spans ``(y - r, y + r, k)`` are kept in
     one list sorted by (lo, hi, k); a swap replaces only its pair's two
-    entries.  ``_next_swap`` picks the next pair from that list:
+    entries.  Whenever ``_next_swap`` runs, the active set is an
+    inclusion-minimal cover of [0, L] (shown below), and it picks the next
+    pair from neighbouring entries of that list:
 
-    * Sort order puts one sensor a of an overlapping pair {a, b} first, so
-      lo_a <= lo_b, and the two overlap exactly when lo_b <= hi_a.  Every
-      entry between them has lo_a <= lo <= lo_b <= hi_a, so the walk from
-      a, which stops at the first entry with lo > hi_a, reaches b; each
-      entry it reaches does overlap a.  So each overlapping pair is seen
-      once, from its lower-lo end, and no disjoint pair is seen.  Its
-      union is [lo_a, max(hi_a, hi_b)].
-    * A crossing pair (i < j, y_i > y_j) can only be separated by
-      lo_i > hi_j, so for it "overlapping" is ``_union_span``'s test, and
-      the pairs kept are exactly the candidates of the schedule.
-    * Every pair seen from an entry has union start lo of that entry, and
-      entries come in increasing lo.  Once an entry's lo passes the best
-      u1 found, no later pair can beat it, so the walk stops there.
+    * No span of a minimal cover contains another, since the inner one
+      would be redundant.  So lo order equals hi order and every lo is
+      distinct: lo_a < lo_b gives hi_a < hi_b.
+    * No point lies in three spans: with lo_a < lo_b < lo_c, the middle
+      span lies inside the union [lo_a, hi_c] of the other two.
+    * So two spans meet only if they are neighbours in lo order: if a and
+      c meet with b between them, then lo_c lies in all three.  A
+      crossing pair (i < j, y_i > y_j) can only be separated by
+      lo_i > hi_j, so for it "meet" is ``_union_span``'s test, and the
+      candidates of the schedule are exactly the neighbour pairs a, b with
+      lo_b <= hi_a whose indices cross.
+    * Each such pair's union is [lo_a, max(hi_a, hi_b)], which starts at
+      its first span's lo, and those lo values strictly increase along the
+      list.  The first crossing neighbour pair therefore has the least
+      ``((u1, u2), i, j)``, and no tie-break can arise.
     * When no overlapping crossing pair exists, any crossing pair left is a
       descent pos[a] > pos[b] between neighbours of the active tuple; one
       is a schedule bug, none means the set is in order.
+
+    Should minimality ever break, each pair picked still overlaps and
+    crosses, so each swap stays inside its union, and the coverage guard
+    and the final order check still hold the result to an ordered cover.
 
     ``_covers`` answers on these unclipped spans as on the clipped ones of
     ``_minimal_cover``: its sweep is right for any order in which the
@@ -194,11 +191,9 @@ def untangle(
       them against A less itself (and less the other, if that one went
       first).  These are the two checks below, made in the rule's order.
 
-    So a swap costs one walk, one ``_covers`` sweep (the schedule-bug
-    guard) and at most two drop checks.  The active set is a minimal cover
-    when the walk runs, so no span holds another and no point lies in three
-    spans: each entry meets O(1) partners and a walk takes O(|A|) steps,
-    where a scan of every active pair took O(|A|^2).
+    So the active set is a minimal cover at every ``_next_swap``, and a
+    swap costs one O(|A|) neighbour scan, one ``_covers`` sweep (the
+    schedule-bug guard) and at most two drop checks.
     """
     y = as_solution(instance, solution)
     scale, length, home, radii = on_grid(instance, *y)

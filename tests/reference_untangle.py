@@ -7,6 +7,11 @@ together with the coverage sweep, the active-set drop rule and the swap
 step it called then, copied verbatim.  Every swap costs a full
 ``verify_coverage`` per active sensor, so it lives here as the test oracle
 and not in the library.
+
+``walk_next_swap`` is the pair choice the integer-grid loop made before it
+read only neighbouring spans: it finds the least overlapping crossing pair
+on any spans, nested or crowded ones included, where the library's
+``_next_swap`` is right only on the spans of a minimal cover.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from barriercover.model import (
     CoverageReport,
     InfeasibleError,
     Instance,
+    Number,
     Scalar,
     ScalarLike,
     Solution,
@@ -104,6 +110,48 @@ def minimal_active_set(
         if not verify_coverage(instance, y, keep).covered:
             keep.add(i)
     return tuple(sorted(keep))
+
+
+def walk_next_swap(
+    spans: Sequence[tuple[Number, Number, int]],
+    pos: Sequence[Number],
+) -> Optional[tuple[tuple[Number, Number], int, int]]:
+    """The least ``((u1, u2), i, j)`` over the crossing pairs whose spans overlap, or None.
+
+    ``spans`` are ``(y - r, y + r, k)`` sorted by (lo, hi, k), unclipped, and
+    ``pos`` holds each sensor's center; any exact number type works.  Each
+    entry is paired only with the later entries that start inside it, and
+    the walk stops once an entry starts right of the best union's start:
+
+    * Sort order puts one sensor a of an overlapping pair {a, b} first, so
+      lo_a <= lo_b, and the two overlap exactly when lo_b <= hi_a.  Every
+      entry between them has lo_a <= lo <= lo_b <= hi_a, so the walk from
+      a, which stops at the first entry with lo > hi_a, reaches b; each
+      entry it reaches does overlap a.  So each overlapping pair is seen
+      once, from its lower-lo end, and no disjoint pair is seen.  Its
+      union is [lo_a, max(hi_a, hi_b)].
+    * A crossing pair (i < j, y_i > y_j) can only be separated by
+      lo_i > hi_j, so for it "overlapping" is ``_union_span``'s test.
+    * Every pair seen from an entry has union start lo of that entry, and
+      entries come in increasing lo.  Once an entry's lo passes the best
+      u1 found, no later pair can beat it, so the walk stops there.
+    """
+    best = None
+    count = len(spans)
+    for n in range(count):
+        lo, hi, a = spans[n]
+        if best is not None and lo > best[0][0]:
+            break
+        for m in range(n + 1, count):
+            lo_b, hi_b, b = spans[m]
+            if lo_b > hi:
+                break
+            i, j = (a, b) if a < b else (b, a)
+            if pos[i] > pos[j]:
+                found = ((lo, max(hi, hi_b)), i, j)
+                if best is None or found < best:
+                    best = found
+    return best
 
 
 def _union_span(instance: Instance, y: Solution, pair: CrossingPair):

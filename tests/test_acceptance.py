@@ -30,7 +30,6 @@ from barriercover import (
     oracle_optimal,
     reduce_exact_cover,
     scale_instance,
-    solve_exact_cover_brute,
     untangle,
     verify_coverage,
 )
@@ -38,6 +37,7 @@ from barriercover.generators import RandomStream
 
 from conftest import random_corpus
 from reference_dp import EpsParams, rounded_cost
+from reference_exact_cover import solve_exact_cover_brute
 from reference_model import max_stab_count
 
 CORPUS_SIZE = 200

@@ -9,12 +9,12 @@ from barriercover import (
     gen_random,
     is_feasible,
     reduce_exact_cover,
-    solve_exact_cover_brute,
 )
 from barriercover import generators
 from barriercover.generators import SENSOR_CAP, RandomStream
 from barriercover.fileio import parse_instance, serialize_instance
 from barriercover.model import ResourceLimitError
+from reference_exact_cover import solve_exact_cover_brute
 
 from pathlib import Path
 

@@ -104,6 +104,22 @@ class TestRatioSweep:
         with pytest.raises(ValueError, match=f"grid\\['{key}'\\] must hold exactly one value"):
             ratio_sweep(family, grid)
 
+    @pytest.mark.parametrize(
+        "family, grid, message",
+        [
+            ("fig5", {"L": [12], "delta": [1], "m": [3, 4]}, "fig5 sweep does not read grid['delta']"),
+            ("fig5", {"Ls": [12]}, "fig5 sweep does not read grid['Ls']"),
+            ("fig6", {"m": [2], "L": [12]}, "fig6 sweep does not read grid['L']"),
+            ("fig5", {"rho": [2]}, "fig5 sweep needs grid['L']"),
+            ("fig6", {"rho": [2], "delta": [F(1, 8)]}, "fig6 sweep needs grid['m']"),
+        ],
+    )
+    def test_grid_keys_match_the_family(self, family, grid, message):
+        """A key the family does not read, or a missing swept key, is refused by name before any run."""
+        with pytest.raises(ValueError) as raised:
+            ratio_sweep(family, grid)
+        assert str(raised.value) == message
+
 
 class TestCsv:
     def test_header_and_rational_formatting(self):

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from barriercover import (
@@ -18,7 +18,9 @@ from barriercover import (
     untangle,
     verify_coverage,
 )
+from barriercover.model import _minimal_cover
 from barriercover.untangle import _next_swap, _union_span
+from reference_untangle import walk_next_swap
 
 from conftest import random_corpus
 
@@ -127,9 +129,18 @@ def brute_next_swap(inst, y, active):
     return min(found, default=None)
 
 
+def spans_of(inst, y, active):
+    return sorted((y[k] - inst.sensors[k].r, y[k] + inst.sensors[k].r, k) for k in active)
+
+
 def next_swap(inst, y, active):
-    spans = sorted((y[k] - inst.sensors[k].r, y[k] + inst.sensors[k].r, k) for k in active)
-    return _next_swap(spans, y)
+    """The reference walk's pick, which is the least pair on any spans."""
+    return walk_next_swap(spans_of(inst, y, active), y)
+
+
+def scan_next_swap(inst, y, active):
+    """The library's neighbour scan, which is the least pair on a minimal cover's spans."""
+    return _next_swap(spans_of(inst, y, active), y)
 
 
 #: Three mutually overlapping spans whose leftmost-union pair, (0, 1) with
@@ -165,7 +176,7 @@ def crowded_spans(draw):
 
 
 class TestNextSwap:
-    """The pair choice agrees with a brute-force minimum, on spans that need not be minimal covers."""
+    """The reference walk agrees with a brute-force minimum, on spans that need not be minimal covers."""
 
     def test_leftmost_union_pair_need_not_be_position_adjacent(self):
         y = (F(10), F(7), F(9))
@@ -181,3 +192,56 @@ class TestNextSwap:
     def test_matches_brute_force(self, case):
         inst, y, active = case
         assert next_swap(inst, y, active) == brute_next_swap(inst, y, active)
+
+
+@st.composite
+def minimal_covers(draw):
+    """A drawn cover of [0, L], minimized by the library's drop rule, with its positions.
+
+    Sensors are laid left to right in a drawn index order from a start at or
+    left of 0, each overlapping the previous one by a drawn amount that is
+    0 (touching) about half the time; a few more go anywhere.  Positions and
+    radii are integers or rationals.  The drop rule then leaves a minimal
+    cover whose index order is crossed wherever the drawn order was.
+    """
+    n = draw(st.integers(2, 9))
+    radii = [F(draw(st.integers(1, 6)), draw(_q)) for _ in range(n)]
+    order = draw(st.permutations(range(n)))
+    chained = draw(st.integers(2, n))
+    y = [F(0)] * n
+    edge = F(-draw(st.integers(0, 4)), draw(_q))
+    for k in order[:chained]:
+        overlap = draw(st.sampled_from([0, 0, 0, 1, 2])) * radii[k] / 3
+        y[k] = edge - overlap + radii[k]
+        edge = y[k] + radii[k]
+    for k in order[chained:]:
+        y[k] = F(draw(st.integers(-12, 36)), draw(_q))
+    length = max(edge - F(draw(st.integers(0, 4)), draw(_q)), F(1, 3))
+    active = _minimal_cover(radii, y, length, range(n))
+    assume(active is not None)
+    inst = Instance(length, tuple(Sensor(k, r) for k, r in enumerate(radii)))  # homes keep index order
+    return inst, tuple(y), active
+
+
+#: Unit sensors tiled in reverse index order: both neighbour pairs cross and touch.
+REVERSED = Instance(6, (Sensor(0, 1), Sensor(0, 1), Sensor(0, 1)))
+
+
+class TestNeighbourScan:
+    """On a minimal cover, the first crossing neighbour pair is the least pair of the walk and of brute force."""
+
+    def test_touching_neighbours_cross(self):
+        assert scan_next_swap(TANGLED, (F(5), F(2)), (0, 1)) == ((0, 6), 0, 1)
+
+    def test_first_of_several_crossing_pairs(self):
+        y = (F(5), F(3), F(1))
+        assert scan_next_swap(REVERSED, y, (0, 1, 2)) == ((0, 4), 1, 2)
+        assert brute_next_swap(REVERSED, y, (0, 1, 2)) == ((0, 4), 1, 2)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(minimal_covers())
+    def test_matches_walk_and_brute_force(self, case):
+        inst, y, active = case
+        want = brute_next_swap(inst, y, active)
+        assert scan_next_swap(inst, y, active) == want
+        assert next_swap(inst, y, active) == want

@@ -20,9 +20,9 @@ loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
 ``--src`` (interpreter start and import included): ``solve --algo
 dp-optimal corpora/i1.bc``, ``gen --family random --n 6 --length 12`` and
 ``verify corpora/i1.bc /dev/stdin`` with a covering solution on stdin.  The
-untangle rows are ``untangle`` on fig5 L in {40, 80, 160, 320, 640} (n = 19,
-39, 79, 159, 319) with the large sensor moved to L - 2, where it crosses the
-whole unit row.
+untangle rows are ``untangle`` on fig5 L in {40, 80, 160, 320, 640, 1280,
+2560} (n = 19, 39, 79, 159, 319, 639, 1279) with the large sensor moved to
+L - 2, where it crosses the whole unit row.
 The search rows are ``oracle_optimal`` on fig5 L in {40, 44}, on
 ``gen_fig6(2, m, 1/8)`` for m in {8, 12} and, in one row, on all 200
 instances ``gen_random(6, 12, 1, 3, (-6, 18), s)`` for s = 0..199 (the
@@ -164,7 +164,7 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
 def untangle_rows(bc) -> dict[str, Callable[[], object]]:
     """fig5 with the large sensor at L - 2, untangled in (L - 4) / 2 swaps."""
     rows: dict[str, Callable[[], object]] = {}
-    for length in (40, 80, 160, 320, 640):
+    for length in (40, 80, 160, 320, 640, 1280, 2560):
         inst = bc.gen_fig5(2, length)
         y = (Fraction(length - 2),) + inst.home()[1:]
         rows[f"untangle.fig5_L{length}"] = lambda i=inst, y=y: bc.untangle(i, y)
