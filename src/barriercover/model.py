@@ -187,14 +187,20 @@ def _clipped_spans(
     return spans
 
 
-def _covers(spans: Sequence[tuple[Number, Number, int]], keep: Container[int], length: Number) -> bool:
+def _covers(
+    spans: Sequence[tuple[Number, Number, int]],
+    keep: Container[int],
+    length: Number,
+    reach: Number = 0,
+) -> bool:
     """Do the spans whose index is in ``keep`` cover [0, length]?
 
     ``spans`` come from ``_clipped_spans``, sorted by (lo, hi, i); ``untangle``
     passes them unclipped, which gives the same answer (its docstring shows
     why).  One pass, returning at the first gap; any exact number type works.
+    The sweep starts at ``reach``, which the caller vouches is covered up to:
+    ``untangle`` passes a slice of its spans and the reach of those before it.
     """
-    reach = 0
     for lo, hi, i in spans:
         if reach >= length:
             return True

@@ -14,9 +14,12 @@ Fractions once.  Scaling by d > 0 keeps every comparison, so the schedule
 and the result are exactly those of the loop on Fractions.
 
 The loop keeps the active sensors' spans in one list sorted by their left
-end.  It finds the next pair among that list's neighbours, and after each
-swap it re-checks only the two sensors it moved; ``untangle``'s docstring
-shows why both suffice.
+end.  It finds the next pair among that list's neighbours, resuming one
+entry left of the last swap, and after each swap it checks coverage and
+drops only on the swapped pair and the entry right of it, from the reach of
+the entry left of it; ``untangle``'s docstring shows why these suffice.  So
+a swap reads a constant number of entries besides its bisections, and one
+full coverage sweep checks the result at the end.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from __future__ import annotations
 from bisect import bisect_left, insort
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import pairwise
 from typing import Optional, Sequence
 
 from .model import (
@@ -87,15 +89,20 @@ def _swap_targets(span: tuple[Number, Number], ri: Number, rj: Number) -> tuple[
 def _next_swap(
     spans: Sequence[tuple[Number, Number, int]],
     pos: Sequence[Number],
+    start: int = 0,
 ) -> Optional[tuple[tuple[Number, Number], int, int]]:
     """The first pair of neighbouring spans that overlap and cross, as ``((u1, u2), i, j)``, or None.
 
     ``spans`` are ``(y - r, y + r, k)`` sorted by (lo, hi, k), unclipped, and
-    ``pos`` holds each sensor's center; any exact number type works.  On the
-    spans of a minimal cover this is the least such triple over every
-    overlapping crossing pair (``untangle``'s docstring shows why).
+    ``pos`` holds each sensor's center; any exact number type works.  The
+    scan starts at the pair of entries ``start`` and ``start + 1``.  On the
+    spans of a minimal cover, with no hit left of ``start``, this is the
+    least such triple over every overlapping crossing pair (``untangle``'s
+    docstring shows why).
     """
-    for (lo, hi, a), (lo_b, hi_b, b) in pairwise(spans):
+    for p in range(start, len(spans) - 1):
+        lo, hi, a = spans[p]
+        lo_b, hi_b, b = spans[p + 1]
         if lo_b <= hi:
             i, j = (a, b) if a < b else (b, a)
             if pos[i] > pos[j]:
@@ -165,16 +172,16 @@ def untangle(
       is a schedule bug, none means the set is in order.
 
     Should minimality ever break, each pair picked still overlaps and
-    crosses, so each swap stays inside its union, and the coverage guard
-    and the final order check still hold the result to an ordered cover.
+    crosses, so each swap stays inside its union, and the final coverage
+    sweep and order check still hold the result to an ordered cover.
 
     ``_covers`` answers on these unclipped spans as on the clipped ones of
     ``_minimal_cover``: its sweep is right for any order in which the
     clipped lo, max(lo, 0), never falls, and max(lo, 0) is monotone in lo.
-    Clipping lo to 0 changes no test, since reach starts at 0; a span with
-    hi <= 0 never raises reach; a hi past L ends the sweep as L would; and a
-    span with lo > L is only met with reach < L, after a gap that the
-    clipped sweep finds as well.
+    Clipping lo to 0 changes no test, since reach starts at 0 or more; a
+    span with hi <= 0 never raises reach; a hi past L ends the sweep as L
+    would; and a span with lo > L is only met with reach < L, after a gap
+    that the clipped sweep finds as well.
 
     Re-minimizing after a swap of (i, j) tests only i and j, yet yields the
     active set of the full drop rule (candidates in decreasing radius, ties
@@ -191,9 +198,41 @@ def untangle(
       them against A less itself (and less the other, if that one went
       first).  These are the two checks below, made in the rule's order.
 
-    So the active set is a minimal cover at every ``_next_swap``, and a
-    swap costs one O(|A|) neighbour scan, one ``_covers`` sweep (the
-    schedule-bug guard) and at most two drop checks.
+    So the active set is a minimal cover at every ``_next_swap``.  Let its
+    pick sit at list positions p and p + 1, with P = ``spans[p - 1]`` and
+    Q = ``spans[p + 2]`` where they exist.  The scan resumes at p - 1:
+
+    * Entries left of p do not move.  Their lo values are below u1, the
+      pair's new spans lie inside [u1, u2], so both land at p or later, and
+      a drop removes only i or j.
+    * So every pair of neighbours left of p - 1 is one the previous scans
+      passed without a hit, and the scan from max(p - 1, 0) still returns
+      the first crossing neighbour pair of the whole list.
+
+    Coverage and drops are checked on the three entries from p alone:
+
+    * The spans from p on start at u1 or later, right of lo_P.  So the
+      spans before p cover [0, hi_P] with no gap (a point they miss lies
+      left of lo_P, where the cover had nothing else), and hi_P is their
+      greatest hi.
+    * Every entry R past Q meets neither of the pair (it is no neighbour
+      of theirs), so lo_R > u2.  The entries at p, p + 1 and p + 2 after
+      the swap are therefore i, j and Q in some order.
+    * Only i and j moved, from spans inside [u1, u2] to spans inside
+      [u1, u2], and the set covered [0, L] before.  So it still covers
+      [0, L] iff it covers [0, min(u2, L)]: iff a sweep of the three
+      entries from reach hi_P (0 when p = 0) reaches min(u2, L) with no
+      gap, since a gap it finds lies right of hi_P and left of every later
+      lo.  That is the coverage guard.
+    * Dropping k of the pair uncovers nothing outside k's span, which ends
+      at hi_k <= u2.  The same argument makes the drop check the same
+      sweep with target min(hi_k, L), and it holds when i went first.
+
+    Both checks are exact, so the loop makes the choices of full sweeps,
+    and one full ``_covers`` sweep after the loop checks the result end to
+    end.  A swap reads O(1) entries beyond its bisections, and since each
+    scan resumes one entry left of where the last one stopped, all the
+    scans of a run read O(|A| + swaps) entries together.
     """
     y = as_solution(instance, solution)
     scale, length, home, radii = on_grid(instance, *y)
@@ -216,34 +255,40 @@ def untangle(
 
     keep = set(active)
     last: Optional[tuple[int, int]] = None
+    start = 0
     for _ in range(instance.n * instance.n + 1):
-        best = _next_swap(spans, pos)
+        best = _next_swap(spans, pos, start)
         if best is None:
-            if any(pos[a] > pos[b] for a, b in zip(active, active[1:])):
-                raise RuntimeError("crossing pairs remain but none overlap; schedule bug")
             break
         span, i, j = best
         if (i, j) == last:
             raise RuntimeError(f"pair {CrossingPair(i, j)} selected twice in a row; schedule bug")
         last = i, j
-        unplace(i)
-        unplace(j)
+        p = min(bisect_left(spans, entry(i)), bisect_left(spans, entry(j)))
+        del spans[p : p + 2]
         pos[i], pos[j] = _swap_targets(span, radii[i], radii[j])
         insort(spans, entry(i))
         insort(spans, entry(j))
-        if not _covers(spans, keep, length):
+        near = spans[p : p + 3]
+        reach = spans[p - 1][1] if p else 0
+        if not _covers(near, keep, min(span[1], length), reach):
             raise RuntimeError(f"swap of {CrossingPair(i, j)} broke coverage; swap rule bug")
         for k in (i, j) if radii[i] > radii[j] else (j, i):
             keep.remove(k)
-            if not _covers(spans, keep, length):
+            if not _covers(near, keep, min(pos[k] + radii[k], length), reach):
                 keep.add(k)
-        if len(keep) < len(active):
-            for k in set(active).difference(keep):
+        for k in (i, j):
+            if k not in keep:
                 unplace(k)
                 pos[k] = home[k]
-            active = tuple(sorted(keep))
+        start = max(p - 1, 0)
     else:
         raise RuntimeError("untangling exceeded its n^2 swap bound")
+    active = tuple(sorted(keep))
+    if any(pos[a] > pos[b] for a, b in zip(active, active[1:])):
+        raise RuntimeError("crossing pairs remain but none overlap; schedule bug")
+    if not _covers(spans, keep, length):
+        raise RuntimeError("untangling finished with a gap in its cover; swap rule bug")
     if not all(pos[a] < pos[b] for a, b in zip(active, active[1:])):
         raise RuntimeError("untangling finished with an out-of-order active set")
     return tuple(Fraction(v, scale) for v in pos), active

@@ -79,7 +79,10 @@ def test_new_labels_and_keys_reach_the_timing(bench_dp, monkeypatch, tmp_path, a
 
 
 def test_rows_keep_the_least_child_median(bench_dp, monkeypatch):
-    """Each row runs in three children per side, the sides alternating; the least child median is kept."""
+    """Each row runs in three children per side, the sides alternating; the least child median is kept.
+
+    Every child median is kept too, in the order the side's children ran.
+    """
     calls = []
     figures = iter([0.5, 0.2, 0.3, 0.1, 0.4, 0.6] + ["search explored more than 9 states"] * 6)
 
@@ -97,4 +100,6 @@ def test_rows_keep_the_least_child_median(bench_dp, monkeypatch):
                          ("fast", "old"), ("fast", "new")]
     assert calls[6:8] == [("limited", "new"), ("limited", "old")]
     assert runs["before"]["rows"] == {"fast": 0.1} and runs["after"]["rows"] == {"fast": 0.2}
+    assert runs["before"]["child_medians"] == {"fast": [0.5, 0.1, 0.4]}
+    assert runs["after"]["child_medians"] == {"fast": [0.2, 0.3, 0.6]}
     assert runs["after"]["resource_limit"] == {"limited": "search explored more than 9 states"}

@@ -22,7 +22,7 @@ from barriercover import (
     verify_coverage,
 )
 
-from barriercover.model import grid_units, on_grid
+from barriercover.model import _covers, grid_units, on_grid
 from conftest import random_corpus
 
 _rationals = st.builds(F, st.integers(-60, 60), st.integers(1, 12))
@@ -204,6 +204,34 @@ class TestMinimalActiveSet:
             for drop in active:
                 rest = [i for i in active if i != drop]
                 assert not verify_coverage(inst, y, rest).covered
+
+
+#: Two spans on [0, 8] with a gap (2, 5) between them.
+GAPPED = [(0, 2, 0), (5, 8, 1)]
+
+
+class TestCoversFromReach:
+    """``_covers`` sweeps from a given reach, taking [0, reach] as covered."""
+
+    def test_start_past_a_gap(self):
+        assert not _covers(GAPPED, {0, 1}, 8)
+        assert not _covers(GAPPED, {0, 1}, 8, 4)  # (4, 5) is still open
+        assert _covers(GAPPED, {0, 1}, 8, 5)
+        assert _covers(GAPPED[1:], {1}, 8, 5)
+        assert not _covers(GAPPED, {0}, 8, 5)  # the span that closes it is not kept
+
+    def test_start_at_or_past_length(self):
+        for reach in (8, 9):
+            assert _covers(GAPPED, {0, 1}, 8, reach)
+            assert _covers(GAPPED, set(), 8, reach)
+            assert _covers([(10, 12, 0)], {0}, 8, reach)  # a span past L is never read
+        assert not _covers([(10, 12, 0)], {0}, 8, 7)
+
+    def test_empty_span_list(self):
+        assert _covers([], set(), 0)
+        assert not _covers([], set(), 8)
+        assert not _covers([], set(), 8, 3)
+        assert _covers([], set(), 8, 8)
 
 
 class TestOrderPreserving:

@@ -20,6 +20,7 @@ from barriercover import (
 )
 from barriercover.model import _minimal_cover
 from barriercover.untangle import _next_swap, _union_span
+from reference_untangle import untangle as reference_untangle
 from reference_untangle import walk_next_swap
 
 from conftest import random_corpus
@@ -245,3 +246,54 @@ class TestNeighbourScan:
         want = brute_next_swap(inst, y, active)
         assert scan_next_swap(inst, y, active) == want
         assert next_swap(inst, y, active) == want
+
+
+def untangled(inst, y):
+    """``untangle``'s result, checked against the reference loop's."""
+    y = tuple(F(v) for v in y)
+    got = untangle(inst, y)
+    assert got == reference_untangle(inst, y)
+    return got
+
+
+class TestLocalChecks:
+    """Each swap checks coverage and drops on the entries from the pair's to the one right of it.
+
+    P is the entry left of the swapped pair and Q the one right of it; the
+    sweep starts at P's reach.  In each case the first pick is the named
+    one, and the result must equal the reference loop's.
+    """
+
+    def test_pair_at_the_front_has_no_left_neighbour(self):
+        inst = Instance(8, (Sensor(0, 1), Sensor(1, 2), Sensor(2, 1)))
+        y = (F(5), F(2), F(7))
+        assert scan_next_swap(inst, y, (0, 1, 2)) == ((0, 6), 0, 1)
+        assert untangled(inst, y) == ((1, 4, 7), (0, 1, 2))
+
+    def test_pair_at_the_end_has_no_right_neighbour(self):
+        """The big sensor swaps with the last unit, then with the first from the list's front."""
+        inst = Instance(8, (Sensor(0, 2), Sensor(1, 1), Sensor(2, 1)))
+        y = (F(6), F(1), F(3))
+        assert scan_next_swap(inst, y, (0, 1, 2)) == ((2, 8), 0, 2)
+        assert scan_next_swap(inst, (F(4), F(1), F(7)), (0, 1, 2)) == ((0, 6), 0, 1)
+        assert untangled(inst, y) == ((2, 5, 7), (0, 1, 2))
+
+    def test_right_moved_sensor_inside_right_neighbour_is_dropped(self):
+        inst = Instance(19, (Sensor(0, 5), Sensor(1, 1), Sensor(2, 7)))
+        y = (F(6), F(1), F(12))  # j = 1 lands on [9, 11], inside Q = [5, 19]
+        assert scan_next_swap(inst, y, (0, 1, 2)) == ((0, 11), 0, 1)
+        assert untangled(inst, y) == ((5, 1, 12), (0, 2))
+
+    def test_right_moved_sensor_covered_by_touching_spans_is_dropped(self):
+        """j lands on [5, 7] ahead of Q = [6, 12] in the list; i's new [0, 6] touches Q."""
+        inst = Instance(12, (Sensor(0, 3), Sensor(1, 1), Sensor(2, 3)))
+        y = (F(4), F(1), F(9))
+        assert scan_next_swap(inst, y, (0, 1, 2)) == ((0, 7), 0, 1)
+        assert untangled(inst, y) == ((3, 1, 9), (0, 2))
+
+    def test_left_moved_sensor_inside_left_neighbours_reach_is_dropped(self):
+        """i lands on [10, 12], which P = [0, 12] already reaches; j keeps [11, 17]."""
+        inst = Instance(17, (Sensor(0, 6), Sensor(1, 1), Sensor(2, 3)))
+        y = (F(6), F(16), F(13))
+        assert scan_next_swap(inst, y, (0, 1, 2)) == ((10, 17), 1, 2)
+        assert untangled(inst, y) == ((6, 1, 14), (0, 2))

@@ -36,8 +36,10 @@ Each row is timed in ``CHILDREN`` (3) child processes per side, each
 taking the median of ``--k`` runs in process CPU time (the CPU time of
 the row's own finished subprocesses included); the least of those child
 medians is recorded, to the microsecond, so one slow child does not move
-the row.  A row whose search raises ``ResourceLimitError`` records the
-message under ``resource_limit`` instead.  The result goes under
+the row, and every child median goes under ``child_medians``, in the order
+the children ran, so the spread between children shows.  A row whose
+search raises ``ResourceLimitError`` records the message under
+``resource_limit`` instead.  The result goes under
 ``runs[--label]`` together with the Python version and the git SHA of the
 checkout that holds ``--src``.  With ``--before SRC`` every row is also
 timed on ``SRC``, the two sides' children alternating, and the side that
@@ -244,7 +246,9 @@ def show(label: str, name: str, figure: float | str) -> None:
         print(f"{label:10s} {name:40s} {figure:10.6f} s", flush=True)
 
 
-def run_record(label: str, src: Path, k: int, figures: dict[str, float | str]) -> dict:
+def run_record(
+    label: str, src: Path, k: int, figures: dict[str, float | str], children: dict[str, list[float]]
+) -> dict:
     run = {
         "label": label,
         "sha": git_sha(src),
@@ -253,6 +257,7 @@ def run_record(label: str, src: Path, k: int, figures: dict[str, float | str]) -
         "unit": f"s (least of {CHILDREN} child processes' median process CPU time, "
                 "the row's own subprocesses included)",
         "rows": {name: v for name, v in figures.items() if not isinstance(v, str)},
+        "child_medians": children,
     }
     limits = {name: v for name, v in figures.items() if isinstance(v, str)}
     if limits:
@@ -268,6 +273,7 @@ def cmd_rows(args: argparse.Namespace) -> dict[str, dict]:
         sides = {args.before_label: Path(args.before).resolve(), args.label: src}
     labels = list(sides)
     results: dict[str, dict[str, float | str]] = {label: {} for label in labels}
+    children: dict[str, dict[str, list[float]]] = {label: {} for label in labels}
     for n, name in enumerate(ROWS[args.topic](load_package(src))):
         figures: dict[str, list[float | str]] = {label: [] for label in labels}
         for c in range(CHILDREN):
@@ -276,8 +282,12 @@ def cmd_rows(args: argparse.Namespace) -> dict[str, dict]:
         for label in labels:
             limits = [f for f in figures[label] if isinstance(f, str)]
             results[label][name] = limits[0] if limits else min(figures[label])
+            if not limits:
+                children[label][name] = figures[label]
             show(label, name, results[label][name])
-    runs = {label: run_record(label, sides[label], args.k, results[label]) for label in labels}
+    runs = {
+        label: run_record(label, sides[label], args.k, results[label], children[label]) for label in labels
+    }
     if len(labels) == 2:
         for label, other in zip(labels, labels[::-1]):
             runs[label]["alternated_with"] = other
