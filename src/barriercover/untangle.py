@@ -275,20 +275,19 @@ def untangle(
             raise RuntimeError(f"swap of {CrossingPair(i, j)} broke coverage; swap rule bug")
         for k in (i, j) if radii[i] > radii[j] else (j, i):
             keep.remove(k)
-            if not _covers(near, keep, min(pos[k] + radii[k], length), reach):
-                keep.add(k)
-        for k in (i, j):
-            if k not in keep:
+            if _covers(near, keep, min(pos[k] + radii[k], length), reach):
                 unplace(k)
                 pos[k] = home[k]
-        start = max(p - 1, 0)
+            else:
+                keep.add(k)
+        start = p - 1 if p else 0
     else:
         raise RuntimeError("untangling exceeded its n^2 swap bound")
-    active = tuple(sorted(keep))
-    if any(pos[a] > pos[b] for a, b in zip(active, active[1:])):
-        raise RuntimeError("crossing pairs remain but none overlap; schedule bug")
     if not _covers(spans, keep, length):
         raise RuntimeError("untangling finished with a gap in its cover; swap rule bug")
+    active = tuple(sorted(keep))
     if not all(pos[a] < pos[b] for a, b in zip(active, active[1:])):
+        if any(pos[a] > pos[b] for a, b in zip(active, active[1:])):
+            raise RuntimeError("crossing pairs remain but none overlap; schedule bug")
         raise RuntimeError("untangling finished with an out-of-order active set")
     return tuple(Fraction(v, scale) for v in pos), active
