@@ -202,9 +202,9 @@ def untangle(
     pick sit at list positions p and p + 1, with P = ``spans[p - 1]`` and
     Q = ``spans[p + 2]`` where they exist.  The scan resumes at p - 1:
 
-    * Entries left of p do not move.  Their lo values are below u1, the
-      pair's new spans lie inside [u1, u2], so both land at p or later, and
-      a drop removes only i or j.
+    * Entries left of p do not move.  Their lo values are below u1 and the
+      pair's new spans lie inside [u1, u2], so both land at p or later; a
+      drop removes only i or j.
     * So every pair of neighbours left of p - 1 is one the previous scans
       passed without a hit, and the scan from max(p - 1, 0) still returns
       the first crossing neighbour pair of the whole list.
