@@ -2,6 +2,7 @@ import importlib.util
 import sys
 from fractions import Fraction as F
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Optional
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import barriercover
-from barriercover import Instance, Sensor, cost, gen_random, scale_instance
+from barriercover import Instance, Sensor, cost, gen_random, harness, scale_instance
 from barriercover.harness import (
     CSV_HEADER,
     SOLVERS,
@@ -66,6 +67,47 @@ class TestCompare:
         assert cost(I1, solution) == 3
         (record,) = compare(I1, ["dp-eps"], "oracle", instance_id="i1", eps=F(1, 2))
         assert (record.status, record.cost, record.ratio) == (STATUS_OK, 3, 1)
+
+    @staticmethod
+    def count_runs(monkeypatch, names, clock=None) -> list[str]:
+        """Log each registry call by name; with ``clock``, the harness reads that as its timer."""
+        runs = []
+        for name in names:
+            solver = SOLVERS[name]
+            monkeypatch.setitem(
+                SOLVERS, name, lambda *args, name=name, solver=solver: runs.append(name) or solver(*args)
+            )
+        if clock is not None:
+            monkeypatch.setattr(harness, "time", SimpleNamespace(perf_counter=clock))
+        return runs
+
+    def test_capped_reference_gives_its_status_to_every_record(self):
+        """dp-optimal finishes, but with no reference cost its record takes the reference's status."""
+        records = compare(I2, ["dp-eps", "dp-optimal", "oracle"], "oracle", instance_id="i2", node_cap=3)
+        assert [(r.algo, r.status, r.cost, r.ref_cost, r.ratio) for r in records] == [
+            ("dp-eps", STATUS_RESOURCE, 18, None, None),
+            ("dp-optimal", STATUS_RESOURCE, 18, None, None),
+            ("oracle", STATUS_RESOURCE, None, None, None),
+        ]
+
+    def test_listed_reference_reuses_its_run(self, monkeypatch):
+        # The fake clock gives the reference run 250 ms and the fpt run 500 ms.
+        ticks = iter([0.0, 0.25, 1.0, 1.5])
+        runs = self.count_runs(monkeypatch, ["oracle", "fpt"], clock=lambda: next(ticks))
+        records = compare(I1, ["fpt", "oracle"], "oracle", instance_id="i1")
+        assert runs == ["oracle", "fpt"]
+        assert [(r.algo, r.time_ms, r.ratio) for r in records] == [("fpt", 500, 1), ("oracle", 250, 1)]
+
+    def test_repeated_name_runs_each_time(self, monkeypatch):
+        runs = self.count_runs(monkeypatch, ["oracle", "fpt"])
+        records = compare(I1, ["fpt", "fpt"], "oracle", instance_id="i1")
+        assert runs == ["oracle", "fpt", "fpt"]
+        assert [(r.algo, r.status, r.cost, r.ratio) for r in records] == [("fpt", STATUS_OK, 3, 1)] * 2
+
+    def test_zero_reference_cost_gives_no_ratio(self):
+        covered = Instance(4, (Sensor(1, 1), Sensor(3, 1)))
+        records = compare(covered, ["dp-optimal", "oracle"], "oracle", instance_id="c")
+        assert [(r.status, r.cost, r.ref_cost, r.ratio) for r in records] == [(STATUS_OK, 0, 0, None)] * 2
 
 
 class TestRatioSweep:
