@@ -78,11 +78,11 @@ def _build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--m", type=int, help="number of unit sensors (fig6)")
     gen.add_argument("--delta", help="gap width between unit intervals (fig6)")
     gen.add_argument("--n", type=int, help="sensor count (random)")
-    gen.add_argument("--r-min", type=int, default=1)
-    gen.add_argument("--r-max", type=int, default=3)
-    gen.add_argument("--x-min", type=int, default=-10)
-    gen.add_argument("--x-max", type=int, default=15)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--r-min", type=int, help="smallest radius (random; default: 1)")
+    gen.add_argument("--r-max", type=int, help="largest radius (random; default: 3)")
+    gen.add_argument("--x-min", type=int, help="leftmost home (random; default: -10)")
+    gen.add_argument("--x-max", type=int, help="rightmost home (random; default: 15)")
+    gen.add_argument("--seed", type=int, help="random seed (random; default: 0)")
     gen.add_argument("--spec", help="exact-cover JSON: {m, sets, k}")
     gen.add_argument("--out", help="output path (default: stdout)")
 
@@ -116,12 +116,41 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-#: bench options of the other mode, by --family (None: --dir); each is a usage error.
-_BENCH_REFUSED = {
-    "fig5": ("ms", "delta", "algos", "reference", "eps"),
-    "fig6": ("lengths", "algos", "reference", "eps"),
-    None: ("lengths", "ms", "rho", "delta"),
+#: Marks an option that a mode cannot run without.
+_NEEDED = None
+
+#: command -> mode -> every option the mode reads, with its default or ``_NEEDED``.
+#: A mode refuses its command's other options here; ``--family``, ``--out``
+#: and ``--node-cap`` are common to every mode of the command.
+_MODES = {
+    "gen": {
+        "--family fig5": {"rho": _NEEDED, "length": _NEEDED},
+        "--family fig6": {"rho": _NEEDED, "m": _NEEDED, "delta": _NEEDED},
+        "--family random": {"n": _NEEDED, "length": _NEEDED,
+                            "r-min": 1, "r-max": 3, "x-min": -10, "x-max": 15, "seed": 0},
+        "--family exact-cover": {"spec": _NEEDED},
+    },
+    "bench": {
+        "--family fig5": {"lengths": _NEEDED, "rho": "2"},
+        "--family fig6": {"ms": _NEEDED, "rho": "2", "delta": "1/8"},
+        "--dir": {"dir": _NEEDED, "algos": "oracle,dp-optimal", "reference": "oracle", "eps": "1/2"},
+    },
 }
+
+
+def _apply_mode(args: argparse.Namespace, mode: str) -> None:
+    """Refuse the options ``mode`` does not read, demand the needed ones and fill in the defaults."""
+    modes = _MODES[args.command]
+    foreign = set().union(*modes.values()).difference(modes[mode])
+    for name in sorted(foreign):
+        if getattr(args, name.replace("-", "_")) is not None:
+            raise _CliError(f"--{name} does not go with {mode}")
+    for name, default in modes[mode].items():
+        dest = name.replace("-", "_")
+        if getattr(args, dest) is None:
+            if default is _NEEDED:
+                raise _CliError(f"{mode} needs --{name}")
+            setattr(args, dest, default)
 
 
 def _read(path: str) -> str:
@@ -145,33 +174,18 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _require(args: argparse.Namespace, names: Sequence[str]) -> None:
-    for name in names:
-        if getattr(args, name.replace("-", "_")) is None:
-            raise _CliError(f"--family {args.family} needs --{name}")
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     from .generators import ExactCoverInstance, gen_fig5, gen_fig6, gen_random, reduce_exact_cover
 
+    _apply_mode(args, f"--family {args.family}")
     if args.family == "fig5":
-        _require(args, ["rho", "length"])
         instance = gen_fig5(parse_scalar(args.rho), parse_scalar(args.length))
     elif args.family == "fig6":
-        _require(args, ["rho", "m", "delta"])
         instance = gen_fig6(parse_scalar(args.rho), args.m, parse_scalar(args.delta))
     elif args.family == "random":
-        _require(args, ["n", "length"])
-        instance = gen_random(
-            args.n,
-            parse_scalar(args.length),
-            args.r_min,
-            args.r_max,
-            (args.x_min, args.x_max),
-            args.seed,
-        )
+        span = (args.x_min, args.x_max)
+        instance = gen_random(args.n, parse_scalar(args.length), args.r_min, args.r_max, span, args.seed)
     else:  # exact-cover
-        _require(args, ["spec"])
         if not args.out:
             raise _CliError("--family exact-cover needs --out for the sidecar file")
         import json
@@ -242,37 +256,25 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_bench(args: argparse.Namespace) -> int:
     if (args.family is None) == (args.dir is None):
         raise _CliError("bench needs exactly one of --family or --dir")
-    mode = f"--family {args.family}" if args.family else "--dir"
-    for name in _BENCH_REFUSED[args.family]:
-        if getattr(args, name) is not None:
-            raise _CliError(f"--{name} does not go with {mode}")
+    _apply_mode(args, f"--family {args.family}" if args.family else "--dir")
     if args.family == "fig5":
-        if not args.lengths:
-            raise _CliError("--family fig5 needs --lengths")
-        grid = {"rho": [parse_scalar(args.rho or "2")],
-                "L": [parse_scalar(v) for v in args.lengths.split(",")]}
-        records = harness.ratio_sweep("fig5", grid, node_cap=args.node_cap)
+        lengths = [parse_scalar(v) for v in args.lengths.split(",")]
+        records = harness.fig5_sweep(lengths, parse_scalar(args.rho), node_cap=args.node_cap)
     elif args.family == "fig6":
-        if not args.ms:
-            raise _CliError("--family fig6 needs --ms")
-        grid = {"rho": [parse_scalar(args.rho or "2")],
-                "delta": [parse_scalar(args.delta or "1/8")],
-                "m": [int(v) for v in args.ms.split(",")]}
-        records = harness.ratio_sweep("fig6", grid, node_cap=args.node_cap)
+        ms = [int(v) for v in args.ms.split(",")]
+        rho, delta = parse_scalar(args.rho), parse_scalar(args.delta)
+        records = harness.fig6_sweep(ms, rho, delta, node_cap=args.node_cap)
     else:
-        algos = [a for a in (args.algos or "oracle,dp-optimal").split(",") if a]
-        if not Path(args.dir).is_dir():
+        algos = [a for a in args.algos.split(",") if a]
+        if not algos:
+            raise _CliError("--algos names no algorithm")
+        eps = parse_scalar(args.eps)
+        if not args.dir or not Path(args.dir).is_dir():
             raise _CliError(f"cannot read directory {args.dir}: not an existing directory")
         records = []
         for path in sorted(Path(args.dir).glob("*.bc")):
-            instance = _load_instance(str(path))
             records += harness.compare(
-                instance,
-                algos,
-                args.reference or "oracle",
-                instance_id=path.stem,
-                eps=parse_scalar(args.eps or "1/2"),
-                node_cap=args.node_cap,
+                _load_instance(str(path)), algos, args.reference, path.stem, eps, args.node_cap
             )
     _emit(harness.records_to_csv(records), args.out)
     return EXIT_OK
@@ -292,10 +294,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     }
     try:
         return commands[args.command](args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, TypeError, KeyError) as exc:
+    except (_CliError, ValueError, TypeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except InfeasibleError as exc:

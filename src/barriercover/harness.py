@@ -8,6 +8,11 @@ all.  Each solver imports its modules when called, so naming the registry
 (as the CLI does for ``--algo``) loads no solver module.  Solver failures
 become record statuses; a batch never dies because one point was
 infeasible or hit a resource cap.
+
+``compare`` rates named solvers against a reference on one instance.
+``fig5_sweep`` and ``fig6_sweep`` run the paper's two ratio experiments
+over a list of L or m values with rho (and fig6's delta) fixed; the
+parameters are plain arguments with no defaults, which the CLI supplies.
 """
 
 from __future__ import annotations
@@ -120,7 +125,8 @@ SOLVERS: Mapping[str, Solver] = {
 }
 
 
-def _run_one(instance_id: str, instance: Instance, name: str, eps: ScalarLike, node_cap: int) -> RunRecord:
+def _run_one(instance: Instance, name: str, eps: ScalarLike, node_cap: int) -> tuple[str, Optional[Scalar], int]:
+    """``(status, cost, time_ms)`` of one solver run; the cost is None unless a cover was found."""
     start = time.perf_counter()
     try:
         solution = SOLVERS[name](instance, None, eps, node_cap)
@@ -128,16 +134,7 @@ def _run_one(instance_id: str, instance: Instance, name: str, eps: ScalarLike, n
     except ResourceLimitError:
         solution, status = None, STATUS_RESOURCE
     elapsed = int((time.perf_counter() - start) * 1000)
-    value = None if solution is None else cost(instance, solution)
-    return RunRecord(
-        instance=instance_id,
-        algo=name,
-        status=status,
-        cost=value,
-        ref_cost=None,
-        ratio=None,
-        time_ms=elapsed,
-    )
+    return status, None if solution is None else cost(instance, solution), elapsed
 
 
 def compare(
@@ -159,88 +156,49 @@ def compare(
     # Load the solver modules before any run is timed, so no time_ms counts an import.
     from . import exact, order_dp
 
-    ref_record = _run_one(instance_id, instance, reference, eps, node_cap)
+    ref_run = _run_one(instance, reference, eps, node_cap)
+    ref_status, ref_cost, _ = ref_run
     records = []
     for name in algorithms:
-        if name == reference:
-            record = ref_record
-        else:
-            record = _run_one(instance_id, instance, name, eps, node_cap)
-        ref_cost = ref_record.cost if record.status == STATUS_OK else None
-        ratio = None
-        if record.cost is not None and ref_cost is not None and ref_cost > 0:
-            ratio = record.cost / ref_cost
+        status, value, elapsed = ref_run if name == reference else _run_one(instance, name, eps, node_cap)
+        rated = ref_cost if status == STATUS_OK else None
+        if ref_status != STATUS_OK:
+            status = ref_status
         records.append(
-            RunRecord(
-                instance=record.instance,
-                algo=record.algo,
-                status=record.status if ref_record.status == STATUS_OK else ref_record.status,
-                cost=record.cost,
-                ref_cost=ref_cost,
-                ratio=ratio,
-                time_ms=record.time_ms,
-            )
+            RunRecord(instance_id, name, status, value, rated, value / rated if rated else None, elapsed)
         )
     return sorted(records, key=lambda r: (r.instance, r.algo))
 
 
-#: family -> its swept grid key, then the keys it fixes to one value
-_SWEEP_KEYS = {"fig5": ("L", "rho"), "fig6": ("m", "rho", "delta")}
-
-
-def ratio_sweep(
-    family: str,
-    grid: Mapping[str, Sequence],
-    node_cap: int = DEFAULT_NODE_CAP,
+def fig5_sweep(
+    lengths: Sequence[ScalarLike], rho: ScalarLike, node_cap: int = DEFAULT_NODE_CAP
 ) -> list[RunRecord]:
-    """Run a family's ratio experiment over a parameter grid.
+    """fig5's ratio experiment: the optimal order-preserving cost against the optimum, for each L."""
+    from .generators import gen_fig5
 
-    fig5 measures the optimal order-preserving cost against the unrestricted
-    optimum; fig6 measures the cost of untangling the oracle's optimum
-    against that optimum.  The grid sweeps ``L`` (fig5) or ``m`` (fig6);
-    ``rho`` (default 2) and fig6's ``delta`` (default 1/8) take one value.
-    A grid that lacks the swept key, or holds a key the family does not
-    read, is refused before any run.
-    """
-    from .generators import gen_fig5, gen_fig6
-
-    if family not in _SWEEP_KEYS:
-        raise ValueError(f"unknown sweep family {family!r}")
-    keys = _SWEEP_KEYS[family]
-    for key in grid:
-        if key not in keys:
-            raise ValueError(f"{family} sweep does not read grid[{key!r}]")
-    if keys[0] not in grid:
-        raise ValueError(f"{family} sweep needs grid[{keys[0]!r}]")
-
-    def single(key: str, default: ScalarLike) -> Scalar:
-        values = grid.get(key, [default])
-        if len(values) != 1:
-            raise ValueError(f"grid[{key!r}] must hold exactly one value, got {len(values)}")
-        return as_scalar(values[0])
-
+    rho = as_scalar(rho)
     records: list[RunRecord] = []
-    if family == "fig5":
-        rho = single("rho", 2)
-        for length in grid["L"]:
-            instance = gen_fig5(rho, as_scalar(length))
-            instance_id = f"fig5:rho={rho}:L={as_scalar(length)}"
-            records += compare(
-                instance, ["oracle", "dp-optimal"], "oracle", instance_id, node_cap=node_cap
-            )
-    else:
-        rho = single("rho", 2)
-        delta = single("delta", Fraction(1, 8))
-        for m in grid["m"]:
-            instance = gen_fig6(rho, int(m), delta)
-            instance_id = f"fig6:rho={rho}:m={int(m)}:delta={delta}"
-            records += compare(
-                instance,
-                ["oracle", "untangle-oracle"],
-                "oracle",
-                instance_id,
-                node_cap=node_cap,
-            )
+    for length in map(as_scalar, lengths):
+        instance_id = f"fig5:rho={rho}:L={length}"
+        records += compare(
+            gen_fig5(rho, length), ["oracle", "dp-optimal"], "oracle", instance_id, node_cap=node_cap
+        )
+    return records
+
+
+def fig6_sweep(
+    ms: Sequence[int], rho: ScalarLike, delta: ScalarLike, node_cap: int = DEFAULT_NODE_CAP
+) -> list[RunRecord]:
+    """fig6's ratio experiment: the cost of untangling the optimum against the optimum, for each m."""
+    from .generators import gen_fig6
+
+    rho, delta = as_scalar(rho), as_scalar(delta)
+    records: list[RunRecord] = []
+    for m in ms:
+        instance_id = f"fig6:rho={rho}:m={m}:delta={delta}"
+        records += compare(
+            gen_fig6(rho, m, delta), ["oracle", "untangle-oracle"], "oracle", instance_id, node_cap=node_cap
+        )
     return records
 
 

@@ -1,10 +1,11 @@
+import argparse
 import json
 import time
 from pathlib import Path
 
 import pytest
 
-from barriercover import harness
+from barriercover import cli, harness
 from barriercover.cli import main
 from barriercover.fileio import parse_instance, parse_solution
 
@@ -386,6 +387,66 @@ class TestBench:
 
     def test_unknown_subcommand_usage(self):
         assert main(["frobnicate"]) == 2
+
+
+class TestModeTable:
+    """``cli._MODES`` decides, for each gen family and bench mode, which options it needs, reads and refuses."""
+
+    @pytest.mark.parametrize("family, flag, value", [
+        (["--family", "fig5", "--rho", "2", "--length", "12"], "--n", "5"),
+        (["--family", "fig5", "--rho", "2", "--length", "12"], "--seed", "3"),
+        (["--family", "random", "--n", "5", "--length", "12"], "--rho", "2"),
+        (["--family", "fig6", "--rho", "2", "--m", "4", "--delta", "1/8"], "--length", "12"),
+    ])
+    def test_gen_refuses_other_families_options(self, family, flag, value, capsys):
+        assert main(["gen", *family, flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {flag} does not go with --family {family[1]}" in captured.err
+
+    def test_gen_random_defaults_spelled_out(self, capsys):
+        base = ["gen", "--family", "random", "--n", "6", "--length", "12"]
+        assert main(base) == 0
+        default = capsys.readouterr().out
+        spelled = ["--r-min", "1", "--r-max", "3", "--x-min", "-10", "--x-max", "15", "--seed", "0"]
+        assert main([*base, *spelled]) == 0
+        assert capsys.readouterr().out == default
+        assert main([*base, "--seed", "1"]) == 0
+        assert capsys.readouterr().out != default
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--family", "fig5", "--lengths", "8", "--rho="], "not a rational number: ''"),
+        (["--family", "fig6", "--ms", "2", "--rho="], "not a rational number: ''"),
+        (["--family", "fig6", "--ms", "2", "--delta="], "not a rational number: ''"),
+        (["--dir", ".", "--eps="], "not a rational number: ''"),
+        (["--dir", ".", "--reference="], "unknown algorithm ''"),
+        (["--dir", ".", "--algos="], "--algos names no algorithm"),
+        (["--dir", ".", "--algos=,"], "--algos names no algorithm"),
+        (["--dir="], "cannot read directory"),
+    ])
+    def test_bench_empty_value_is_not_the_default(self, argv, message, tmp_path, capsys, monkeypatch):
+        """An empty value is a usage error: the run never falls back to the option's default."""
+        (tmp_path / "a.bc").write_text(I1_TEXT)
+        monkeypatch.chdir(tmp_path)
+        assert main(["bench", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: {message}" in captured.err
+
+    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_every_option_is_in_the_table(self, command):
+        """A new option must be named in a mode (or be common to all), so no mode ignores it silently."""
+        parser = cli._build_parser()
+        (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        flags = {
+            flag
+            for action in subparsers.choices[command]._actions
+            if action.dest != "help"
+            for flag in action.option_strings
+        }
+        named = {f"--{name}" for options in cli._MODES[command].values() for name in options}
+        assert flags - named <= {"--family", "--out", "--node-cap"}
+        assert named <= flags
 
 
 class TestGoldenFiles:

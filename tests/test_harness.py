@@ -18,7 +18,8 @@ from barriercover.harness import (
     STATUS_OK,
     STATUS_RESOURCE,
     compare,
-    ratio_sweep,
+    fig5_sweep,
+    fig6_sweep,
     records_to_csv,
 )
 
@@ -112,55 +113,42 @@ class TestCompare:
 
 class TestRatioSweep:
     def test_fig5_ratios_grow_toward_rho(self):
-        records = ratio_sweep("fig5", {"rho": [2], "L": [8, 12, 16]})
+        records = fig5_sweep([8, 12, 16], 2)
         ratios = [r.ratio for r in records if r.algo == "dp-optimal"]
         assert ratios == [F(5, 3), F(9, 5), F(13, 7)]
         assert all(r >= 1 for r in ratios)
         assert ratios == sorted(ratios)
 
     def test_fig5_uniform_radii_ratio_one(self):
-        records = ratio_sweep("fig5", {"rho": [1], "L": [4, 8]})
+        records = fig5_sweep([4, 8], 1)
         ratios = [r.ratio for r in records if r.algo == "dp-optimal"]
         assert ratios == [1, 1]
 
     def test_fig6_untangle_sweep_runs(self):
-        records = ratio_sweep(
-            "fig6", {"rho": [2], "delta": [F(1, 8)], "m": [2, 4]}
-        )
+        records = fig6_sweep([2, 4], 2, F(1, 8))
         measured = [r for r in records if r.algo == "untangle-oracle"]
         assert all(r.status == STATUS_OK for r in measured)
         assert all(r.ratio >= 1 for r in measured)
 
-
     @pytest.mark.parametrize(
-        "family, grid, key",
+        "sweep, kwargs",
         [
-            ("fig5", {"rho": [2, 3], "L": [12]}, "rho"),
-            ("fig5", {"rho": [], "L": [12]}, "rho"),
-            ("fig6", {"rho": [2, 3], "m": [2]}, "rho"),
-            ("fig6", {"delta": [F(1, 8), F(1, 4)], "m": [2]}, "delta"),
+            (fig5_sweep, {"Ls": [12], "rho": 2}),
+            (fig6_sweep, {"m": [2], "rho": 2, "delta": F(1, 8)}),
+            (fig5_sweep, {"lengths": [12], "rho": [2, 3]}),
+            (fig6_sweep, {"ms": [2], "rho": [2], "delta": F(1, 8)}),
+            (fig6_sweep, {"ms": [2], "rho": 2, "delta": [F(1, 8), F(1, 4)]}),
+            (fig5_sweep, {"rho": 2}),
+            (fig6_sweep, {"rho": 2, "delta": F(1, 8)}),
         ],
+        ids=["fig5-misspelt", "fig6-misspelt", "fig5-rho-list", "fig6-rho-list", "fig6-delta-list",
+             "fig5-no-lengths", "fig6-no-ms"],
     )
-    def test_fixed_parameter_takes_one_value(self, family, grid, key):
-        """A swept family fixes rho (and fig6's delta): a list of any other length is refused, not cut to its head."""
-        with pytest.raises(ValueError, match=f"grid\\['{key}'\\] must hold exactly one value"):
-            ratio_sweep(family, grid)
-
-    @pytest.mark.parametrize(
-        "family, grid, message",
-        [
-            ("fig5", {"L": [12], "delta": [1], "m": [3, 4]}, "fig5 sweep does not read grid['delta']"),
-            ("fig5", {"Ls": [12]}, "fig5 sweep does not read grid['Ls']"),
-            ("fig6", {"m": [2], "L": [12]}, "fig6 sweep does not read grid['L']"),
-            ("fig5", {"rho": [2]}, "fig5 sweep needs grid['L']"),
-            ("fig6", {"rho": [2], "delta": [F(1, 8)]}, "fig6 sweep needs grid['m']"),
-        ],
-    )
-    def test_grid_keys_match_the_family(self, family, grid, message):
-        """A key the family does not read, or a missing swept key, is refused by name before any run."""
-        with pytest.raises(ValueError) as raised:
-            ratio_sweep(family, grid)
-        assert str(raised.value) == message
+    def test_malformed_call_is_refused(self, sweep, kwargs, monkeypatch):
+        """A misspelt keyword, a list for rho or delta, or a missing swept list is refused before any run."""
+        monkeypatch.setattr(harness, "compare", lambda *args, **kw: pytest.fail("a malformed sweep ran"))
+        with pytest.raises(TypeError):
+            sweep(**kwargs)
 
 
 class TestCsv:
