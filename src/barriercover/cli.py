@@ -141,16 +141,15 @@ _MODES = {
 def _apply_mode(args: argparse.Namespace, mode: str) -> None:
     """Refuse the options ``mode`` does not read, demand the needed ones and fill in the defaults."""
     modes = _MODES[args.command]
-    foreign = set().union(*modes.values()).difference(modes[mode])
-    for name in sorted(foreign):
-        if getattr(args, name.replace("-", "_")) is not None:
+    given = {name: getattr(args, name.replace("-", "_")) for name in set().union(*modes.values())}
+    for name in sorted(given.keys() - modes[mode]):
+        if given[name] is not None:
             raise _CliError(f"--{name} does not go with {mode}")
     for name, default in modes[mode].items():
-        dest = name.replace("-", "_")
-        if getattr(args, dest) is None:
+        if given[name] is None:
             if default is _NEEDED:
                 raise _CliError(f"{mode} needs --{name}")
-            setattr(args, dest, default)
+            setattr(args, name.replace("-", "_"), default)
 
 
 def _read(path: str) -> str:
@@ -183,8 +182,14 @@ def _cmd_gen(args: argparse.Namespace) -> int:
     elif args.family == "fig6":
         instance = gen_fig6(parse_scalar(args.rho), args.m, parse_scalar(args.delta))
     elif args.family == "random":
-        span = (args.x_min, args.x_max)
-        instance = gen_random(args.n, parse_scalar(args.length), args.r_min, args.r_max, span, args.seed)
+        instance = gen_random(
+            args.n,
+            parse_scalar(args.length),
+            args.r_min,
+            args.r_max,
+            (args.x_min, args.x_max),
+            args.seed,
+        )
     else:  # exact-cover
         if not args.out:
             raise _CliError("--family exact-cover needs --out for the sidecar file")

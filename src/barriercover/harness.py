@@ -20,7 +20,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .fileio import format_scalar
 from .model import (
@@ -125,7 +125,9 @@ SOLVERS: Mapping[str, Solver] = {
 }
 
 
-def _run_one(instance: Instance, name: str, eps: ScalarLike, node_cap: int) -> tuple[str, Optional[Scalar], int]:
+def _run_one(
+    instance: Instance, name: str, eps: ScalarLike, node_cap: int
+) -> tuple[str, Optional[Scalar], int]:
     """``(status, cost, time_ms)`` of one solver run; the cost is None unless a cover was found."""
     start = time.perf_counter()
     try:
@@ -170,6 +172,14 @@ def compare(
     return sorted(records, key=lambda r: (r.instance, r.algo))
 
 
+def _against_oracle(points: Iterable[tuple[str, Instance]], algo: str, node_cap: int) -> list[RunRecord]:
+    """The oracle and ``algo`` on each ``(instance_id, instance)`` point, rated against the oracle."""
+    records: list[RunRecord] = []
+    for instance_id, instance in points:
+        records += compare(instance, ["oracle", algo], "oracle", instance_id, node_cap=node_cap)
+    return records
+
+
 def fig5_sweep(
     lengths: Sequence[ScalarLike], rho: ScalarLike, node_cap: int = DEFAULT_NODE_CAP
 ) -> list[RunRecord]:
@@ -177,13 +187,8 @@ def fig5_sweep(
     from .generators import gen_fig5
 
     rho = as_scalar(rho)
-    records: list[RunRecord] = []
-    for length in map(as_scalar, lengths):
-        instance_id = f"fig5:rho={rho}:L={length}"
-        records += compare(
-            gen_fig5(rho, length), ["oracle", "dp-optimal"], "oracle", instance_id, node_cap=node_cap
-        )
-    return records
+    points = ((f"fig5:rho={rho}:L={L}", gen_fig5(rho, L)) for L in map(as_scalar, lengths))
+    return _against_oracle(points, "dp-optimal", node_cap)
 
 
 def fig6_sweep(
@@ -193,13 +198,8 @@ def fig6_sweep(
     from .generators import gen_fig6
 
     rho, delta = as_scalar(rho), as_scalar(delta)
-    records: list[RunRecord] = []
-    for m in ms:
-        instance_id = f"fig6:rho={rho}:m={m}:delta={delta}"
-        records += compare(
-            gen_fig6(rho, m, delta), ["oracle", "untangle-oracle"], "oracle", instance_id, node_cap=node_cap
-        )
-    return records
+    points = ((f"fig6:rho={rho}:m={m}:delta={delta}", gen_fig6(rho, m, delta)) for m in ms)
+    return _against_oracle(points, "untangle-oracle", node_cap)
 
 
 def records_to_csv(records: Sequence[RunRecord]) -> str:
