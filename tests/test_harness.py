@@ -130,24 +130,48 @@ class TestRatioSweep:
         assert all(r.status == STATUS_OK for r in measured)
         assert all(r.ratio >= 1 for r in measured)
 
+    SWEEPS = {"fig5": fig5_sweep, "fig6": fig6_sweep}
+
+    @pytest.fixture
+    def no_runs(self, monkeypatch):
+        monkeypatch.setattr(harness, "compare", lambda *args, **kw: pytest.fail("a malformed sweep ran"))
+
+    @pytest.mark.parametrize(
+        "family, grid, key",
+        [
+            ("fig5", {"lengths": [12], "rho": [2, 3]}, "rho"),
+            ("fig5", {"lengths": [12], "rho": []}, "rho"),
+            ("fig6", {"ms": [2], "rho": [2, 3], "delta": F(1, 8)}, "rho"),
+            ("fig6", {"ms": [2], "rho": 2, "delta": [F(1, 8), F(1, 4)]}, "delta"),
+        ],
+    )
+    def test_fixed_parameter_takes_one_value(self, family, grid, key, no_runs):
+        """A sweep fixes rho (and fig6's delta): a list of any length there is refused, not cut to its head."""
+        assert type(grid[key]) is list
+        with pytest.raises(TypeError):
+            self.SWEEPS[family](**grid)
+
+    @pytest.mark.parametrize(
+        "family, grid, why",
+        [
+            ("fig5", {"lengths": [12], "rho": 2, "delta": 1, "ms": [3, 4]}, "fig5 sweep does not read delta or ms"),
+            ("fig5", {"Ls": [12], "rho": 2}, "fig5 sweep does not read the misspelt Ls"),
+            ("fig6", {"ms": [2], "rho": 2, "delta": F(1, 8), "lengths": [12]}, "fig6 sweep does not read lengths"),
+        ],
+    )
+    def test_grid_keys_match_the_family(self, family, grid, why, no_runs):
+        """A keyword the sweep does not take is refused by the signature before any run."""
+        with pytest.raises(TypeError, match="unexpected keyword argument"):
+            self.SWEEPS[family](**grid)
+
     @pytest.mark.parametrize(
         "sweep, kwargs",
-        [
-            (fig5_sweep, {"Ls": [12], "rho": 2}),
-            (fig6_sweep, {"m": [2], "rho": 2, "delta": F(1, 8)}),
-            (fig5_sweep, {"lengths": [12], "rho": [2, 3]}),
-            (fig6_sweep, {"ms": [2], "rho": [2], "delta": F(1, 8)}),
-            (fig6_sweep, {"ms": [2], "rho": 2, "delta": [F(1, 8), F(1, 4)]}),
-            (fig5_sweep, {"rho": 2}),
-            (fig6_sweep, {"rho": 2, "delta": F(1, 8)}),
-        ],
-        ids=["fig5-misspelt", "fig6-misspelt", "fig5-rho-list", "fig6-rho-list", "fig6-delta-list",
-             "fig5-no-lengths", "fig6-no-ms"],
+        [(fig5_sweep, {"rho": 2}), (fig6_sweep, {"rho": 2, "delta": F(1, 8)})],
+        ids=["fig5-no-lengths", "fig6-no-ms"],
     )
-    def test_malformed_call_is_refused(self, sweep, kwargs, monkeypatch):
-        """A misspelt keyword, a list for rho or delta, or a missing swept list is refused before any run."""
-        monkeypatch.setattr(harness, "compare", lambda *args, **kw: pytest.fail("a malformed sweep ran"))
-        with pytest.raises(TypeError):
+    def test_malformed_call_is_refused(self, sweep, kwargs, no_runs):
+        """A call without its swept list is refused before any run."""
+        with pytest.raises(TypeError, match="missing 1 required positional argument"):
             sweep(**kwargs)
 
 
