@@ -89,8 +89,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("--algo", required=True, choices=sorted(harness.SOLVERS))
     solve.add_argument("--budget", help="movement budget in input units; without it the "
-                       "exact solvers return the optimum (dp-eps ignores it)")
-    solve.add_argument("--eps", default="1/2", help="approximation parameter (dp-eps)")
+                       "exact solvers return the optimum (refused with dp-eps)")
+    solve.add_argument("--eps", help="approximation parameter (dp-eps only; default: 1/2)")
     solve.add_argument("--node-cap", type=_count, default=DEFAULT_NODE_CAP)
     solve.add_argument("--out", help="output path (default: stdout)")
     solve.add_argument("instance", help="instance file path")
@@ -117,11 +117,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 #: Marks an option that a mode cannot run without.
-_NEEDED = None
+_NEEDED = object()
 
 #: command -> mode -> every option the mode reads, with its default or ``_NEEDED``.
-#: A mode refuses its command's other options here; ``--family``, ``--out``
-#: and ``--node-cap`` are common to every mode of the command.
+#: A mode refuses its command's other options here; ``--family`` (``--algo``
+#: for solve), ``--out`` and ``--node-cap`` are common to every mode of the
+#: command.  A default of None leaves the option absent: solve's exact
+#: solvers then return the optimum.
 _MODES = {
     "gen": {
         "--family fig5": {"rho": _NEEDED, "length": _NEEDED},
@@ -134,6 +136,10 @@ _MODES = {
         "--family fig5": {"lengths": _NEEDED, "rho": "2"},
         "--family fig6": {"ms": _NEEDED, "rho": "2", "delta": "1/8"},
         "--dir": {"dir": _NEEDED, "algos": "oracle,dp-optimal", "reference": "oracle", "eps": "1/2"},
+    },
+    "solve": {
+        **{f"--algo {name}": {"budget": None} for name in harness.SOLVERS if name != "dp-eps"},
+        "--algo dp-eps": {"eps": "1/2"},
     },
 }
 
@@ -223,9 +229,11 @@ def _load_instance(path: str) -> Instance:
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    _apply_mode(args, f"--algo {args.algo}")
     instance = _load_instance(args.instance)
     budget = None if args.budget is None else parse_scalar(args.budget)
-    solution = harness.SOLVERS[args.algo](instance, budget, parse_scalar(args.eps), args.node_cap)
+    eps = None if args.eps is None else parse_scalar(args.eps)
+    solution = harness.SOLVERS[args.algo](instance, budget, eps, args.node_cap)
     if solution is None:
         print("no solution within the given bounds", file=sys.stderr)
         return EXIT_ABSENT
@@ -273,6 +281,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         algos = [a for a in args.algos.split(",") if a]
         if not algos:
             raise _CliError("--algos names no algorithm")
+        harness.check_names([args.reference, *algos])
         eps = parse_scalar(args.eps)
         if not args.dir or not Path(args.dir).is_dir():
             raise _CliError(f"cannot read directory {args.dir}: not an existing directory")

@@ -113,7 +113,7 @@ def _untangle_oracle(instance: Instance, budget: Budget, eps: ScalarLike, node_c
     return None if found is None else untangle(instance, found)[0]
 
 
-#: Every named solver.  ``dp-eps`` ignores the budget; ``dp-exact`` and
+#: Every named solver.  ``dp-eps`` ignores the budget (the CLI refuses one); ``dp-exact`` and
 #: ``dp-optimal`` are one solver under two names.
 SOLVERS: Mapping[str, Solver] = {
     "oracle": _oracle,
@@ -139,6 +139,13 @@ def _run_one(
     return status, None if solution is None else cost(instance, solution), elapsed
 
 
+def check_names(names: Iterable[str]) -> None:
+    """Raise ValueError for the first name, in sorted order, that ``SOLVERS`` does not hold."""
+    unknown = sorted(set(names).difference(SOLVERS))
+    if unknown:
+        raise ValueError(f"unknown algorithm {unknown[0]!r}; pick from {sorted(SOLVERS)}")
+
+
 def compare(
     instance: Instance,
     algorithms: Sequence[str],
@@ -152,9 +159,7 @@ def compare(
     The reference is run once; its cost (when available and positive)
     becomes every record's ``ref_cost`` and the ratio is cost/ref_cost.
     """
-    unknown = sorted({reference, *algorithms}.difference(SOLVERS))
-    if unknown:
-        raise ValueError(f"unknown algorithm {unknown[0]!r}; pick from {sorted(SOLVERS)}")
+    check_names([reference, *algorithms])
     # Load the solver modules before any run is timed, so no time_ms counts an import.
     from . import exact, order_dp
 

@@ -230,6 +230,16 @@ def _gaps(spans: Iterable[tuple[Number, Number, int]], length: Number) -> list[t
     return gaps
 
 
+def _home_gaps(instance: Instance) -> list[tuple[int, int]]:
+    """The home solution's gaps on the instance's grid 1/d, swept afresh on every call.
+
+    Their total G is a lower bound on every cover's cost, in grid units:
+    moving a sensor by δ covers at most δ of new length.
+    """
+    _, length, xs, rs = instance._grid
+    return _gaps(sorted(_clipped_spans(rs, xs, length, range(instance.n))), length)
+
+
 def _minimal_cover(
     radii: Sequence[Number],
     centers: Sequence[Number],

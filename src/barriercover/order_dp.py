@@ -11,12 +11,16 @@ Each row is filled in O(U) for U budget units, so a table costs O(n*U).
 Cell (i, b) reads row i-1 only at budgets <= b, so a table grows without
 a refill (``DpTable.grow``): ``dp_optimal`` grows one table through all its
 budget doublings, and a call fills O(n*W) cells for its final width W.
+The doublings (``cheapest_first``) start at the largest power of two at
+most G, the home solution's total gap (``model._home_gaps``): every cover
+costs at least G, so no smaller budget can hit.
 The best split of budget b between the first i-1 sensors and sensor i has
 two candidate cases: right-bound splits (the sensor moves right as far as
 its budget allows, found by one pointer per row) and left-bound splits
 (the sensor abuts prior coverage, found by bucketing each budget at which
-that placement becomes affordable and keeping a running maximum).  Ties
-go to skipping the sensor, then to the smaller split.  The arithmetic is
+that placement becomes affordable and keeping a running maximum).  Each
+case's value is recomputed only when its pointer moves.  Ties go to
+skipping the sensor, then to the smaller split.  The arithmetic is
 exact: the instance and the unit are put on one integer grid by
 ``model.on_grid``, and the fill, the scan for the cheapest covering budget
 and the reconstruction all run on Python ints.  A cell's choice is one int,
@@ -28,7 +32,8 @@ any rational instance and a budget in input units.  A call's setup is on
 the grid too: the instance's grid is computed once and kept on the
 ``Instance``, and the feasibility test, the greedy tiling that caps the
 budget and the coverage check of the home solution all run on its ints.
-``dp_eps`` takes its home gaps, first guess and skip floor from that grid
+``dp_eps`` takes its home gaps from ``model._home_gaps``, as
+``cheapest_first`` does, derives its first guess and skip floor from them
 and runs its acceptance test in grid units; only each guess's unit q is a
 Fraction.
 """
@@ -50,7 +55,7 @@ from .model import (
     Solution,
     _clipped_spans,
     _covers,
-    _gaps,
+    _home_gaps,
     _to_grid,
     as_scalar,
     grid_units,
@@ -150,49 +155,75 @@ def _fill_row(
 ) -> Iterator[None]:
     """One ``budget_table`` row on the integer grid, widened to len(prev) at each resume.
 
-    The right pointer, the running left maximum and the left-bound j that
-    become available past the filled width (``later``) carry over; a resume
-    allocates ``latest`` for its new columns only.
+    One pass per resume: column b first files its own left-bound j = b
+    under the budget at which it becomes available, in ``latest`` (by
+    column) or, past the filled width, in ``later``, then reads the largest
+    j available at b.  The right pointer, the running left maximum,
+    ``latest`` and ``later`` carry over.  Each split's value is recomputed
+    only when its pointer moves: ``cut``, the next right split's threshold
+    x + (right+1)*u - r, makes the right test one comparison per cell, and
+    the pointer stops once its value reaches L, where it stays.  From the
+    first column where the previous row reaches L, every cell is L with
+    the sensor skipped: nothing beats L, and a tie keeps the skip.
     """
     clamp_k = max(0, -((x + r - length) // u))
+    xr, rx, r2 = x + r, r - x, 2 * r
     right = left = -1
+    cut = x - r
+    right_value = right_k = left_value = -1  # below every reach: no split wins before it exists
+    latest: list[int] = []
     later: dict[int, int] = {}
     start = 0
+    append, choose = row.append, chosen.append
     while True:
         width = len(prev)
-        latest = [-1] * (width - start)
+        stop = width if prev[-1] < length else bisect_left(prev, length, start)
+        latest += [-1] * (stop - start)
         for at in list(later):
-            if at < width:
-                latest[at - start] = later.pop(at)
-        for j in range(start, width):
-            at = j - (-abs(prev[j] + r - x) // u)
-            if at < width:
-                latest[at - start] = j
-            else:
-                later[at] = j
-        for b, late in enumerate(latest, start):
-            if late > left:
-                left = late
-            while right < b and x + (right + 1) * u <= prev[b - right - 1] + r:
-                right += 1
+            if at < stop:
+                latest[at] = later.pop(at)
+        for b in range(start, stop):
             best = prev[b]
-            k = -1
-            if right >= 0:
-                value = x + right * u + r
-                if value >= length:
-                    best_right, k_right = length, clamp_k
+            at = b - (-abs(best + rx) // u)
+            if at < stop:
+                latest[at] = b
+            else:
+                later[at] = b
+            if latest[b] > left:
+                left = latest[b]
+                left_value = prev[left] + r2
+                if left_value > length:
+                    left_value = length
+            if cut <= prev[b - right - 1] and right < b:
+                right += 1
+                cut += u
+                while right < b and cut <= prev[b - right - 1]:
+                    right += 1
+                    cut += u
+                right_value = xr + right * u
+                if right_value >= length:
+                    right_value, right_k = length, clamp_k
+                    cut = length + 1  # above every reach
                 else:
-                    best_right, k_right = value, right
-                if best_right > best:
-                    best, k = best_right, k_right
-            if left >= 0:
-                value = prev[left] + 2 * r
-                if value > length:
-                    value = length
-                if value > best or (value == best and k >= 0 and b - left < k):
-                    best, k = value, b - left
-            row.append(best)
-            chosen.append(k)
+                    right_k = right
+            # Ties go to the skip, then to the smaller split.
+            if right_value > best:
+                if left_value > right_value or (left_value == right_value and b - left < right_k):
+                    append(left_value)
+                    choose(b - left)
+                else:
+                    append(right_value)
+                    choose(right_k)
+            elif left_value > best:
+                append(left_value)
+                choose(b - left)
+            else:
+                append(best)
+                choose(-1)
+        if stop < width:
+            row += [length] * (width - stop)
+            chosen += [-1] * (width - stop)
+            later.clear()  # no column past stop reads it
         start = width
         yield
 
@@ -271,18 +302,22 @@ def _cheapest_cover(instance: Instance, table: DpTable) -> Optional[tuple[Soluti
 
 
 def cheapest_first(instance: Instance, solve: Callable[[Scalar], Optional[tuple]]) -> tuple:
-    """First hit of ``solve(budget)`` over budgets 1/d, 2/d, 4/d, ... (input units).
+    """First hit of ``solve(budget)`` over budgets 2^m/d, 2^(m+1)/d, ... (input units).
 
-    d is the instance's grid.  Budgets are capped at the greedy cover's
-    cost, where an exact solver must hit; one that returns its cheapest
-    cover within the budget thus yields the optimum.  Budgets never
-    decrease, so ``solve`` may widen one table from call to call, as
-    ``dp_optimal`` does.  Raises InfeasibleError when no cover exists.
+    d is the instance's grid and 2^m the largest power of two at most G,
+    the home solution's total gap in grid units (m = 0 when G = 0).  Every
+    cover costs at least G, so the powers of two below 2^m, which the
+    doubling would otherwise try from 1/d, cannot hit: starting at 2^m
+    skips only misses.  Budgets are capped at the greedy cover's cost,
+    where an exact solver must hit; one that returns its cheapest cover
+    within the budget thus yields the optimum.  Budgets never decrease, so
+    ``solve`` may widen one table from call to call, as ``dp_optimal``
+    does.  Raises InfeasibleError when no cover exists.
     """
     d = integral_scale_factor(instance)
     _, upper = greedy_cover(instance)
     top = _to_grid(upper, d)
-    units = 1
+    units = 1 << max(0, sum(hi - lo for lo, hi in _home_gaps(instance)).bit_length() - 1)
     while True:
         found = solve(Fraction(units, d) if units < top else upper)
         if found is not None:
@@ -319,8 +354,10 @@ def dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:
 
     The first successful table already contains the optimum: each step scans
     for the smallest feasible budget row, and a solution's exact movements
-    are themselves a valid budget split.  The doublings grow one table, so
-    a call fills O(n*W) cells for its final width W.
+    are themselves a valid budget split.  The doublings start at the
+    largest power of two at most the home gap bound G (``cheapest_first``)
+    and grow one table, so a call fills O(n*W) cells for its final width W,
+    the first power of two at or past OPT_op or the greedy cost.
     """
     if verify_coverage(instance, instance.home()).covered:
         return instance.home(), minimal_active_set(instance, instance.home())
@@ -364,9 +401,9 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
         raise ValueError(f"eps must be positive, got {eps}")
     if not is_feasible(instance):
         raise InfeasibleError("instance cannot cover the barrier")
-    d, length, xs, rs = on_grid(instance)
+    d, _, xs, _ = on_grid(instance)
     n = instance.n
-    gaps = _gaps(sorted(_clipped_spans(rs, xs, length, range(n))), length)
+    gaps = _home_gaps(instance)
     if not gaps:
         return instance.home(), minimal_active_set(instance, instance.home())
     p, s = eps.numerator, eps.denominator

@@ -350,6 +350,16 @@ class TestBench:
         (tmp_path / "a.bc").write_text(I1_TEXT)
         assert main(["bench", "--dir", str(tmp_path), "--algos", "simplex"]) == 2
 
+    @pytest.mark.parametrize("flag", ["--reference=simplex", "--algos=oracle,simplex"])
+    def test_unknown_name_is_refused_before_the_directory_is_read(self, flag, tmp_path, capsys):
+        """Even a directory with no .bc file runs no solver, so the names are checked before it is read."""
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        assert main(["bench", "--dir", str(empty), flag]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: unknown algorithm 'simplex'" in captured.err
+
     def test_family_and_dir_conflict(self, tmp_path):
         assert main(["bench", "--family", "fig5", "--dir", str(tmp_path)]) == 2
 
@@ -390,7 +400,7 @@ class TestBench:
 
 
 class TestModeTable:
-    """``cli._MODES`` decides, for each gen family and bench mode, which options it needs, reads and refuses."""
+    """``cli._MODES`` decides, for each gen family, solve algorithm and bench mode, which options it needs, reads and refuses."""
 
     @pytest.mark.parametrize("family, flag, value", [
         (["--family", "fig5", "--rho", "2", "--length", "12"], "--n", "5"),
@@ -433,7 +443,25 @@ class TestModeTable:
         assert captured.out == ""
         assert f"error: {message}" in captured.err
 
-    @pytest.mark.parametrize("command", ["gen", "bench"])
+    def test_solve_refuses_budget_with_dp_eps(self, i1_path, capsys):
+        """dp-eps picks its own budgets, so a --budget it would not honour is a usage error."""
+        assert main(["solve", "--algo", "dp-eps", "--budget", "1", i1_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --budget does not go with --algo dp-eps" in captured.err
+
+    @pytest.mark.parametrize("algo", sorted(set(harness.SOLVERS) - {"dp-eps"}))
+    def test_solve_refuses_eps_but_with_dp_eps(self, algo, i1_path, capsys):
+        assert main(["solve", "--algo", algo, "--eps", "1/4", i1_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --eps does not go with --algo {algo}" in captured.err
+
+    def test_solve_empty_eps_is_not_the_default(self, i1_path, capsys):
+        assert main(["solve", "--algo", "dp-eps", "--eps=", i1_path]) == 2
+        assert "error: not a rational number: ''" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen", "bench", "solve"])
     def test_every_option_is_in_the_table(self, command):
         """A new option must be named in a mode (or be common to all), so no mode ignores it silently."""
         parser = cli._build_parser()
@@ -445,7 +473,7 @@ class TestModeTable:
             for flag in action.option_strings
         }
         named = {f"--{name}" for options in cli._MODES[command].values() for name in options}
-        assert flags - named <= {"--family", "--out", "--node-cap"}
+        assert flags - named <= {"--algo" if command == "solve" else "--family", "--out", "--node-cap"}
         assert named <= flags
 
 

@@ -229,6 +229,34 @@ class TestSolverRegistry:
         scaled = solved_cost(name, scale_instance(inst, c), None if budget is None else budget * c)
         assert scaled == (None if got is None else c * got)
 
+    def test_fpt_without_budget_skips_the_budgets_below_the_gap_bound(self, monkeypatch):
+        """``fpt`` with no budget returns the cover that doubling from one grid step finds, in fewer calls.
+
+        fig5 L=12 has home gaps G = 4 and OPT = 10: the calls at budgets 1
+        and 2 could only miss, so budgets 1, 2, 4, 8, 16 become 4, 8, 16.
+        """
+        from barriercover import exact, generators, order_dp
+
+        inst = generators.gen_fig5(2, 12)
+        top = order_dp.greedy_cover(inst)[1]
+        budget, from_one = F(1), []
+        while True:
+            from_one.append(min(budget, top))
+            found = exact.fpt_solve(inst, from_one[-1])
+            if found is not None:
+                break
+            budget *= 2
+        calls = []
+        real = exact.fpt_solve
+
+        def counted(instance, budget, node_cap):
+            calls.append(budget)
+            return real(instance, budget, node_cap)
+
+        monkeypatch.setattr(exact, "fpt_solve", counted)
+        assert SOLVERS["fpt"](inst, None, None, 10**6) == found[0]
+        assert from_one == [1, 2, 4, 8, 16] and calls == [4, 8, 16]
+
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
         n=st.integers(1, 6),

@@ -25,6 +25,7 @@ from barriercover import (
 )
 
 from barriercover import order_dp
+from barriercover.model import _home_gaps
 from conftest import random_corpus
 import reference_dp
 from reference_dp import fraction_reach, reference_dp_eps, rounded_cost
@@ -118,12 +119,13 @@ class TestDpOptimal:
         assert len(calls) == 1
 
     def test_budgets_double_from_one_grid_step(self, monkeypatch):
-        """The budgets tried double from one grid step, and one table grows through them all.
+        """The budgets tried double from the home gap bound's power of two, and one table grows through them all.
 
-        ``budget_table`` fills the first budget and ``DpTable.grow`` widens
-        that table to every budget (the first one included).  Each row is
-        filled once per column: 43 columns up to the final budget 42, not
-        the 112 of a fresh table per budget.
+        fig5's home gaps total G = 4 grid steps, so the doubling starts at
+        4, not at one grid step.  ``budget_table`` fills the first budget
+        and ``DpTable.grow`` widens that table to every budget (the first
+        one included).  Each row is filled once per column: 43 columns up
+        to the final budget 42, not the 107 of a fresh table per budget.
         """
         tables = []
         widths = []
@@ -156,10 +158,20 @@ class TestDpOptimal:
             columns.clear()
             solution, _ = dp_optimal(inst)
             assert cost(inst, solution) == 42 * unit
-            assert tables == [(1, unit)]
-            assert widths == [(2**k, unit) for k in range(6)] + [(42, unit)]
-            assert columns == [[2, 1, 2, 4, 8, 16, 10]] * inst.n
+            assert tables == [(4, unit)]
+            assert widths == [(2**k, unit) for k in range(2, 6)] + [(42, unit)]
+            assert columns == [[5, 4, 8, 16, 10]] * inst.n
             assert sum(map(sum, columns)) == 43 * inst.n
+
+    def test_covered_instance_never_reaches_the_doubling(self, monkeypatch):
+        """The home test answers a covered instance before any budget is tried."""
+
+        def refused(instance, solve):
+            raise AssertionError("cheapest_first ran on a covered instance")
+
+        monkeypatch.setattr(order_dp, "cheapest_first", refused)
+        solution, active = dp_optimal(COVERING)
+        assert solution == COVERING.home() and active == (0, 1)
 
     def test_matches_order_preserving_oracle_on_corpus(self):
         for _, inst, _ in random_corpus(60):
@@ -223,6 +235,60 @@ class TestTableInvariants:
             assert verify_coverage(inst, solution, active).covered
             if value > 0:
                 assert dp_exact(inst, value - 1) is None
+
+
+    def test_grown_column_by_column_equals_filled_on_corpus(self):
+        """Each resume of a row's fill may add one column: the table still equals the one filled at once."""
+        for _, inst, _ in random_corpus(200):
+            for unit in (F(1), F(1, 2), F(5, 7)):
+                grown = budget_table(inst, 0, unit)
+                for units in range(1, 34):
+                    grown.grow(units)
+                filled = budget_table(inst, 33, unit)
+                assert (grown.rows, grown.choices) == (filled.rows, filled.choices), f"{inst} unit={unit}"
+
+
+#: Home gaps: G = 5 grid steps ((2, 7)) and G = 1 ((2, 3)); a far spare makes each feasible.
+GAP5 = Instance(9, (Sensor(1, 1), Sensor(8, 1), Sensor(20, 5)))
+GAP1 = Instance(5, (Sensor(1, 1), Sensor(4, 1), Sensor(10, 2)))
+
+
+class TestCheapestFirst:
+    """The doubling starts at the largest power of two at most G, the home gap bound in grid steps."""
+
+    @staticmethod
+    def budgets(instance):
+        tried = []
+
+        def solve(budget):
+            tried.append(budget)
+            return dp_exact(instance, budget)
+
+        order_dp.cheapest_first(instance, solve)
+        return tried
+
+    def test_home_gaps_are_on_the_grid(self):
+        assert _home_gaps(GAP5) == _home_gaps(scale_instance(GAP5, F(1, 2))) == [(2, 7)]
+        assert _home_gaps(GAP1) == [(2, 3)]
+        assert _home_gaps(COVERING) == []
+
+    @pytest.mark.parametrize("instance, start", [(GAP5, 4), (GAP1, 1)])
+    def test_first_budget(self, instance, start):
+        tried = self.budgets(instance)
+        assert tried[0] == start
+        assert tried == [start * 2**k for k in range(len(tried) - 1)] + [tried[-1]]
+
+    @pytest.mark.parametrize("instance, start", [(GAP5, 4), (GAP1, 1)])
+    def test_half_grid_starts_at_the_same_grid_steps(self, instance, start):
+        half = scale_instance(instance, F(1, 2))
+        assert [b * 2 for b in self.budgets(half)] == self.budgets(instance)
+        assert self.budgets(half)[0] == F(start, 2)
+
+    def test_no_budget_below_the_start_hits(self):
+        """Every cover costs at least G, so the budgets the start skips would all have missed."""
+        for instance, start in ((GAP5, 4), (GAP1, 1)):
+            assert all(dp_exact(instance, b) is None for b in range(start))
+            assert cost(instance, dp_optimal(instance)[0]) >= start
 
 
 class TestRoundedCost:

@@ -14,8 +14,11 @@ subcommands, run from the repository root:
 ``--src`` (default: this checkout's ``src``).  The DP rows are the C3 gate
 loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
 ``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40},
-``dp_optimal`` on the n = 20 instance scaled by 100 (13 budgets, 1 to
-4,096 grid steps), fig5 L=40 ``dp_optimal`` against the exhaustive
+``dp_optimal`` on the n = 20 instance scaled by 100 (3 budgets, 1,024 to
+4,096 grid steps: the doubling starts at the power of two at most the home
+gap bound, 1,200 steps),
+``dp_optimal`` and ``dp_eps`` (eps = 1/2) over fig5 L = 8, 10, ..., 24 in
+one row each, fig5 L=40 ``dp_optimal`` against the exhaustive
 ``oracle_optimal``, and three ``python -m barriercover`` child runs on
 ``--src`` (interpreter start and import included): ``solve --algo
 dp-optimal corpora/i1.bc``, ``gen --family random --n 6 --length 12`` and
@@ -147,6 +150,9 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
         rows[f"dp_optimal.random_n{n}"] = lambda i=inst: bc.dp_optimal(i)
     scaled = bc.scale_instance(bc.gen_random(20, 40, 1, 3, (-20, 60), 7), 100)
     rows["dp_optimal.random_n20_x100"] = lambda: bc.dp_optimal(scaled)
+    fig5_small = [bc.gen_fig5(2, length) for length in range(8, 25, 2)]
+    rows["dp_optimal.fig5_L8_to_24"] = lambda: [bc.dp_optimal(i) for i in fig5_small]
+    rows["dp_eps_half.fig5_L8_to_24"] = lambda: [bc.dp_eps(i, Fraction(1, 2)) for i in fig5_small]
     fig5 = bc.gen_fig5(2, 40)
     rows["dp_optimal.fig5_L40"] = lambda: bc.dp_optimal(fig5)
     rows["oracle_optimal.fig5_L40"] = lambda: bc.oracle_optimal(fig5)
