@@ -157,14 +157,12 @@ def _fill_row(
 
     One pass per resume: column b first files its own left-bound j = b
     under the budget at which it becomes available, in ``latest`` (by
-    column) or, past the filled width, in ``later``, then reads the largest
-    j available at b.  The right pointer, the running left maximum,
+    column) or, past the filled width, in ``later``, then raises the running
+    left maximum to the largest j filed at b.  The right pointer, the running left maximum,
     ``latest`` and ``later`` carry over.  Each split's value is recomputed
     only when its pointer moves: ``cut``, the next right split's threshold
     x + (right+1)*u - r, makes the right test one comparison per cell, and
-    the pointer stops once its value reaches L, where it stays.  From the
-    first column where the previous row reaches L, every cell is L with
-    the sensor skipped: nothing beats L, and a tie keeps the skip.
+    the pointer stops once its value reaches L, where it stays.
     """
     clamp_k = max(0, -((x + r - length) // u))
     xr, rx, r2 = x + r, r - x, 2 * r
@@ -177,15 +175,14 @@ def _fill_row(
     append, choose = row.append, chosen.append
     while True:
         width = len(prev)
-        stop = width if prev[-1] < length else bisect_left(prev, length, start)
-        latest += [-1] * (stop - start)
+        latest += [-1] * (width - start)
         for at in list(later):
-            if at < stop:
+            if at < width:
                 latest[at] = later.pop(at)
-        for b in range(start, stop):
+        for b in range(start, width):
             best = prev[b]
             at = b - (-abs(best + rx) // u)
-            if at < stop:
+            if at < width:
                 latest[at] = b
             else:
                 later[at] = b
@@ -220,10 +217,6 @@ def _fill_row(
             else:
                 append(best)
                 choose(-1)
-        if stop < width:
-            row += [length] * (width - stop)
-            chosen += [-1] * (width - stop)
-            later.clear()  # no column past stop reads it
         start = width
         yield
 
