@@ -451,7 +451,7 @@ class TestModeTable:
         assert "error: --budget does not go with --algo dp-eps" in captured.err
 
     @pytest.mark.parametrize("algo", sorted(set(harness.SOLVERS) - {"dp-eps"}))
-    def test_solve_refuses_eps_but_with_dp_eps(self, algo, i1_path, capsys):
+    def test_solve_refuses_eps_except_with_dp_eps(self, algo, i1_path, capsys):
         assert main(["solve", "--algo", algo, "--eps", "1/4", i1_path]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
