@@ -11,6 +11,10 @@ Each row is filled in O(U) for U budget units, so a table costs O(n*U).
 Cell (i, b) reads row i-1 only at budgets <= b, so a table grows without
 a refill (``DpTable.grow``): ``dp_optimal`` grows one table through all its
 budget doublings, and a call fills O(n*W) cells for its final width W.
+A one-shot table (``_dp_within``: ``dp_exact`` and each ``dp_eps`` guess)
+is filled row by row and stops at the first row that proves it cannot
+cover: its reach at the full budget plus twice the radii of the sensors
+still to come falls short of L.
 The doublings (``cheapest_first``) start at the largest power of two at
 most G, the home solution's total gap (``model._home_gaps``): every cover
 costs at least G, so no smaller budget can hit.
@@ -98,6 +102,12 @@ class DpTable:
 
         The cell cap is checked first.
         """
+        self._widen_base(budget_units)
+        for fill in self.fills:
+            next(fill)
+
+    def _widen_base(self, budget_units: int) -> None:
+        """Check the cell cap and widen row 0; resuming ``fills`` in order then widens rows 1..n."""
         if budget_units + 1 < len(self.rows[0]):
             raise ValueError(f"cannot shrink a DP table from budget {len(self.rows[0]) - 1} to {budget_units}")
         cells = len(self.rows) * (budget_units + 1)
@@ -105,8 +115,6 @@ class DpTable:
             raise ResourceLimitError(f"DP table of {cells} cells exceeds the cap {DEFAULT_CELL_CAP}")
         self.rows[0][:] = [0] * (budget_units + 1)
         self.choices[0][:] = [-1] * (budget_units + 1)
-        for fill in self.fills:
-            next(fill)
 
 
 def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) -> DpTable:
@@ -134,6 +142,13 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     A table of more than ``DEFAULT_CELL_CAP`` cells raises
     ``ResourceLimitError`` before any cell is allocated.
     """
+    table = _empty_table(instance, budget_units, unit)
+    table.grow(budget_units)
+    return table
+
+
+def _empty_table(instance: Instance, budget_units: int, unit: ScalarLike) -> DpTable:
+    """A ``budget_table`` with no column yet: its arguments checked, the instance on the grid, each row's fill made."""
     unit = as_scalar(unit)
     if unit <= 0:
         raise ValueError("budget unit must be positive")
@@ -145,9 +160,7 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     choices: list[list[int]] = [[] for _ in rows]
     fills = [_fill_row(prev, row, chosen, x, r, step, length)
              for prev, row, chosen, x, r in zip(rows, rows[1:], choices[1:], xs, rs)]
-    table = DpTable(unit, scale, length, xs, rs, step, rows, choices, fills)
-    table.grow(budget_units)
-    return table
+    return DpTable(unit, scale, length, xs, rs, step, rows, choices, fills)
 
 
 def _fill_row(
@@ -280,8 +293,28 @@ def dp_exact(instance: Instance, budget: ScalarLike) -> Optional[tuple[Solution,
 
 
 def _dp_within(instance: Instance, units: int, unit: Scalar) -> Optional[tuple[Solution, ActiveSet]]:
-    """The DP's cover at the smallest budget of ``units`` steps of ``unit`` that covers, or None."""
-    return _cheapest_cover(instance, budget_table(instance, units, unit))
+    """The DP's cover at the smallest budget of ``units`` steps of ``unit`` that covers, or None.
+
+    The table is ``budget_table(instance, units, unit)``, filled row by row
+    and given up at the first row i with rows[i][units] + 2*(r_i + ... +
+    r_{n-1}) < L (on the grid), since then no budget covers.  No cell of
+    row i+1 exceeds the cell of row i at the same budget b by more than
+    2r_i: a skip keeps prev[b]; a left-bound split gives prev[j] + 2r_i
+    with j <= b; a right-bound split k needs x_i + k*unit <= prev[b-k] +
+    r_i, so its value x_i + k*unit + r_i is at most prev[b-k] + 2r_i <=
+    prev[b] + 2r_i.  The last row thus stays below L at budget ``units``,
+    and, being nondecreasing, at every budget.  The cell cap is checked
+    before any cell is allocated, as in ``budget_table``.
+    """
+    table = _empty_table(instance, units, unit)
+    table._widen_base(units)
+    rest = 2 * sum(table.rs)
+    for fill, row, r in zip(table.fills, table.rows[1:], table.rs):
+        next(fill)
+        rest -= 2 * r
+        if row[units] + rest < table.length:
+            return None
+    return _cheapest_cover(instance, table)
 
 
 def _cheapest_cover(instance: Instance, table: DpTable) -> Optional[tuple[Solution, ActiveSet]]:

@@ -18,6 +18,7 @@ from barriercover import (
     gen_fig5,
     gen_random,
     greedy_cover,
+    integral_scale_factor,
     is_order_preserving,
     oracle_optimal,
     scale_instance,
@@ -279,6 +280,79 @@ class TestCheapestFirst:
     @pytest.mark.parametrize("instance", [GAP5, GAP1])
     def test_half_grid_starts_at_the_same_grid_steps(self, instance):
         assert [b * 2 for b in self.budgets(scale_instance(instance, F(1, 2)))] == self.budgets(instance)
+
+
+def rows_per_table(monkeypatch, instance, call):
+    """``call()``'s result and the rows each of its tables filled, counted by a ``_fill_row`` wrapper.
+
+    A table makes one fill per sensor, so its fills come in runs of n.
+    """
+    resumed = []
+    real_fill = order_dp._fill_row
+
+    def counted_fill(*args):
+        resumed.append(False)
+        at = len(resumed) - 1
+
+        def fill():
+            for _ in real_fill(*args):
+                resumed[at] = True
+                yield
+
+        return fill()
+
+    monkeypatch.setattr(order_dp, "_fill_row", counted_fill)
+    found = call()
+    monkeypatch.setattr(order_dp, "_fill_row", real_fill)
+    return found, [sum(resumed[k:k + instance.n]) for k in range(0, len(resumed), instance.n)]
+
+
+class TestDpWithin:
+    """A one-shot table stops at the first row whose reach plus 2·(the radii left) falls short of L."""
+
+    def test_equals_the_full_table_and_stops_at_many_rows(self, monkeypatch):
+        """Same cover and active set, or None from both, at unit 1/d and at each ``dp_eps`` guess unit."""
+        instances = [gen_random(n, 2 * n, 1, 3, (-n, 3 * n), seed) for n in range(3, 13) for seed in range(3)]
+        instances += [gen_fig5(2, length) for length in range(8, 25, 2)]
+        stops = set()
+        for inst in instances:
+            try:
+                _, upper = greedy_cover(inst)
+            except InfeasibleError:
+                continue
+            d = integral_scale_factor(inst)
+            guesses = []
+            real_within = order_dp._dp_within
+
+            def recorded(instance, units, unit):
+                guesses.append((units, unit))
+                return real_within(instance, units, unit)
+
+            monkeypatch.setattr(order_dp, "_dp_within", recorded)
+            dp_eps(inst, F(1, 2))
+            monkeypatch.setattr(order_dp, "_dp_within", real_within)
+            for units, unit in [(b, F(1, d)) for b in range(int(upper * d) + 1)] + guesses:
+                full = order_dp._cheapest_cover(inst, budget_table(inst, units, unit))
+                found, rows = rows_per_table(monkeypatch, inst, lambda: order_dp._dp_within(inst, units, unit))
+                assert found == full, f"{inst} units={units} unit={unit}"
+                if rows[0] < inst.n:
+                    assert found is None
+                    stops.add(rows[0])
+        assert len(stops) >= 5, stops
+
+    @pytest.mark.parametrize("length, rows", [(12, [2, 4, 5]), (18, [2, 4, 6, 8])])
+    def test_dp_eps_rows_on_fig5(self, monkeypatch, length, rows):
+        inst = gen_fig5(2, length)
+        assert rows_per_table(monkeypatch, inst, lambda: dp_eps(inst, F(1, 2)))[1] == rows
+
+    def test_dp_exact_rows_on_fig5_l18(self, monkeypatch):
+        """OPT_op is 30: each 4 units below it buys one more row, and 28 to 30 fill all 8."""
+        inst = gen_fig5(2, 18)
+        for budget, rows in [(4 * k, k + 1) for k in range(7)] + [(28, 8), (29, 8), (30, 8)]:
+            found, filled = rows_per_table(monkeypatch, inst, lambda: dp_exact(inst, budget))
+            assert filled == [rows], budget
+            assert (found is None) == (budget < 30)
+        assert cost(inst, found[0]) == 30
 
 
 class TestRoundedCost:
