@@ -19,7 +19,9 @@ first open point from that list less the child's span.  With them it runs
 the child's entry tests (bound, reachability) itself, so a child they kill
 is never made a node; dominated states are skipped too, a child being
 dominated when its holes and uncrossing floors were entered before at no
-higher spend (its docstring has the proofs).  The three branch-and-bound
+higher spend (its docstring has the proofs).  Its reach tests read only the
+live radius classes, ``alive[i]``: those with a sensor at index i or later,
+as a class with none left can cover nothing.  The three branch-and-bound
 searches, ``brute_force``, ``brute_force_order_preserving`` and
 ``fpt_solve`` (which, given a mover cap, also decides the k-mover variant),
 run on one driver, ``_Search.run``, which keeps its own stack: depth costs
@@ -46,6 +48,7 @@ from .model import (
     Solution,
     _clipped_spans,
     _gaps,
+    _to_grid,
     grid_units,
     is_feasible,
     on_grid,
@@ -224,18 +227,28 @@ def brute_force(
     its right), as ``"bound"`` when ``spent`` plus that reach exceeds the
     limit.
 
+    ``min_reach(i, p)`` reads only the classes in ``alive[i]``, those with a
+    member at index i or later; a class with none yields no candidate.
+
     Some children are skipped uncounted.  With r the radius of sensor i,
     placing it at y > p + r leaves [p, p+1] open, so p stays the child's
     placed hole, and it lifts class r's floor to y, beyond every center
     that covers p.  The child's own test of p is then
-    ``min_reach(i + 1, p)`` with class r excluded; when that is None, no
-    such y is tried.  The waste test (``"waste"``) admits a span only when
-    its overlap with the placed holes is at least ``need = waste + 2r -
-    slack``.  That overlap is at
-    most the span's overlap with the holes' hull [a, b], which is at most
-    y + r - a and b - (y - r); so with need > 0, every y below a - r + need
-    or above b + r - need fails the test, and the d loop skips those y
-    without testing them.  The hull exists then: waste is the placed
+    ``min_reach(i + 1, p)`` with class r excluded, and it is None iff every
+    other class c in ``alive[i + 1]`` has its floor above p + c: then no
+    such y is tried.  A class whose floor is past p + c has no center
+    covering p, so it yields nothing.  A class c with no floor, or one at
+    most p + c, always yields a candidate: its range [lo, p + c], lo the
+    larger of p - c and the floor, is not empty, and the bisect of lo among
+    the homes of its members from i + 1 on (at least one) lands on one of
+    them, a home at or right of lo, or past the first, a home left of lo.
+    So the lookahead needs only the floors.  The waste test (``"waste"``)
+    admits a span only when its overlap with the placed holes is at least
+    ``need = waste + 2r - slack``.  That overlap is at most the span's
+    overlap with the holes' hull [a, b], which is at most y + r - a and
+    b - (y - r); so with need > 0, every y below a - r + need or above
+    b + r - need fails the test, and the d loop skips those y without
+    testing them.  The hull exists then: waste is the placed
     lengths less the measure they cover, so need is the placed holes'
     measure less the lengths of sensors i + 1.., and is at most the former.
     The d loop starts at the window, so it tests the same y in the same order.
@@ -277,15 +290,18 @@ def brute_force(
     # went, and later ones stay at or right of it.  A class's indices and
     # homes both ascend (``Instance`` sorts by (x, r)), as min_reach needs.
     members = {r: [j for j in range(n) if rs[j] == r] for r in dict.fromkeys(rs)}
-    # Per class: r, ``starts[i]`` (its first member from index i on) and its homes.
-    classes = [(r, [bisect_left(js, i) for i in range(n + 1)], [xs[j] for j in js])
-               for r, js in members.items()]
+    # ``alive[i]``: each class with a member at index i or later, as r, the
+    # list position of its first such member, and its homes.
+    homes = {r: [xs[j] for j in js] for r, js in members.items()}
+    alive = [[(r, bisect_left(js, i), homes[r]) for r, js in members.items() if js[-1] >= i]
+             for i in range(n + 1)]
     floors: dict[int, Optional[int]] = dict.fromkeys(members)
 
     greedy_y, greedy_cost = greedy_cover(instance)
-    search = _Search(node_cap, int(greedy_cost * d) if limit is None else limit, d)
+    greedy_grid = _to_grid(greedy_cost, d)
+    search = _Search(node_cap, greedy_grid if limit is None else limit, d)
     pruned = search.pruned
-    search.offer(int(greedy_cost * d), [int(v * d) for v in greedy_y])
+    search.offer(greedy_grid, [_to_grid(v, d) for v in greedy_y])
     anchored = _anchored_cover(length, xs, rs)
     if anchored is not None:
         search.offer(sum(abs(y - x) for y, x in zip(anchored, xs)), anchored)
@@ -303,14 +319,13 @@ def brute_force(
         means no remaining sensor can ever cover the point: a dead branch.
         """
         best: Optional[int] = None
-        for r, starts, homes in classes:
+        for r, start, homes in alive[i]:
             lo_y, hi_y, f = p - r, p + r, floors[r]
             if f is not None:
                 if f > hi_y:
                     continue
                 if f > lo_y:
                     lo_y = f
-            start = starts[i]
             k = bisect_left(homes, lo_y, start)
             if k < len(homes):
                 c = homes[k] - hi_y
@@ -340,11 +355,11 @@ def brute_force(
             if spent + reach > bnd:
                 pruned["bound"] += 1
                 return
-        r = rs[i]
+        x, r = xs[i], rs[i]
         two_r = 2 * r
         floor = floors[r]
-        lo_y = min(-r, xs[i]) if floor is None else max(min(-r, xs[i]), floor)
-        hi_y = max(length + r, xs[i])
+        lo_y = min(-r, x) if floor is None else max(min(-r, x), floor)
+        hi_y = max(length + r, x)
         need = waste + two_r - slack
         if need > 0:
             # Only a span overlapping the holes' hull by need can pass the waste test.
@@ -352,17 +367,22 @@ def brute_force(
             hi_y = min(hi_y, holes[-1][1] + r - need)
         if placed_hole >= 0:
             # The children right of placed_hole + r, checked at once (see above).
-            floors[r] = placed_hole + r + 1
-            if min_reach(i + 1, placed_hole) is None:
+            for c, _, _ in alive[i + 1]:
+                if c != r:
+                    f = floors[c]
+                    if f is None or f <= placed_hole + c:
+                        break
+            else:
                 hi_y = min(hi_y, placed_hole + r)
-            floors[r] = floor
         # What the suffix homes from i + 1 leave of the holes: a child's open
         # stretches are ``ahead`` less its span.
         ahead = _open_stretches(holes, suffix[i + 1])
-        base = sum(hi - lo for lo, hi in ahead)
-        d = max(0, lo_y - xs[i], xs[i] - hi_y)
-        while spent + d <= bnd and (xs[i] + d <= hi_y or xs[i] - d >= lo_y):
-            for y in ((xs[i],) if d == 0 else (xs[i] + d, xs[i] - d)):
+        base = 0
+        for lo, hi in ahead:
+            base += hi - lo
+        d = max(0, lo_y - x, x - hi_y)
+        while spent + d <= bnd and (x + d <= hi_y or x - d >= lo_y):
+            for y in ((x,) if d == 0 else (x + d, x - d)):
                 if y < lo_y or y > hi_y:
                     continue
                 lo = y - r if y > r else 0
@@ -397,7 +417,7 @@ def brute_force(
                     entered = seen.get(key)
                     if entered is not None and entered <= spent + d:
                         pruned["dominated"] += 1
-                        positions[i], floors[r] = xs[i], floor
+                        positions[i], floors[r] = x, floor
                         continue
                     if entered is not None or len(seen) < _MEMO_CAP:
                         seen[key] = spent + d
@@ -416,7 +436,7 @@ def brute_force(
                 else:
                     yield i + 1, spent + d, child_holes, child_waste, child_first
                     bnd = search.limit
-                positions[i], floors[r] = xs[i], floor
+                positions[i], floors[r] = x, floor
             d += 1
 
     # The root's entry test, as its parent would run it: its ``ahead`` is

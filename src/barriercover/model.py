@@ -267,6 +267,18 @@ def _radii(instance: Instance) -> tuple[Scalar, ...]:
     return tuple(s.r for s in instance.sensors)
 
 
+def _checked_indices(instance: Instance, indices: Iterable[int]) -> list[int]:
+    """``indices`` as a list, refused unless every one names a sensor of ``instance``.
+
+    A negative index would otherwise read a sensor from the end, and one
+    past the last would fail deep inside a sweep.
+    """
+    idx = list(indices)
+    if idx and not (0 <= min(idx) and max(idx) < instance.n):
+        raise ValueError("active set indices out of range")
+    return idx
+
+
 def verify_coverage(
     instance: Instance,
     solution: Sequence[ScalarLike],
@@ -275,15 +287,16 @@ def verify_coverage(
     """Sweep the clipped intervals and report every maximal uncovered gap.
 
     Intervals are closed, so touching endpoints leave no gap.  ``indices``
-    restricts the check to a subset of sensors (used for active-set work).
-    An empty barrier (L = 0) counts as covered.  The sweep runs on the grid
-    of ``on_grid(instance, *solution)``; only the gaps it finds are turned
-    back into Fractions.
+    restricts the check to a subset of sensors (used for active-set work);
+    an index outside range(n) raises ValueError.  An empty barrier (L = 0)
+    counts as covered.  The sweep runs on the grid of
+    ``on_grid(instance, *solution)``; only the gaps it finds are turned back
+    into Fractions.
     """
+    idx = range(instance.n) if indices is None else _checked_indices(instance, indices)
     y = as_solution(instance, solution)
     d, length, _, radii = on_grid(instance, *y)
     centers = [_to_grid(v, d) for v in y]
-    idx = range(instance.n) if indices is None else indices
     gaps = _gaps(sorted(_clipped_spans(radii, centers, length, idx)), length)
     return CoverageReport(
         covered=not gaps,
@@ -310,10 +323,11 @@ def minimal_active_set(
     Deterministic rule: scan candidates in decreasing radius (ties: higher
     index first) and drop any sensor whose removal keeps [0, L] covered.
     A single pass is enough: once a removal fails it fails for every
-    smaller surviving set as well.
+    smaller surviving set as well.  An index of ``within`` outside range(n)
+    raises ValueError.
     """
+    within = range(instance.n) if within is None else _checked_indices(instance, within)
     y = as_solution(instance, solution)
-    within = range(instance.n) if within is None else within
     active = _minimal_cover(_radii(instance), y, instance.length, within)
     if active is None:
         raise InfeasibleError("solution does not cover the barrier")
@@ -326,10 +340,8 @@ def is_order_preserving(
     active_set: Iterable[int],
 ) -> bool:
     """True iff positions restricted to the active set strictly increase."""
+    idx = sorted(_checked_indices(instance, active_set))
     y = as_solution(instance, solution)
-    idx = sorted(active_set)
-    if idx and not (0 <= idx[0] and idx[-1] < instance.n):
-        raise ValueError("active set indices out of range")
     return all(y[a] < y[b] for a, b in zip(idx, idx[1:]))
 
 

@@ -90,15 +90,16 @@ def _next_swap(
     spans: Sequence[tuple[Number, Number, int]],
     pos: Sequence[Number],
     start: int = 0,
-) -> Optional[tuple[tuple[Number, Number], int, int]]:
-    """The first pair of neighbouring spans that overlap and cross, as ``((u1, u2), i, j)``, or None.
+) -> Optional[tuple[tuple[Number, Number], int, int, int]]:
+    """The first pair of neighbouring spans that overlap and cross, as ``((u1, u2), i, j, p)``, or None.
 
     ``spans`` are ``(y - r, y + r, k)`` sorted by (lo, hi, k), unclipped, and
     ``pos`` holds each sensor's center; any exact number type works.  The
-    scan starts at the pair of entries ``start`` and ``start + 1``.  On the
-    spans of a minimal cover, with no hit left of ``start``, this is the
-    least such triple over every overlapping crossing pair (``untangle``'s
-    docstring shows why).
+    scan starts at the pair of entries ``start`` and ``start + 1``, and p is
+    the list position of the pair's first entry: the pair is
+    ``spans[p : p + 2]``.  On the spans of a minimal cover, with no hit left
+    of ``start``, ``((u1, u2), i, j)`` is the least such triple over every
+    overlapping crossing pair (``untangle``'s docstring shows why).
     """
     for p in range(start, len(spans) - 1):
         lo, hi, a = spans[p]
@@ -106,7 +107,7 @@ def _next_swap(
         if lo_b <= hi:
             i, j = (a, b) if a < b else (b, a)
             if pos[i] > pos[j]:
-                return (lo, max(hi, hi_b)), i, j
+                return (lo, max(hi, hi_b)), i, j, p
     return None
 
 
@@ -260,11 +261,10 @@ def untangle(
         best = _next_swap(spans, pos, start)
         if best is None:
             break
-        span, i, j = best
+        span, i, j, p = best
         if (i, j) == last:
             raise RuntimeError(f"pair {CrossingPair(i, j)} selected twice in a row; schedule bug")
         last = i, j
-        p = min(bisect_left(spans, entry(i)), bisect_left(spans, entry(j)))
         del spans[p : p + 2]
         pos[i], pos[j] = _swap_targets(span, radii[i], radii[j])
         insort(spans, entry(i))

@@ -81,7 +81,8 @@ def test_new_labels_and_keys_reach_the_timing(bench_dp, monkeypatch, tmp_path, a
 def test_rows_keep_the_least_child_median(bench_dp, monkeypatch):
     """Each row runs in three children per side, the sides alternating; the least child median is kept.
 
-    Every child median is kept too, in the order the side's children ran.
+    Every child median is kept too, in the order the side's children ran,
+    with each side's median of them and the after/before ratio of those.
     """
     calls = []
     figures = iter([0.5, 0.2, 0.3, 0.1, 0.4, 0.6] + ["search explored more than 9 states"] * 6)
@@ -102,4 +103,8 @@ def test_rows_keep_the_least_child_median(bench_dp, monkeypatch):
     assert runs["before"]["rows"] == {"fast": 0.1} and runs["after"]["rows"] == {"fast": 0.2}
     assert runs["before"]["child_medians"] == {"fast": [0.5, 0.1, 0.4]}
     assert runs["after"]["child_medians"] == {"fast": [0.2, 0.3, 0.6]}
+    assert runs["before"]["median_child_median"] == {"fast": 0.4}
+    assert runs["after"]["median_child_median"] == {"fast": 0.3}
+    assert runs["after"]["median_ratio"] == {"fast": 0.75}
+    assert "median_ratio" not in runs["before"]
     assert runs["after"]["resource_limit"] == {"limited": "search explored more than 9 states"}

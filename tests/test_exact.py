@@ -411,6 +411,82 @@ class TestNodeCounts:
         assert recorded.pruned == pruned
 
 
+# Each ``ORACLE_PINS`` oracle's whole tree, recorded before the lookahead
+# became a floor test and ``min_reach`` read only live classes:
+# (nodes, cuts, every ``pruned`` rule).
+ORACLE_TREES = {
+    "oracle-fig5-L24": (166, 1, [("reach-cut", 1), ("waste", 9)]),
+    "oracle-fig5-L32": (316, 1, [("reach-cut", 1), ("waste", 13)]),
+    "oracle-fig5-L36": (409, 1, [("reach-cut", 1), ("waste", 15)]),
+    "oracle-fig5-L40": (514, 1, [("reach-cut", 1), ("waste", 17)]),
+    "oracle-fig5-L44": (631, 1, [("reach-cut", 1), ("waste", 19)]),
+    "oracle-fig6-m6": (104, 0, [("bound-cut", 205), ("dominated", 10)]),
+    "oracle-fig6-m7": (260, 0, [("bound-cut", 497), ("dominated", 81)]),
+    "oracle-fig6-m8": (492, 0, [("bound-cut", 970), ("dominated", 370)]),
+    "oracle-fig6-m10": (1252, 13, [("bound-cut", 2921), ("dominated", 2576), ("reach-cut", 13), ("waste", 3)]),
+    "oracle-fig6-rho3-m8": (372, 0, [("bound-cut", 893), ("dominated", 258)]),
+    "oracle-random": (45, 70, [("bound-cut", 153), ("dominated", 55), ("reach-cut", 70)]),
+    "oracle-deep": (1099, 0, [("bound-cut", 1)]),
+}
+
+# ``gen_random(7, 14, 1, 4, (-7, 21), seed)`` mixes four radius classes, so
+# one class's floor can block it while another is still free: the first 20
+# seeds whose oracle makes two or more nodes, as (seed, nodes, cuts, every
+# ``pruned`` rule, OPT), recorded with ``ORACLE_TREES``.
+MULTI_CLASS_TREES = [
+    (2, 13, 11, [("bound-cut", 36), ("reach-cut", 11)], 7),
+    (3, 15, 7, [("bound-cut", 18), ("reach-cut", 7)], 3),
+    (5, 143, 442, [("bound-cut", 1023), ("dominated", 91), ("reach-cut", 442), ("waste", 14)], 12),
+    (6, 392, 1291, [("bound-cut", 825), ("dead-hole-cut", 5), ("dominated", 120), ("reach-cut", 1286),
+                    ("waste", 698)], 13),
+    (7, 8, 2, [("bound-cut", 14), ("reach-cut", 2)], 3),
+    (8, 17, 26, [("bound-cut", 85), ("reach-cut", 26)], 8),
+    (9, 35, 23, [("bound-cut", 187), ("reach-cut", 23), ("waste", 2)], 11),
+    (10, 14, 9, [("bound-cut", 43), ("dead-hole-cut", 1), ("reach-cut", 8)], 7),
+    (11, 2, 8, [("bound-cut", 15), ("reach-cut", 8)], 8),
+    (12, 16, 10, [("bound-cut", 22), ("dominated", 1), ("reach-cut", 10)], 5),
+    (13, 14, 20, [("bound-cut", 48), ("dominated", 2), ("reach-cut", 20), ("waste", 1)], 5),
+    (14, 18, 6, [("bound-cut", 73), ("reach-cut", 6)], 7),
+    (15, 57, 77, [("bound-cut", 121), ("dominated", 43), ("reach-cut", 77)], 7),
+    (18, 25, 11, [("bound-cut", 39), ("reach-cut", 11)], 4),
+    (20, 17, 31, [("bound-cut", 49), ("reach-cut", 31)], 6),
+    (22, 17, 2, [("bound", 1), ("bound-cut", 32), ("reach-cut", 2), ("waste", 1)], 6),
+    (24, 8, 3, [("bound-cut", 5), ("reach-cut", 3)], 3),
+    (26, 8, 7, [("bound-cut", 19), ("reach-cut", 7)], 7),
+    (27, 14, 11, [("bound-cut", 25), ("reach-cut", 11)], 4),
+    (29, 11, 4, [("bound-cut", 10), ("reach-cut", 4)], 3),
+]
+
+
+def _tree(monkeypatch, instance):
+    """The oracle's optimum and its tree: (nodes, cuts, every ``pruned`` rule, sorted)."""
+    searches = _record_searches(monkeypatch)
+    found = oracle_optimal(instance)
+    (search,) = searches
+    return found[1], (search.nodes, search.cuts, sorted(search.pruned.items()))
+
+
+class TestOracleTrees:
+    """The oracle walks the tree it walked when these were recorded: every rule's count, not just the size."""
+
+    @pytest.mark.parametrize(
+        "instance, expected, tree",
+        [(instance, expected, ORACLE_TREES[name]) for name, instance, _, _, expected in ORACLE_PINS],
+        ids=[name for name, *_ in ORACLE_PINS],
+    )
+    def test_pinned_instances(self, monkeypatch, instance, expected, tree):
+        assert _tree(monkeypatch, instance) == (expected, tree)
+
+    @pytest.mark.parametrize(
+        "seed, nodes, cuts, pruned, expected", MULTI_CLASS_TREES,
+        ids=[f"seed{row[0]}" for row in MULTI_CLASS_TREES],
+    )
+    def test_multi_class_instances(self, monkeypatch, seed, nodes, cuts, pruned, expected):
+        instance = gen_random(7, 14, 1, 4, (-7, 21), seed)
+        assert len({s.r for s in instance.sensors}) >= 3
+        assert _tree(monkeypatch, instance) == (expected, (nodes, cuts, pruned))
+
+
 class TestDominanceMemo:
     """The memo may stop recording at any size: a missing entry only loses a skip."""
 

@@ -165,6 +165,33 @@ class TestCoverage:
         assert (cost(inst, y) == 0) == (y == inst.home())
 
 
+class TestIndexArguments:
+    """Every index argument must name a sensor; the error comes before any other work."""
+
+    @pytest.mark.parametrize("bad", [[-1], [0, 2], [-1, 0, 1], [5]])
+    def test_out_of_range_is_refused(self, bad):
+        inst = Instance(4, (Sensor(1, 1), Sensor(3, 1)))
+        for call in (lambda: verify_coverage(inst, inst.home(), indices=bad),
+                     lambda: minimal_active_set(inst, inst.home(), within=bad),
+                     lambda: is_order_preserving(inst, inst.home(), bad)):
+            with pytest.raises(ValueError, match="active set indices out of range"):
+                call()
+
+    def test_refused_before_the_solution_is_read(self):
+        inst = Instance(4, (Sensor(1, 1), Sensor(3, 1)))
+        for call in (lambda: verify_coverage(inst, (1,), indices=[2]),
+                     lambda: minimal_active_set(inst, (1,), within=[-1]),
+                     lambda: is_order_preserving(inst, (1,), [2])):
+            with pytest.raises(ValueError, match="active set indices out of range"):
+                call()
+
+    def test_in_range_indices_keep_their_answers(self):
+        inst = Instance(4, (Sensor(1, 1), Sensor(3, 1)))
+        assert minimal_active_set(inst, inst.home(), within=iter([0, 1])) == (0, 1)
+        assert verify_coverage(inst, inst.home(), indices=iter([1])).gaps == ((0, 2),)
+        assert verify_coverage(inst, inst.home(), indices=[]).gaps == ((0, 4),)
+
+
 class TestFeasibility:
     def test_boundary_equality(self):
         assert is_feasible(I1)

@@ -140,8 +140,12 @@ def next_swap(inst, y, active):
 
 
 def scan_next_swap(inst, y, active):
-    """The library's neighbour scan, which is the least pair on a minimal cover's spans."""
-    return _next_swap(spans_of(inst, y, active), y)
+    """The library's neighbour scan, which is the least pair on a minimal cover's spans.
+
+    Its list position is left out here; ``test_position_holds_the_pair`` checks it.
+    """
+    found = _next_swap(spans_of(inst, y, active), y)
+    return None if found is None else found[:3]
 
 
 #: Three mutually overlapping spans whose leftmost-union pair, (0, 1) with
@@ -246,6 +250,24 @@ class TestNeighbourScan:
         want = brute_next_swap(inst, y, active)
         assert scan_next_swap(inst, y, active) == want
         assert next_swap(inst, y, active) == want
+
+    def test_position_of_the_first_of_several_pairs(self):
+        spans = spans_of(REVERSED, (F(5), F(3), F(1)), (0, 1, 2))
+        assert _next_swap(spans, (F(5), F(3), F(1))) == ((0, 4), 1, 2, 0)
+        assert _next_swap(spans, (F(5), F(3), F(1)), 1) == ((2, 6), 0, 1, 1)
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(minimal_covers(), st.integers(0, 8))
+    def test_position_holds_the_pair(self, case, start):
+        """The returned p is the pair's list position, ``spans[p]`` and ``spans[p + 1]``, from any start."""
+        inst, y, active = case
+        spans = spans_of(inst, y, active)
+        found = _next_swap(spans, y, start)
+        if found is not None:
+            span, i, j, p = found
+            assert p >= start
+            assert sorted((spans[p][2], spans[p + 1][2])) == [i, j]
+            assert span[0] == spans[p][0]
 
 
 def untangled(inst, y):

@@ -41,14 +41,18 @@ taking the median of ``--k`` runs in process CPU time (the CPU time of
 the row's own finished subprocesses included); the least of those child
 medians is recorded, to the microsecond, so one slow child does not move
 the row, and every child median goes under ``child_medians``, in the order
-the children ran, so the spread between children shows.  A row whose
+the children ran, so the spread between children shows.  The median of
+those child medians goes under ``median_child_median``: one lucky fast
+child moves the least child but not the median.  A row whose
 search raises ``ResourceLimitError`` records the message under
 ``resource_limit`` instead.  The result goes under
 ``runs[--label]`` together with the Python version and the git SHA of the
 checkout that holds ``--src``.  With ``--before SRC`` every row is also
 timed on ``SRC``, the two sides' children alternating, and the side that
 runs first alternating from child to child and row to row, so host drift
-hits both sides alike; that run goes under ``runs[--before-label]``.
+hits both sides alike; that run goes under ``runs[--before-label]``, and
+the ``--label`` run also records, under ``median_ratio``, each row's
+after/before ratio of the two sides' median child medians.
 
 ``pairs`` runs ``perfbench/run.py --workload W`` (W defaults to the topic's
 workload: ``dp-order``, ``untangle-swaps`` or ``exact-oracle``) in the ``--before`` and
@@ -265,6 +269,7 @@ def run_record(
                 "the row's own subprocesses included)",
         "rows": {name: v for name, v in figures.items() if not isinstance(v, str)},
         "child_medians": children,
+        "median_child_median": {name: round(statistics.median(v), 6) for name, v in children.items()},
     }
     limits = {name: v for name, v in figures.items() if isinstance(v, str)}
     if limits:
@@ -298,6 +303,9 @@ def cmd_rows(args: argparse.Namespace) -> dict[str, dict]:
     if len(labels) == 2:
         for label, other in zip(labels, labels[::-1]):
             runs[label]["alternated_with"] = other
+        before, after = (runs[label]["median_child_median"] for label in labels)
+        runs[args.label]["median_ratio"] = {
+            name: round(after[name] / before[name], 4) for name in after if before.get(name)}
     return runs
 
 
