@@ -249,14 +249,48 @@ def _minimal_cover(
     """The drop rule of ``minimal_active_set`` on any exact number type.
 
     Returns None when the sensors in ``within`` do not cover [0, length].
-    The spans are clipped and sorted once; each candidate then costs one
-    ``_covers`` sweep.
+    The rule takes candidates in decreasing radius (ties: higher index
+    first) and drops each whose removal keeps [0, length] covered.  Only
+    the candidates whose check can go either way pay a ``_covers`` sweep:
+
+    * A candidate whose clipped span has no positive length (it misses the
+      barrier, or meets it in one point) is dropped without one.  At its
+      turn the others cover [0, length] but for at most that point, and a
+      finite union of closed spans is closed, so they cover it too; and
+      ``_covers`` counts [0, 0] as covered with no span at all.
+    * A sole cover is kept without one: a candidate whose clipped span has
+      a stretch of positive length that no other candidate covers.  Drops
+      only shrink the set, so without it that stretch is uncovered at its
+      turn, and its check fails.
+
+    One pass over the lo-sorted spans finds the sole covers and the gaps.
+    It keeps the two largest hi seen so far, from different spans (a tie
+    counts twice), and the owner of the largest.  Between two consecutive
+    distinct lo values, and from the last one to length, a point x is
+    covered by exactly the spans seen with hi >= x.  So the open stretch
+    (max(prev_lo, second), min(top, lo)) is covered by the owner alone,
+    and a lo above top leaves a gap.  At length 0 no span has positive
+    length, so no candidate needs a sweep.  A call costs O(n log n + m·n),
+    m the candidates with a span of positive length that are not sole
+    covers.
     """
-    keep = set(within)
-    spans = sorted(_clipped_spans(radii, centers, length, keep))
-    if not _covers(spans, keep, length):
-        return None
-    for i in sorted(keep, key=lambda i: (-radii[i], -i)):
+    spans = sorted(_clipped_spans(radii, centers, length, set(within)))
+    sole = set()
+    top = second = last = 0
+    owner = None
+    for lo, hi, i in spans + [(length, length, None)]:
+        if lo > top:
+            return None
+        if lo != last:
+            if max(last, second) < min(top, lo):
+                sole.add(owner)
+            last = lo
+        if hi > top:
+            second, top, owner = top, hi, i
+        elif hi > second:
+            second = hi
+    keep = {i for lo, hi, i in spans if lo < hi}
+    for i in sorted(keep - sole, key=lambda i: (-radii[i], -i)):
         keep.discard(i)
         if not _covers(spans, keep, length):
             keep.add(i)
@@ -339,8 +373,12 @@ def is_order_preserving(
     solution: Sequence[ScalarLike],
     active_set: Iterable[int],
 ) -> bool:
-    """True iff positions restricted to the active set strictly increase."""
-    idx = sorted(_checked_indices(instance, active_set))
+    """True iff positions restricted to the active set strictly increase.
+
+    ``active_set`` is read as a set, as ``minimal_active_set`` reads
+    ``within``: a repeated index is one sensor, not a descent.
+    """
+    idx = sorted(set(_checked_indices(instance, active_set)))
     y = as_solution(instance, solution)
     return all(y[a] < y[b] for a, b in zip(idx, idx[1:]))
 

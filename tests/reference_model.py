@@ -7,6 +7,11 @@ those three as they stood before, when every coordinate stayed a Fraction,
 copied verbatim; the library's versions must return exactly what these do,
 Fraction types included.
 
+``minimal_cover`` is ``model._minimal_cover`` as it stood when every
+candidate paid one ``_covers`` sweep, copied verbatim; the library's
+version skips the sweeps whose answer is known and must return exactly
+what this one does, None included.
+
 ``max_stab_count`` and ``scale_solution`` are test helpers that no solver
 calls; they left ``barriercover.model`` and are kept here verbatim for the
 acceptance gate C8 and the untangle scaling test.
@@ -18,13 +23,16 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from barriercover.model import (
+    ActiveSet,
     CoverageReport,
     InfeasibleError,
     Instance,
+    Number,
     Scalar,
     ScalarLike,
     Solution,
     _clipped_spans,
+    _covers,
     _gaps,
     _radii,
     as_scalar,
@@ -71,6 +79,29 @@ def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
         moved += abs(y[i] - s.x)
         reach += 2 * s.r
     return tuple(y), moved
+
+
+def minimal_cover(
+    radii: Sequence[Number],
+    centers: Sequence[Number],
+    length: Number,
+    within: Iterable[int],
+) -> Optional[ActiveSet]:
+    """The drop rule of ``minimal_active_set`` on any exact number type.
+
+    Returns None when the sensors in ``within`` do not cover [0, length].
+    The spans are clipped and sorted once; each candidate then costs one
+    ``_covers`` sweep.
+    """
+    keep = set(within)
+    spans = sorted(_clipped_spans(radii, centers, length, keep))
+    if not _covers(spans, keep, length):
+        return None
+    for i in sorted(keep, key=lambda i: (-radii[i], -i)):
+        keep.discard(i)
+        if not _covers(spans, keep, length):
+            keep.add(i)
+    return tuple(sorted(keep))
 
 
 def max_stab_count(

@@ -108,3 +108,31 @@ def test_rows_keep_the_least_child_median(bench_dp, monkeypatch):
     assert runs["after"]["median_ratio"] == {"fast": 0.75}
     assert "median_ratio" not in runs["before"]
     assert runs["after"]["resource_limit"] == {"limited": "search explored more than 9 states"}
+
+
+def test_untangle_rows_reach_fig5_L5120_and_a_two_deep_stack(bench_dp):
+    """The stack row runs the drop rule's remaining sweeps: each pair of twins keeps its first copy."""
+    import barriercover
+
+    rows = bench_dp.untangle_rows(barriercover)
+    assert [name for name in rows if name.startswith("untangle.fig5_L")][-2:] == [
+        "untangle.fig5_L2560", "untangle.fig5_L5120"]
+    y, active = rows["untangle.stack2_n400"]()
+    assert len(y) == 400 and active == tuple(range(0, 400, 2))
+
+
+def test_pairs_count_wins_on_every_end_to_end_metric(bench_dp, monkeypatch):
+    """A win is a better value by the metric's ``better`` direction in ``BENCHMARK.json``; a tie is no win."""
+    def run(ops, p50, rss):
+        return {"setup_s": 0.02, "ops_per_s": ops, "op_ms_p50": p50, "op_ms_tail": 0.2, "peak_rss_mb": rss}
+
+    # pair 1 runs before then after, pair 2 after then before
+    results = iter([run(100, 1.0, 20), run(110, 0.9, 21), run(120, 0.8, 22), run(105, 1.1, 20)])
+    monkeypatch.setattr(bench_dp, "perfbench_run", lambda *args: next(results))
+    monkeypatch.setattr(bench_dp, "git_sha", lambda path: "sha")
+    args = argparse.Namespace(before="old", after="new", pairs=2, workload="untangle-swaps", seed=0, seconds=1)
+    record = bench_dp.cmd_pairs(args)
+    assert record["after_wins"] == {"setup_s": 0, "ops_per_s": 2, "op_ms_p50": 2, "op_ms_tail": 0,
+                                    "peak_rss_mb": 0}
+    assert record["after_wins_ops_per_s"] == 2
+    assert record["ops_per_s_runs"] == {"before": [100, 105], "after": [110, 120]}

@@ -277,6 +277,14 @@ class TestOrderPreserving:
         inst = Instance(2, (Sensor(0, 1), Sensor(3, 1)))
         assert not is_order_preserving(inst, (1, 1), (0, 1))
 
+    def test_repeated_index_is_one_sensor(self):
+        inst = Instance(4, (Sensor(1, 1), Sensor(3, 1)))
+        for active in ([0, 0, 1], [0, 1, 1, 0], iter([1, 0, 1])):
+            assert is_order_preserving(inst, inst.home(), active)
+        assert not is_order_preserving(inst, (3, 1), [1, 0, 0])
+        with pytest.raises(ValueError, match="active set indices out of range"):
+            is_order_preserving(inst, inst.home(), [0, 0, 2])
+
 
 class TestRadiusRatio:
     def test_reference_family(self):

@@ -25,8 +25,11 @@ one row each, fig5 L=40 ``dp_optimal`` against the exhaustive
 dp-optimal corpora/i1.bc``, ``gen --family random --n 6 --length 12`` and
 ``verify corpora/i1.bc /dev/stdin`` with a covering solution on stdin.  The
 untangle rows are ``untangle`` on fig5 L in {40, 80, 160, 320, 640, 1280,
-2560} (n = 19, 39, 79, 159, 319, 639, 1279) with the large sensor moved to
-L - 2, where it crosses the whole unit row.
+2560, 5120} (n = 19, 39, 79, 159, 319, 639, 1279, 2559) with the large
+sensor moved to L - 2, where it crosses the whole unit row, and on a
+two-deep stack at home: two unit sensors at each of x = 1, 3, ..., 399 on
+L = 400, where no sensor covers a stretch alone, so the drop rule sweeps
+once per sensor.
 The search rows are ``oracle_optimal`` on fig5 L in {40, 44}, on
 ``gen_fig6(2, m, 1/8)`` for m in {8, 12} and, in one row, on all 200
 instances ``gen_random(6, 12, 1, 3, (-6, 18), s)`` for s = 0..199 (the
@@ -59,7 +62,9 @@ workload: ``dp-order``, ``untangle-swaps`` or ``exact-oracle``) in the ``--befor
 ``--after`` checkouts, one run of each per pair, with the side that runs
 first alternating from pair to pair.  It records each side's median and
 quartiles of every end-to-end metric, and how many pairs the after side won
-on ``ops_per_s``, under ``<W>_pairs[seed]`` (dashes in W become
+on each end-to-end metric of ``BENCHMARK.json``, by its ``better``
+direction, under ``after_wins`` (``after_wins_ops_per_s`` repeats the
+``ops_per_s`` count), under ``<W>_pairs[seed]`` (dashes in W become
 underscores; ``--key`` replaces ``<W>_pairs``).  Each run is a separate
 process and reads only its own checkout.
 
@@ -175,12 +180,14 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
 
 
 def untangle_rows(bc) -> dict[str, Callable[[], object]]:
-    """fig5 with the large sensor at L - 2, untangled in (L - 4) / 2 swaps."""
+    """fig5 with the large sensor at L - 2, untangled in (L - 4) / 2 swaps, and a two-deep stack."""
     rows: dict[str, Callable[[], object]] = {}
-    for length in (40, 80, 160, 320, 640, 1280, 2560):
+    for length in (40, 80, 160, 320, 640, 1280, 2560, 5120):
         inst = bc.gen_fig5(2, length)
         y = (Fraction(length - 2),) + inst.home()[1:]
         rows[f"untangle.fig5_L{length}"] = lambda i=inst, y=y: bc.untangle(i, y)
+    stack = bc.Instance(400, tuple(bc.Sensor(2 * k + 1, 1) for k in range(200) for _ in range(2)))
+    rows["untangle.stack2_n400"] = lambda: bc.untangle(stack, stack.home())
     return rows
 
 
@@ -336,7 +343,12 @@ def cmd_pairs(args: argparse.Namespace) -> dict:
             runs[side].append(perfbench_run(checkout, args.workload, args.seed, args.seconds))
         print(f"pair {i + 1}: ops_per_s {runs['before'][-1]['ops_per_s']:.1f} -> "
               f"{runs['after'][-1]['ops_per_s']:.1f}", flush=True)
-    wins = sum(a["ops_per_s"] > b["ops_per_s"] for b, a in zip(runs["before"], runs["after"]))
+    better = {m["name"]: m["better"] for m in json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]}
+    wins = {
+        name: sum((a[name] > b[name]) if better[name] == "higher" else (a[name] < b[name])
+                  for b, a in zip(runs["before"], runs["after"]))
+        for name in better
+    }
     return {
         "command": f"python3 perfbench/run.py --workload {args.workload} --seed {args.seed} "
                    f"--seconds {args.seconds} --trace 0",
@@ -344,7 +356,8 @@ def cmd_pairs(args: argparse.Namespace) -> dict:
         "python": platform.python_version(),
         "before_sha": git_sha(before),
         "after_sha": git_sha(after),
-        "after_wins_ops_per_s": wins,
+        "after_wins_ops_per_s": wins["ops_per_s"],
+        "after_wins": wins,
         "ops_per_s_runs": {side: [round(r["ops_per_s"], 2) for r in rs] for side, rs in runs.items()},
         "before": {m: summary([r[m] for r in runs["before"]]) for m in runs["before"][0]},
         "after": {m: summary([r[m] for r in runs["after"]]) for m in runs["after"][0]},
