@@ -357,8 +357,10 @@ def minimal_active_set(
     Deterministic rule: scan candidates in decreasing radius (ties: higher
     index first) and drop any sensor whose removal keeps [0, L] covered.
     A single pass is enough: once a removal fails it fails for every
-    smaller surviving set as well.  An index of ``within`` outside range(n)
-    raises ValueError.
+    smaller surviving set as well.  ``_minimal_cover`` applies the rule and
+    sweeps only for the candidates it cannot decide in one pass (its
+    docstring shows why).  An index of ``within`` outside range(n) raises
+    ValueError.
     """
     within = range(instance.n) if within is None else _checked_indices(instance, within)
     y = as_solution(instance, solution)

@@ -147,6 +147,11 @@ def untangle(
     checked after every swap, and a run is bounded by n^2 swaps; either
     failing is a schedule bug, not a property of the input.
 
+    The first active set is ``model._minimal_cover``'s.  Its one pass keeps
+    every sensor that alone covers a stretch and drops every sensor that
+    meets the barrier in one point or not at all; only the rest pay a
+    sweep (its docstring shows why).
+
     The active sensors' unclipped spans ``(y - r, y + r, k)`` are kept in
     one list sorted by (lo, hi, k); a swap replaces only its pair's two
     entries.  Whenever ``_next_swap`` runs, the active set is an
