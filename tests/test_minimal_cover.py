@@ -4,9 +4,10 @@
 without a span of positive length, sweeping only for the rest.  It must
 return exactly what ``reference_model.minimal_cover``, the rule that
 sweeps for every candidate, returns, None included.  The sweeps it still
-makes are counted through ``model._covers``, which only it calls in the
-module: a shortcut that marks too few sole covers answers the same, only
-slower, so the counts are pinned apart from the answers.
+makes are counted by patching ``model._covers``; in ``model`` only the
+drop rule calls it, and ``untangle`` calls its own imported name.  A pass
+that marks too few sole covers answers the same, only slower, so the
+counts are pinned apart from the answers.
 """
 
 import random
