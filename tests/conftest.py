@@ -15,7 +15,7 @@ from pathlib import Path
 from typing import Iterator
 
 import barriercover
-from barriercover import Instance, gen_random
+from barriercover import Instance, Sensor, gen_random
 from barriercover.generators import RandomStream
 
 CORPUS_SEED = 20260810
@@ -30,6 +30,27 @@ def random_corpus(count: int, seed0: int = CORPUS_SEED) -> Iterator[tuple[int, I
         budget = meta.next_int(0, 8)
         instance = gen_random(n, length, 1, 3, (-10, 15), seed0 + 1000 + case)
         yield case, instance, budget
+
+
+def near_tiling(n: int) -> Instance:
+    """n sensors, of which all but three tile the barrier with four of them nudged: OPT is 6 for n >= 11.
+
+    The first n - 3 have radii 1 + k % 3 and lie edge to edge from 0, L
+    being their total length; sensors 1, 3, 5 and 7 are then moved by +1,
+    -2, +2 and -1.  Three unit spares sit off the barrier at L + 10, L + 13
+    and L + 16.  The cheapest cover moves the nudged ones back, so the total
+    movement, and with it ``fpt_solve``'s search, stays the same whatever n.
+    """
+    radii = [1 + k % 3 for k in range(n - 3)]
+    homes = []
+    edge = 0
+    for r in radii:
+        homes.append(edge + r)
+        edge += 2 * r
+    for k, nudge in zip((1, 3, 5, 7), (1, -2, 2, -1)):
+        homes[k] += nudge
+    spares = [Sensor(edge + gap, 1) for gap in (10, 13, 16)]
+    return Instance(edge, tuple(Sensor(x, r) for x, r in zip(homes, radii)) + tuple(spares))
 
 
 def fresh_python(code: str, *args: str) -> str:

@@ -22,9 +22,10 @@ from barriercover import (
 )
 from barriercover import exact
 from barriercover.exact import gap_candidates
+from barriercover.order_dp import cheapest_first
 
 import reference_search as ref
-from conftest import random_corpus
+from conftest import near_tiling, random_corpus
 
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
 COVERING = Instance(4, (Sensor(1, 1), Sensor(3, 1)))
@@ -247,6 +248,20 @@ def _record_searches(monkeypatch):
 
     monkeypatch.setattr(exact, "_Search", Recorded)
     return searches
+
+
+class TestFptNearTiling:
+    """The FPT claim: with the total movement fixed, the search tree does not grow with n."""
+
+    @pytest.mark.parametrize("n", [20, 200, 2000])
+    def test_same_tree_at_every_n(self, monkeypatch, n):
+        inst = near_tiling(n)
+        searches = _record_searches(monkeypatch)
+        solution, value = cheapest_first(inst, lambda b: fpt_solve(inst, b))
+        assert inst.n == n and value == 6 == cost(inst, solution)
+        assert verify_coverage(inst, solution).covered
+        assert [(s.nodes, dict(s.pruned)) for s in searches] == [
+            (1, {"gap-measure": 1}), (35, {"gap-measure": 29})]
 
 
 # Each oracle row: its node count before the parent ran each child's entry
