@@ -503,14 +503,16 @@ def brute_force_order_preserving(
 
 def gap_candidates(
     xs: list[int], rs: list[int], gap_lo: int, gap_hi: int, limit: int, banned: Container[int]
-) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
-    """Sensors worth moving into the gap (gap_lo, gap_hi), keyed by their facing edge.
+) -> tuple[int, ...]:
+    """Sensors worth moving into the gap (gap_lo, gap_hi): ``fpt_solve``'s branch list, in index order.
 
     All on the grid 1/d of ``model.on_grid``, with ``limit`` the movement
-    still affordable.  The left groups map each grid point p in
-    [gap_lo - limit, gap_lo] to the sensors whose home right edge is p; the
-    right groups map each p in [gap_hi, gap_hi + limit] to those whose home
-    left edge is p.  Sensors in ``banned`` are left out.  Each point keeps
+    still affordable.  A sensor is grouped by its facing edge p: its home
+    right edge when p is in [gap_lo - limit, gap_lo], else its home left
+    edge when p is in [gap_hi, gap_hi + limit].  One dict holds both sides,
+    as left keys are <= gap_lo < gap_hi <= right keys, and no sensor has
+    both edges in range: a right edge at most gap_lo puts the left edge
+    below gap_hi.  Sensors in ``banned`` are left out.  Each point keeps
     only the limit+1 longest sensors (ties to the lower index): with at
     most ``limit`` movers, a discarded shorter sensor can be replaced at
     equal cost by a kept unmoved one, whose own home stays covered by a
@@ -518,26 +520,19 @@ def gap_candidates(
     discarded one, which then stays home, so it keeps the number of movers
     too: the trim is just as valid under ``fpt_solve``'s mover cap.
     """
-    left: dict[int, list[int]] = {}
-    right: dict[int, list[int]] = {}
+    groups: dict[int, list[int]] = {}
     for j in range(len(xs)):
         if j in banned:
             continue
-        edge = xs[j] + rs[j]
-        if gap_lo - limit <= edge <= gap_lo:
-            left.setdefault(edge, []).append(j)
-        edge = xs[j] - rs[j]
-        if gap_hi <= edge <= gap_hi + limit:
-            right.setdefault(edge, []).append(j)
-
-    def trim(groups: dict[int, list[int]]) -> dict[int, tuple[int, ...]]:
-        kept = {}
-        for p, members in groups.items():
-            members.sort(key=lambda j: (-rs[j], j))
-            kept[p] = tuple(members[: limit + 1])
-        return kept
-
-    return trim(left), trim(right)
+        right, left = xs[j] + rs[j], xs[j] - rs[j]
+        if gap_lo - limit <= right <= gap_lo:
+            groups.setdefault(right, []).append(j)
+        elif gap_hi <= left <= gap_hi + limit:
+            groups.setdefault(left, []).append(j)
+    kept: list[int] = []
+    for members in groups.values():
+        kept += sorted(members, key=lambda j: (-rs[j], j))[: limit + 1]
+    return tuple(sorted(kept))
 
 
 def fpt_solve(
@@ -551,10 +546,13 @@ def fpt_solve(
     A branch dies once its gaps total more than the remaining budget.
     Otherwise some still-unmoved sensor must cover the first unit of the
     leftmost gap (endpoints are integral, so an interval meeting the gap's
-    interior covers that whole unit); we branch over that gap's candidate
-    sensors — trimmed per edge group as in gap_candidates — and over every
-    grid center covering the unit within the remaining budget.  Every move
-    costs at least one grid unit, so the depth is bounded by the budget.
+    interior covers that whole unit); we branch over the sensors
+    ``gap_candidates`` lists for that gap, and over every grid center
+    covering the unit within the remaining budget.  Every move costs at
+    least one grid unit, so the depth is bounded by the budget.  No center
+    tried is the sensor's home: an unmoved sensor's home span never meets
+    the open leftmost gap, yet every center tried covers [gap_lo,
+    gap_lo + 1], which lies inside that gap.
 
     ``movers=k`` decides the k-mover variant: covers moving at most k
     sensors.  A node with holes and k sensors moved returns unbranched, and
@@ -592,17 +590,12 @@ def fpt_solve(
             pruned["gap-measure"] += 1
             return
         gap_lo, gap_hi = holes[0]
-        left, right = gap_candidates(xs, rs, gap_lo, gap_hi, room, moved)
-        for j in sorted({j for group in (*left.values(), *right.values()) for j in group}):
-            lo = max(gap_lo + 1 - rs[j], xs[j] - room)
-            hi = min(gap_lo + rs[j], xs[j] + room)
+        for j in gap_candidates(xs, rs, gap_lo, gap_hi, room, moved):
             moved.add(j)
-            for y in range(lo, hi + 1):
-                if y == xs[j]:
-                    continue
+            for y in range(max(gap_lo + 1 - rs[j], xs[j] - room), min(gap_lo + rs[j], xs[j] + room) + 1):
                 positions[j] = y
                 yield (spent + abs(y - xs[j]),)
-                positions[j] = xs[j]
+            positions[j] = xs[j]
             moved.discard(j)
 
     return search.run(visit, 0)

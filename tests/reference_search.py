@@ -7,12 +7,16 @@ it learned to skip, in the parent node, the children its own hole checks
 would kill at entry; copied verbatim, it makes every such child a node of
 its own, about n^2 / 2 of them on a tiling, so it lives here as the test
 oracle and not in the library.
+
+``gap_candidates`` is ``fpt_solve``'s candidate list as it stood when it
+returned the left and right edge groups as two dicts; the library's tuple
+must equal the sorted union of its groups.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, Optional
 
 from barriercover.exact import DEFAULT_NODE_CAP, _anchored_cover, _Search
 from barriercover.model import (
@@ -228,3 +232,42 @@ def oracle_optimal(
 ) -> Optional[tuple[Solution, Scalar]]:
     """Unrestricted optimum; None iff infeasible."""
     return brute_force(instance, node_cap=node_cap)
+
+
+def gap_candidates(
+    xs: list[int], rs: list[int], gap_lo: int, gap_hi: int, limit: int, banned: Container[int]
+) -> tuple[dict[int, tuple[int, ...]], dict[int, tuple[int, ...]]]:
+    """Sensors worth moving into the gap (gap_lo, gap_hi), keyed by their facing edge.
+
+    All on the grid 1/d of ``model.on_grid``, with ``limit`` the movement
+    still affordable.  The left groups map each grid point p in
+    [gap_lo - limit, gap_lo] to the sensors whose home right edge is p; the
+    right groups map each p in [gap_hi, gap_hi + limit] to those whose home
+    left edge is p.  Sensors in ``banned`` are left out.  Each point keeps
+    only the limit+1 longest sensors (ties to the lower index): with at
+    most ``limit`` movers, a discarded shorter sensor can be replaced at
+    equal cost by a kept unmoved one, whose own home stays covered by a
+    second kept one.  The exchange moves the kept sensor in place of the
+    discarded one, which then stays home, so it keeps the number of movers
+    too: the trim is just as valid under ``fpt_solve``'s mover cap.
+    """
+    left: dict[int, list[int]] = {}
+    right: dict[int, list[int]] = {}
+    for j in range(len(xs)):
+        if j in banned:
+            continue
+        edge = xs[j] + rs[j]
+        if gap_lo - limit <= edge <= gap_lo:
+            left.setdefault(edge, []).append(j)
+        edge = xs[j] - rs[j]
+        if gap_hi <= edge <= gap_hi + limit:
+            right.setdefault(edge, []).append(j)
+
+    def trim(groups: dict[int, list[int]]) -> dict[int, tuple[int, ...]]:
+        kept = {}
+        for p, members in groups.items():
+            members.sort(key=lambda j: (-rs[j], j))
+            kept[p] = tuple(members[: limit + 1])
+        return kept
+
+    return trim(left), trim(right)

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -93,25 +94,35 @@ class TestOrderPreservingBruteForce:
 
 class TestGapCandidates:
     def test_edge_groups(self):
-        # Home coverage is empty within [0, 10]: one gap (0, 10).
-        left, right = gap_candidates([-3, -2, 13], [1, 2, 2], 0, 10, 4, ())
-        assert left == {-2: (0,), 0: (1,)}
-        assert right == {11: (2,)}
+        # Home coverage is empty within [0, 10]: one gap (0, 10).  Sensors 0
+        # and 1 face it from the left (right edges -2 and 0), sensor 2 from
+        # the right (left edge 11).
+        assert gap_candidates([-3, -2, 13], [1, 2, 2], 0, 10, 4, ()) == (0, 1, 2)
 
     def test_longest_trim_and_tie_break(self):
         # Four sensors share the edge point 0; budget 1 keeps the two longest.
         rs = [1, 2, 3, 4]
-        left, _ = gap_candidates([-r for r in rs], rs, 0, 8, 1, ())
-        members = left[0]
-        assert len(members) == 2
-        assert [rs[j] for j in members] == [4, 3]
+        assert gap_candidates([-r for r in rs], rs, 0, 8, 1, ()) == (2, 3)
         # Equal lengths break ties toward the lower index.
-        left, _ = gap_candidates([-2, -2, -2], [2, 2, 2], 0, 8, 1, ())
-        assert left[0] == (0, 1)
+        assert gap_candidates([-2, -2, -2], [2, 2, 2], 0, 8, 1, ()) == (0, 1)
 
     def test_excluded_sensors_are_skipped(self):
-        left, right = gap_candidates([-1, -1], [1, 1], 0, 4, 3, {0})
-        assert {j for group in (*left.values(), *right.values()) for j in group} == {1}
+        assert gap_candidates([-1, -1], [1, 1], 0, 4, 3, {0}) == (1,)
+
+    def test_matches_the_two_group_form(self):
+        """The tuple is the sorted union of the old left and right edge groups, on 6,000 seeded inputs."""
+        rng = random.Random(20261020)
+        for _ in range(6000):
+            n = rng.randint(0, 12)
+            xs = [rng.randint(-15, 25) for _ in range(n)]
+            rs = [rng.randint(1, 4) for _ in range(n)]
+            gap_lo = rng.randint(0, 19)
+            gap_hi = rng.randint(gap_lo + 1, 20)
+            limit = rng.randint(0, 6)
+            banned = {j for j in range(n) if rng.random() < 0.25}
+            left, right = ref.gap_candidates(xs, rs, gap_lo, gap_hi, limit, banned)
+            union = {j for group in (*left.values(), *right.values()) for j in group}
+            assert gap_candidates(xs, rs, gap_lo, gap_hi, limit, banned) == tuple(sorted(union))
 
 
 class TestFpt:
