@@ -17,9 +17,8 @@ Solution files::
 
 Rationals are serialized ``p/q`` in lowest terms (bare integer when q = 1),
 so parse -> serialize is the identity on canonical files.  Sensor lines need
-not be pre-sorted; the loader sorts them (the Instance invariant) and can
-report the permutation it applied, which is what solution-file indices are
-relative to.
+not be pre-sorted: the loaded ``Instance`` sorts them stably by (x, r), and
+solution-file indices are relative to that sorted order.
 """
 
 from __future__ import annotations
@@ -67,12 +66,8 @@ def _data_lines(text: str) -> list[str]:
     ]
 
 
-def parse_instance_with_order(text: str) -> tuple[Instance, tuple[int, ...]]:
-    """Parse an instance file; also return the applied sort permutation.
-
-    ``order[k]`` is the input line number (0-based, among sensor lines) of
-    the sensor that ended up at index k after sorting.
-    """
+def parse_instance(text: str) -> Instance:
+    """Parse an instance file; the ``Instance`` sorts its sensors by (x, r)."""
     lines = _data_lines(text)
     if len(lines) < 2:
         raise ValueError("instance file needs an L line and an N line")
@@ -96,13 +91,7 @@ def parse_instance_with_order(text: str) -> tuple[Instance, tuple[int, ...]]:
         if len(parts) != 2:
             raise ValueError(f"sensor line must be '<x> <r>': {line!r}")
         sensors.append(Sensor(parse_scalar(parts[0]), parse_scalar(parts[1])))
-    instance = Instance(length=length, sensors=tuple(sensors))
-    order = sorted(range(count), key=lambda i: (sensors[i].x, sensors[i].r, i))
-    return instance, tuple(order)
-
-
-def parse_instance(text: str) -> Instance:
-    return parse_instance_with_order(text)[0]
+    return Instance(length=length, sensors=tuple(sensors))
 
 
 def serialize_instance(instance: Instance) -> str:

@@ -162,17 +162,16 @@ def reduce_exact_cover(ec: ExactCoverInstance) -> ReductionOutput:
     elem_weight = {j: Fraction(base) ** (j - 1) for j in range(1, m + 1)}
     dist_weight = {j: Fraction(base) ** (j + m) for j in range(1, m + 1)}
     sensors = []
-    tagged = []
-    for i, subset in enumerate(ec.sets):
+    for subset in ec.sets:
         radius = sum((elem_weight[j] for j in subset), start=Fraction(0)) / 2
         offset = sum((dist_weight[j] for j in subset), start=Fraction(0))
-        sensor = Sensor(-radius - offset, radius)
-        sensors.append(sensor)
-        tagged.append((sensor.x, sensor.r, i))
+        sensors.append(Sensor(-radius - offset, radius))
     length = sum(elem_weight.values(), start=Fraction(0))
     budget = sum(dist_weight.values(), start=Fraction(0)) + ec.max_sets * length
     instance = Instance(length=length, sensors=tuple(sensors))
-    order = sorted(range(n), key=lambda i: (tagged[i][0], tagged[i][1], i))
+    # ``Instance`` sorts its sensors stably by (x, r); the same stable sort of
+    # the set indices gives each sorted sensor's set.
+    order = sorted(range(n), key=lambda i: (sensors[i].x, sensors[i].r))
     return ReductionOutput(
         instance=instance,
         budget=budget,

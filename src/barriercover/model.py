@@ -77,11 +77,6 @@ class Sensor:
         if self.r <= 0:
             raise ValueError(f"sensor radius must be positive, got {self.r}")
 
-    def interval(self, center: Optional[ScalarLike] = None) -> tuple[Scalar, Scalar]:
-        """Closed interval covered when centered at ``center`` (default: home)."""
-        c = self.x if center is None else as_scalar(center)
-        return (c - self.r, c + self.r)
-
 
 @dataclass(frozen=True)
 class Instance:
@@ -108,10 +103,6 @@ class Instance:
     def home(self) -> Solution:
         """The no-movement solution."""
         return tuple(s.x for s in self.sensors)
-
-    def total_coverage(self) -> Scalar:
-        """Sum of all interval lengths, the most the sensors can ever cover."""
-        return sum((2 * s.r for s in self.sensors), start=Fraction(0))
 
     @cached_property
     def _grid(self) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:

@@ -59,7 +59,7 @@ def verify_coverage(
 
 def is_feasible(instance: Instance) -> bool:
     """Sensors may move anywhere, so total interval length is the only obstruction."""
-    return instance.total_coverage() >= instance.length
+    return sum(2 * s.r for s in instance.sensors) >= instance.length
 
 
 def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:

@@ -55,9 +55,9 @@ def _clipped_spans(
     idx = range(instance.n) if indices is None else indices
     spans = []
     for i in idx:
-        lo, hi = instance.sensors[i].interval(solution[i])
-        lo = max(lo, Fraction(0))
-        hi = min(hi, instance.length)
+        r = instance.sensors[i].r
+        lo = max(solution[i] - r, Fraction(0))
+        hi = min(solution[i] + r, instance.length)
         if lo <= hi:
             spans.append((lo, hi))
     return spans
@@ -155,8 +155,9 @@ def walk_next_swap(
 
 
 def _union_span(instance: Instance, y: Solution, pair: CrossingPair):
-    lo_i, hi_i = instance.sensors[pair.i].interval(y[pair.i])
-    lo_j, hi_j = instance.sensors[pair.j].interval(y[pair.j])
+    r_i, r_j = instance.sensors[pair.i].r, instance.sensors[pair.j].r
+    lo_i, hi_i = y[pair.i] - r_i, y[pair.i] + r_i
+    lo_j, hi_j = y[pair.j] - r_j, y[pair.j] + r_j
     if lo_i > hi_j:  # y_i > y_j, so only this side can separate them
         return None
     return min(lo_i, lo_j), max(hi_i, hi_j)

@@ -7,7 +7,6 @@ from barriercover.fileio import (
     format_scalar,
     load_solution,
     parse_instance,
-    parse_instance_with_order,
     parse_scalar,
     parse_solution,
     serialize_instance,
@@ -58,11 +57,10 @@ class TestInstanceFiles:
         inst = parse_instance(text)
         assert inst.length == 4 and inst.sensors == (Sensor(2, 1),)
 
-    def test_loader_sorts_and_reports_order(self):
+    def test_loader_sorts_sensor_lines(self):
         text = "L 4\nN 3\n5 1\n0 1\n0 2\n"
-        inst, order = parse_instance_with_order(text)
+        inst = parse_instance(text)
         assert [s.x for s in inst.sensors] == [0, 0, 5]
-        assert order == (1, 2, 0)
 
     def test_malformed_files(self):
         for text in (

@@ -34,7 +34,7 @@ class TestFig5:
     def test_total_length_identity(self):
         for rho, length in ((2, 12), (3, 20), (F(3, 2), 9)):
             inst = gen_fig5(rho, length)
-            assert inst.total_coverage() == inst.length
+            assert sum(2 * s.r for s in inst.sensors) == inst.length
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
