@@ -91,7 +91,8 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("--budget", help="movement budget in input units; without it the "
                        "exact solvers return the optimum (refused with dp-eps)")
     solve.add_argument("--eps", help="approximation parameter (dp-eps only; default: 1/2)")
-    solve.add_argument("--node-cap", type=_count, default=DEFAULT_NODE_CAP)
+    solve.add_argument("--node-cap", type=_count,
+                       help=f"search node cap (oracle, fpt, untangle-oracle; default: {DEFAULT_NODE_CAP})")
     solve.add_argument("--out", help="output path (default: stdout)")
     solve.add_argument("instance", help="instance file path")
 
@@ -121,9 +122,10 @@ _NEEDED = object()
 
 #: command -> mode -> every option the mode reads, with its default or ``_NEEDED``.
 #: A mode refuses its command's other options here; ``--family`` (``--algo``
-#: for solve), ``--out`` and ``--node-cap`` are common to every mode of the
-#: command.  A default of None leaves the option absent: solve's exact
-#: solvers then return the optimum.
+#: for solve) and ``--out`` are common to every mode of the command, and so
+#: is bench's ``--node-cap``: solve's is read only by the searches.  A
+#: default of None leaves the option absent: solve's exact solvers then
+#: return the optimum.
 _MODES = {
     "gen": {
         "--family fig5": {"rho": _NEEDED, "length": _NEEDED},
@@ -138,7 +140,11 @@ _MODES = {
         "--dir": {"dir": _NEEDED, "algos": "oracle,dp-optimal", "reference": "oracle", "eps": "1/2"},
     },
     "solve": {
-        **{f"--algo {name}": {"budget": None} for name in harness.SOLVERS if name != "dp-eps"},
+        "--algo oracle": {"budget": None, "node-cap": DEFAULT_NODE_CAP},
+        "--algo fpt": {"budget": None, "node-cap": DEFAULT_NODE_CAP},
+        "--algo untangle-oracle": {"budget": None, "node-cap": DEFAULT_NODE_CAP},
+        "--algo dp-exact": {"budget": None},
+        "--algo dp-optimal": {"budget": None},
         "--algo dp-eps": {"eps": "1/2"},
     },
 }

@@ -457,6 +457,20 @@ class TestModeTable:
         assert captured.out == ""
         assert f"error: --eps does not go with --algo {algo}" in captured.err
 
+    @pytest.mark.parametrize("algo", ["dp-eps", "dp-exact", "dp-optimal"])
+    def test_solve_refuses_node_cap_with_the_dp(self, algo, i1_path, capsys):
+        """The DP fills tables and searches no tree, so a --node-cap it would not honour is a usage error."""
+        assert main(["solve", "--algo", algo, "--node-cap", "0", i1_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: --node-cap does not go with --algo {algo}" in captured.err
+
+    @pytest.mark.parametrize("algo", ["fpt", "oracle", "untangle-oracle"])
+    def test_solve_searches_read_node_cap(self, algo, i1_path, capsys):
+        assert main(["solve", "--algo", algo, "--node-cap", "0", i1_path]) == 3
+        assert "explored more than 0 states" in capsys.readouterr().err
+        assert main(["solve", "--algo", algo, i1_path]) == 0
+
     def test_solve_empty_eps_is_not_the_default(self, i1_path, capsys):
         assert main(["solve", "--algo", "dp-eps", "--eps=", i1_path]) == 2
         assert "error: not a rational number: ''" in capsys.readouterr().err
