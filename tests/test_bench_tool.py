@@ -121,6 +121,17 @@ def test_untangle_rows_reach_fig5_L5120_and_a_two_deep_stack(bench_dp):
     assert len(y) == 400 and active == tuple(range(0, 400, 2))
 
 
+def test_search_rows_solve_the_near_tiling_at_n200_and_n2000(bench_dp):
+    """The FPT rows run ``cheapest_first`` over ``fpt_solve``: OPT is 6 at every n."""
+    import barriercover
+
+    rows = bench_dp.search_rows(barriercover)
+    assert [name for name in rows if name.startswith("fpt_solve.near_tiling")] == [
+        "fpt_solve.near_tiling_n200", "fpt_solve.near_tiling_n2000"]
+    y, value = rows["fpt_solve.near_tiling_n200"]()
+    assert len(y) == 200 and value == 6
+
+
 def test_pairs_count_wins_on_every_end_to_end_metric(bench_dp, monkeypatch):
     """A win is a better value by the metric's ``better`` direction in ``BENCHMARK.json``; a tie is no win."""
     def run(ops, p50, rss):

@@ -38,7 +38,10 @@ instances ``gen_random(6, 12, 1, 3, (-6, 18), s)`` for s = 0..199 (the
 sensors at x = 2i + 2, r = 1, whose only cover moves every sensor, and
 ``fpt_solve`` at budgets OPT and OPT - 1 on ``gen_random(6, 12, 1, 3,
 (-6, 18), s)`` for s = 0..14 with OPT > 0 (OPT comes from
-``oracle_optimal`` when the row is built, outside the timed call).
+``oracle_optimal`` when the row is built, outside the timed call), and
+``cheapest_first`` over ``fpt_solve`` on ``near_tiling(n)`` from
+``tests/conftest.py`` for n in {200, 2000}: OPT is 6 and the two searches
+explore 1 and 35 nodes whatever n, so the rows time what a node costs.
 Each row is timed in ``CHILDREN`` (3) child processes per side, each
 taking the median of ``--k`` runs in process CPU time (the CPU time of
 the row's own finished subprocesses included); the least of those child
@@ -192,7 +195,7 @@ def untangle_rows(bc) -> dict[str, Callable[[], object]]:
 
 
 def search_rows(bc) -> dict[str, Callable[[], object]]:
-    """The exact-oracle workload's largest oracles and random family, fig6 m=12, and the deep tiling."""
+    """The exact-oracle workload's largest oracles and random family, fig6 m=12, the deep and near tilings."""
     rows: dict[str, Callable[[], object]] = {}
     for length in (40, 44):
         rows[f"oracle_optimal.fig5_L{length}"] = lambda i=bc.gen_fig5(2, length): bc.oracle_optimal(i)
@@ -216,6 +219,13 @@ def search_rows(bc) -> dict[str, Callable[[], object]]:
             bc.fpt_solve(inst, opt - 1)
 
     rows["fpt_solve.random_n6_opt_and_opt_minus_1"] = fpt_at_and_below_opt
+    sys.path.insert(0, str(REPO / "tests"))
+    from conftest import near_tiling
+
+    cheapest_first = importlib.import_module(f"{bc.__name__}.order_dp").cheapest_first
+    for n in (200, 2000):
+        rows[f"fpt_solve.near_tiling_n{n}"] = lambda i=near_tiling(n): cheapest_first(
+            i, lambda b: bc.fpt_solve(i, b))
     return rows
 
 
