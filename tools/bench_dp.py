@@ -220,9 +220,9 @@ def search_rows(bc) -> dict[str, Callable[[], object]]:
 
     rows["fpt_solve.random_n6_opt_and_opt_minus_1"] = fpt_at_and_below_opt
     sys.path.insert(0, str(REPO / "tests"))
+    from barriercover.order_dp import cheapest_first
     from conftest import near_tiling
 
-    cheapest_first = importlib.import_module(f"{bc.__name__}.order_dp").cheapest_first
     for n in (200, 2000):
         rows[f"fpt_solve.near_tiling_n{n}"] = lambda i=near_tiling(n): cheapest_first(
             i, lambda b: bc.fpt_solve(i, b))
