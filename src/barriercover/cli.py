@@ -112,7 +112,9 @@ def _build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--algos", help="comma list of algorithms (--dir; default: oracle,dp-optimal)")
     bench.add_argument("--reference", help="algorithm rated against (--dir; default: oracle)")
     bench.add_argument("--eps", help="approximation parameter (--dir; default: 1/2)")
-    bench.add_argument("--node-cap", type=_count, default=DEFAULT_NODE_CAP)
+    bench.add_argument("--node-cap", type=_count,
+                       help="search node cap (--family, or --dir when --algos or --reference names "
+                       f"oracle, fpt or untangle-oracle; default: {DEFAULT_NODE_CAP})")
     bench.add_argument("--out", help="output path (default: stdout)")
     return parser
 
@@ -122,10 +124,10 @@ _NEEDED = object()
 
 #: command -> mode -> every option the mode reads, with its default or ``_NEEDED``.
 #: A mode refuses its command's other options here; ``--family`` (``--algo``
-#: for solve) and ``--out`` are common to every mode of the command, and so
-#: is bench's ``--node-cap``: solve's is read only by the searches.  A
+#: for solve) and ``--out`` are common to every mode of the command.  A
 #: default of None leaves the option absent: solve's exact solvers then
-#: return the optimum.
+#: return the optimum, and ``bench --dir`` takes ``--node-cap`` only when
+#: it runs a solver whose solve mode reads it.
 _MODES = {
     "gen": {
         "--family fig5": {"rho": _NEEDED, "length": _NEEDED},
@@ -135,9 +137,10 @@ _MODES = {
         "--family exact-cover": {"spec": _NEEDED},
     },
     "bench": {
-        "--family fig5": {"lengths": _NEEDED, "rho": "2"},
-        "--family fig6": {"ms": _NEEDED, "rho": "2", "delta": "1/8"},
-        "--dir": {"dir": _NEEDED, "algos": "oracle,dp-optimal", "reference": "oracle", "eps": "1/2"},
+        "--family fig5": {"lengths": _NEEDED, "rho": "2", "node-cap": DEFAULT_NODE_CAP},
+        "--family fig6": {"ms": _NEEDED, "rho": "2", "delta": "1/8", "node-cap": DEFAULT_NODE_CAP},
+        "--dir": {"dir": _NEEDED, "algos": "oracle,dp-optimal", "reference": "oracle", "eps": "1/2",
+                  "node-cap": None},
     },
     "solve": {
         "--algo oracle": {"budget": None, "node-cap": DEFAULT_NODE_CAP},
@@ -288,6 +291,10 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         if not algos:
             raise _CliError("--algos names no algorithm")
         harness.check_names([args.reference, *algos])
+        if args.node_cap is None:
+            args.node_cap = DEFAULT_NODE_CAP
+        elif not any("node-cap" in _MODES["solve"][f"--algo {name}"] for name in [args.reference, *algos]):
+            raise _CliError("--node-cap does not go with --dir unless --algos or --reference names a search")
         eps = parse_scalar(args.eps)
         if not args.dir or not Path(args.dir).is_dir():
             raise _CliError(f"cannot read directory {args.dir}: not an existing directory")

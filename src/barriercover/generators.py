@@ -13,8 +13,8 @@ CLI exit 3) from the closed-form count, before it builds a sensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterable
 
 from .model import (
     Instance,
@@ -22,6 +22,8 @@ from .model import (
     Scalar,
     ScalarLike,
     Sensor,
+    _set,
+    _Value,
     as_scalar,
 )
 
@@ -60,31 +62,35 @@ class RandomStream:
         return lo + self.next_raw() % (hi - lo + 1)
 
 
-@dataclass(frozen=True)
-class ExactCoverInstance:
+class ExactCoverInstance(_Value):
     """Set-cover-with-disjointness input: universe {1..m}, subsets, size bound."""
 
+    __slots__ = _fields = ("universe_size", "sets", "max_sets")
     universe_size: int
     sets: tuple[frozenset[int], ...]
     max_sets: int
 
-    def __post_init__(self) -> None:
-        if self.universe_size < 0:
+    def __init__(self, universe_size: int, sets: Iterable[Iterable[int]], max_sets: int) -> None:
+        if universe_size < 0:
             raise ValueError("universe size must be >= 0")
-        if self.max_sets < 0:
+        if max_sets < 0:
             raise ValueError("solution size bound must be >= 0")
-        sets = tuple(frozenset(s) for s in self.sets)
-        object.__setattr__(self, "sets", sets)
-        universe = set(range(1, self.universe_size + 1))
+        sets = tuple(frozenset(s) for s in sets)
+        universe = set(range(1, universe_size + 1))
         for s in sets:
             if not s:
                 raise ValueError("subsets must be nonempty")
             if not s <= universe:
                 raise ValueError(f"subset {sorted(s)} leaves the universe")
+        _set(self, "universe_size", universe_size)
+        _set(self, "sets", sets)
+        _set(self, "max_sets", max_sets)
+
+    def _values(self) -> tuple[int, tuple[frozenset[int], ...], int]:
+        return (self.universe_size, self.sets, self.max_sets)
 
 
-@dataclass(frozen=True)
-class ReductionOutput:
+class ReductionOutput(_Value):
     """Barrier instance encoding an exact-cover question as a k-mover budget query.
 
     ``source_sets[i]`` is the index of the subset that sensor ``i`` (in the
@@ -92,10 +98,20 @@ class ReductionOutput:
     solvers put on their grid (``model.on_grid``) themselves.
     """
 
+    __slots__ = _fields = ("instance", "budget", "movers", "source_sets")
     instance: Instance
     budget: Scalar
     movers: int
     source_sets: tuple[int, ...]
+
+    def __init__(self, instance: Instance, budget: Scalar, movers: int, source_sets: tuple[int, ...]) -> None:
+        _set(self, "instance", instance)
+        _set(self, "budget", budget)
+        _set(self, "movers", movers)
+        _set(self, "source_sets", source_sets)
+
+    def _values(self) -> tuple[Instance, Scalar, int, tuple[int, ...]]:
+        return (self.instance, self.budget, self.movers, self.source_sets)
 
 
 def gen_fig5(rho: ScalarLike, length: ScalarLike) -> Instance:

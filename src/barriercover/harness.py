@@ -18,7 +18,6 @@ parameters are plain arguments with no defaults, which the CLI supplies.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -30,6 +29,8 @@ from .model import (
     Scalar,
     ScalarLike,
     Solution,
+    _set,
+    _Value,
     as_scalar,
     cost,
     is_feasible,
@@ -42,10 +43,10 @@ STATUS_INFEASIBLE = "infeasible"
 STATUS_RESOURCE = "resource-limit"
 
 
-@dataclass(frozen=True)
-class RunRecord:
+class RunRecord(_Value):
     """One solver run on one instance; ratio = cost / reference when both exist."""
 
+    __slots__ = _fields = ("instance", "algo", "status", "cost", "ref_cost", "ratio", "time_ms")
     instance: str
     algo: str
     status: str
@@ -53,6 +54,27 @@ class RunRecord:
     ref_cost: Optional[Scalar]
     ratio: Optional[Scalar]
     time_ms: int
+
+    def __init__(
+        self,
+        instance: str,
+        algo: str,
+        status: str,
+        cost: Optional[Scalar],
+        ref_cost: Optional[Scalar],
+        ratio: Optional[Scalar],
+        time_ms: int,
+    ) -> None:
+        _set(self, "instance", instance)
+        _set(self, "algo", algo)
+        _set(self, "status", status)
+        _set(self, "cost", cost)
+        _set(self, "ref_cost", ref_cost)
+        _set(self, "ratio", ratio)
+        _set(self, "time_ms", time_ms)
+
+    def _values(self) -> tuple:
+        return (self.instance, self.algo, self.status, self.cost, self.ref_cost, self.ratio, self.time_ms)
 
     def csv_row(self) -> str:
         def fmt(v: Optional[Scalar]) -> str:

@@ -14,13 +14,17 @@ feasibility test, the greedy tiling and the coverage sweep run on Python
 ints and convert only what they return back to Fractions.
 
 All types are immutable values and all operations are pure functions, so
-everything here is safe to share across threads.
+everything here is safe to share across threads.  The record classes of
+every module derive from ``_Value``, defined here: equality, hashing and
+``repr`` over a field tuple, pickling by constructor arguments, and no
+assignment after ``__init__``.  They are written out rather than generated
+by the standard library, whose generator costs a small CLI call more
+import time than its solve (the README gives the numbers).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Container, Iterable, Optional, Sequence, Union
@@ -64,37 +68,90 @@ def as_scalar(value: ScalarLike) -> Scalar:
     return Fraction(value)
 
 
-@dataclass(frozen=True)
-class Sensor:
+#: Sets a field in ``__init__``, past ``_Value.__setattr__``'s refusal.
+_set = object.__setattr__
+
+
+class _Value:
+    """Base of the package's immutable records.
+
+    A subclass lists its field names in ``_fields`` and returns their
+    values, in that order, from ``_values``, which builds the tuple
+    directly; its ``__init__`` validates the fields and sets them with
+    ``_set``.  Instances of one class are equal when their field tuples
+    are, the hash is the field tuple's, and ``repr`` prints
+    ``Class(name=value, ...)``.  Pickle and copy rebuild through the
+    constructor, so a cache kept outside the fields (``Instance._grid``)
+    is recomputed, not carried.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        raise NotImplementedError
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        pairs = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{self.__class__.__qualname__}({pairs})"
+
+    def __reduce__(self) -> tuple:
+        return self.__class__, self._values()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Sensor(_Value):
     """One mobile sensor: initial center ``x`` and fixed radius ``r > 0``."""
 
+    __slots__ = _fields = ("x", "r")
     x: Scalar
     r: Scalar
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", as_scalar(self.x))
-        object.__setattr__(self, "r", as_scalar(self.r))
-        if self.r <= 0:
-            raise ValueError(f"sensor radius must be positive, got {self.r}")
+    def __init__(self, x: ScalarLike, r: ScalarLike) -> None:
+        x, r = as_scalar(x), as_scalar(r)
+        if r <= 0:
+            raise ValueError(f"sensor radius must be positive, got {r}")
+        _set(self, "x", x)
+        _set(self, "r", r)
+
+    def _values(self) -> tuple[Scalar, Scalar]:
+        return (self.x, self.r)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Value):
     """A barrier ``[0, length]`` plus sensors, kept sorted by (x, r).
 
     The constructor normalizes: sensors are re-sorted (stably) so that index
-    ``i`` always means position ``i`` in (x, r)-ascending order.
+    ``i`` always means position ``i`` in (x, r)-ascending order.  No
+    ``__slots__``: the instance's ``__dict__`` holds ``_grid``.
     """
 
+    _fields = ("length", "sensors")
     length: Scalar
     sensors: tuple[Sensor, ...]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "length", as_scalar(self.length))
-        if self.length < 0:
-            raise ValueError(f"barrier length must be >= 0, got {self.length}")
-        ordered = tuple(sorted(self.sensors, key=lambda s: (s.x, s.r)))
-        object.__setattr__(self, "sensors", ordered)
+    def __init__(self, length: ScalarLike, sensors: Iterable[Sensor]) -> None:
+        length = as_scalar(length)
+        if length < 0:
+            raise ValueError(f"barrier length must be >= 0, got {length}")
+        _set(self, "length", length)
+        _set(self, "sensors", tuple(sorted(sensors, key=lambda s: (s.x, s.r))))
+
+    def _values(self) -> tuple[Scalar, tuple[Sensor, ...]]:
+        return (self.length, self.sensors)
 
     @property
     def n(self) -> int:
@@ -124,16 +181,23 @@ class Instance:
         )
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(_Value):
     """Result of checking a solution: covered flag plus all maximal gaps.
 
     Gaps are the open uncovered sub-intervals of [0, L], pairwise disjoint
     and sorted; ``covered`` holds exactly when there are none.
     """
 
+    __slots__ = _fields = ("covered", "gaps")
     covered: bool
     gaps: tuple[tuple[Scalar, Scalar], ...]
+
+    def __init__(self, covered: bool, gaps: tuple[tuple[Scalar, Scalar], ...]) -> None:
+        _set(self, "covered", covered)
+        _set(self, "gaps", gaps)
+
+    def _values(self) -> tuple[bool, tuple[tuple[Scalar, Scalar], ...]]:
+        return (self.covered, self.gaps)
 
 
 def as_solution(instance: Instance, values: Iterable[ScalarLike]) -> Solution:

@@ -45,7 +45,6 @@ Fraction.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
@@ -61,6 +60,7 @@ from .model import (
     _covers,
     _home_gaps,
     _to_grid,
+    _Value,
     as_scalar,
     grid_units,
     integral_scale_factor,
@@ -74,8 +74,7 @@ from .model import (
 DEFAULT_CELL_CAP = 500_000
 
 
-@dataclass
-class DpTable:
+class DpTable(_Value):
     """Budget-indexed coverage table plus the choices that produced it, on the grid 1/scale.
 
     ``rows[i][b]`` is the reach of the first i sensors with b units of
@@ -85,8 +84,17 @@ class DpTable:
     min(xs[i-1] + k*step, rows[i-1][b-k] + rs[i-1]), input position over
     ``scale``; ``length``, ``xs``, ``rs`` and ``step`` (the unit) are the
     instance on the table's grid.  ``fills`` resume the rows' fills.
+
+    Unlike the other records the table is mutable and unhashable; its
+    ``==`` and ``repr`` cover every field but ``fills``, and it copies as
+    a plain object (a deep copy or pickle fails on the fills).
     """
 
+    _fields = ("unit", "scale", "length", "xs", "rs", "step", "rows", "choices")
+    __hash__ = None  # type: ignore[assignment]
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __reduce__ = object.__reduce__
     unit: Scalar
     scale: int
     length: int
@@ -95,7 +103,32 @@ class DpTable:
     step: int
     rows: list[list[int]]
     choices: list[list[int]]
-    fills: list[Iterator[None]] = field(repr=False, compare=False)
+    fills: list[Iterator[None]]
+
+    def __init__(
+        self,
+        unit: Scalar,
+        scale: int,
+        length: int,
+        xs: list[int],
+        rs: list[int],
+        step: int,
+        rows: list[list[int]],
+        choices: list[list[int]],
+        fills: list[Iterator[None]],
+    ) -> None:
+        self.unit = unit
+        self.scale = scale
+        self.length = length
+        self.xs = xs
+        self.rs = rs
+        self.step = step
+        self.rows = rows
+        self.choices = choices
+        self.fills = fills
+
+    def _values(self) -> tuple:
+        return (self.unit, self.scale, self.length, self.xs, self.rs, self.step, self.rows, self.choices)
 
     def grow(self, budget_units: int) -> None:
         """Widen to budgets 0..budget_units; each row resumes its fill, so no column is filled twice.

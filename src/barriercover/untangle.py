@@ -25,7 +25,6 @@ full coverage sweep checks the result at the end.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -38,22 +37,29 @@ from .model import (
     Solution,
     _covers,
     _minimal_cover,
+    _set,
     _to_grid,
+    _Value,
     as_solution,
     on_grid,
 )
 
 
-@dataclass(frozen=True)
-class CrossingPair:
+class CrossingPair(_Value):
     """Sensor indices i < j whose positions satisfy y_i > y_j."""
 
+    __slots__ = _fields = ("i", "j")
     i: int
     j: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.i < self.j:
+    def __init__(self, i: int, j: int) -> None:
+        if not 0 <= i < j:
             raise ValueError("need 0 <= i < j")
+        _set(self, "i", i)
+        _set(self, "j", j)
+
+    def _values(self) -> tuple[int, int]:
+        return (self.i, self.j)
 
 
 def crossing_pairs(

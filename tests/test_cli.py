@@ -385,6 +385,34 @@ class TestBench:
         assert captured.out == ""
         assert f"{flag} does not go with" in captured.err
 
+    def test_dir_refuses_node_cap_without_a_search(self, tmp_path, capsys):
+        """Only oracle, fpt and untangle-oracle read the cap, so a --dir run of the DP alone refuses it."""
+        (tmp_path / "a.bc").write_text(I1_TEXT)
+        argv = ["bench", "--dir", str(tmp_path), "--algos", "dp-optimal,dp-eps", "--reference", "dp-optimal"]
+        assert main([*argv, "--node-cap", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: --node-cap does not go with --dir" in captured.err
+        assert main(argv) == 0
+
+    @pytest.mark.parametrize("names, capped", [
+        (["--algos", "oracle", "--reference", "dp-optimal"], "a,oracle,resource-limit,,,,"),
+        (["--algos", "dp-eps", "--reference", "oracle"], "a,dp-eps,resource-limit,3,,,"),
+    ])
+    def test_dir_node_cap_reaches_a_named_search(self, names, capped, tmp_path, capsys):
+        """With a search among --algos or the --reference, the cap is read: at 0 that search aborts."""
+        (tmp_path / "a.bc").write_text(I1_TEXT)
+        assert main(["bench", "--dir", str(tmp_path), *names, "--node-cap", "0"]) == 0
+        (row,) = capsys.readouterr().out.splitlines()[1:]
+        assert row.startswith(capped)
+
+    @pytest.mark.parametrize("family", [["--family", "fig5", "--lengths", "8"], ["--family", "fig6", "--ms", "2"]])
+    def test_family_reads_node_cap(self, family, capsys):
+        """Both family sweeps run the oracle, so they take --node-cap: at 0 every row aborts."""
+        assert main(["bench", *family, "--node-cap", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert rows and all(",resource-limit," in row for row in rows)
+
     def test_fig6_family_defaults(self, capsys):
         assert main(["bench", "--family", "fig6", "--ms", "2"]) == 0
         default = capsys.readouterr().out
@@ -487,7 +515,7 @@ class TestModeTable:
             for flag in action.option_strings
         }
         named = {f"--{name}" for options in cli._MODES[command].values() for name in options}
-        assert flags - named <= {"--algo" if command == "solve" else "--family", "--out", "--node-cap"}
+        assert flags - named <= {"--algo" if command == "solve" else "--family", "--out"}
         assert named <= flags
 
 
