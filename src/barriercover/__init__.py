@@ -9,6 +9,12 @@ from ``exact``, ``order_dp`` and ``generators`` load their module on first
 access.  ``untangle`` stays eager: the package exports a function of that
 name, and a lazy one would let a prior ``import barriercover.untangle``
 bind the package attribute to the submodule instead.
+
+The record classes (``Sensor``, ``Instance``, ``CoverageReport``,
+``CrossingPair``, ``RunRecord``, ``DpTable``, ``ExactCoverInstance``,
+``ReductionOutput``) derive from ``model._Value``, a small value-type base,
+so neither the package nor any CLI command imports the standard library's
+class generator and the ``inspect`` machinery it loads.
 """
 
 from importlib import import_module as _import_module

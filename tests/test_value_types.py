@@ -18,7 +18,7 @@ import pytest
 import barriercover
 from barriercover.generators import ExactCoverInstance, ReductionOutput
 from barriercover.harness import SOLVERS, RunRecord
-from barriercover.model import CoverageReport, Instance, Sensor, on_grid
+from barriercover.model import CoverageReport, Instance, Sensor
 from barriercover.order_dp import DpTable, budget_table
 from barriercover.untangle import CrossingPair
 
@@ -115,6 +115,7 @@ class TestValueContract:
         assert value._values() == fields
 
     def test_pickle_and_copy_round_trip(self, value, fields, text, other):
+        """An Instance whose grid was read is covered by ``test_model``'s grid-cache tests."""
         for twin in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
             assert type(twin) is type(value)
             assert twin == value and hash(twin) == hash(value) and repr(twin) == text
@@ -122,25 +123,6 @@ class TestValueContract:
     def test_keyword_construction(self, value, fields, text, other):
         keywords = dict(zip(type(value)._fields, fields))
         assert type(value)(**keywords) == value
-
-
-def test_instance_with_a_read_grid_round_trips():
-    """The cached grid lives outside the fields: equality, hash and repr ignore it, and a copy recomputes it."""
-    inst = Instance(F(5, 2), (Sensor(F(-1, 3), F(1, 2)), Sensor(2, 1)))
-    fresh = Instance(F(5, 2), inst.sensors)
-    grid = on_grid(inst)
-    assert "_grid" in vars(inst) and inst == fresh and hash(inst) == hash(fresh) and repr(inst) == repr(fresh)
-    for twin in (pickle.loads(pickle.dumps(inst)), copy.copy(inst), copy.deepcopy(inst)):
-        assert twin == inst and hash(twin) == hash(inst)
-        assert on_grid(twin) == grid
-
-
-def test_constructors_coerce_and_sort():
-    assert Sensor("1/2", 1) == Sensor(x=F(1, 2), r=F(1))
-    assert type(Sensor(1, 1).x) is F
-    inst = Instance(length="3", sensors=[Sensor(2, 1), Sensor(0, 2), Sensor(0, 1)])
-    assert inst.sensors == (Sensor(0, 1), Sensor(0, 2), Sensor(2, 1))
-    assert COVER.sets == (frozenset({1, 2}), frozenset({3}))
 
 
 @pytest.mark.parametrize("build, message", [
@@ -157,13 +139,6 @@ def test_constructors_coerce_and_sort():
 def test_validation_errors(build, message):
     with pytest.raises(ValueError, match=message):
         build()
-
-
-def test_floats_are_refused():
-    with pytest.raises(TypeError, match="floats are not exact"):
-        Sensor(0.5, 1)
-    with pytest.raises(TypeError, match="floats are not exact"):
-        Instance(1.0, ())
 
 
 class TestDpTable:
