@@ -11,10 +11,13 @@ Each row is filled in O(U) for U budget units, so a table costs O(n*U).
 Cell (i, b) reads row i-1 only at budgets <= b, so a table grows without
 a refill (``DpTable.grow``): ``dp_optimal`` grows one table through all its
 budget doublings, and a call fills O(n*W) cells for its final width W.
-A one-shot table (``_dp_within``: ``dp_exact`` and each ``dp_eps`` guess)
-is filled row by row and stops at the first row that proves it cannot
-cover: its reach at the full budget plus twice the radii of the sensors
-still to come falls short of L.
+``dp_eps`` does the same with the guesses whose unit q is no coarser than
+the instance's grid 1/d (the two share ``_grown_cover``): there the exact
+table is the narrower one, and its hit is OPT_op.
+A one-shot table (``_dp_within``: ``dp_exact`` and each ``dp_eps`` guess
+with q > 1/d) is filled row by row and stops at the first row that proves
+it cannot cover: its reach at the full budget plus twice the radii of the
+sensors still to come falls short of L.
 The doublings (``cheapest_first``) start at the largest power of two at
 most G, the home solution's total gap (``model._home_gaps``): every cover
 costs at least G, so no smaller budget can hit.
@@ -145,7 +148,9 @@ class DpTable(_Value):
             raise ValueError(f"cannot shrink a DP table from budget {len(self.rows[0]) - 1} to {budget_units}")
         cells = len(self.rows) * (budget_units + 1)
         if cells > DEFAULT_CELL_CAP:
-            raise ResourceLimitError(f"DP table of {cells} cells exceeds the cap {DEFAULT_CELL_CAP}")
+            # Past 4,300 digits str() itself raises ValueError, so a huge count is given by its bit length.
+            count = cells if cells.bit_length() <= 64 else f"a {cells.bit_length():,}-bit number of"
+            raise ResourceLimitError(f"DP table of {count} cells exceeds the cap {DEFAULT_CELL_CAP}")
         self.rows[0][:] = [0] * (budget_units + 1)
         self.choices[0][:] = [-1] * (budget_units + 1)
 
@@ -422,15 +427,23 @@ def dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:
         return instance.home(), minimal_active_set(instance, instance.home())
     d = integral_scale_factor(instance)
     tables: list[DpTable] = []
+    return cheapest_first(instance, lambda budget: _grown_cover(instance, tables, _to_grid(budget, d), d))
 
-    def solve(budget: Scalar) -> Optional[tuple[Solution, ActiveSet]]:
-        if tables:
-            tables[0].grow(_to_grid(budget, d))
-        else:
-            tables.append(budget_table(instance, _to_grid(budget, d), Fraction(1, d)))
-        return _cheapest_cover(instance, tables[0])
 
-    return cheapest_first(instance, solve)
+def _grown_cover(
+    instance: Instance, tables: list[DpTable], units: int, d: int
+) -> Optional[tuple[Solution, ActiveSet]]:
+    """The cheapest cover within ``units`` steps of 1/d, or None, on one table kept in ``tables``.
+
+    The first call fills ``budget_table(instance, units, 1/d)`` into the
+    empty list; each later call widens that table with ``DpTable.grow``,
+    so ``units`` must not decrease from call to call.
+    """
+    if tables:
+        tables[0].grow(units)
+    else:
+        tables.append(budget_table(instance, units, Fraction(1, d)))
+    return _cheapest_cover(instance, tables[0])
 
 
 def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
@@ -454,6 +467,32 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
     instance's grid 1/d, the home gaps come from the grid, a guess is
     g/(2d), and a cover is accepted when its cost on the grid 1/(4sdn),
     which holds every position a table places, is at most (2s + p)*g*n.
+
+    A guess whose q is no coarser than the instance's grid, q <= 1/d, runs
+    no rounded table.  With f = 4sn, q = p*g / (f*d), so that is p*g <= f.
+    Such a guess widens the call's one exact table, unit 1/d as in
+    ``dp_optimal``, to units*p*g // f steps, the floor of units*q in grid
+    units, and a hit there is returned without the acceptance test: it is
+    an OPT_op cover, so it meets the (1 + eps) bound.  Three facts make
+    this safe:
+
+    (a) It hits no later.  A cover the rounded table finds at a guess costs
+    at most units*q, as above.  The DP on the 1/d grid is exact, so OPT_op
+    is a whole number of grid steps, at most that cost, and hence at most
+    units*p*g // f: the exact table hits at that guess or an earlier one,
+    never at a later one.  So every guess the call reaches was reached
+    before, and the skip floor above (units*q < G) covers both kinds of
+    table, since G is a whole number of grid steps too.
+
+    (b) It is never larger.  The widths units*p*g // f never decrease with
+    g, so one table grows through them (``DpTable.grow``), and none passes
+    units: the exact table has at most (n+1)*(units+1) cells, the size of
+    the rounded table at the same guess.  By (a) that guess was filled
+    before, so the cell cap never fires where it did not fire before.
+
+    (c) Past the grid, nothing changes.  Once q > 1/d, each guess runs the
+    rounded ``_dp_within`` and its acceptance test as before, and by (a)
+    the guesses it reaches are the ones it reached before.
     """
     eps = as_scalar(eps)
     if eps <= 0:
@@ -472,12 +511,19 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
     floor = f * sum(hi - lo for lo, hi in gaps)
     _, upper = greedy_cover(instance)
     top = 4 * _to_grid(upper, d)
+    tables: list[DpTable] = []
     while True:
-        found = _dp_within(instance, units, Fraction(p * g, f * d)) if g * units * p >= floor else None
-        if found is not None:
-            moved = sum(abs(_to_grid(y, f * d) - x * f) for y, x in zip(found[0], xs))
-            if moved <= (2 * s + p) * g * n:
-                return found
+        if g * units * p >= floor:
+            if p * g <= f:
+                found = _grown_cover(instance, tables, units * p * g // f, d)
+                if found is not None:
+                    return found
+            else:
+                found = _dp_within(instance, units, Fraction(p * g, f * d))
+                if found is not None:
+                    moved = sum(abs(_to_grid(y, f * d) - x * f) for y, x in zip(found[0], xs))
+                    if moved <= (2 * s + p) * g * n:
+                        return found
         if g > top:
             raise RuntimeError("guess doubling escaped its upper bound")
         g *= 2

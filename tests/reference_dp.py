@@ -248,11 +248,17 @@ def reference_dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, Act
     guess = max(hi - lo for lo, hi in report.gaps) / 2
     _, upper = greedy_cover(instance)
     units = math.ceil(instance.n / half) + instance.n
+    d = integral_scale_factor(instance)
     while True:
         params = EpsParams(eps=half, opt_guess=guess, n=instance.n)
-        found = _dp_within(instance, units, params.q)
-        if found is not None and cost(instance, found[0]) <= (1 + half) * guess:
-            return found
+        if params.q * d <= 1:
+            found = _dp_within(instance, math.floor(units * params.q * d), Fraction(1, d))
+            if found is not None:
+                return found
+        else:
+            found = _dp_within(instance, units, params.q)
+            if found is not None and cost(instance, found[0]) <= (1 + half) * guess:
+                return found
         if guess > 2 * upper:
             raise RuntimeError("guess doubling escaped its upper bound")
         guess *= 2

@@ -5,9 +5,9 @@ from pathlib import Path
 
 import pytest
 
-from barriercover import cli, harness
+from barriercover import cli, gen_random, harness, scale_instance
 from barriercover.cli import main
-from barriercover.fileio import parse_instance, parse_solution
+from barriercover.fileio import parse_instance, parse_solution, serialize_instance
 
 from conftest import fresh_python
 
@@ -115,13 +115,46 @@ class TestSolve:
         recorded, _ = parse_solution(capsys.readouterr().out)
         assert recorded == 3
 
-    def test_dp_eps_tiny_eps_hits_the_cell_cap(self, capsys):
-        # eps = 1/100000 asks for a 3 x 400,003 table; the cap refuses it up front.
+    def test_dp_eps_tiny_eps_hits_the_cell_cap(self, tmp_path, capsys):
+        # At eps = 1/100000 every guess runs on the exact grid; the first budget past OPT_op = 23,000
+        # is 24,000 steps, a 21 x 24,001 table, and the cap refuses it before the grow.
+        path = tmp_path / "scaled.bc"
+        path.write_text(serialize_instance(scale_instance(gen_random(20, 40, 1, 3, (-20, 60), 7), 1000)))
+        start = time.process_time()
+        assert main(["solve", "--algo", "dp-eps", "--eps", "1/100000", str(path)]) == 3
+        assert time.process_time() - start < 1
+        assert "DP table of 504021 cells exceeds the cap 500000" in capsys.readouterr().err
+
+    def test_dp_eps_tiny_eps_on_the_exact_grid(self, capsys):
+        # On i1 every guess up to the hit has q <= 1/d: the exact table stays a few steps wide.
         path = str(CORPORA / "i1.bc")
         start = time.process_time()
-        assert main(["solve", "--algo", "dp-eps", "--eps", "1/100000", path]) == 3
+        assert main(["solve", "--algo", "dp-eps", "--eps", "1/100000", path]) == 0
         assert time.process_time() - start < 1
-        assert "exceeds the cap" in capsys.readouterr().err
+        recorded, _ = parse_solution(capsys.readouterr().out)
+        assert recorded == 3
+
+    @pytest.mark.parametrize("algo", [["dp-optimal"], ["dp-exact", "--budget", "1"]])
+    def test_dp_cell_cap_on_a_grid_past_the_int_str_limit(self, algo, tmp_path, capsys):
+        """Sensor i at 2i + 1 + 1/p_i, p_i the i-th prime: d and the cell count pass 4,300 digits.
+
+        The cap's message gives the count's bit length, so the run exits 3,
+        not 2 on a ValueError from formatting the count.
+        """
+        primes = []
+        candidate = 2
+        while len(primes) < 1300:
+            if all(candidate % p for p in primes if p * p <= candidate):
+                primes.append(candidate)
+            candidate += 1
+        n = len(primes)
+        lines = [f"L {2 * n}", f"N {n}"] + [f"{(2 * i + 1) * p + 1}/{p} 1" for i, p in enumerate(primes)]
+        path = tmp_path / "primes.bc"
+        path.write_text("\n".join(lines) + "\n")
+        start = time.process_time()
+        assert main(["solve", "--algo", *algo, str(path)]) == 3
+        assert time.process_time() - start < 2
+        assert "-bit number of cells exceeds the cap 500000" in capsys.readouterr().err
 
     def test_oracle_zero_budget_on_covering_instance(self, tmp_path, capsys):
         path = tmp_path / "cov.bc"

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from barriercover import (
@@ -201,6 +201,11 @@ class TestTableInvariants:
             table.grow(5)
         assert (table.rows, table.choices) == (filled.rows, filled.choices)
 
+    def test_cell_cap_message_past_the_int_str_limit(self):
+        """A cell count past 4,300 digits is given by its bit length: str() of it would raise ValueError."""
+        with pytest.raises(ResourceLimitError, match=r"^DP table of a 14,618-bit number of cells exceeds the cap 500000$"):
+            budget_table(Instance(4, (Sensor(1, 1),)), 10**4400, 1)
+
     def test_grow_never_shrinks(self):
         table = budget_table(I1, 4)
         table.grow(4)
@@ -282,6 +287,19 @@ class TestCheapestFirst:
         assert [b * 2 for b in self.budgets(scale_instance(instance, F(1, 2)))] == self.budgets(instance)
 
 
+def count_calls(monkeypatch, module, name):
+    """Wrap ``module.name`` so each call adds one to the returned one-item list."""
+    calls = [0]
+    real = getattr(module, name)
+
+    def counted(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def rows_per_table(monkeypatch, instance, call):
     """``call()``'s result and the rows each of its tables filled, counted by a ``_fill_row`` wrapper.
 
@@ -340,8 +358,9 @@ class TestDpWithin:
                     stops.add(rows[0])
         assert len(stops) >= 5, stops
 
-    @pytest.mark.parametrize("length, rows", [(12, [2, 4, 5]), (18, [2, 4, 6, 8])])
+    @pytest.mark.parametrize("length, rows", [(12, [5]), (18, [8])])
     def test_dp_eps_rows_on_fig5(self, monkeypatch, length, rows):
+        """Every fig5 guess has q <= 1/d, so ``dp_eps`` grows one exact table, which fills every row."""
         inst = gen_fig5(2, length)
         assert rows_per_table(monkeypatch, inst, lambda: dp_eps(inst, F(1, 2)))[1] == rows
 
@@ -410,19 +429,30 @@ class TestDpEps:
                 assert verify_coverage(inst, solution, active).covered
 
     def test_guesses_below_the_gap_bound_fill_no_table(self, monkeypatch):
-        """fig5 L=18: the first guess, 1/16 per step, cannot pay for the home gaps, so 5 tables become 4."""
-        for module, solver, tables in ((order_dp, dp_eps, 4), (reference_dp, reference_dp_eps, 5)):
-            units = []
-            real = module._dp_within
+        """fig5 L=18: the guesses' units q = 2^k/16 are at most 1/d = 1, so each runs on the exact grid
+        at floor(40q) steps.  The first, 2 steps, cannot pay for the home gaps, so it fills nothing:
+        one table grows through 5, 10, 20 and 40 steps, where the reference refills 5 tables."""
+        inst = gen_fig5(2, 18)
+        units = []
+        real_within, real_grow = reference_dp._dp_within, order_dp.DpTable.grow
 
-            def recorded(instance, budget_units, unit, real=real):
-                units.append((budget_units, unit))
-                return real(instance, budget_units, unit)
+        def recorded(instance, budget_units, unit):
+            units.append((budget_units, unit))
+            return real_within(instance, budget_units, unit)
 
-            monkeypatch.setattr(module, "_dp_within", recorded)
-            solution, _ = solver(gen_fig5(2, 18), F(1, 2))
-            assert cost(gen_fig5(2, 18), solution) == 30
-            assert units == [(40, F(2**k, 16)) for k in range(5 - tables, 5)]
+        def grown(table, budget_units):
+            units.append((budget_units, table.unit))
+            real_grow(table, budget_units)
+
+        monkeypatch.setattr(order_dp, "_dp_within", recorded)
+        monkeypatch.setattr(order_dp.DpTable, "grow", grown)
+        tables = count_calls(monkeypatch, order_dp, "budget_table")
+        assert cost(inst, dp_eps(inst, F(1, 2))[0]) == 30
+        assert (tables, units) == ([1], [(b, 1) for b in (5, 10, 20, 40)])
+        units.clear()
+        monkeypatch.setattr(reference_dp, "_dp_within", recorded)
+        assert cost(inst, reference_dp_eps(inst, F(1, 2))[0]) == 30
+        assert units == [(b, 1) for b in (2, 5, 10, 20, 40)]
 
     def test_fractional_instance(self):
         # No integrality requirement: eighth-grid coordinates work directly.
@@ -432,6 +462,78 @@ class TestDpEps:
         )
         solution, active = dp_eps(inst, F(1, 2))
         assert verify_coverage(inst, solution, active).covered
+
+
+def eps_tables(monkeypatch, instance, eps):
+    """``dp_eps(instance, eps)``, the tables it filled, and whether its cover came from the exact table.
+
+    A table is ("within", units, unit) for a rounded one-shot ``_dp_within``
+    call, or ("exact", width) for each width the exact table is filled or
+    grown to; ``made`` counts the exact tables made by ``budget_table``.
+    """
+    tables = []
+    real_within, real_grow = order_dp._dp_within, order_dp.DpTable.grow
+
+    def within(inst, units, unit):
+        tables.append(("within", units, unit))
+        return real_within(inst, units, unit)
+
+    def grow(table, units):
+        tables.append(("exact", units))
+        real_grow(table, units)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(order_dp, "_dp_within", within)
+        patch.setattr(order_dp.DpTable, "grow", grow)
+        made = count_calls(patch, order_dp, "budget_table")
+        found = dp_eps(instance, eps)
+    return found, tables, made[0], bool(tables) and tables[-1][0] == "exact"
+
+
+def grid_unit_instances():
+    """fig5 L = 8..24, random n = 10/20/40 (seed 7), and the n = 20 one scaled by 100 and 1000."""
+    yield from (gen_fig5(2, length) for length in range(8, 25, 2))
+    yield from (gen_random(n, 2 * n, 1, 3, (-n, 3 * n), 7) for n in (10, 20, 40))
+    yield from (scale_instance(gen_random(20, 40, 1, 3, (-20, 60), 7), c) for c in (100, 1000))
+
+
+class TestDpEpsGridUnit:
+    """A ``dp_eps`` guess with q <= 1/d grows the call's one exact table instead of a rounded one."""
+
+    def test_tables_never_finer_than_the_grid_nor_wider_than_units(self, monkeypatch):
+        hits = {True: 0, False: 0}
+        for inst in grid_unit_instances():
+            d = integral_scale_factor(inst)
+            for eps in (F(1), F(1, 2), F(1, 4)):
+                found, tables, made, exact = eps_tables(monkeypatch, inst, eps)
+                units = -(-2 * inst.n // eps) + inst.n
+                assert all(t[2] * d > 1 for t in tables if t[0] == "within"), (inst, eps)
+                assert all(t[1] <= units for t in tables), (inst, eps)
+                assert made <= 1 and made == any(t[0] == "exact" for t in tables), (inst, eps)
+                if exact:
+                    assert found == dp_optimal(inst), (inst, eps)
+                hits[exact] += 1
+        assert hits == {True: 24, False: 18}
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 12),
+        st.lists(st.tuples(st.integers(-6, 16), st.integers(1, 3)), min_size=1, max_size=5),
+        st.sampled_from([F(2), F(1), F(2, 3), F(1, 2), F(1, 4)]),
+    )
+    @example(4, [(0, 1), (5, 1)], F(1, 2))
+    def test_an_exact_hit_is_dp_optimal(self, length, sensors, eps):
+        """A cover from the exact table is ``dp_optimal``'s own; any cover is within (1 + eps) of it."""
+        inst = Instance(length, tuple(Sensor(x, r) for x, r in sensors))
+        try:
+            best = dp_optimal(inst)
+        except InfeasibleError:
+            return
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            found, _, _, exact = eps_tables(monkeypatch, inst, eps)
+        if exact:
+            assert found == best
+        assert cost(inst, found[0]) <= (1 + eps) * cost(inst, best[0])
 
 
 class TestLargeInstances:
@@ -452,16 +554,19 @@ class TestLargeInstances:
                     assert is_order_preserving(inst, solution, active)
 
     def test_eps_cost_scales_past_the_exact_cell_cap(self):
-        """Scaling the coordinates by c scales dp_eps's cost by c, at every scale.
+        """Scaling the coordinates by c scales dp_eps's cost by c once its guesses' q pass 1/d.
 
-        At c = 1000 (and 1000/7) ``dp_optimal`` on this instance hits the
-        cell cap; ``dp_eps``'s grid follows its guess, so its table does not grow.
+        At c = 1 the guess that hits has q <= 1/d, so it runs on the exact
+        grid and returns OPT_op = 23.  At c = 100, 1000 and 1000/7 it has
+        q > 1/d and returns c * 117/5 as before.  At c = 1000 (and 1000/7)
+        ``dp_optimal`` on this instance hits the cell cap; ``dp_eps``'s grid
+        follows its guess, so its table does not grow.
         """
         base = gen_random(20, 40, 1, 3, (-20, 60), 7)
-        for c in (F(1), F(100), F(1000), F(1000, 7)):
+        for c, want in ((F(1), 23), (F(100), 2340), (F(1000), 23400), (F(1000, 7), F(23400, 7))):
             inst = scale_instance(base, c)
             solution, active = dp_eps(inst, F(1, 2))
-            assert cost(inst, solution) == c * F(117, 5), c
+            assert cost(inst, solution) == want == (23 if c == 1 else c * F(117, 5)), c
             assert verify_coverage(inst, solution, active).covered
 
     def test_fig5_order_preserving_optimum_at_l40(self):

@@ -13,8 +13,8 @@ subcommands, run from the repository root:
 ``rows`` times the topic's baseline rows on the ``barriercover`` in
 ``--src`` (default: this checkout's ``src``).  The DP rows are the C3 gate
 loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
-``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40, 80, 160}
-(ROADMAP item 4's instances at 80 and 160),
+``gen_random(n, 2n, 1, 3, (-n, 3n), 7)`` for n in {10, 20, 40, 80, 160, 300}
+(ROADMAP item 4's instances at 80, 160 and 300),
 ``dp_optimal`` on the n = 20 instance scaled by 100 (3 budgets, 1,024 to
 4,096 grid steps: the doubling starts at the power of two at most the home
 gap bound, 1,200 steps),
@@ -157,7 +157,7 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
                 assert opt <= value <= (1 + eps) * opt
 
     rows: dict[str, Callable[[], object]] = {"c3_gate": c3_gate}
-    for n in (10, 20, 40, 80, 160):
+    for n in (10, 20, 40, 80, 160, 300):
         inst = bc.gen_random(n, 2 * n, 1, 3, (-n, 3 * n), 7)
         rows[f"dp_eps_half.random_n{n}"] = lambda i=inst: bc.dp_eps(i, Fraction(1, 2))
         rows[f"dp_optimal.random_n{n}"] = lambda i=inst: bc.dp_optimal(i)
