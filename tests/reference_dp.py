@@ -17,10 +17,14 @@ very same ``(solution, active)``.
 
 ``reference_dp_optimal`` and ``reference_dp_eps`` are ``order_dp.dp_optimal``
 and ``order_dp.dp_eps`` as they stood before ``dp_optimal`` grew one table
-through its doublings and ``dp_eps`` skipped guesses below the gap bound,
-copied verbatim: every budget refills a table from column 0 through
-``_dp_within``, and every guess fills its table.  They look ``_dp_within``
-up in this module, so a test can swap it here too.
+through its doublings and ``dp_eps`` skipped guesses below the gap bound:
+every budget refills a table from column 0 through ``_dp_within``, and
+every guess fills its table.  ``reference_dp_eps`` also follows the
+library's per-guess unit rule: a guess whose unit q is at most the
+instance's grid 1/d fills an exact table (unit 1/d, floor(units*q*d)
+steps) and returns its hit without the acceptance test, where
+``order_dp.dp_eps`` grows one such table through its guesses.  They look
+``_dp_within`` up in this module, so a test can swap it here too.
 
 ``EpsParams`` and ``rounded_cost`` are the (1 + eps) scheme's rounding grid
 and rounded cost, as they stood in ``order_dp`` before ``dp_eps`` computed
@@ -234,7 +238,8 @@ def reference_dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, Act
     the optimum by up to 2x before the acceptance test fires, and halving
     eps absorbs that factor so the advertised bound survives.  The first
     guess, half the widest uncovered gap, can never overshoot (covering a
-    gap costs at least its width).
+    gap costs at least its width).  A guess with q <= 1/d runs the exact
+    DP at floor(units*q) grid steps instead, and its hit is OPT_op.
     """
     eps = as_scalar(eps)
     if eps <= 0:

@@ -429,9 +429,13 @@ class TestDpEps:
                 assert verify_coverage(inst, solution, active).covered
 
     def test_guesses_below_the_gap_bound_fill_no_table(self, monkeypatch):
-        """fig5 L=18: the guesses' units q = 2^k/16 are at most 1/d = 1, so each runs on the exact grid
-        at floor(40q) steps.  The first, 2 steps, cannot pay for the home gaps, so it fills nothing:
-        one table grows through 5, 10, 20 and 40 steps, where the reference refills 5 tables."""
+        """fig5 L=18: the first guess, 2 exact steps, cannot pay for the home gaps, so it fills nothing.
+
+        The guesses' units q = 2^k/16 are at most 1/d = 1, so each runs on
+        the exact grid at floor(40q) steps: one table grows through 5, 10,
+        20 and 40 steps, where the reference refills a table at each of 2,
+        5, 10, 20 and 40.
+        """
         inst = gen_fig5(2, 18)
         units = []
         real_within, real_grow = reference_dp._dp_within, order_dp.DpTable.grow
