@@ -86,9 +86,6 @@ class ExactCoverInstance(_Value):
         _set(self, "sets", sets)
         _set(self, "max_sets", max_sets)
 
-    def _values(self) -> tuple[int, tuple[frozenset[int], ...], int]:
-        return (self.universe_size, self.sets, self.max_sets)
-
 
 class ReductionOutput(_Value):
     """Barrier instance encoding an exact-cover question as a k-mover budget query.
@@ -103,15 +100,6 @@ class ReductionOutput(_Value):
     budget: Scalar
     movers: int
     source_sets: tuple[int, ...]
-
-    def __init__(self, instance: Instance, budget: Scalar, movers: int, source_sets: tuple[int, ...]) -> None:
-        _set(self, "instance", instance)
-        _set(self, "budget", budget)
-        _set(self, "movers", movers)
-        _set(self, "source_sets", source_sets)
-
-    def _values(self) -> tuple[Instance, Scalar, int, tuple[int, ...]]:
-        return (self.instance, self.budget, self.movers, self.source_sets)
 
 
 def gen_fig5(rho: ScalarLike, length: ScalarLike) -> Instance:

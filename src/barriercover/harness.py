@@ -29,7 +29,6 @@ from .model import (
     Scalar,
     ScalarLike,
     Solution,
-    _set,
     _Value,
     as_scalar,
     cost,
@@ -54,27 +53,6 @@ class RunRecord(_Value):
     ref_cost: Optional[Scalar]
     ratio: Optional[Scalar]
     time_ms: int
-
-    def __init__(
-        self,
-        instance: str,
-        algo: str,
-        status: str,
-        cost: Optional[Scalar],
-        ref_cost: Optional[Scalar],
-        ratio: Optional[Scalar],
-        time_ms: int,
-    ) -> None:
-        _set(self, "instance", instance)
-        _set(self, "algo", algo)
-        _set(self, "status", status)
-        _set(self, "cost", cost)
-        _set(self, "ref_cost", ref_cost)
-        _set(self, "ratio", ratio)
-        _set(self, "time_ms", time_ms)
-
-    def _values(self) -> tuple:
-        return (self.instance, self.algo, self.status, self.cost, self.ref_cost, self.ratio, self.time_ms)
 
     def csv_row(self) -> str:
         def fmt(v: Optional[Scalar]) -> str:

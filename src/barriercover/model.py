@@ -15,11 +15,12 @@ ints and convert only what they return back to Fractions.
 
 All types are immutable values and all operations are pure functions, so
 everything here is safe to share across threads.  The record classes of
-every module derive from ``_Value``, defined here: equality, hashing and
-``repr`` over a field tuple, pickling by constructor arguments, and no
-assignment after ``__init__``.  They are written out rather than generated
-by the standard library, whose generator costs a small CLI call more
-import time than its solve (the README gives the numbers).
+every module derive from ``_Value``, defined here: a constructor over the
+fields named in ``_fields``, equality, hashing and ``repr`` over their
+tuple, pickling by constructor arguments, and no assignment after
+``__init__``.  It is written out rather than generated by the standard
+library, whose generator costs a small CLI call more import time than its
+solve (the README gives the numbers).
 """
 
 from __future__ import annotations
@@ -75,21 +76,42 @@ _set = object.__setattr__
 class _Value:
     """Base of the package's immutable records.
 
-    A subclass lists its field names in ``_fields`` and returns their
-    values, in that order, from ``_values``, which builds the tuple
-    directly; its ``__init__`` validates the fields and sets them with
-    ``_set``.  Instances of one class are equal when their field tuples
-    are, the hash is the field tuple's, and ``repr`` prints
-    ``Class(name=value, ...)``.  Pickle and copy rebuild through the
-    constructor, so a cache kept outside the fields (``Instance._grid``)
-    is recomputed, not carried.
+    A subclass names its fields once, in ``_fields``.  ``__init__`` binds
+    them by position or keyword, raising ``TypeError`` on a missing,
+    unknown or repeated argument, and ``_values`` returns them in order.
+    A record writes its own ``__init__``, setting the fields with ``_set``,
+    only to validate or normalise them (``Sensor``, ``Instance``,
+    ``CrossingPair``, ``ExactCoverInstance``), or, in ``DpTable``, to take
+    ``fills`` as well in the plain calls ``dp-order`` makes once per table.
+    Instances of one class are equal when their field tuples are, the hash
+    is the field tuple's, and ``repr`` prints ``Class(name=value, ...)``.
+    Pickle and copy rebuild through the constructor, so a cache kept
+    outside the fields (``Instance._grid``) is recomputed, not carried.
     """
 
     __slots__ = ()
     _fields: tuple[str, ...] = ()
 
+    def __init__(self, *args: object, **kwargs: object) -> None:
+        fields = self._fields
+        for name, value in zip(fields, args):
+            _set(self, name, value)
+        if kwargs or len(args) != len(fields):
+            who = f"{self.__class__.__qualname__}()"
+            if len(args) > len(fields):
+                raise TypeError(f"{who} takes {len(fields)} arguments, got {len(args)}")
+            rest = fields[len(args) :]
+            for name in kwargs:
+                if name not in rest:
+                    problem = "multiple values for" if name in fields else "an unexpected"
+                    raise TypeError(f"{who} got {problem} argument {name!r}")
+            for name in rest:
+                if name not in kwargs:
+                    raise TypeError(f"{who} missing argument {name!r}")
+                _set(self, name, kwargs[name])
+
     def _values(self) -> tuple:
-        raise NotImplementedError
+        return tuple([getattr(self, name) for name in self._fields])
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is self.__class__:
@@ -127,9 +149,6 @@ class Sensor(_Value):
         _set(self, "x", x)
         _set(self, "r", r)
 
-    def _values(self) -> tuple[Scalar, Scalar]:
-        return (self.x, self.r)
-
 
 class Instance(_Value):
     """A barrier ``[0, length]`` plus sensors, kept sorted by (x, r).
@@ -149,9 +168,6 @@ class Instance(_Value):
             raise ValueError(f"barrier length must be >= 0, got {length}")
         _set(self, "length", length)
         _set(self, "sensors", tuple(sorted(sensors, key=lambda s: (s.x, s.r))))
-
-    def _values(self) -> tuple[Scalar, tuple[Sensor, ...]]:
-        return (self.length, self.sensors)
 
     @property
     def n(self) -> int:
@@ -191,13 +207,6 @@ class CoverageReport(_Value):
     __slots__ = _fields = ("covered", "gaps")
     covered: bool
     gaps: tuple[tuple[Scalar, Scalar], ...]
-
-    def __init__(self, covered: bool, gaps: tuple[tuple[Scalar, Scalar], ...]) -> None:
-        _set(self, "covered", covered)
-        _set(self, "gaps", gaps)
-
-    def _values(self) -> tuple[bool, tuple[tuple[Scalar, Scalar], ...]]:
-        return (self.covered, self.gaps)
 
 
 def as_solution(instance: Instance, values: Iterable[ScalarLike]) -> Solution:
@@ -387,10 +396,7 @@ def verify_coverage(
     d, length, _, radii = on_grid(instance, *y)
     centers = [_to_grid(v, d) for v in y]
     gaps = _gaps(sorted(_clipped_spans(radii, centers, length, idx)), length)
-    return CoverageReport(
-        covered=not gaps,
-        gaps=tuple((Fraction(lo, d), Fraction(hi, d)) for lo, hi in gaps),
-    )
+    return CoverageReport(not gaps, tuple((Fraction(lo, d), Fraction(hi, d)) for lo, hi in gaps))
 
 
 def is_feasible(instance: Instance) -> bool:

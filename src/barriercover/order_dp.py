@@ -130,9 +130,6 @@ class DpTable(_Value):
         self.choices = choices
         self.fills = fills
 
-    def _values(self) -> tuple:
-        return (self.unit, self.scale, self.length, self.xs, self.rs, self.step, self.rows, self.choices)
-
     def grow(self, budget_units: int) -> None:
         """Widen to budgets 0..budget_units; each row resumes its fill, so no column is filled twice.
 
@@ -493,6 +490,11 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
     (c) Past the grid, nothing changes.  Once q > 1/d, each guess runs the
     rounded ``_dp_within`` and its acceptance test as before, and by (a)
     the guesses it reaches are the ones it reached before.
+
+    The answer is not scale-equivariant: an integer factor c keeps d and
+    scales every guess, so a guess exact at one scale can be rounded at
+    another (``gen_random(4, 8, 1, 3, (-4, 12), 27)`` at eps = 1/2 costs
+    4, 8 and 99/8 at c = 1, 2, 3, where OPT_op is 4, 8 and 12).
     """
     eps = as_scalar(eps)
     if eps <= 0:

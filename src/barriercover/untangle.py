@@ -58,9 +58,6 @@ class CrossingPair(_Value):
         _set(self, "i", i)
         _set(self, "j", j)
 
-    def _values(self) -> tuple[int, int]:
-        return (self.i, self.j)
-
 
 def crossing_pairs(
     instance: Instance,
@@ -274,7 +271,7 @@ def untangle(
             break
         span, i, j, p = best
         if (i, j) == last:
-            raise RuntimeError(f"pair {CrossingPair(i, j)} selected twice in a row; schedule bug")
+            raise RuntimeError(f"pair {(i, j)} selected twice in a row; schedule bug")
         last = i, j
         del spans[p : p + 2]
         pos[i], pos[j] = _swap_targets(span, radii[i], radii[j])
@@ -283,7 +280,7 @@ def untangle(
         near = spans[p : p + 3]
         reach = spans[p - 1][1] if p else 0
         if not _covers(near, keep, min(span[1], length), reach):
-            raise RuntimeError(f"swap of {CrossingPair(i, j)} broke coverage; swap rule bug")
+            raise RuntimeError(f"swap of {(i, j)} broke coverage; swap rule bug")
         for k in (i, j) if radii[i] > radii[j] else (j, i):
             keep.remove(k)
             if _covers(near, keep, min(pos[k] + radii[k], length), reach):

@@ -458,6 +458,22 @@ class TestDpEps:
         assert cost(inst, reference_dp_eps(inst, F(1, 2))[0]) == 30
         assert units == [(b, 1) for b in (2, 5, 10, 20, 40)]
 
+    def test_not_scale_equivariant(self):
+        """Scaling an instance by c need not scale ``dp_eps``'s cost by c; each answer keeps its bound.
+
+        An integer factor leaves the grid 1/d as it is, so a guess that runs
+        on the exact grid at one scale is rounded at another: here OPT_op is
+        4, 8 and 12, and the ×3 answer is 99/8.
+        """
+        inst = gen_random(4, 8, 1, 3, (-4, 12), 27)
+        eps = F(1, 2)
+        for c, expected in ((1, 4), (2, 8), (3, F(99, 8))):
+            scaled = scale_instance(inst, c)
+            value = cost(scaled, dp_eps(scaled, eps)[0])
+            opt_op = cost(scaled, dp_optimal(scaled)[0])
+            assert (value, opt_op) == (expected, 4 * c)
+            assert opt_op <= value <= (1 + eps) * opt_op
+
     def test_fractional_instance(self):
         # No integrality requirement: eighth-grid coordinates work directly.
         inst = Instance(

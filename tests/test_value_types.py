@@ -18,7 +18,7 @@ import pytest
 import barriercover
 from barriercover.generators import ExactCoverInstance, ReductionOutput
 from barriercover.harness import SOLVERS, RunRecord
-from barriercover.model import CoverageReport, Instance, Sensor
+from barriercover.model import CoverageReport, Instance, Sensor, _Value
 from barriercover.order_dp import DpTable, budget_table
 from barriercover.untangle import CrossingPair
 
@@ -141,6 +141,60 @@ def test_validation_errors(build, message):
         build()
 
 
+#: The records that take their fields as given, through ``_Value.__init__``.
+PLAIN = [REPORT, RECORD, REDUCED]
+PLAIN_IDS = [type(v).__name__ for v in PLAIN]
+
+
+@pytest.mark.parametrize("value", PLAIN, ids=PLAIN_IDS)
+class TestBaseConstructor:
+    """``_Value.__init__`` binds fields by position or keyword, as a generated ``__init__`` did."""
+
+    def test_positional_keyword_and_mixed_arguments_agree(self, value):
+        cls, fields = type(value), value._values()
+        keywords = dict(zip(cls._fields, fields))
+        for k in range(len(fields) + 1):
+            rest = {name: keywords[name] for name in cls._fields[k:]}
+            built = cls(*fields[:k], **rest)
+            assert built == value and built._values() == fields
+
+    def test_missing_argument(self, value):
+        cls, fields = type(value), value._values()
+        with pytest.raises(TypeError, match=f"missing argument '{cls._fields[-1]}'"):
+            cls(*fields[:-1])
+        with pytest.raises(TypeError, match=f"missing argument '{cls._fields[0]}'"):
+            cls(**dict(zip(cls._fields[1:], fields[1:])))
+
+    def test_unknown_argument(self, value):
+        cls, fields = type(value), value._values()
+        with pytest.raises(TypeError, match="got an unexpected argument 'extra'"):
+            cls(*fields, extra=1)
+
+    def test_repeated_argument(self, value):
+        cls, fields = type(value), value._values()
+        with pytest.raises(TypeError, match=f"got multiple values for argument '{cls._fields[0]}'"):
+            cls(*fields, **{cls._fields[0]: fields[0]})
+
+    def test_too_many_positional_arguments(self, value):
+        cls, fields = type(value), value._values()
+        with pytest.raises(TypeError, match=f"takes {len(fields)} arguments, got {len(fields) + 1}"):
+            cls(*fields, None)
+
+
+def test_records_state_their_fields_once():
+    """No record writes its own ``_values``; only those that check their fields, and ``DpTable``, an ``__init__``."""
+    records, todo = [], [_Value]
+    while todo:
+        subclasses = [cls for cls in todo.pop().__subclasses__() if cls.__module__.startswith("barriercover.")]
+        records += subclasses
+        todo += subclasses
+    assert {cls.__name__ for cls in records} == set(IDS) | {"DpTable"}
+    assert [cls.__name__ for cls in records if "_values" in vars(cls)] == []
+    assert {cls.__name__ for cls in records if "__init__" in vars(cls)} == {
+        "Sensor", "Instance", "CrossingPair", "ExactCoverInstance", "DpTable",
+    }
+
+
 class TestDpTable:
     """The table stays mutable and unhashable; ``==`` and ``repr`` leave out ``fills``."""
 
@@ -191,10 +245,12 @@ class TestDpTable:
 
 
 def test_no_module_imports_dataclasses(tmp_path):
-    """``import barriercover``, each submodule and each CLI command leave ``dataclasses`` unloaded.
+    """``import barriercover``, each submodule and each CLI command leave ``dataclasses`` and ``inspect`` unloaded.
 
-    ``-S`` skips ``site``, which could otherwise load the module first and
-    hide an import of it.
+    ``-S`` skips ``site``, which could otherwise load a module first and
+    hide an import of it.  ``inspect`` costs most of what importing
+    ``dataclasses`` does, so a constructor built on ``inspect.signature``
+    would undo the start-up saving as well.
     """
     sol = tmp_path / "sol.txt"
     sol.write_text("COST 3\n1\n3\n")
@@ -212,9 +268,9 @@ def test_no_module_imports_dataclasses(tmp_path):
         "from barriercover import cli, exact, fileio, generators, harness, model, order_dp, untangle",
         "with contextlib.redirect_stdout(io.StringIO()):",
         f"    codes = [cli.main(argv) for argv in {argvs!r}]",
-        "print(codes, 'dataclasses' in sys.modules)",
+        "print(codes, 'dataclasses' in sys.modules, 'inspect' in sys.modules)",
     ])
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     child = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
-    assert child.stdout == f"{[0] * len(argvs)} False\n"
+    assert child.stdout == f"{[0] * len(argvs)} False False\n"
