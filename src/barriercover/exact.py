@@ -9,7 +9,8 @@ ints for speed.
 
 The searches are depth-first with admissible pruning only (budget, current
 incumbent, permanently wasted length, uncovered measure, reachability of the
-leftmost hole), so results are exact.  ``fpt_solve`` takes its holes from
+leftmost hole, and in ``brute_force`` a transport bound), so results are
+exact.  ``fpt_solve`` takes its holes from
 the one coverage sweep, ``model._gaps``, as ``verify_coverage`` does.  A
 ``brute_force`` node instead carries the holes its placed sensors leave, cut
 by each child's span in O(holes) with ``_cut``, which also builds, once per
@@ -25,8 +26,10 @@ as a class with none left can cover nothing.  The three branch-and-bound
 searches, ``brute_force``, ``brute_force_order_preserving`` and
 ``fpt_solve`` (which, given a mover cap, also decides the k-mover variant),
 run on one driver, ``_Search.run``, which keeps its own stack: depth costs
-nothing.  Every node counts against the node cap, and so does every child
-``brute_force`` cuts on its entry test, so a search aborts with
+nothing.  ``brute_force`` may run it twice on one ``_Search``: a probe at
+its root's transport bound, then, if that finds nothing, the full search.
+Every node of either pass counts against the one node cap, and so does
+every child ``brute_force`` cuts on its entry test, so a search aborts with
 ``ResourceLimitError`` rather than ever reporting "no solution".  The
 placements a node skips uncounted lie in its window of at most 2(B + 1) grid
 positions for a budget of B grid units.
@@ -49,6 +52,7 @@ from .model import (
     _clipped_spans,
     _gaps,
     _to_grid,
+    _transport_bound,
     grid_units,
     is_feasible,
     on_grid,
@@ -274,6 +278,36 @@ def brute_force(
     nothing for it.  It stops recording at ``_MEMO_CAP`` entries but keeps
     answering, which is sound (a missing entry only loses a skip), so its
     size is bounded whatever the node cap.
+
+    The transport bound charges for moving length onto the holes.  At a
+    node with index i, holes H and waste w, sensors i.. may still waste
+    R = slack - w.  Let mu be their home spans (unclipped, overlaps added)
+    and nu the holes, G(t) = mu(-inf, t] - nu(-inf, t], and r_max the
+    largest radius among them; then T = ceil(int (|G| - R)+ dt / 2 r_max)
+    (``model._transport_bound``) is at most the cost C of any completion.
+    Assign each hole point to one sensor covering it: sensor j carries at
+    most 2 r_j of hole length over |y_j - x_j|, so some sigma <= mu of
+    mass |H|, translated piece by piece, lands on nu at cost at most
+    2 r_max C.  On a line that transport costs at least
+    int |F_sigma - F_nu|, and as mu - sigma has mass R (the lengths of
+    sensors i.. are |H| + R), 0 <= F_mu - F_sigma <= R, so
+    |F_sigma - F_nu| >= (|G| - R)+.  C is a whole number of grid units,
+    hence the ceiling.  A node returns at entry, as ``"transport"``, when
+    spent + T exceeds the limit.  T reads only i, the holes and the waste,
+    which the holes fix, so the memo's proof covers this rule as it does
+    the other bound rules.  The root's T0 bounds every cover, so when
+    T0 < limit a probe runs first with the limit set to T0: a cover it
+    finds costs T0 and is optimal.  If it finds none it offered nothing,
+    so the incumbent is unchanged; the limit is restored and the full
+    search runs.  The memo is cleared in between, as its bound cuts were
+    made under the probe's lower limit, and its proof needs a limit that
+    only falls.  The sweep costs O(n log n) a node, so the rule and the
+    probe run only in a call whose T0 exceeds the root's uncovered measure
+    (the bound the search has anyway); otherwise the search is as without
+    them, node for node.  On random data the slack is large and T0 is 0 or
+    1, so this gate is mostly shut.  On fig5 T0 is the optimum and the
+    probe proves it; on fig6 it is about half of it, and the rule does the
+    work.
     """
     d, length, xs, rs = on_grid(instance)
     limit = None if budget is None else grid_units(budget, d)
@@ -309,6 +343,7 @@ def brute_force(
     positions = list(xs)
     # Child state (i, holes, *floors) -> the least spend it was entered with.
     seen: dict[tuple, int] = {}
+    spans = [(x - r, x + r) for x, r in zip(xs, rs)]
 
     def min_reach(i: int, p: int) -> Optional[int]:
         """Cheapest movement for any sensor i.. to cover [p, p+1].
@@ -355,6 +390,9 @@ def brute_force(
             if spent + reach > bnd:
                 pruned["bound"] += 1
                 return
+        if sweep and spent + _transport_bound(spans[i:], holes, slack - waste) > bnd:
+            pruned["transport"] += 1
+            return
         x, r = xs[i], rs[i]
         two_r = 2 * r
         floor = floors[r]
@@ -444,10 +482,22 @@ def brute_force(
     ahead = home_holes[0]
     first = ahead[0][0] if ahead else -1
     reach = 0 if first < 0 else min_reach(0, first)
-    if reach is None or max(reach, sum(hi - lo for lo, hi in ahead)) > search.limit:
+    uncovered = sum(hi - lo for lo, hi in ahead)
+    if reach is None or max(reach, uncovered) > search.limit:
         search.cut("dead-hole-cut" if reach is None else "reach-cut")
         return search.result()
-    return search.run(visit, 0, 0, home_holes[n], 0, first)  # nothing placed: the whole barrier
+    root = (0, 0, home_holes[n], 0, first)  # nothing placed: the whole barrier
+    t0 = _transport_bound(spans, home_holes[n], slack)
+    sweep = t0 > uncovered
+    limit = search.limit
+    if sweep and t0 < limit:
+        search.limit = t0
+        search.run(visit, *root)
+        if search.best_cost == t0:
+            return search.result()
+        search.limit = limit
+        seen.clear()
+    return search.run(visit, *root)
 
 
 def brute_force_order_preserving(

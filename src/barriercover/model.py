@@ -304,6 +304,44 @@ def _home_gaps(instance: Instance) -> list[tuple[int, int]]:
     return _gaps(sorted(_clipped_spans(rs, xs, length, range(instance.n))), length)
 
 
+def _transport_bound(spans: Iterable[tuple[int, int]], holes: Iterable[tuple[int, int]], spare: int) -> int:
+    """⌈∫ (|G(t)| - spare)₊ dt / w⌉ over the line, in ints: ``exact.brute_force``'s transport bound.
+
+    G(t) is the length of ``spans`` left of t (overlaps counted once per
+    span, nothing clipped) less that of ``holes``, and w the widest span;
+    no spans give 0.  ``brute_force``'s docstring has the proof.  G is
+    piecewise linear with breakpoints at the ends, where the sweep reads
+    it.  On a piece of length l from g0 to g1, |G| - spare is linear
+    wherever it is positive: with u = G - spare (and likewise -G - spare),
+    a piece wholly above the level adds l·(u0 + u1) to twice the integral,
+    and one that crosses it adds its triangle, p²·l / |g1 - g0| for its
+    peak p, rounded down, which keeps the bound admissible.
+    """
+    steps = []
+    width = 0
+    for lo, hi in spans:
+        steps += ((lo, 1), (hi, -1))
+        if hi - lo > width:
+            width = hi - lo
+    for lo, hi in holes:
+        steps += ((lo, -1), (hi, 1))
+    steps.sort()
+    total = g = slope = prev = 0
+    for t, step in steps:
+        if t != prev:
+            g1 = g + slope * (t - prev)
+            top, low = (g, g1) if g > g1 else (g1, g)
+            if top > spare or -low > spare:
+                for p, q in ((top - spare, low - spare), (-low - spare, -top - spare)):
+                    if q >= 0:
+                        total += (t - prev) * (p + q)
+                    elif p > 0:  # so top > low: the piece crosses the level
+                        total += p * p * (t - prev) // (top - low)
+            g, prev = g1, t
+        slope += step
+    return -(-total // (2 * width)) if width else 0
+
+
 def _minimal_cover(
     radii: Sequence[Number],
     centers: Sequence[Number],

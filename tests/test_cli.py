@@ -233,7 +233,7 @@ class TestSolve:
         """A deep search cut 1,000 levels down by the node cap exits 3 with the node-cap message."""
         path = tmp_path / "deep.bc"
         sensors = "".join(f"{2 * i + 2} 1\n" for i in range(1100))
-        path.write_text(f"L 2200\nN 1100\n{sensors}")
+        path.write_text(f"L 2199\nN 1100\n{sensors}")
         assert main(["solve", "--algo", "oracle", "--node-cap", "1000", str(path)]) == 3
         assert "explored more than 1000 states" in capsys.readouterr().err
 

@@ -1,8 +1,11 @@
+import itertools
 import random
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from barriercover import (
     ExactCoverInstance,
@@ -23,6 +26,7 @@ from barriercover import (
 )
 from barriercover import exact
 from barriercover.exact import gap_candidates
+from barriercover.model import _transport_bound
 from barriercover.order_dp import cheapest_first
 
 import reference_search as ref
@@ -33,6 +37,9 @@ COVERING = Instance(4, (Sensor(1, 1), Sensor(3, 1)))
 # Only the exact tiling covers (total length = L), at cost 1,100: one DFS
 # level per sensor, deeper than the interpreter's default recursion limit.
 DEEP = Instance(2200, tuple(Sensor(2 * i + 2, 1) for i in range(1100)))
+# The same sensors on L = 2,199: one unit of slack, so the transport bound
+# reads 0 at the root and the search still goes one level per sensor.
+DEEP_SPARE = Instance(2199, DEEP.sensors)
 
 
 class TestBruteForce:
@@ -55,7 +62,7 @@ class TestBruteForce:
         assert brute_force(Instance(10, (Sensor(0, 1),)), 50) is None
 
     def test_node_cap_is_an_error_not_absent(self):
-        inst = Instance(12, tuple(Sensor(-8 + 3 * i, 1) for i in range(6)))
+        inst = Instance(11, tuple(Sensor(-8 + 3 * i, 1) for i in range(6)))
         with pytest.raises(ResourceLimitError):
             brute_force(inst, 40, node_cap=5)
 
@@ -218,7 +225,7 @@ class TestDeepSearch:
         level deeper than the last: the cap stops the search 1,000 levels deep.
         """
         with pytest.raises(ResourceLimitError, match="explored more than 1000 states"):
-            oracle_optimal(DEEP, node_cap=1_000)
+            oracle_optimal(DEEP_SPARE, node_cap=1_000)
 
     def test_order_preserving_too_deep_is_a_resource_limit(self):
         """The deep tiling is found in exactly 3,300 nodes; one fewer is a resource limit."""
@@ -232,6 +239,13 @@ class TestDeepSearch:
         solution, value = oracle_optimal(DEEP)
         assert value == 1100 and cost(DEEP, solution) == 1100
         assert verify_coverage(DEEP, solution).covered
+
+    def test_transport_bound_settles_the_deep_instance_at_its_root(self, monkeypatch):
+        """With no slack the bound reads 1,100, the greedy tiling's cost: one node proves it optimal."""
+        searches = _record_searches(monkeypatch)
+        assert oracle_optimal(DEEP, node_cap=1)[1] == 1100
+        (search,) = searches
+        assert (search.nodes, search.cuts, search.pruned) == (1, 0, {"transport": 1})
 
     def test_pruned_budget_is_still_proven_absent(self):
         # Every cover moves all 1,100 sensors by one unit, so budget 5 is
@@ -542,3 +556,84 @@ class TestOracleOptimal:
 
     def test_none_only_when_infeasible(self):
         assert oracle_optimal(Instance(10, (Sensor(0, 1),))) is None
+
+
+def _root_bound(instance):
+    """The transport bound T0 at the oracle's root, in grid units."""
+    _, length, xs, rs = instance._grid
+    slack = sum(2 * r for r in rs) - length
+    return _transport_bound([(x - r, x + r) for x, r in zip(xs, rs)], [(0, length)] if length else [], slack)
+
+
+@st.composite
+def _tight_nodes(draw):
+    """An integer instance with n <= 5, L <= 12 and little slack, and a prefix placed in its windows."""
+    rs = draw(st.lists(st.integers(1, 3), min_size=1, max_size=5))
+    length = max(1, min(12, sum(2 * r for r in rs) - draw(st.integers(0, 2))))
+    xs = draw(st.lists(st.integers(-4, 16), min_size=len(rs), max_size=len(rs)))
+    instance = Instance(length, tuple(Sensor(x, r) for x, r in zip(xs, rs)))
+    _, length, xs, rs = instance._grid
+    n = len(xs)
+    i = draw(st.integers(max(0, n - 3), n))
+    ys = [draw(st.integers(min(-r, x), max(length + r, x))) for x, r in zip(xs[:i], rs[:i])]
+    return length, list(xs), list(rs), ys
+
+
+def _cheapest_completion(length, xs, rs, holes):
+    """Least movement of the sensors left to cover ``holes``, each tried over its whole window."""
+    best = None
+    windows = [range(min(-r, x), max(length + r, x) + 1) for x, r in zip(xs, rs)]
+    for ys in itertools.product(*windows):
+        spend = sum(abs(y - x) for y, x in zip(ys, xs))
+        if best is not None and spend >= best:
+            continue
+        left = holes
+        for y, r in zip(ys, rs):
+            left = exact._cut(left, y - r, y + r)
+        if not left:
+            best = spend
+    return best
+
+
+class TestTransportBound:
+    """The transport bound never exceeds what a node still has to spend."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(_tight_nodes())
+    def test_admissible_at_a_placed_prefix(self, node):
+        length, xs, rs, ys = node
+        i = len(ys)
+        holes = [(0, length)]
+        for y, r in zip(ys, rs):
+            lo, hi = max(y - r, 0), min(y + r, length)
+            if lo < hi:
+                holes = exact._cut(holes, lo, hi)
+        slack = sum(2 * r for r in rs) - length
+        waste = sum(2 * r for r in rs[:i]) - (length - sum(hi - lo for lo, hi in holes))
+        completion = _cheapest_completion(length, xs[i:], rs[i:], holes)
+        if completion is None or waste > slack:
+            return  # no completion: any bound holds
+        bound = _transport_bound([(x - r, x + r) for x, r in zip(xs[i:], rs[i:])], holes, slack - waste)
+        assert bound <= completion
+
+    @pytest.mark.parametrize(
+        "instances",
+        [
+            [inst for _, inst, _ in random_corpus(200)],
+            [gen_random(6, 12, 1, 3, (-6, 18), seed) for seed in range(200)],
+            [gen_fig6(2, m, F(1, 8)) for m in range(1, 11)],
+            [gen_fig6(3, m, F(1, 8)) for m in range(1, 9)],
+        ],
+        ids=["corpus", "random-family", "fig6-rho2", "fig6-rho3"],
+    )
+    def test_root_bound_is_at_most_opt(self, instances):
+        for instance in instances:
+            found = oracle_optimal(instance)
+            if found is not None:
+                assert _root_bound(instance) <= found[1] * instance._grid[0], instance
+
+    @pytest.mark.parametrize("rho, lengths", [(2, range(6, 45, 2)), (3, range(8, 25, 2))])
+    def test_root_bound_is_opt_on_fig5(self, rho, lengths):
+        for length in lengths:
+            instance = gen_fig5(rho, length)
+            assert _root_bound(instance) == oracle_optimal(instance)[1] * instance._grid[0], length

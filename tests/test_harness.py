@@ -59,7 +59,7 @@ class TestCompare:
 
     def test_too_deep_search_is_a_resource_limit(self):
         """A deep search cut 1,000 levels down by the node cap is recorded as resource-limit."""
-        deep = Instance(2200, tuple(Sensor(2 * i + 2, 1) for i in range(1100)))
+        deep = Instance(2199, tuple(Sensor(2 * i + 2, 1) for i in range(1100)))
         (record,) = compare(deep, ["oracle"], "oracle", instance_id="deep", node_cap=1_000)
         assert (record.status, record.cost, record.ratio) == (STATUS_RESOURCE, None, None)
 
