@@ -289,23 +289,24 @@ class TestFptNearTiling:
             (1, {"gap-measure": 1}), (35, {"gap-measure": 29})]
 
 
-# Each oracle row: its node count before the parent ran each child's entry
-# test, the children that test now cuts (``dead-hole-cut`` plus
-# ``reach-cut``, each one a node before, and each still counted against the
-# node cap, so the pin is the cap's boundary), and the optimum.
+# Each oracle row: its nodes plus the children its parents cut on their
+# entry test (``dead-hole-cut`` plus ``reach-cut``, each counted against the
+# node cap as the node it would have been, so the pin is the cap's
+# boundary), those cuts, and the optimum.  Every count but the random
+# row's fell with the transport bound (CHANGES.md has the old ones).
 ORACLE_PINS = [
-    ("oracle-fig5-L24", gen_fig5(2, 24), 167, 1, 22),
-    ("oracle-fig5-L32", gen_fig5(2, 32), 317, 1, 30),
-    ("oracle-fig5-L36", gen_fig5(2, 36), 410, 1, 34),
-    ("oracle-fig5-L40", gen_fig5(2, 40), 515, 1, 38),
-    ("oracle-fig5-L44", gen_fig5(2, 44), 632, 1, 42),
-    ("oracle-fig6-m6", gen_fig6(2, 6, F(1, 8)), 104, 0, F(15, 8)),
-    ("oracle-fig6-m7", gen_fig6(2, 7, F(1, 8)), 260, 0, F(21, 8)),
-    ("oracle-fig6-m8", gen_fig6(2, 8, F(1, 8)), 492, 0, F(7, 2)),
-    ("oracle-fig6-m10", gen_fig6(2, 10, F(1, 8)), 1265, 13, F(45, 8)),
-    ("oracle-fig6-rho3-m8", gen_fig6(3, 8, F(1, 8)), 372, 0, F(21, 8)),
+    ("oracle-fig5-L24", gen_fig5(2, 24), 32, 1, 22),
+    ("oracle-fig5-L32", gen_fig5(2, 32), 44, 1, 30),
+    ("oracle-fig5-L36", gen_fig5(2, 36), 50, 1, 34),
+    ("oracle-fig5-L40", gen_fig5(2, 40), 56, 1, 38),
+    ("oracle-fig5-L44", gen_fig5(2, 44), 62, 1, 42),
+    ("oracle-fig6-m6", gen_fig6(2, 6, F(1, 8)), 49, 0, F(15, 8)),
+    ("oracle-fig6-m7", gen_fig6(2, 7, F(1, 8)), 93, 0, F(21, 8)),
+    ("oracle-fig6-m8", gen_fig6(2, 8, F(1, 8)), 133, 0, F(7, 2)),
+    ("oracle-fig6-m10", gen_fig6(2, 10, F(1, 8)), 152, 0, F(45, 8)),
+    ("oracle-fig6-rho3-m8", gen_fig6(3, 8, F(1, 8)), 71, 0, F(21, 8)),
     ("oracle-random", PINNED, 115, 70, 13),
-    ("oracle-deep", DEEP, 1099, 0, 1100),
+    ("oracle-deep", DEEP, 1, 0, 1100),
 ]
 
 
@@ -367,32 +368,38 @@ class TestNodeCounts:
         assert search.nodes + _entry_cuts(search) == pin
 
     def test_entry_cuts_on_the_random_family(self, monkeypatch):
-        """The benchmark's 200 random oracles: the cut nodes come back, and the memo skips as before.
+        """The benchmark's 200 random oracles: the cut nodes come back, and the memo skips.
 
         The family is the only pinned case where nodes still return at entry
-        on their placed hole (``dead-placed-hole`` and ``bound``).
+        on their placed hole (``dead-placed-hole`` and ``bound``).  The
+        transport gate opens on five of its seeds.
         """
         searches = _record_searches(monkeypatch)
         for seed in range(200):
             oracle_optimal(gen_random(6, 12, 1, 3, (-6, 18), seed))
-        assert sum(search.nodes + _entry_cuts(search) for search in searches) == 11059
-        assert sum(search.pruned["dominated"] for search in searches) == 1704
+        assert sum(search.nodes + _entry_cuts(search) for search in searches) == 10587
+        assert sum(search.pruned["dominated"] for search in searches) == 1368
         assert sum((search.pruned for search in searches), Counter()) == {
-            "bound-cut": 14239, "reach-cut": 5338, "dominated": 1704, "waste": 1276,
-            "dead-hole-cut": 63, "bound": 16, "dead-placed-hole": 7}
+            "bound-cut": 12247, "reach-cut": 5296, "dominated": 1368, "waste": 963,
+            "dead-hole-cut": 49, "bound": 16, "dead-placed-hole": 3, "transport": 348}
 
     @pytest.mark.parametrize(
         "instance, nodes, expected",
         [
-            (gen_fig6(2, 6, F(1, 8)), 114, F(15, 8)),
-            (gen_fig6(2, 7, F(1, 8)), 351, F(21, 8)),
-            (gen_fig6(2, 8, F(1, 8)), 963, F(7, 2)),
+            (gen_fig6(2, 6, F(1, 8)), 49, F(15, 8)),
+            (gen_fig6(2, 7, F(1, 8)), 93, F(21, 8)),
+            (gen_fig6(2, 8, F(1, 8)), 133, F(7, 2)),
             (PINNED, 220, 13),
         ],
         ids=["fig6-m6", "fig6-m7", "fig6-m8", "random"],
     )
     def test_node_cap_boundary_without_memo(self, monkeypatch, instance, nodes, expected):
-        """With the dominance memo off, the oracle takes the counts pinned before it, entry cuts included."""
+        """With the dominance memo off, the oracle's counts, entry cuts included.
+
+        The random row keeps the count pinned before the memo.  On fig6 the
+        transport rule leaves the memo nothing to skip, so those rows read
+        as with it.
+        """
         monkeypatch.setattr(exact, "_MEMO_CAP", 0)
         assert oracle_optimal(instance, nodes)[1] == expected
         with pytest.raises(ResourceLimitError, match=f"explored more than {nodes - 1} states"):
@@ -401,23 +408,25 @@ class TestNodeCounts:
     @pytest.mark.parametrize(
         "instance, nodes_before_cut",
         [
-            (gen_fig6(2, 6, F(1, 8)), 329),
-            (gen_fig6(2, 7, F(1, 8)), 939),
-            (gen_fig6(2, 8, F(1, 8)), 2454),
+            (gen_fig6(2, 6, F(1, 8)), 84),
+            (gen_fig6(2, 7, F(1, 8)), 130),
+            (gen_fig6(2, 8, F(1, 8)), 154),
             (PINNED, 467),
-            (DEEP, 1100),
-            (gen_fig5(2, 44), 632),
+            (DEEP, 1),
+            (gen_fig5(2, 44), 62),
         ],
         ids=["fig6-m6", "fig6-m7", "fig6-m8", "random", "deep", "fig5-L44"],
     )
     def test_bound_cut_children_were_nodes(self, monkeypatch, instance, nodes_before_cut):
         """Each child cut on the bound or its entry test in its parent was one node before the cuts.
 
-        The oracle's counts before the parent learned the bound cut, as
-        pinned then: the nodes left plus the children cut give them back
-        exactly (fig5 L=44 keeps 631 of its 632 nodes and cuts one on its
-        entry test).  The memo is off: a child it skips was never a node,
-        cut or not.
+        The oracle's counts had those children been nodes: the nodes left
+        plus the children cut give them back exactly (fig5 L=44 keeps 61 of
+        its 62 nodes and cuts one on its entry test).  The random row is
+        its count from before the parent learned the bound cut; the others
+        were too (329, 939, 2,454, 1,100 and 632) until the transport rule,
+        which returns at entry and so takes whole subtrees with it.  The
+        memo is off: a child it skips was never a node, cut or not.
         """
         monkeypatch.setattr(exact, "_MEMO_CAP", 0)
         searches = _record_searches(monkeypatch)
@@ -425,13 +434,13 @@ class TestNodeCounts:
         (search,) = searches
         assert search.nodes + search.pruned["bound-cut"] + _entry_cuts(search) == nodes_before_cut
         assert set(search.pruned) <= {
-            "bound", "dead-placed-hole", "waste", "bound-cut", "dead-hole-cut", "reach-cut"}
+            "bound", "dead-placed-hole", "waste", "bound-cut", "dead-hole-cut", "reach-cut", "transport"}
         assert "dominated" not in search.pruned
 
     @pytest.mark.parametrize(
         "search, nodes, pruned",
         [
-            (lambda: oracle_optimal(gen_fig6(2, 8, F(1, 8))), 492, {"bound-cut": 970, "dominated": 370}),
+            (lambda: oracle_optimal(gen_fig6(2, 8, F(1, 8))), 133, {"transport": 123, "bound-cut": 21}),
             (lambda: oracle_optimal(PINNED), 115 - 70, {"reach-cut": 70, "bound-cut": 153, "dominated": 55}),
             (lambda: fpt_solve(PINNED, 13), 175, {"gap-measure": 120}),
             (lambda: fpt_solve(PINNED, 12), 123, {"gap-measure": 86}),
@@ -451,22 +460,23 @@ class TestNodeCounts:
         assert recorded.pruned == pruned
 
 
-# Each ``ORACLE_PINS`` oracle's whole tree, recorded before the lookahead
-# became a floor test and ``min_reach`` read only live classes:
+# Each ``ORACLE_PINS`` oracle's whole tree, recorded with the transport
+# bound (the random row's, whose gate is shut, from before the lookahead
+# became a floor test and ``min_reach`` read only live classes):
 # (nodes, cuts, every ``pruned`` rule).
 ORACLE_TREES = {
-    "oracle-fig5-L24": (166, 1, [("reach-cut", 1), ("waste", 9)]),
-    "oracle-fig5-L32": (316, 1, [("reach-cut", 1), ("waste", 13)]),
-    "oracle-fig5-L36": (409, 1, [("reach-cut", 1), ("waste", 15)]),
-    "oracle-fig5-L40": (514, 1, [("reach-cut", 1), ("waste", 17)]),
-    "oracle-fig5-L44": (631, 1, [("reach-cut", 1), ("waste", 19)]),
-    "oracle-fig6-m6": (104, 0, [("bound-cut", 205), ("dominated", 10)]),
-    "oracle-fig6-m7": (260, 0, [("bound-cut", 497), ("dominated", 81)]),
-    "oracle-fig6-m8": (492, 0, [("bound-cut", 970), ("dominated", 370)]),
-    "oracle-fig6-m10": (1252, 13, [("bound-cut", 2921), ("dominated", 2576), ("reach-cut", 13), ("waste", 3)]),
-    "oracle-fig6-rho3-m8": (372, 0, [("bound-cut", 893), ("dominated", 258)]),
+    "oracle-fig5-L24": (31, 1, [("reach-cut", 1), ("transport", 19)]),
+    "oracle-fig5-L32": (43, 1, [("reach-cut", 1), ("transport", 27)]),
+    "oracle-fig5-L36": (49, 1, [("reach-cut", 1), ("transport", 31)]),
+    "oracle-fig5-L40": (55, 1, [("reach-cut", 1), ("transport", 35)]),
+    "oracle-fig5-L44": (61, 1, [("reach-cut", 1), ("transport", 39)]),
+    "oracle-fig6-m6": (49, 0, [("bound-cut", 35), ("transport", 42)]),
+    "oracle-fig6-m7": (93, 0, [("bound-cut", 37), ("transport", 84)]),
+    "oracle-fig6-m8": (133, 0, [("bound-cut", 21), ("transport", 123)]),
+    "oracle-fig6-m10": (152, 0, [("bound-cut", 15), ("transport", 142)]),
+    "oracle-fig6-rho3-m8": (71, 0, [("bound-cut", 29), ("transport", 60)]),
     "oracle-random": (45, 70, [("bound-cut", 153), ("dominated", 55), ("reach-cut", 70)]),
-    "oracle-deep": (1099, 0, [("bound-cut", 1)]),
+    "oracle-deep": (1, 0, [("transport", 1)]),
 }
 
 # ``gen_random(7, 14, 1, 4, (-7, 21), seed)`` mixes four radius classes, so
