@@ -304,6 +304,7 @@ ORACLE_PINS = [
     ("oracle-fig6-m7", gen_fig6(2, 7, F(1, 8)), 93, 0, F(21, 8)),
     ("oracle-fig6-m8", gen_fig6(2, 8, F(1, 8)), 133, 0, F(7, 2)),
     ("oracle-fig6-m10", gen_fig6(2, 10, F(1, 8)), 152, 0, F(45, 8)),
+    ("oracle-fig6-m12", gen_fig6(2, 12, F(1, 8)), 174, 0, F(33, 4)),
     ("oracle-fig6-rho3-m8", gen_fig6(3, 8, F(1, 8)), 71, 0, F(21, 8)),
     ("oracle-random", PINNED, 115, 70, 13),
     ("oracle-deep", DEEP, 1, 0, 1100),
@@ -474,6 +475,7 @@ ORACLE_TREES = {
     "oracle-fig6-m7": (93, 0, [("bound-cut", 37), ("transport", 84)]),
     "oracle-fig6-m8": (133, 0, [("bound-cut", 21), ("transport", 123)]),
     "oracle-fig6-m10": (152, 0, [("bound-cut", 15), ("transport", 142)]),
+    "oracle-fig6-m12": (174, 0, [("bound-cut", 18), ("transport", 163)]),
     "oracle-fig6-rho3-m8": (71, 0, [("bound-cut", 29), ("transport", 60)]),
     "oracle-random": (45, 70, [("bound-cut", 153), ("dominated", 55), ("reach-cut", 70)]),
     "oracle-deep": (1, 0, [("transport", 1)]),
@@ -535,6 +537,25 @@ class TestOracleTrees:
         instance = gen_random(7, 14, 1, 4, (-7, 21), seed)
         assert len({s.r for s in instance.sensors}) >= 3
         assert _tree(monkeypatch, instance) == (expected, (nodes, cuts, pruned))
+
+
+class TestFig5Growth:
+    """fig5's oracle grows linearly in L: nodes plus cuts at most 2.5 times per doubling.
+
+    Before the transport bound the count grew about 4.5 times per doubling
+    (110, 515, 2,225 and 9,245 at these lengths).
+    """
+
+    COUNTS = {20: 26, 40: 56, 80: 116, 160: 236}
+
+    def test_count_per_doubling(self, monkeypatch):
+        searches = _record_searches(monkeypatch)
+        for length in self.COUNTS:
+            assert oracle_optimal(gen_fig5(2, length))[1] == length - 2
+        counts = {length: s.nodes + s.cuts for length, s in zip(self.COUNTS, searches)}
+        assert counts == self.COUNTS
+        for length in (20, 40, 80):
+            assert 2 * counts[2 * length] <= 5 * counts[length]
 
 
 class TestDominanceMemo:
