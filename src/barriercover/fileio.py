@@ -26,11 +26,24 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .model import Instance, Scalar, Sensor, Solution, as_scalar, cost
+from .model import Instance, ResourceLimitError, Scalar, Sensor, Solution, as_scalar, cost
 
 
 def format_scalar(value: Scalar) -> str:
-    return str(Fraction(value))
+    """``p/q`` in lowest terms, or ``p`` when q = 1.
+
+    A part with more digits than the interpreter prints
+    (``sys.get_int_max_str_digits``) raises ``ResourceLimitError`` with its
+    bit length: the answer exists, but no output line can hold it.
+    """
+    value = Fraction(value)
+    try:
+        return str(value)
+    except ValueError:
+        bits = max(value.numerator.bit_length(), value.denominator.bit_length())
+        raise ResourceLimitError(
+            f"cannot print a {bits:,}-bit number: it passes the {sys.get_int_max_str_digits():,}-digit output limit"
+        ) from None
 
 
 def parse_scalar(text: str) -> Scalar:

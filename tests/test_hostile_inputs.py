@@ -3,7 +3,8 @@
 Each file parses; none should end in a usage error (exit 2) or a crash.
 The shapes are the edge cases a hand-written or generated file can reach:
 an empty barrier, duplicate sensors, sensors that all miss the barrier,
-radii of 1/10^6 on a barrier 10^6 long, six coprime denominators, an infeasible row and no sensors at all.  Every solution a
+radii of 1/10^6 on a barrier 10^6 long, six coprime denominators, an infeasible row, no sensors at all,
+and numbers just inside the parser's digit limit whose optimum is past it.  Every solution a
 solver writes must pass ``verify``.  The searches run at a small node cap,
 so the module stays fast; hitting it is exit 3, never "no solution".
 """
@@ -31,6 +32,9 @@ SHAPES = {
     "infeasible": ("L 10\nN 2\n0 1\n5 1\n", {1}),
     "no_sensors": ("L 5\nN 0\n", {1}),
     "no_sensors_zero_length": ("L 0\nN 0\n", {0}),
+    # L = 10^4299 and two sensors of radius L/4 at 9L: every number has at
+    # most 4,300 digits, but the cost 17L has 4,301, past the output limit.
+    "cost_past_digit_limit": (f"L 1{'0' * 4299}\nN 2\n" + f"9{'0' * 4299} 25{'0' * 4297}\n" * 2, {3}),
 }
 
 
@@ -50,3 +54,12 @@ def test_every_solver_answers(shape, algo, tmp_path, capsys):
     if code == 0:
         assert cli.main(["verify", str(instance), str(solution)]) == 0, capsys.readouterr().err
 
+
+
+def test_cost_past_the_digit_limit_gives_its_bit_length(tmp_path, capsys):
+    """An answer too long to print exits 3 with its size, from ``solve`` and ``bench --dir`` alike."""
+    (tmp_path / "huge.bc").write_text(SHAPES["cost_past_digit_limit"][0])
+    assert cli.main(["solve", "--algo", "oracle", str(tmp_path / "huge.bc")]) == 3
+    assert "cannot print a 14,286-bit number" in capsys.readouterr().err
+    assert cli.main(["bench", "--dir", str(tmp_path), "--algos", "dp-eps", "--reference", "untangle-oracle"]) == 3
+    assert "4,300-digit output limit" in capsys.readouterr().err
