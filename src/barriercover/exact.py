@@ -489,9 +489,8 @@ def brute_force(
     root = (0, 0, home_holes[n], 0, first)  # nothing placed: the whole barrier
     t0 = _transport_bound(spans, home_holes[n], slack)
     sweep = t0 > uncovered
-    limit = search.limit
-    if sweep and t0 < limit:
-        search.limit = t0
+    if sweep and t0 < search.limit:
+        limit, search.limit = search.limit, t0
         search.run(visit, *root)
         if search.best_cost == t0:
             return search.result()
