@@ -343,7 +343,6 @@ def brute_force(
     positions = list(xs)
     # Child state (i, holes, *floors) -> the least spend it was entered with.
     seen: dict[tuple, int] = {}
-    spans = [(x - r, x + r) for x, r in zip(xs, rs)]
 
     def min_reach(i: int, p: int) -> Optional[int]:
         """Cheapest movement for any sensor i.. to cover [p, p+1].
@@ -390,7 +389,7 @@ def brute_force(
             if spent + reach > bnd:
                 pruned["bound"] += 1
                 return
-        if sweep and spent + _transport_bound(spans[i:], holes, slack - waste) > bnd:
+        if sweep and spent + _transport_bound(xs[i:], rs[i:], holes, slack - waste) > bnd:
             pruned["transport"] += 1
             return
         x, r = xs[i], rs[i]
@@ -487,7 +486,7 @@ def brute_force(
         search.cut("dead-hole-cut" if reach is None else "reach-cut")
         return search.result()
     root = (0, 0, home_holes[n], 0, first)  # nothing placed: the whole barrier
-    t0 = _transport_bound(spans, home_holes[n], slack)
+    t0 = _transport_bound(xs, rs, home_holes[n], slack)
     sweep = t0 > uncovered
     if sweep and t0 < search.limit:
         limit, search.limit = search.limit, t0

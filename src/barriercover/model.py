@@ -304,30 +304,34 @@ def _home_gaps(instance: Instance) -> list[tuple[int, int]]:
     return _gaps(sorted(_clipped_spans(rs, xs, length, range(instance.n))), length)
 
 
-def _transport_bound(spans: Iterable[tuple[int, int]], holes: Iterable[tuple[int, int]], spare: int) -> int:
-    """⌈∫ (|G(t)| - spare)₊ dt / w⌉ over the line, in ints: ``exact.brute_force``'s transport bound.
+def _transport_bound(
+    centers: Sequence[int], radii: Sequence[int], holes: Iterable[tuple[int, int]], spare: int
+) -> int:
+    """⌈∫ (|G(t)| - spare)₊ dt / 2r⌉ over the line, in ints: ``exact.brute_force``'s transport bound.
 
-    G(t) is the length of ``spans`` left of t (overlaps counted once per
-    span, nothing clipped) less that of ``holes``, and w the widest span;
-    no spans give 0.  ``brute_force``'s docstring has the proof.  G is
-    piecewise linear with breakpoints at the ends, where the sweep reads
-    it.  On a piece of length l from g0 to g1, |G| - spare is linear
-    wherever it is positive: with u = G - spare (and likewise -G - spare),
-    a piece wholly above the level adds l·(u0 + u1) to twice the integral,
-    and one that crosses it adds its triangle, p²·l / |g1 - g0| for its
-    peak p, rounded down, which keeps the bound admissible.
+    G(t) is the length of the spans [x - r, x + r] left of t (overlaps
+    counted once per span, nothing clipped) less that of ``holes``, and r
+    the largest radius; no spans give 0.  ``brute_force``'s docstring has
+    the proof.  G is piecewise linear with breakpoints at the ends, which
+    the sweep reads as 2t + 1 where G's slope rises and 2t where it falls.
+    On a piece of length l from g0 to g1, |G| - spare is linear wherever
+    it is positive: with u = G - spare (and likewise -G - spare), a piece
+    wholly above the level adds l·(u0 + u1) to twice the integral, and one
+    that crosses it adds its triangle, p²·l / |g1 - g0| for its peak p,
+    rounded down, which keeps the bound admissible.
     """
     steps = []
-    width = 0
-    for lo, hi in spans:
-        steps += ((lo, 1), (hi, -1))
-        if hi - lo > width:
-            width = hi - lo
+    r_max = 0
+    for x, r in zip(centers, radii):
+        steps += (2 * (x - r) + 1, 2 * (x + r))
+        if r > r_max:
+            r_max = r
     for lo, hi in holes:
-        steps += ((lo, -1), (hi, 1))
+        steps += (2 * lo, 2 * hi + 1)
     steps.sort()
     total = g = slope = prev = 0
-    for t, step in steps:
+    for step in steps:
+        t = step >> 1
         if t != prev:
             g1 = g + slope * (t - prev)
             top, low = (g, g1) if g > g1 else (g1, g)
@@ -338,8 +342,8 @@ def _transport_bound(spans: Iterable[tuple[int, int]], holes: Iterable[tuple[int
                     elif p > 0:  # so top > low: the piece crosses the level
                         total += p * p * (t - prev) // (top - low)
             g, prev = g1, t
-        slope += step
-    return -(-total // (2 * width)) if width else 0
+        slope += 1 if step & 1 else -1
+    return -(-total // (4 * r_max)) if r_max else 0
 
 
 def _minimal_cover(

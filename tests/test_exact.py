@@ -593,7 +593,7 @@ def _root_bound(instance):
     """The transport bound T0 at the oracle's root, in grid units."""
     _, length, xs, rs = instance._grid
     slack = sum(2 * r for r in rs) - length
-    return _transport_bound([(x - r, x + r) for x, r in zip(xs, rs)], [(0, length)] if length else [], slack)
+    return _transport_bound(xs, rs, [(0, length)] if length else [], slack)
 
 
 @st.composite
@@ -644,7 +644,7 @@ class TestTransportBound:
         completion = _cheapest_completion(length, xs[i:], rs[i:], holes)
         if completion is None or waste > slack:
             return  # no completion: any bound holds
-        bound = _transport_bound([(x - r, x + r) for x, r in zip(xs[i:], rs[i:])], holes, slack - waste)
+        bound = _transport_bound(xs[i:], rs[i:], holes, slack - waste)
         assert bound <= completion
 
     @pytest.mark.parametrize(
