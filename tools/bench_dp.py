@@ -30,12 +30,14 @@ sensor moved to L - 2, where it crosses the whole unit row, and on a
 two-deep stack at home: two unit sensors at each of x = 1, 3, ..., 399 on
 L = 400, where no sensor covers a stretch alone, so the drop rule sweeps
 once per sensor.
-The search rows are ``oracle_optimal`` on fig5 L in {40, 44}, on
-``gen_fig6(2, m, 1/8)`` for m in {8, 12} and, in one row, on all 200
+The search rows are ``oracle_optimal`` on fig5 L in {40, 44, 160, 320}, on
+``gen_fig6(2, m, 1/8)`` for m in {8, 12}, on ``gen_fig6(2, m, 1/16)`` for
+m in {16, 24} and, in one row, on all 200
 instances ``gen_random(6, 12, 1, 3, (-6, 18), s)`` for s = 0..199 (the
 ``exact-oracle`` workload's random family), and ``oracle_optimal`` and
 ``brute_force_order_preserving`` on the deep tiling: L = 2200 with 1,100
 sensors at x = 2i + 2, r = 1, whose only cover moves every sensor, and
+``oracle_optimal`` on the same sensors at L = 2199, one unit of slack, and
 ``fpt_solve`` at budgets OPT and OPT - 1 on ``gen_random(6, 12, 1, 3,
 (-6, 18), s)`` for s = 0..14 with OPT > 0 (OPT comes from
 ``oracle_optimal`` when the row is built, outside the timed call), and
@@ -197,14 +199,18 @@ def untangle_rows(bc) -> dict[str, Callable[[], object]]:
 def search_rows(bc) -> dict[str, Callable[[], object]]:
     """The exact-oracle workload's largest oracles and random family, fig6 m=12, the deep and near tilings."""
     rows: dict[str, Callable[[], object]] = {}
-    for length in (40, 44):
+    for length in (40, 44, 160, 320):
         rows[f"oracle_optimal.fig5_L{length}"] = lambda i=bc.gen_fig5(2, length): bc.oracle_optimal(i)
     for m in (8, 12):
         rows[f"oracle_optimal.fig6_m{m}"] = lambda i=bc.gen_fig6(2, m, Fraction(1, 8)): bc.oracle_optimal(i)
+    for m in (16, 24):
+        rows[f"oracle_optimal.fig6_m{m}_delta16"] = lambda i=bc.gen_fig6(2, m, Fraction(1, 16)): bc.oracle_optimal(i)
     family = [bc.gen_random(6, 12, 1, 3, (-6, 18), s) for s in range(200)]
     rows["oracle_optimal.random_family_200"] = lambda: [bc.oracle_optimal(i) for i in family]
     deep = bc.Instance(2200, tuple(bc.Sensor(2 * i + 2, 1) for i in range(1100)))
     rows["oracle_optimal.deep_n1100"] = lambda: bc.oracle_optimal(deep)
+    spare = bc.Instance(2199, deep.sensors)
+    rows["oracle_optimal.deep_L2199_n1100"] = lambda: bc.oracle_optimal(spare)
     rows["brute_force_order_preserving.deep_n1100"] = lambda: bc.brute_force_order_preserving(deep)
     optima = []
     for seed in range(15):
