@@ -10,8 +10,11 @@ ints for speed.
 The searches are depth-first with admissible pruning only (budget, current
 incumbent, permanently wasted length, uncovered measure, reachability of the
 leftmost hole, and in ``brute_force`` a transport bound), so results are
-exact.  ``fpt_solve`` takes its holes from
-the one coverage sweep, ``model._gaps``, as ``verify_coverage`` does.  A
+exact.  The transport bound's test costs O(n + holes) a node: each
+depth's sorted home breakpoints are made once per call, on its first
+visit, and the sweep stops once the bound passes the limit.
+``fpt_solve`` takes its holes from the one coverage sweep,
+``model._gaps``, as ``verify_coverage`` does.  A
 ``brute_force`` node instead carries the holes its placed sensors leave, cut
 by each child's span in O(holes) with ``_cut``, which also builds, once per
 call, the holes the unplaced sensors' homes leave.  Each node lists what its
@@ -39,6 +42,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import accumulate
 from fractions import Fraction
 from typing import Callable, Container, Iterator, Optional
 
@@ -51,13 +55,13 @@ from .model import (
     Solution,
     _clipped_spans,
     _gaps,
-    _to_grid,
     _transport_bound,
+    _transport_sweep,
     grid_units,
     is_feasible,
     on_grid,
 )
-from .order_dp import greedy_cover
+from .order_dp import _greedy_tiling, greedy_cover
 
 # Most entries ``brute_force``'s dominance memo records per call.
 _MEMO_CAP = 1 << 16
@@ -206,7 +210,9 @@ def brute_force(
     [min(-r, x), max(L + r, x)]) with admissible pruning, so the returned
     cost is the exact optimum within the budget; None means no solution
     exists, never that the search gave up (that raises ResourceLimitError).
-    The budget defaults to the greedy tiling cost, which is always enough.
+    The budget defaults to the greedy tiling cost, which is always enough;
+    that tiling, on the grid (``order_dp._greedy_tiling``), is the first
+    incumbent.
 
     Each child's entry test runs in its parent, so only a child that passes
     it becomes a node.  Let ``ahead`` be the stretches of the placed holes
@@ -301,13 +307,31 @@ def brute_force(
     so the incumbent is unchanged; the limit is restored and the full
     search runs.  The memo is cleared in between, as its bound cuts were
     made under the probe's lower limit, and its proof needs a limit that
-    only falls.  The sweep costs O(n log n) a node, so the rule and the
-    probe run only in a call whose T0 exceeds the root's uncovered measure
-    (the bound the search has anyway); otherwise the search is as without
-    them, node for node.  On random data the slack is large and T0 is 0 or
-    1, so this gate is mostly shut.  On fig5 T0 is the optimum and the
-    probe proves it; on fig6 it is about half of it, and the rule does the
-    work.
+    only falls.
+
+    The root's own test reads T0, as its holes are the whole barrier and
+    its waste 0.  Below it the test costs O(n - i + |H|) a node.  The
+    breakpoints of the homes of sensors i.. are sorted once per call, at
+    the first visit of depth i, from depth i - 1's list less sensor
+    i - 1's two (``home_steps``; entry 0 is sorted at the gate).  So a
+    call keeps one list of O(n) ints per depth it reached, and only the
+    first if the root settles it, where building all n up front would
+    take O(n²) memory for nothing.  A node merges its list with its holes'
+    breakpoints, sorted already, and ``model._transport_sweep`` sweeps the
+    result, stopping once its running total passes c = k·4 r_max, with
+    k = limit - spent.  That stop cuts
+    exactly where spent + T > limit does.  Let S be the whole total (twice
+    the integral, triangles rounded down), so T = ceil(S / b) with
+    b = 4 r_max >= 4.  For every integer k, ceil(S / b) > k iff S / b > k
+    (ceil(S / b) < S / b + 1), iff S > c; for k < 0 both hold, as S >= 0.
+    Every piece adds at least 0 to the total, so a partial total passes c
+    iff S does.  The sweep costs O(n) a node all the same, so the rule and
+    the probe run only in a call whose T0 exceeds the root's uncovered
+    measure (the bound the search has anyway); otherwise the search is as
+    without them, node for node.  On random data the slack is large and T0
+    is 0 or 1, so this gate is mostly shut.  On fig5 T0 is the optimum and
+    the probe proves it; on fig6 it is about half of it, and the rule does
+    the work.
     """
     d, length, xs, rs = on_grid(instance)
     limit = None if budget is None else grid_units(budget, d)
@@ -331,11 +355,10 @@ def brute_force(
              for i in range(n + 1)]
     floors: dict[int, Optional[int]] = dict.fromkeys(members)
 
-    greedy_y, greedy_cost = greedy_cover(instance)
-    greedy_grid = _to_grid(greedy_cost, d)
-    search = _Search(node_cap, greedy_grid if limit is None else limit, d)
+    tiled, greedy_cost = _greedy_tiling(length, xs, rs)
+    search = _Search(node_cap, greedy_cost if limit is None else limit, d)
     pruned = search.pruned
-    search.offer(greedy_grid, [_to_grid(v, d) for v in greedy_y])
+    search.offer(greedy_cost, tiled + xs[len(tiled):])
     anchored = _anchored_cover(length, xs, rs)
     if anchored is not None:
         search.offer(sum(abs(y - x) for y, x in zip(anchored, xs)), anchored)
@@ -373,6 +396,26 @@ def brute_force(
                     best = c
         return best
 
+    # ``r_max[i]``: the largest radius of sensors i..; ``home_steps[i]``: the
+    # sorted breakpoints of their homes, as ``model._transport_bound`` encodes
+    # them.  Entry 0 is made at the gate and entry i at depth i's first
+    # visit, whose parent made entry i - 1: the entries are a prefix.
+    r_max = list(accumulate(reversed(rs), max))[::-1]
+    home_steps: list[list[int]] = []
+
+    def transport_cut(i: int, spent: int, holes: list[tuple[int, int]], waste: int, bnd: int) -> bool:
+        """Does ``spent`` plus the transport bound of a node at depth i >= 1 exceed ``bnd``?"""
+        if len(home_steps) == i:
+            steps = home_steps[-1].copy()
+            x, r = xs[i - 1], rs[i - 1]
+            del steps[bisect_left(steps, 2 * (x - r) + 1)]
+            del steps[bisect_left(steps, 2 * (x + r))]
+            home_steps.append(steps)
+        # Two sorted runs: ``sorted`` merges them in one pass.
+        steps = sorted(home_steps[i] + [step for lo, hi in holes for step in (2 * lo, 2 * hi + 1)])
+        cap = (bnd - spent) * 4 * r_max[i]
+        return _transport_sweep(steps, slack - waste, cap) > cap
+
     def visit(i: int, spent: int, holes: list[tuple[int, int]], waste: int, first: int) -> Iterator[tuple]:
         # ``holes``: the placed sensors' holes, sorted and disjoint; ``first``:
         # the first point they and the homes of sensors i.. leave open (-1: none).
@@ -389,7 +432,7 @@ def brute_force(
             if spent + reach > bnd:
                 pruned["bound"] += 1
                 return
-        if sweep and spent + _transport_bound(xs[i:], rs[i:], holes, slack - waste) > bnd:
+        if sweep and (t0 > bnd if i == 0 else transport_cut(i, spent, holes, waste, bnd)):
             pruned["transport"] += 1
             return
         x, r = xs[i], rs[i]
@@ -488,6 +531,8 @@ def brute_force(
     root = (0, 0, home_holes[n], 0, first)  # nothing placed: the whole barrier
     t0 = _transport_bound(xs, rs, home_holes[n], slack)
     sweep = t0 > uncovered
+    if sweep:
+        home_steps.append(sorted(step for x, r in zip(xs, rs) for step in (2 * (x - r) + 1, 2 * (x + r))))
     if sweep and t0 < search.limit:
         limit, search.limit = search.limit, t0
         search.run(visit, *root)

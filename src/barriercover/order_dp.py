@@ -393,21 +393,35 @@ def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
 
     Sensors are stacked edge to edge from 0 until the barrier is covered;
     the rest stay home.  The tiling runs on the instance's grid
-    (``model.on_grid``); only the n positions and the cost become Fractions.
+    (``model.on_grid``, ``_greedy_tiling``); only the moved positions and
+    the cost become Fractions.
     """
     if not is_feasible(instance):
         raise InfeasibleError("total sensor length is below the barrier length")
     d, length, xs, rs = on_grid(instance)
+    centers, moved = _greedy_tiling(length, xs, rs)
     y = list(instance.home())
+    for i, center in enumerate(centers):
+        y[i] = Fraction(center, d)
+    return tuple(y), Fraction(moved, d)
+
+
+def _greedy_tiling(length: int, xs: list[int], rs: list[int]) -> tuple[list[int], int]:
+    """``greedy_cover`` on the grid: the centers of the sensors it moves, a prefix, and its cost.
+
+    Every sensor past the prefix stays home.  ``exact.brute_force`` takes
+    its incumbent from here, with no Fraction made.
+    """
+    centers = []
     reach = moved = 0
-    for i, (x, r) in enumerate(zip(xs, rs)):
+    for x, r in zip(xs, rs):
         if reach >= length:
             break
         center = reach + r
-        y[i] = Fraction(center, d)
+        centers.append(center)
         moved += abs(center - x)
         reach += 2 * r
-    return tuple(y), Fraction(moved, d)
+    return centers, moved
 
 
 def dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:

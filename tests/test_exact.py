@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction as F
 
@@ -26,7 +27,7 @@ from barriercover import (
 )
 from barriercover import exact
 from barriercover.exact import gap_candidates
-from barriercover.model import _transport_bound
+from barriercover.model import _transport_bound, _transport_sweep
 from barriercover.order_dp import cheapest_first
 
 import reference_search as ref
@@ -246,6 +247,20 @@ class TestDeepSearch:
         assert oracle_optimal(DEEP, node_cap=1)[1] == 1100
         (search,) = searches
         assert (search.nodes, search.cuts, search.pruned) == (1, 0, {"transport": 1})
+
+    def test_oracle_memory_stays_linear_on_the_deep_instance(self):
+        """The root settles it, so no suffix breakpoint list past the first is built.
+
+        The peak reads about 0.9 MB; building all 1,100 suffix lists up
+        front, O(n²) ints, peaks at about 10.8 MB.
+        """
+        tracemalloc.start()
+        try:
+            assert oracle_optimal(DEEP)[1] == 1100
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
     def test_pruned_budget_is_still_proven_absent(self):
         # Every cover moves all 1,100 sensors by one unit, so budget 5 is
@@ -646,6 +661,23 @@ class TestTransportBound:
             return  # no completion: any bound holds
         bound = _transport_bound(xs[i:], rs[i:], holes, slack - waste)
         assert bound <= completion
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.tuples(st.integers(-20, 40), st.integers(1, 6)), min_size=1, max_size=6),
+        st.lists(st.integers(-5, 45), max_size=8, unique=True),
+        st.integers(-3, 30),
+        st.integers(-4, 12),
+    )
+    def test_early_stop_cuts_where_the_whole_bound_does(self, spans, ends, spare, room):
+        """The sweep stopped at cap = room·4·r_max passes it iff spent + T > bnd, with room = bnd - spent."""
+        centers, radii = zip(*spans)
+        ends.sort()
+        holes = list(zip(ends[::2], ends[1::2]))  # sorted and disjoint; none from fewer than two ends
+        steps = sorted([step for x, r in spans for step in (2 * (x - r) + 1, 2 * (x + r))]
+                       + [step for lo, hi in holes for step in (2 * lo, 2 * hi + 1)])
+        cap = room * 4 * max(radii)
+        assert (_transport_sweep(steps, spare, cap) > cap) == (_transport_bound(centers, radii, holes, spare) > room)
 
     @pytest.mark.parametrize(
         "instances",
