@@ -338,7 +338,7 @@ def _transport_sweep(steps: Iterable[int], spare: int, cap: Optional[int] = None
     rounded down, which keeps the bound admissible.  Every piece adds at
     least 0, so the running total only rises: given a ``cap``, the sweep
     returns the partial total as soon as it passes the cap, and the result
-    exceeds the cap iff the whole integral's would.  Steps at one t may
+    exceeds the cap iff the whole total does.  Steps at one t may
     come in any order, as G moves only between distinct t.
     """
     total = g = slope = prev = 0

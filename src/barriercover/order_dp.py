@@ -393,7 +393,7 @@ def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
 
     Sensors are stacked edge to edge from 0 until the barrier is covered;
     the rest stay home.  The tiling runs on the instance's grid
-    (``model.on_grid``, ``_greedy_tiling``); only the moved positions and
+    (``model.on_grid``, ``_greedy_tiling``); only the tiled positions and
     the cost become Fractions.
     """
     if not is_feasible(instance):
@@ -407,7 +407,7 @@ def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
 
 
 def _greedy_tiling(length: int, xs: list[int], rs: list[int]) -> tuple[list[int], int]:
-    """``greedy_cover`` on the grid: the centers of the sensors it moves, a prefix, and its cost.
+    """``greedy_cover`` on the grid: the centers of the sensors it tiles, a prefix, and its cost.
 
     Every sensor past the prefix stays home.  ``exact.brute_force`` takes
     its incumbent from here, with no Fraction made.

@@ -252,7 +252,7 @@ class TestDeepSearch:
         """The root settles it, so no suffix breakpoint list past the first is built.
 
         The peak reads about 0.9 MB; building all 1,100 suffix lists up
-        front, O(n²) ints, peaks at about 10.8 MB.
+        front holds O(n²) ints, tens of MB.
         """
         tracemalloc.start()
         try:
