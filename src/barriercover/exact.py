@@ -230,15 +230,25 @@ def brute_force(
     would return at entry, offering nothing, so no incumbent moves.  The
     last two count against the node cap (``_Search.cut``) as the nodes they
     would have been: nodes plus those cuts is the count from when they were
-    nodes.  The root is tested so too, before it becomes a node.  A node
-    returns at entry on its placed hole p (its holes' first point) unless p
-    is its first open point: as ``"dead-placed-hole"`` when
-    ``min_reach(i, p)`` is None (the floors can keep every sensor left to
-    its right), as ``"bound"`` when ``spent`` plus that reach exceeds the
-    limit.
+    nodes.  The root is tested so too, before it becomes a node, and only
+    as ``"reach-cut"``: its reach is never None, as no floor is set yet and
+    every class has a member, so each class yields a candidate (see below).
+    A node returns at entry on its placed hole p (its holes' first point)
+    unless p is its first open point (with no placed holes both are -1):
+    as ``"dead-placed-hole"`` when ``min_reach(i, p)`` is None (the floors
+    can keep every sensor left to its right), as ``"bound"`` when ``spent``
+    plus that reach exceeds the limit.
 
     ``min_reach(i, p)`` reads only the classes in ``alive[i]``, those with a
     member at index i or later; a class with none yields no candidate.
+    Every p it receives starts a stretch [p, p+1] open in the holes it was
+    taken from.  A floor y is where a placed sensor of its class r sits,
+    and that sensor's span, clipped to [0, L], was cut from those holes; if
+    p - r < y <= p + r, that clipped span would hold [p, p+1].  So each
+    floor lies at or below p - r or above p + r: it never narrows the
+    window [p - r, p + r], it only empties it.  A class with no sensor
+    placed has the floor ``low``, one below the smallest min(-r, x), which
+    lies below every window and every p - r (p >= 0), so no floor is None.
 
     Some children are skipped uncounted.  With r the radius of sensor i,
     placing it at y > p + r leaves [p, p+1] open, so p stays the child's
@@ -247,11 +257,11 @@ def brute_force(
     ``min_reach(i + 1, p)`` with class r excluded, and it is None iff every
     other class c in ``alive[i + 1]`` has its floor above p + c: then no
     such y is tried.  A class whose floor is past p + c has no center
-    covering p, so it yields nothing.  A class c with no floor, or one at
-    most p + c, always yields a candidate: its range [lo, p + c], lo the
-    larger of p - c and the floor, is not empty, and the bisect of lo among
-    the homes of its members from i + 1 on (at least one) lands on one of
-    them, a home at or right of lo, or past the first, a home left of lo.
+    covering p, so it yields nothing.  A class c whose floor is at most
+    p + c always yields a candidate: its range [p - c, p + c] is not empty,
+    and the bisect of p - c among the homes of its members from i + 1 on
+    (at least one) lands on one of them, a home at or right of p - c, or
+    past the first, a home left of p - c.
     So the lookahead needs only the floors.  The waste test (``"waste"``)
     admits a span only when its overlap with the placed holes is at least
     ``need = waste + 2r - slack``.  That overlap is at most the span's
@@ -353,7 +363,9 @@ def brute_force(
     homes = {r: [xs[j] for j in js] for r, js in members.items()}
     alive = [[(r, bisect_left(js, i), homes[r]) for r, js in members.items() if js[-1] >= i]
              for i in range(n + 1)]
-    floors: dict[int, Optional[int]] = dict.fromkeys(members)
+    # A class with no sensor placed has the floor ``low``, below every window and every p - r.
+    low = min((min(-r, x) for x, r in zip(xs, rs)), default=0) - 1
+    floors = dict.fromkeys(members, low)
 
     tiled, greedy_cost = _greedy_tiling(length, xs, rs)
     search = _Search(node_cap, greedy_cost if limit is None else limit, d)
@@ -371,18 +383,16 @@ def brute_force(
         """Cheapest movement for any sensor i.. to cover [p, p+1].
 
         Radius r covers it from y in [p - r, p + r] at or above the class
-        floor.  The class's members still to place are a suffix, and the two
+        floor, which is at most p - r or past p + r (see above): it keeps
+        the whole window or empties it.  The class's members still to place are a suffix, and the two
         of their homes around the window's low end are the nearest.  None
         means no remaining sensor can ever cover the point: a dead branch.
         """
         best: Optional[int] = None
         for r, start, homes in alive[i]:
-            lo_y, hi_y, f = p - r, p + r, floors[r]
-            if f is not None:
-                if f > hi_y:
-                    continue
-                if f > lo_y:
-                    lo_y = f
+            lo_y, hi_y = p - r, p + r
+            if floors[r] > hi_y:
+                continue
             k = bisect_left(homes, lo_y, start)
             if k < len(homes):
                 c = homes[k] - hi_y
@@ -424,7 +434,7 @@ def brute_force(
             return
         bnd = search.limit
         placed_hole = holes[0][0] if holes else -1
-        if placed_hole >= 0 and placed_hole != first:
+        if placed_hole != first:
             reach = min_reach(i, placed_hole)
             if reach is None:
                 pruned["dead-placed-hole"] += 1
@@ -438,7 +448,7 @@ def brute_force(
         x, r = xs[i], rs[i]
         two_r = 2 * r
         floor = floors[r]
-        lo_y = min(-r, x) if floor is None else max(min(-r, x), floor)
+        lo_y = max(min(-r, x), floor)
         hi_y = max(length + r, x)
         need = waste + two_r - slack
         if need > 0:
@@ -448,10 +458,8 @@ def brute_force(
         if placed_hole >= 0:
             # The children right of placed_hole + r, checked at once (see above).
             for c, _, _ in alive[i + 1]:
-                if c != r:
-                    f = floors[c]
-                    if f is None or f <= placed_hole + c:
-                        break
+                if c != r and floors[c] <= placed_hole + c:
+                    break
             else:
                 hi_y = min(hi_y, placed_hole + r)
         # What the suffix homes from i + 1 leave of the holes: a child's open
@@ -525,8 +533,8 @@ def brute_force(
     first = ahead[0][0] if ahead else -1
     reach = 0 if first < 0 else min_reach(0, first)
     uncovered = sum(hi - lo for lo, hi in ahead)
-    if reach is None or max(reach, uncovered) > search.limit:
-        search.cut("dead-hole-cut" if reach is None else "reach-cut")
+    if max(reach, uncovered) > search.limit:
+        search.cut("reach-cut")
         return search.result()
     root = (0, 0, home_holes[n], 0, first)  # nothing placed: the whole barrier
     t0 = _transport_bound(xs, rs, home_holes[n], slack)

@@ -166,10 +166,20 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     (value x + k*unit + r), left-bound otherwise (value t + 2r), or out of
     reach.  Right-bound splits form a prefix [0, K_b], and K_b never
     decreases in b, so one pointer per row finds it; clamped at L, its
-    smallest k is max(0, ceil((L - x - r) / unit)).  Left-bound j = b - k
+    smallest k is max(0, ceil((L - x - r) / unit)).  The pointer rises at
+    most one step per column: if split k + 1 is right-bound at b, then
+    x + k*unit < x + (k+1)*unit <= prev[b-k-1] + r, so split k is
+    right-bound at b - 1, as the row above is nondecreasing.  Hence
+    K_b <= K_{b-1} + 1, and the pointer is at K_{b-1} <= b - 1 when column
+    b tests it.  Left-bound j = b - k
     becomes available at budget j + ceil(|prev[j] + r - x| / unit) and stays
     so; the previous row is nondecreasing, so the largest available j gives
-    both the best value and the smallest k.  The fill runs on exact ints,
+    both the best value and the smallest k.  A tie between the two cases
+    goes to the right-bound split, whose k is never the larger.  Unclamped,
+    the tie says prev[j] + r - x = K*unit for the right-bound split K, so j
+    became available at j + K or later and k = b - j >= K.  Clamped at L,
+    prev[j] + 2r >= L, so k*unit >= prev[j] + r - x >= L - x - r and k is
+    at least the clamped smallest k.  The fill runs on exact ints,
     every coordinate and the unit put on one grid by ``model.on_grid``, and
     the table stays on that grid: nothing is converted back to Fractions
     here, only the answer that ``_dp_within`` reconstructs from it.
@@ -210,7 +220,11 @@ def _fill_row(
     ``latest`` and ``later`` carry over.  Each split's value is recomputed
     only when its pointer moves: ``cut``, the next right split's threshold
     x + (right+1)*u - r, makes the right test one comparison per cell, and
-    the pointer stops once its value reaches L, where it stays.
+    the pointer stops once its value reaches L, where it stays.  The
+    pointer rises at most once per column and is below b when column b
+    tests it (``budget_table``), so that test needs no loop and its index
+    b - right - 1 is never negative.  The left-bound split wins only when
+    strictly larger: on a tie its k is no smaller (``budget_table`` again).
     """
     clamp_k = max(0, -((x + r - length) // u))
     xr, rx, r2 = x + r, r - x, 2 * r
@@ -239,21 +253,18 @@ def _fill_row(
                 left_value = prev[left] + r2
                 if left_value > length:
                     left_value = length
-            if cut <= prev[b - right - 1] and right < b:
+            if cut <= prev[b - right - 1]:
                 right += 1
                 cut += u
-                while right < b and cut <= prev[b - right - 1]:
-                    right += 1
-                    cut += u
                 right_value = xr + right * u
                 if right_value >= length:
                     right_value, right_k = length, clamp_k
                     cut = length + 1  # above every reach
                 else:
                     right_k = right
-            # Ties go to the skip, then to the smaller split.
+            # Ties go to the skip, then to the right-bound split (its k is no larger).
             if right_value > best:
-                if left_value > right_value or (left_value == right_value and b - left < right_k):
+                if left_value > right_value:
                     append(left_value)
                     choose(b - left)
                 else:

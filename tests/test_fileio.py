@@ -78,6 +78,10 @@ class TestInstanceFiles:
         with pytest.raises(ValueError, match="sensor count must be >= 0, got -1"):
             parse_instance("L 4\nN -1\n")
 
+    def test_second_line_must_give_the_count(self):
+        with pytest.raises(ValueError, match="second data line must be 'N <int>'"):
+            parse_instance("L 4\n2\n0 1\n")
+
 
 class TestSolutionFiles:
     def test_round_trip(self):

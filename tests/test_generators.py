@@ -68,6 +68,10 @@ class TestFig6:
         with pytest.raises(ValueError):
             gen_fig6(2, 0, F(1, 8))
 
+    def test_rho_below_one(self):
+        with pytest.raises(ValueError, match="rho must be >= 1"):
+            gen_fig6(F(1, 2), 3, F(1, 8))
+
 
 class TestReduction:
     def test_reference_instance_values(self):

@@ -315,6 +315,10 @@ class TestHelpers:
         back = scale_instance(scaled, F(1, factor))
         assert back == inst
 
+    def test_scale_factor_must_be_positive(self):
+        with pytest.raises(ValueError, match="scale factor must be positive"):
+            scale_instance(I1, 0)
+
     def test_grid_scaling(self):
         inst = Instance(F(5, 2), (Sensor(F(-1, 3), F(1, 2)), Sensor(2, 1)))
         assert on_grid(inst) == (6, 15, [-2, 12], [3, 6])

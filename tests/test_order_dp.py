@@ -213,6 +213,14 @@ class TestTableInvariants:
             table.grow(3)
         assert [len(row) for row in table.rows] == [5, 5, 5]
 
+    @pytest.mark.parametrize("args, message", [
+        ((3, 0), "budget unit must be positive"),
+        ((-1,), "budget must be >= 0"),
+    ])
+    def test_argument_checks(self, args, message):
+        with pytest.raises(ValueError, match=message):
+            budget_table(I1, *args)
+
     def test_base_row_is_zero(self):
         table = budget_table(I1, 6)
         assert all(v == 0 for v in fraction_reach(table)[0])
@@ -473,6 +481,19 @@ class TestDpEps:
             opt_op = cost(scaled, dp_optimal(scaled)[0])
             assert (value, opt_op) == (expected, 4 * c)
             assert opt_op <= value <= (1 + eps) * opt_op
+
+    def test_acceptance_rejects_an_overshooting_cover(self, monkeypatch):
+        """A rounded guess's cover costing more than (1 + eps/2)·guess is refused, and the next guess runs.
+
+        At eps = 3/4 the first rounded guess is 6 (unit 9/8): its cover moves
+        the left sensor 9, above 11/8·6 = 33/4.  The next guess, 12 (unit
+        9/4), accepts a cover of the same cost, which is OPT_op.
+        """
+        inst = Instance(12, (Sensor(-3, 6), Sensor(3, 3)))
+        found, tables, made, exact = eps_tables(monkeypatch, inst, F(3, 4))
+        assert tables == [("within", 8, F(9, 8)), ("within", 8, F(9, 4))]
+        assert (made, exact) == (0, False)
+        assert cost(inst, found[0]) == cost(inst, dp_optimal(inst)[0]) == 9
 
     def test_fractional_instance(self):
         # No integrality requirement: eighth-grid coordinates work directly.
