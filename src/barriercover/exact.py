@@ -383,10 +383,11 @@ def brute_force(
         """Cheapest movement for any sensor i.. to cover [p, p+1].
 
         Radius r covers it from y in [p - r, p + r] at or above the class
-        floor, which is at most p - r or past p + r (see above): it keeps
-        the whole window or empties it.  The class's members still to place are a suffix, and the two
-        of their homes around the window's low end are the nearest.  None
-        means no remaining sensor can ever cover the point: a dead branch.
+        floor, which is at most p - r or past p + r (``brute_force``): it
+        keeps the whole window or empties it.  The class's members still to
+        place are a suffix, and the two of their homes around the window's
+        low end are the nearest.  None means no remaining sensor can ever
+        cover the point: a dead branch.
         """
         best: Optional[int] = None
         for r, start, homes in alive[i]:

@@ -171,10 +171,10 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
     x + k*unit < x + (k+1)*unit <= prev[b-k-1] + r, so split k is
     right-bound at b - 1, as the row above is nondecreasing.  Hence
     K_b <= K_{b-1} + 1, and the pointer is at K_{b-1} <= b - 1 when column
-    b tests it.  Left-bound j = b - k
-    becomes available at budget j + ceil(|prev[j] + r - x| / unit) and stays
-    so; the previous row is nondecreasing, so the largest available j gives
-    both the best value and the smallest k.  A tie between the two cases
+    b tests it.  Left-bound j = b - k becomes available at budget
+    j + ceil(|prev[j] + r - x| / unit) and stays so; the previous row is
+    nondecreasing, so the largest available j gives both the best value
+    and the smallest k.  A tie between the two cases
     goes to the right-bound split, whose k is never the larger.  Unclamped,
     the tie says prev[j] + r - x = K*unit for the right-bound split K, so j
     became available at j + K or later and k = b - j >= K.  Clamped at L,
