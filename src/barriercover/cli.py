@@ -54,7 +54,7 @@ def _count(text: str) -> int:
 
 
 def _cost_bound(text: str) -> Scalar:
-    """``--max-cost``: a rational bound >= 0, as ``_count`` checks a count."""
+    """``--max-cost``, ``--budget``: a rational bound >= 0, as ``_count`` checks a count."""
     try:
         value = parse_scalar(text)
     except ValueError as exc:
@@ -88,7 +88,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     solve = sub.add_parser("solve", help="solve an instance file")
     solve.add_argument("--algo", required=True, choices=sorted(harness.SOLVERS))
-    solve.add_argument("--budget", help="movement budget in input units; without it the "
+    solve.add_argument("--budget", type=_cost_bound, help="movement budget in input units; without it the "
                        "exact solvers return the optimum (refused with dp-eps)")
     solve.add_argument("--eps", help="approximation parameter (dp-eps only; default: 1/2)")
     solve.add_argument("--node-cap", type=_count,
@@ -240,9 +240,8 @@ def _load_instance(path: str) -> Instance:
 def _cmd_solve(args: argparse.Namespace) -> int:
     _apply_mode(args, f"--algo {args.algo}")
     instance = _load_instance(args.instance)
-    budget = None if args.budget is None else parse_scalar(args.budget)
     eps = None if args.eps is None else parse_scalar(args.eps)
-    solution = harness.SOLVERS[args.algo](instance, budget, eps, args.node_cap)
+    solution = harness.SOLVERS[args.algo](instance, args.budget, eps, args.node_cap)
     if solution is None:
         print("no solution within the given bounds", file=sys.stderr)
         return EXIT_ABSENT

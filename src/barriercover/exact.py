@@ -10,9 +10,9 @@ ints for speed.
 The searches are depth-first with admissible pruning only (budget, current
 incumbent, permanently wasted length, uncovered measure, reachability of the
 leftmost hole, and in ``brute_force`` a transport bound), so results are
-exact.  The transport bound's test costs O(n + holes) a node: each
-depth's sorted home breakpoints are made once per call, on its first
-visit, and the sweep stops once the bound passes the limit.
+exact.  The transport bound's test costs O(n + holes) a node: one sorted
+list of the unplaced sensors' home breakpoints follows the search path,
+and the sweep stops once the bound passes the limit.
 ``fpt_solve`` takes its holes from the one coverage sweep,
 ``model._gaps``, as ``verify_coverage`` does.  A
 ``brute_force`` node instead carries the holes its placed sensors leave, cut
@@ -40,11 +40,12 @@ positions for a budget of B grid units.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from itertools import accumulate
 from fractions import Fraction
-from typing import Callable, Container, Iterator, Optional
+from operator import itemgetter
+from typing import Callable, Container, Iterable, Iterator, Optional
 
 from .model import (
     DEFAULT_NODE_CAP,
@@ -55,8 +56,6 @@ from .model import (
     Solution,
     _clipped_spans,
     _gaps,
-    _transport_bound,
-    _transport_sweep,
     grid_units,
     is_feasible,
     on_grid,
@@ -151,22 +150,14 @@ def _anchored_cover(length: int, xs: list[int], rs: list[int]) -> Optional[list[
     return y
 
 
-# Sorted disjoint holes as parallel starts and ends.
-_HoleIndex = tuple[list[int], list[int]]
-
-
-def _hole_index(holes: list[tuple[int, int]]) -> _HoleIndex:
-    return [lo for lo, _ in holes], [hi for _, hi in holes]
-
-
-def _open_stretches(holes: list[tuple[int, int]], index: _HoleIndex) -> list[tuple[int, int]]:
-    """The stretches open both in ``holes`` and in ``index``, sorted and disjoint."""
-    starts, ends = index
+def _open_stretches(holes: list[tuple[int, int]], other: list[tuple[int, int]]) -> list[tuple[int, int]]:
+    """The stretches open both in ``holes`` and in ``other``, each sorted and disjoint."""
     out = []
     for a, b in holes:
-        j = bisect_right(ends, a)
-        for k in range(j, bisect_left(starts, b, j)):
-            out.append((a if a > starts[k] else starts[k], b if b < ends[k] else ends[k]))
+        j = bisect_right(other, a, key=itemgetter(1))
+        for k in range(j, bisect_left(other, b, j, key=itemgetter(0))):
+            lo, hi = other[k]
+            out.append((a if a > lo else lo, b if b < hi else hi))
     return out
 
 
@@ -199,6 +190,43 @@ def _home_holes(length: int, xs: list[int], rs: list[int]) -> list[list[tuple[in
     return out[::-1]
 
 
+def _transport_sweep(steps: Iterable[int], spare: int, cap: Optional[int] = None) -> int:
+    """Twice ∫ (|G(t)| - spare)₊ dt over the sorted ``steps``: ``brute_force``'s transport sweep.
+
+    G(t) is the length of the home spans [x - r, x + r] left of t (overlaps
+    counted once per span, nothing clipped) less that of the holes.  G is
+    piecewise linear with breakpoints at the ends, encoded as 2t + 1 where
+    G's slope rises (a home's lo, a hole's hi) and 2t where it falls (a
+    home's hi, a hole's lo).  On a piece of length l from g0 to g1,
+    |G| - spare is linear wherever it is positive: with u = G - spare (and
+    likewise -G - spare), a piece wholly above the level adds l·(u0 + u1)
+    to twice the integral, and one that crosses it adds its triangle,
+    p²·l / |g1 - g0| for its peak p, rounded down, which keeps the bound
+    admissible.  Every piece adds at least 0, so the running total only
+    rises: given a ``cap``, the sweep returns the partial total as soon as
+    it passes the cap, and the result exceeds the cap iff the whole total
+    does.  Steps at one t may come in any order, as G moves only between
+    distinct t.
+    """
+    total = g = slope = prev = 0
+    for step in steps:
+        t = step >> 1
+        if t != prev:
+            g1 = g + slope * (t - prev)
+            top, low = (g, g1) if g > g1 else (g1, g)
+            if top > spare or -low > spare:
+                for p, q in ((top - spare, low - spare), (-low - spare, -top - spare)):
+                    if q >= 0:
+                        total += (t - prev) * (p + q)
+                    elif p > 0:  # so top > low: the piece crosses the level
+                        total += p * p * (t - prev) // (top - low)
+                if cap is not None and total > cap:
+                    return total
+            g, prev = g1, t
+        slope += 1 if step & 1 else -1
+    return total
+
+
 def brute_force(
     instance: Instance,
     budget: Optional[ScalarLike] = None,
@@ -220,7 +248,7 @@ def brute_force(
     measure.  A child placing span [lo, hi] leaves open ``ahead`` less the
     span, so its uncovered measure is ``base`` less their overlap and its
     first open point is the first point of ``ahead`` outside the span: what
-    its entry read from its holes and ``suffix[i + 1]``.  With class r's
+    its entry read from its holes and ``home_holes[i + 1]``.  With class r's
     floor at y, ``min_reach(i + 1, first)`` is the child's own call, and
     ``search.limit`` is its entry's.  A child is cut and counted in
     ``pruned`` as ``"bound-cut"`` when ``spent + d`` plus its uncovered
@@ -300,7 +328,7 @@ def brute_force(
     R = slack - w.  Let mu be their home spans (unclipped, overlaps added)
     and nu the holes, G(t) = mu(-inf, t] - nu(-inf, t], and r_max the
     largest radius among them; then T = ceil(int (|G| - R)+ dt / 2 r_max)
-    (``model._transport_bound``) is at most the cost C of any completion.
+    (the closure ``transport``) is at most the cost C of any completion.
     Assign each hole point to one sensor covering it: sensor j carries at
     most 2 r_j of hole length over |y_j - x_j|, so some sigma <= mu of
     mass |H|, translated piece by piece, lands on nu at cost at most
@@ -321,16 +349,20 @@ def brute_force(
 
     The root's own test reads T0, as its holes are the whole barrier and
     its waste 0.  Below it the test costs O(n - i + |H|) a node.  The
-    breakpoints of the homes of sensors i.. are sorted once per call, at
-    the first visit of depth i, from depth i - 1's list less sensor
-    i - 1's two (``home_steps``; entry 0 is sorted at the gate).  So a
-    call keeps one list of O(n) ints per depth it reached, and only the
-    first if the root settles it, where building all n up front would
-    take O(n²) memory for nothing.  A node merges its list with its holes'
-    breakpoints, sorted already, and ``model._transport_sweep`` sweeps the
-    result, stopping once its running total passes c = k·4 r_max, with
-    k = limit - spent.  That stop cuts
-    exactly where spent + T > limit does.  Let S be the whole total (twice
+    breakpoints of all the homes are sorted once per call, at the gate,
+    into one list (``home_steps``) that follows the path: a node past its
+    own tests takes its sensor's two out (two bisects) before its children
+    and puts them back (``insort``) after them, as it sets and restores
+    ``positions`` and ``floors``.  So a node at depth i sees those of
+    sensors i.., and a call holds O(n) ints for them however deep it goes.
+    Each pass of ``_Search.run`` ends with its stack empty, every node
+    done, so the full search starts from the whole list again; a
+    ``ResourceLimitError`` abandons the call.  T0 and every node's bound
+    come from one closure, ``transport``, which merges the list with the
+    holes' breakpoints, sorted already, and sweeps the result with
+    ``_transport_sweep``.  A node's sweep stops once its running total
+    passes c = k·4 r_max, with k = limit - spent.  That stop cuts exactly
+    where spent + T > limit does.  Let S be the whole total (twice
     the integral, triangles rounded down), so T = ceil(S / b) with
     b = 4 r_max >= 4.  For every integer k, ceil(S / b) > k iff S / b > k
     (ceil(S / b) < S / b + 1), iff S > c; for k < 0 both hold, as S >= 0.
@@ -349,9 +381,8 @@ def brute_force(
     if not is_feasible(instance):
         return None
 
-    # ``suffix[i]``: the holes the homes of sensors i.. leave, indexed once.
+    # ``home_holes[i]``: the holes the homes of sensors i.. leave.
     home_holes = _home_holes(length, xs, rs)
-    suffix = [_hole_index(holes) for holes in home_holes]
     slack = sum(2 * r for r in rs) - length
     # Equal intervals may be assumed uncrossed (swapping their targets never
     # raises the cost): ``floors[r]`` is where the latest sensor of radius r
@@ -407,25 +438,17 @@ def brute_force(
                     best = c
         return best
 
-    # ``r_max[i]``: the largest radius of sensors i..; ``home_steps[i]``: the
-    # sorted breakpoints of their homes, as ``model._transport_bound`` encodes
-    # them.  Entry 0 is made at the gate and entry i at depth i's first
-    # visit, whose parent made entry i - 1: the entries are a prefix.
+    # ``r_max[i]``: the largest radius of sensors i..; ``home_steps``: the
+    # sorted breakpoints of the unplaced sensors' homes, as ``_transport_sweep``
+    # encodes them.  A node takes out its own sensor's two for its children.
     r_max = list(accumulate(reversed(rs), max))[::-1]
-    home_steps: list[list[int]] = []
+    home_steps = sorted(step for x, r in zip(xs, rs) for step in (2 * (x - r) + 1, 2 * (x + r)))
 
-    def transport_cut(i: int, spent: int, holes: list[tuple[int, int]], waste: int, bnd: int) -> bool:
-        """Does ``spent`` plus the transport bound of a node at depth i >= 1 exceed ``bnd``?"""
-        if len(home_steps) == i:
-            steps = home_steps[-1].copy()
-            x, r = xs[i - 1], rs[i - 1]
-            del steps[bisect_left(steps, 2 * (x - r) + 1)]
-            del steps[bisect_left(steps, 2 * (x + r))]
-            home_steps.append(steps)
+    def transport(holes: list[tuple[int, int]], spare: int, cap: Optional[int] = None) -> int:
+        """The transport sweep of the unplaced sensors' homes against ``holes``."""
         # Two sorted runs: ``sorted`` merges them in one pass.
-        steps = sorted(home_steps[i] + [step for lo, hi in holes for step in (2 * lo, 2 * hi + 1)])
-        cap = (bnd - spent) * 4 * r_max[i]
-        return _transport_sweep(steps, slack - waste, cap) > cap
+        steps = sorted(home_steps + [step for lo, hi in holes for step in (2 * lo, 2 * hi + 1)])
+        return _transport_sweep(steps, spare, cap)
 
     def visit(i: int, spent: int, holes: list[tuple[int, int]], waste: int, first: int) -> Iterator[tuple]:
         # ``holes``: the placed sensors' holes, sorted and disjoint; ``first``:
@@ -443,10 +466,15 @@ def brute_force(
             if spent + reach > bnd:
                 pruned["bound"] += 1
                 return
-        if sweep and (t0 > bnd if i == 0 else transport_cut(i, spent, holes, waste, bnd)):
-            pruned["transport"] += 1
-            return
         x, r = xs[i], rs[i]
+        if sweep:
+            cap = (bnd - spent) * 4 * r_max[i]
+            if t0 > bnd if i == 0 else transport(holes, slack - waste, cap) > cap:
+                pruned["transport"] += 1
+                return
+            # Sensor i's two steps are out while its children run.
+            del home_steps[bisect_left(home_steps, 2 * (x - r) + 1)]
+            del home_steps[bisect_left(home_steps, 2 * (x + r))]
         two_r = 2 * r
         floor = floors[r]
         lo_y = max(min(-r, x), floor)
@@ -465,7 +493,7 @@ def brute_force(
                 hi_y = min(hi_y, placed_hole + r)
         # What the suffix homes from i + 1 leave of the holes: a child's open
         # stretches are ``ahead`` less its span.
-        ahead = _open_stretches(holes, suffix[i + 1])
+        ahead = _open_stretches(holes, home_holes[i + 1])
         base = 0
         for lo, hi in ahead:
             base += hi - lo
@@ -527,6 +555,9 @@ def brute_force(
                     bnd = search.limit
                 positions[i], floors[r] = x, floor
             d += 1
+        if sweep:
+            insort(home_steps, 2 * (x - r) + 1)
+            insort(home_steps, 2 * (x + r))
 
     # The root's entry test, as its parent would run it: its ``ahead`` is
     # what all the homes leave open.
@@ -538,10 +569,8 @@ def brute_force(
         search.cut("reach-cut")
         return search.result()
     root = (0, 0, home_holes[n], 0, first)  # nothing placed: the whole barrier
-    t0 = _transport_bound(xs, rs, home_holes[n], slack)
+    t0 = -(-transport(home_holes[n], slack) // (4 * r_max[0])) if n else 0
     sweep = t0 > uncovered
-    if sweep:
-        home_steps.append(sorted(step for x, r in zip(xs, rs) for step in (2 * (x - r) + 1, 2 * (x + r))))
     if sweep and t0 < search.limit:
         limit, search.limit = search.limit, t0
         search.run(visit, *root)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
-from .model import Instance, ResourceLimitError, Scalar, Sensor, Solution, as_scalar, cost
+from .model import Instance, ResourceLimitError, Scalar, Sensor, Solution, cost
 
 
 def format_scalar(value: Scalar) -> str:
@@ -137,7 +137,7 @@ def load_solution(instance: Instance, text: str) -> Solution:
     actual = cost(instance, positions)
     if actual != recorded:
         raise ValueError(f"recorded COST {recorded} != recomputed cost {actual}")
-    return tuple(as_scalar(p) for p in positions)
+    return positions
 
 
 def serialize_solution(instance: Instance, solution: Solution) -> str:

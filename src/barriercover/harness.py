@@ -83,21 +83,21 @@ def _oracle(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) 
 def _fpt(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
     from . import exact, order_dp
 
+    if budget is not None:
+        return _first(exact.fpt_solve(instance, budget, node_cap=node_cap))
     if not is_feasible(instance):
         return None
-    if budget is None:
-        return _first(order_dp.cheapest_first(instance, lambda b: exact.fpt_solve(instance, b, node_cap)))
-    return _first(exact.fpt_solve(instance, budget, node_cap=node_cap))
+    return _first(order_dp.cheapest_first(instance, lambda b: exact.fpt_solve(instance, b, node_cap)))
 
 
 def _dp_exact(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
     from . import order_dp
 
+    if budget is not None:
+        return _first(order_dp.dp_exact(instance, budget))
     if not is_feasible(instance):
         return None
-    if budget is None:
-        return order_dp.dp_optimal(instance)[0]
-    return _first(order_dp.dp_exact(instance, budget))
+    return order_dp.dp_optimal(instance)[0]
 
 
 def _dp_eps(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:

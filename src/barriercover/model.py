@@ -304,62 +304,6 @@ def _home_gaps(instance: Instance) -> list[tuple[int, int]]:
     return _gaps(sorted(_clipped_spans(rs, xs, length, range(instance.n))), length)
 
 
-def _transport_bound(
-    centers: Sequence[int], radii: Sequence[int], holes: Iterable[tuple[int, int]], spare: int
-) -> int:
-    """⌈∫ (|G(t)| - spare)₊ dt / 2r⌉ over the line, in ints: ``exact.brute_force``'s transport bound.
-
-    G(t) is the length of the spans [x - r, x + r] left of t (overlaps
-    counted once per span, nothing clipped) less that of ``holes``, and r
-    the largest radius; no spans give 0.  ``brute_force``'s docstring has
-    the proof.  G is piecewise linear with breakpoints at the ends, which
-    the sweep reads as 2t + 1 where G's slope rises and 2t where it falls.
-    The sweep itself is ``_transport_sweep``.
-    """
-    steps = []
-    r_max = 0
-    for x, r in zip(centers, radii):
-        steps += (2 * (x - r) + 1, 2 * (x + r))
-        if r > r_max:
-            r_max = r
-    for lo, hi in holes:
-        steps += (2 * lo, 2 * hi + 1)
-    steps.sort()
-    return -(-_transport_sweep(steps, spare) // (4 * r_max)) if r_max else 0
-
-
-def _transport_sweep(steps: Iterable[int], spare: int, cap: Optional[int] = None) -> int:
-    """Twice ∫ (|G(t)| - spare)₊ dt over the sorted encoded ``steps`` of ``_transport_bound``.
-
-    On a piece of length l from g0 to g1, |G| - spare is linear wherever
-    it is positive: with u = G - spare (and likewise -G - spare), a piece
-    wholly above the level adds l·(u0 + u1) to twice the integral, and one
-    that crosses it adds its triangle, p²·l / |g1 - g0| for its peak p,
-    rounded down, which keeps the bound admissible.  Every piece adds at
-    least 0, so the running total only rises: given a ``cap``, the sweep
-    returns the partial total as soon as it passes the cap, and the result
-    exceeds the cap iff the whole total does.  Steps at one t may
-    come in any order, as G moves only between distinct t.
-    """
-    total = g = slope = prev = 0
-    for step in steps:
-        t = step >> 1
-        if t != prev:
-            g1 = g + slope * (t - prev)
-            top, low = (g, g1) if g > g1 else (g1, g)
-            if top > spare or -low > spare:
-                for p, q in ((top - spare, low - spare), (-low - spare, -top - spare)):
-                    if q >= 0:
-                        total += (t - prev) * (p + q)
-                    elif p > 0:  # so top > low: the piece crosses the level
-                        total += p * p * (t - prev) // (top - low)
-                if cap is not None and total > cap:
-                    return total
-            g, prev = g1, t
-        slope += 1 if step & 1 else -1
-    return total
-
-
 def _minimal_cover(
     radii: Sequence[Number],
     centers: Sequence[Number],

@@ -11,14 +11,18 @@ oracle and not in the library.
 ``gap_candidates`` is ``fpt_solve``'s candidate list as it stood when it
 returned the left and right edge groups as two dicts; the library's tuple
 must equal the sorted union of its groups.
+
+``_transport_bound`` is ``brute_force``'s transport bound computed afresh
+from the sensors and holes given, as it stood before the search kept one
+sorted list of its home breakpoints; the search's bound must equal it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Container, Iterable, Iterator, Optional
+from typing import Container, Iterable, Iterator, Optional, Sequence
 
-from barriercover.exact import DEFAULT_NODE_CAP, _anchored_cover, _Search
+from barriercover.exact import DEFAULT_NODE_CAP, _anchored_cover, _Search, _transport_sweep
 from barriercover.model import (
     Instance,
     Scalar,
@@ -271,3 +275,27 @@ def gap_candidates(
         return kept
 
     return trim(left), trim(right)
+
+
+def _transport_bound(
+    centers: Sequence[int], radii: Sequence[int], holes: Iterable[tuple[int, int]], spare: int
+) -> int:
+    """⌈∫ (|G(t)| - spare)₊ dt / 2r⌉ over the line, in ints: ``exact.brute_force``'s transport bound.
+
+    G(t) is the length of the spans [x - r, x + r] left of t (overlaps
+    counted once per span, nothing clipped) less that of ``holes``, and r
+    the largest radius; no spans give 0.  ``brute_force``'s docstring has
+    the proof.  G is piecewise linear with breakpoints at the ends, which
+    the sweep reads as 2t + 1 where G's slope rises and 2t where it falls.
+    The sweep itself is ``_transport_sweep``.
+    """
+    steps = []
+    r_max = 0
+    for x, r in zip(centers, radii):
+        steps += (2 * (x - r) + 1, 2 * (x + r))
+        if r > r_max:
+            r_max = r
+    for lo, hi in holes:
+        steps += (2 * lo, 2 * hi + 1)
+    steps.sort()
+    return -(-_transport_sweep(steps, spare) // (4 * r_max)) if r_max else 0

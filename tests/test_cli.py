@@ -203,6 +203,21 @@ class TestSolve:
         assert capsys.readouterr().out.splitlines()[0] == "COST 3"
         assert main(["solve", "--algo", "fpt", "--budget", "-1", i1_path]) == 2
 
+    @pytest.mark.parametrize("text", ["L 10\nN 1\n0 1\n", I1_TEXT], ids=["infeasible", "feasible"])
+    @pytest.mark.parametrize("algo", sorted(set(harness.SOLVERS) - {"dp-eps"}))
+    def test_negative_budget_is_usage_error_on_any_file(self, algo, text, tmp_path, capsys):
+        """A negative --budget is refused before the instance is read, infeasible or not (exit 2)."""
+        path = tmp_path / "inst.bc"
+        path.write_text(text)
+        assert main(["solve", "--algo", algo, "--budget", "-1", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--budget: must be >= 0, got -1" in captured.err
+
+    def test_non_integer_node_cap_is_usage_error(self, i1_path, capsys):
+        assert main(["solve", "--algo", "oracle", "--node-cap", "abc", i1_path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "invalid int value: 'abc'" in captured.err
+
     def test_non_integral_input_is_precondition_error(self, tmp_path, capsys):
         """Fractional input is solved on its own grid, not refused."""
         path = tmp_path / "frac.bc"
@@ -309,6 +324,13 @@ class TestVerify:
         assert "--max-cost: must be >= 0, got -1/2" in capsys.readouterr().err
         assert main(["verify", "--max-cost", "0", i1_path, str(sol)]) == 1
         assert "cost exceeds bound 0" in capsys.readouterr().err
+
+    def test_non_rational_cost_bound_is_usage_error(self, i1_path, tmp_path, capsys):
+        sol = tmp_path / "sol.txt"
+        sol.write_text("COST 3\n1\n3\n")
+        assert main(["verify", "--max-cost", "x", i1_path, str(sol)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not a rational number: 'x'" in captured.err
 
     def test_negative_movers_bound_is_usage_error(self, i1_path, tmp_path, capsys):
         """A negative --max-movers is refused with exit 2; a bound of 0 still applies (exit 1)."""

@@ -26,11 +26,11 @@ from barriercover import (
     verify_coverage,
 )
 from barriercover import exact
-from barriercover.exact import gap_candidates
-from barriercover.model import _transport_bound, _transport_sweep
+from barriercover.exact import _transport_sweep, gap_candidates
 from barriercover.order_dp import cheapest_first
 
 import reference_search as ref
+from reference_search import _transport_bound
 from conftest import near_tiling, random_corpus
 
 I1 = Instance(4, (Sensor(0, 1), Sensor(5, 1)))
@@ -249,10 +249,10 @@ class TestDeepSearch:
         assert (search.nodes, search.cuts, search.pruned) == (1, 0, {"transport": 1})
 
     def test_oracle_memory_stays_linear_on_the_deep_instance(self):
-        """The root settles it, so no suffix breakpoint list past the first is built.
+        """The root settles it, and the search holds one home-breakpoint list of O(n) ints.
 
-        The peak reads about 0.9 MB; building all 1,100 suffix lists up
-        front holds O(n²) ints, tens of MB.
+        The peak reads about 0.9 MB; building a sorted list for each of the
+        1,100 suffixes up front holds O(n²) ints, tens of MB.
         """
         tracemalloc.start()
         try:
@@ -571,6 +571,22 @@ class TestFig5Growth:
         assert counts == self.COUNTS
         for length in (20, 40, 80):
             assert 2 * counts[2 * length] <= 5 * counts[length]
+
+
+    def test_memory_stays_linear_along_the_probe(self):
+        """The probe walks to depth n, and one home-breakpoint list follows it.
+
+        The peak at L = 480 (n = 239) reads about 0.3 MB.  A sorted list
+        kept for every depth the search reaches holds O(n²) ints and
+        read 0.87 MB.
+        """
+        tracemalloc.start()
+        try:
+            assert oracle_optimal(gen_fig5(2, 480))[1] == 478
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * 2**20
 
 
 class TestDominanceMemo:

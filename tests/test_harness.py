@@ -215,6 +215,13 @@ class TestSolverRegistry:
         """No cover exists at all: every entry returns None, with or without a budget."""
         assert SOLVERS[name](INFEASIBLE, budget, F(1, 2), 10**6) is None
 
+    @pytest.mark.parametrize("instance", [INFEASIBLE, I1], ids=["infeasible", "feasible"])
+    @pytest.mark.parametrize("name", sorted(set(SOLVERS) - {"dp-eps"}))
+    def test_negative_budget_is_refused(self, name, instance):
+        """Every solver that reads the budget refuses a negative one, whether or not a cover exists."""
+        with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+            SOLVERS[name](instance, -1, F(1, 2), 10**6)
+
     @settings(max_examples=500, deadline=None, derandomize=True)
     @given(
         case=st.sampled_from(CORPUS),

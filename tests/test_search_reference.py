@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import reference_search as ref
 from barriercover import brute_force, gen_fig5, gen_fig6, gen_random, oracle_optimal
-from barriercover.exact import _cut, _hole_index, _home_holes, _open_stretches
+from barriercover.exact import _cut, _home_holes, _open_stretches
 from barriercover.model import _clipped_spans, _gaps
 from reference_search import _merge
 
@@ -87,7 +87,7 @@ def test_bisected_holes_match_the_sweep(placed, home, length, sensors):
     suffix's merged homes clipped to [0, L], point spans at 0 or L included.
     """
     placed, home = _clip(placed, length), _clip(home, length)
-    index = _hole_index(_gaps(_merge(home), length))
+    index = _gaps(_merge(home), length)
     holes = _gaps([], length)
     for lo, hi, _ in placed:
         ahead = _cut(_open_stretches(holes, index), lo, hi)
@@ -102,4 +102,4 @@ def test_bisected_holes_match_the_sweep(placed, home, length, sensors):
     assert len(suffix) == len(sensors) + 1
     for i, holes in enumerate(suffix):
         homes = _merge(_clipped_spans(rs, xs, length, range(i, len(sensors))))
-        assert _hole_index(holes) == _hole_index(_gaps(homes, length))
+        assert holes == _gaps(homes, length)
