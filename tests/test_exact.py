@@ -572,13 +572,12 @@ class TestFig5Growth:
         for length in (20, 40, 80):
             assert 2 * counts[2 * length] <= 5 * counts[length]
 
-
     def test_memory_stays_linear_along_the_probe(self):
         """The probe walks to depth n, and one home-breakpoint list follows it.
 
         The peak at L = 480 (n = 239) reads about 0.3 MB.  A sorted list
         kept for every depth the search reaches holds O(n²) ints and
-        read 0.87 MB.
+        read 0.83 MB.
         """
         tracemalloc.start()
         try:
