@@ -12,7 +12,8 @@ incumbent, permanently wasted length, uncovered measure, reachability of the
 leftmost hole, and in ``brute_force`` a transport bound), so results are
 exact.  The transport bound's test costs O(n + holes) a node: one sorted
 list of the unplaced sensors' home breakpoints follows the search path,
-and the sweep stops once the bound passes the limit.
+the sweep ends a piece of G only where its slope changes, and it stops
+once the bound passes the limit.
 ``fpt_solve`` takes its holes from the one coverage sweep,
 ``model._gaps``, as ``verify_coverage`` does.  A
 ``brute_force`` node instead carries the holes its placed sensors leave, cut
@@ -197,33 +198,61 @@ def _transport_sweep(steps: Iterable[int], spare: int, cap: Optional[int] = None
     counted once per span, nothing clipped) less that of the holes.  G is
     piecewise linear with breakpoints at the ends, encoded as 2t + 1 where
     G's slope rises (a home's lo, a hole's hi) and 2t where it falls (a
-    home's hi, a hole's lo).  On a piece of length l from g0 to g1,
-    |G| - spare is linear wherever it is positive: with u = G - spare (and
-    likewise -G - spare), a piece wholly above the level adds l·(u0 + u1)
-    to twice the integral, and one that crosses it adds its triangle,
-    p²·l / |g1 - g0| for its peak p, rounded down, which keeps the bound
-    admissible.  Every piece adds at least 0, so the running total only
-    rises: given a ``cap``, the sweep returns the partial total as soon as
-    it passes the cap, and the result exceeds the cap iff the whole total
-    does.  Steps at one t may come in any order, as G moves only between
-    distinct t.
+    home's hi, a hole's lo).  On a piece of length l and slope s from g0 to
+    g1, |G| - spare is linear wherever it is positive: with u = G - spare
+    (and likewise -G - spare), a piece wholly above the level adds
+    l·(u0 + u1) to twice the integral, and one that crosses it adds its
+    triangle, p²·l / |g1 - g0| = p² / |s| for its peak p, rounded down,
+    which keeps the bound admissible.  Every piece adds at least 0, so the
+    running total only rises: given a ``cap``, the sweep returns the
+    partial total as soon as it passes the cap, and the result exceeds the
+    cap iff the whole total does.  Steps at one t may come in any order, as
+    G moves only between distinct t.
+
+    A piece ends only where the slope changes, not at every distinct t:
+    abutting homes give a t where a fall and a rise cancel.  Two adjacent
+    pieces [a, b] and [b, c] of one slope s add what [a, c] adds.  Take
+    u = G - spare, linear on [a, c] (the other side is alike).  If u >= 0
+    on both, the trapezoids add exactly, and if u <= 0 on both, both add 0.
+    Otherwise u_a < 0 < u_c, say, for s > 0 (s < 0 is the mirror image),
+    and [a, c] crosses the level with peak u_c, adding floor(u_c² / s).
+    If u_b <= 0, [a, b] adds 0 and [b, c] adds the same: it crosses with
+    the same peak and slope, or, at u_b = 0, it is the trapezoid
+    (c - b)·u_c = u_c² / s.  If u_b > 0, [a, b] crosses with peak u_b and
+    [b, c] is a trapezoid, and u_c² - u_b² = (u_c - u_b)(u_c + u_b)
+    = s·(c - b)·(u_b + u_c), so floor(u_c² / s) = floor(u_b² / s)
+    + (c - b)·(u_b + u_c): the two pieces' terms.  So the total is the one
+    a piece per distinct t gives, and as running totals still only rise,
+    ``> cap`` decides as before.  The last piece is closed after the loop,
+    whatever its slope.
     """
-    total = g = slope = prev = 0
+    total = g = slope = s = a = prev = 0
     for step in steps:
         t = step >> 1
         if t != prev:
-            g1 = g + slope * (t - prev)
-            top, low = (g, g1) if g > g1 else (g1, g)
-            if top > spare or -low > spare:
-                for p, q in ((top - spare, low - spare), (-low - spare, -top - spare)):
-                    if q >= 0:
-                        total += (t - prev) * (p + q)
-                    elif p > 0:  # so top > low: the piece crosses the level
-                        total += p * p * (t - prev) // (top - low)
+            if slope != s:
+                # Close the piece [a, prev] of slope s; slope is G's slope after prev.
+                g1 = g + s * (prev - a)
+                top, low = (g, g1) if g > g1 else (g1, g)
+                if top > spare:
+                    q = low - spare
+                    total += (prev - a) * (top - spare + q) if q >= 0 else (top - spare) ** 2 // abs(s)
+                if -low > spare:
+                    q = -top - spare
+                    total += (prev - a) * (q - low - spare) if q >= 0 else (low + spare) ** 2 // abs(s)
                 if cap is not None and total > cap:
                     return total
-            g, prev = g1, t
+                g, a, s = g1, prev, slope
+            prev = t
         slope += 1 if step & 1 else -1
+    g1 = g + s * (prev - a)
+    top, low = (g, g1) if g > g1 else (g1, g)
+    if top > spare:
+        q = low - spare
+        total += (prev - a) * (top - spare + q) if q >= 0 else (top - spare) ** 2 // abs(s)
+    if -low > spare:
+        q = -top - spare
+        total += (prev - a) * (q - low - spare) if q >= 0 else (low + spare) ** 2 // abs(s)
     return total
 
 
@@ -358,8 +387,9 @@ def brute_force(
     Each pass of ``_Search.run`` ends with its stack empty, every node
     done, so the full search starts from the whole list again; a
     ``ResourceLimitError`` abandons the call.  T0 and every node's bound
-    come from one closure, ``transport``, which merges the list with the
-    holes' breakpoints, sorted already, and sweeps the result with
+    come from one closure, ``transport``, which copies the list, appends
+    the holes' breakpoints in hole order, sorts the copy in place (the
+    sort merges the two runs in one pass) and sweeps it with
     ``_transport_sweep``.  A node's sweep stops once its running total
     passes c = k·4 r_max, with k = limit - spent.  That stop cuts exactly
     where spent + T > limit does.  Let S be the whole total (twice
@@ -446,8 +476,12 @@ def brute_force(
 
     def transport(holes: list[tuple[int, int]], spare: int, cap: Optional[int] = None) -> int:
         """The transport sweep of the unplaced sensors' homes against ``holes``."""
-        # Two sorted runs: ``sorted`` merges them in one pass.
-        steps = sorted(home_steps + [step for lo, hi in holes for step in (2 * lo, 2 * hi + 1)])
+        # Two runs in one list: ``list.sort`` merges them in one pass.
+        steps = home_steps.copy()
+        for lo, hi in holes:
+            steps.append(2 * lo)
+            steps.append(2 * hi + 1)
+        steps.sort()
         return _transport_sweep(steps, spare, cap)
 
     def visit(i: int, spent: int, holes: list[tuple[int, int]], waste: int, first: int) -> Iterator[tuple]:

@@ -24,6 +24,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence
 from .fileio import format_scalar
 from .model import (
     DEFAULT_NODE_CAP,
+    InfeasibleError,
     Instance,
     ResourceLimitError,
     Scalar,
@@ -103,7 +104,11 @@ def _dp_exact(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int
 def _dp_eps(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:
     from . import order_dp
 
-    return order_dp.dp_eps(instance, eps)[0] if is_feasible(instance) else None
+    # ``dp_eps`` checks eps before feasibility, so a bad eps is refused on any instance.
+    try:
+        return order_dp.dp_eps(instance, eps)[0]
+    except InfeasibleError:
+        return None
 
 
 def _untangle_oracle(instance: Instance, budget: Budget, eps: ScalarLike, node_cap: int) -> Optional[Solution]:

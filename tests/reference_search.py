@@ -15,6 +15,10 @@ must equal the sorted union of its groups.
 ``_transport_bound`` is ``brute_force``'s transport bound computed afresh
 from the sensors and holes given, as it stood before the search kept one
 sorted list of its home breakpoints; the search's bound must equal it.
+It sweeps with ``_transport_sweep``, the sweep as it stood when it closed
+a piece at every distinct t; ``exact._transport_sweep``, which closes one
+only where G's slope changes, must return its total, and pass a cap
+exactly when it does.
 """
 
 from __future__ import annotations
@@ -22,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Container, Iterable, Iterator, Optional, Sequence
 
-from barriercover.exact import DEFAULT_NODE_CAP, _anchored_cover, _Search, _transport_sweep
+from barriercover.exact import DEFAULT_NODE_CAP, _anchored_cover, _Search
 from barriercover.model import (
     Instance,
     Scalar,
@@ -299,3 +303,40 @@ def _transport_bound(
         steps += (2 * lo, 2 * hi + 1)
     steps.sort()
     return -(-_transport_sweep(steps, spare) // (4 * r_max)) if r_max else 0
+
+
+def _transport_sweep(steps: Iterable[int], spare: int, cap: Optional[int] = None) -> int:
+    """Twice ∫ (|G(t)| - spare)₊ dt over the sorted ``steps``: ``brute_force``'s transport sweep.
+
+    G(t) is the length of the home spans [x - r, x + r] left of t (overlaps
+    counted once per span, nothing clipped) less that of the holes.  G is
+    piecewise linear with breakpoints at the ends, encoded as 2t + 1 where
+    G's slope rises (a home's lo, a hole's hi) and 2t where it falls (a
+    home's hi, a hole's lo).  On a piece of length l from g0 to g1,
+    |G| - spare is linear wherever it is positive: with u = G - spare (and
+    likewise -G - spare), a piece wholly above the level adds l·(u0 + u1)
+    to twice the integral, and one that crosses it adds its triangle,
+    p²·l / |g1 - g0| for its peak p, rounded down, which keeps the bound
+    admissible.  Every piece adds at least 0, so the running total only
+    rises: given a ``cap``, the sweep returns the partial total as soon as
+    it passes the cap, and the result exceeds the cap iff the whole total
+    does.  Steps at one t may come in any order, as G moves only between
+    distinct t.
+    """
+    total = g = slope = prev = 0
+    for step in steps:
+        t = step >> 1
+        if t != prev:
+            g1 = g + slope * (t - prev)
+            top, low = (g, g1) if g > g1 else (g1, g)
+            if top > spare or -low > spare:
+                for p, q in ((top - spare, low - spare), (-low - spare, -top - spare)):
+                    if q >= 0:
+                        total += (t - prev) * (p + q)
+                    elif p > 0:  # so top > low: the piece crosses the level
+                        total += p * p * (t - prev) // (top - low)
+                if cap is not None and total > cap:
+                    return total
+            g, prev = g1, t
+        slope += 1 if step & 1 else -1
+    return total

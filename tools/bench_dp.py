@@ -34,7 +34,10 @@ The search rows are ``oracle_optimal`` on fig5 L in {40, 44, 160, 320}, on
 ``gen_fig6(2, m, 1/8)`` for m in {8, 12}, on ``gen_fig6(2, m, 1/16)`` for
 m in {16, 24} and, in one row, on all 200
 instances ``gen_random(6, 12, 1, 3, (-6, 18), s)`` for s = 0..199 (the
-``exact-oracle`` workload's random family), and ``oracle_optimal`` and
+``exact-oracle`` workload's random family), ``exact._transport_sweep``
+alone on fig5 L = 44 and fig6 m = 8 (1/8), each row replaying in one call
+every ``(steps, spare, cap)`` that one ``oracle_optimal`` call hands it
+(captured when the row is built, outside the timed call), and ``oracle_optimal`` and
 ``brute_force_order_preserving`` on the deep tiling: L = 2200 with 1,100
 sensors at x = 2i + 2, r = 1, whose only cover moves every sensor, and
 ``oracle_optimal`` on the same sensors at L = 2199, one unit of slack, and
@@ -196,6 +199,28 @@ def untangle_rows(bc) -> dict[str, Callable[[], object]]:
     return rows
 
 
+def sweep_replay(bc, instance) -> Callable[[], object]:
+    """Replay every ``(steps, spare, cap)`` one ``oracle_optimal(instance)`` hands ``exact._transport_sweep``.
+
+    The calls are captured here, when the row is built, by running the
+    oracle once with the sweep wrapped; the row times the sweep alone.
+    """
+    exact = importlib.import_module(f"{bc.__name__}.exact")
+    sweep = exact._transport_sweep
+    calls = []
+
+    def capture(steps, spare, cap=None):
+        calls.append((list(steps), spare, cap))
+        return sweep(steps, spare, cap)
+
+    exact._transport_sweep = capture
+    try:
+        bc.oracle_optimal(instance)
+    finally:
+        exact._transport_sweep = sweep
+    return lambda: [sweep(*call) for call in calls]
+
+
 def search_rows(bc) -> dict[str, Callable[[], object]]:
     """The exact-oracle workload's largest oracles and random family, fig6 m=12, the deep and near tilings."""
     rows: dict[str, Callable[[], object]] = {}
@@ -205,6 +230,8 @@ def search_rows(bc) -> dict[str, Callable[[], object]]:
         rows[f"oracle_optimal.fig6_m{m}"] = lambda i=bc.gen_fig6(2, m, Fraction(1, 8)): bc.oracle_optimal(i)
     for m in (16, 24):
         rows[f"oracle_optimal.fig6_m{m}_delta16"] = lambda i=bc.gen_fig6(2, m, Fraction(1, 16)): bc.oracle_optimal(i)
+    for name, inst in (("fig5_L44", bc.gen_fig5(2, 44)), ("fig6_m8", bc.gen_fig6(2, 8, Fraction(1, 8)))):
+        rows[f"transport_sweep.{name}"] = sweep_replay(bc, inst)
     family = [bc.gen_random(6, 12, 1, 3, (-6, 18), s) for s in range(200)]
     rows["oracle_optimal.random_family_200"] = lambda: [bc.oracle_optimal(i) for i in family]
     deep = bc.Instance(2200, tuple(bc.Sensor(2 * i + 2, 1) for i in range(1100)))
