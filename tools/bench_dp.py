@@ -37,9 +37,10 @@ instances ``gen_random(6, 12, 1, 3, (-6, 18), s)`` for s = 0..199 (the
 ``exact-oracle`` workload's random family), ``exact._transport_sweep``
 alone on fig5 L = 44 and fig6 m = 8 (1/8), each row replaying in one call
 every ``(steps, spare, cap)`` that one ``oracle_optimal`` call hands it
-(captured when the row is built, outside the timed call), and ``oracle_optimal`` and
-``brute_force_order_preserving`` on the deep tiling: L = 2200 with 1,100
-sensors at x = 2i + 2, r = 1, whose only cover moves every sensor, and
+(captured when the row is built, outside the timed call), and
+``oracle_optimal`` and ``brute_force_order_preserving`` on the deep
+tiling: L = 2200 with 1,100 sensors at x = 2i + 2, r = 1, whose only
+cover moves every sensor, and
 ``oracle_optimal`` on the same sensors at L = 2199, one unit of slack, and
 ``fpt_solve`` at budgets OPT and OPT - 1 on ``gen_random(6, 12, 1, 3,
 (-6, 18), s)`` for s = 0..14 with OPT > 0 (OPT comes from
@@ -222,7 +223,8 @@ def sweep_replay(bc, instance) -> Callable[[], object]:
 
 
 def search_rows(bc) -> dict[str, Callable[[], object]]:
-    """The exact-oracle workload's largest oracles and random family, fig6 m=12, the deep and near tilings."""
+    """The exact-oracle workload's largest oracles and random family, fig6 m=12, the oracle's sweep
+    replayed alone, and the deep and near tilings."""
     rows: dict[str, Callable[[], object]] = {}
     for length in (40, 44, 160, 320):
         rows[f"oracle_optimal.fig5_L{length}"] = lambda i=bc.gen_fig5(2, length): bc.oracle_optimal(i)
