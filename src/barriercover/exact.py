@@ -729,6 +729,12 @@ def fpt_solve(
     So j is a mover of T outside ``moved``, and ``len(moved) < k``.  The
     candidate trim stays valid under the cap: its exchange swaps one mover
     for another, so T keeps its mover count (see gap_candidates).
+
+    A candidate whose centres alone would take the search past the node
+    cap raises ``ResourceLimitError`` before its first centre: each centre
+    becomes a node and the count never falls, so the cap would fire within
+    that step anyway.  The count comes from the window's endpoints, which
+    on a fine grid can be too large for ``len(range(...))``.
     """
     if movers is not None and movers < 0:
         raise ValueError(f"mover bound must be >= 0, got {movers}")
@@ -756,8 +762,11 @@ def fpt_solve(
             return
         gap_lo, gap_hi = holes[0]
         for j in gap_candidates(xs, rs, gap_lo, gap_hi, room, moved):
+            lo, hi = max(gap_lo + 1 - rs[j], xs[j] - room), min(gap_lo + rs[j], xs[j] + room)
+            if search.nodes + search.cuts + hi - lo + 1 > search.node_cap:
+                raise ResourceLimitError(f"search explored more than {search.node_cap} states")
             moved.add(j)
-            for y in range(max(gap_lo + 1 - rs[j], xs[j] - room), min(gap_lo + rs[j], xs[j] + room) + 1):
+            for y in range(lo, hi + 1):
                 positions[j] = y
                 yield (spent + abs(y - xs[j]),)
             positions[j] = xs[j]

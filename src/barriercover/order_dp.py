@@ -108,26 +108,8 @@ class DpTable(_Value):
     choices: list[list[int]]
     fills: list[Iterator[None]]
 
-    def __init__(
-        self,
-        unit: Scalar,
-        scale: int,
-        length: int,
-        xs: list[int],
-        rs: list[int],
-        step: int,
-        rows: list[list[int]],
-        choices: list[list[int]],
-        fills: list[Iterator[None]],
-    ) -> None:
-        self.unit = unit
-        self.scale = scale
-        self.length = length
-        self.xs = xs
-        self.rs = rs
-        self.step = step
-        self.rows = rows
-        self.choices = choices
+    def __init__(self, *fields: object, fills: list[Iterator[None]], **named: object) -> None:
+        _Value.__init__(self, *fields, **named)
         self.fills = fills
 
     def grow(self, budget_units: int) -> None:
@@ -205,7 +187,7 @@ def _empty_table(instance: Instance, budget_units: int, unit: ScalarLike) -> DpT
     choices: list[list[int]] = [[] for _ in rows]
     fills = [_fill_row(prev, row, chosen, x, r, step, length)
              for prev, row, chosen, x, r in zip(rows, rows[1:], choices[1:], xs, rs)]
-    return DpTable(unit, scale, length, xs, rs, step, rows, choices, fills)
+    return DpTable(unit, scale, length, xs, rs, step, rows, choices, fills=fills)
 
 
 def _fill_row(
@@ -213,43 +195,38 @@ def _fill_row(
 ) -> Iterator[None]:
     """One ``budget_table`` row on the integer grid, widened to len(prev) at each resume.
 
-    One pass per resume: column b first files its own left-bound j = b
-    under the budget at which it becomes available, in ``latest`` (by
-    column) or, past the filled width, in ``later``, then raises the running
-    left maximum to the largest j filed at b.  The right pointer, the running left maximum,
-    ``latest`` and ``later`` carry over.  Each split's value is recomputed
+    Each resume fills columns len(row) .. len(prev) - 1 in one pass.
+    Column b first files its own left-bound j = b in ``pending``, keyed by
+    the budget b + ceil(|prev[b] + r - x| / u) at which it becomes
+    available, then pops the j filed under b and raises the running left
+    maximum to it.  A later j filed under a taken key replaces the earlier,
+    smaller one, and a key past the filled width waits in ``pending`` for a
+    later resume.  The right pointer, the running left maximum and
+    ``pending`` carry over.  Each split's value is recomputed
     only when its pointer moves: ``cut``, the next right split's threshold
     x + (right+1)*u - r, makes the right test one comparison per cell, and
     the pointer stops once its value reaches L, where it stays.  The
     pointer rises at most once per column and is below b when column b
     tests it (``budget_table``), so that test needs no loop and its index
     b - right - 1 is never negative.  The left-bound split wins only when
-    strictly larger: on a tie its k is no smaller (``budget_table`` again).
+    strictly larger than both the skip and the right-bound split: on a tie
+    with the right its k is no smaller (``budget_table`` again).  Otherwise
+    the right-bound split wins when strictly larger than the skip.
     """
     clamp_k = max(0, -((x + r - length) // u))
     xr, rx, r2 = x + r, r - x, 2 * r
     right = left = -1
     cut = x - r
     right_value = right_k = left_value = -1  # below every reach: no split wins before it exists
-    latest: list[int] = []
-    later: dict[int, int] = {}
-    start = 0
-    append, choose = row.append, chosen.append
+    pending: dict[int, int] = {}
+    append, choose, pop = row.append, chosen.append, pending.pop
     while True:
-        width = len(prev)
-        latest += [-1] * (width - start)
-        for at in list(later):
-            if at < width:
-                latest[at] = later.pop(at)
-        for b in range(start, width):
+        for b in range(len(row), len(prev)):
             best = prev[b]
-            at = b - (-abs(best + rx) // u)
-            if at < width:
-                latest[at] = b
-            else:
-                later[at] = b
-            if latest[b] > left:
-                left = latest[b]
+            pending[b - (-abs(best + rx) // u)] = b
+            j = pop(b, -1)
+            if j > left:
+                left = j
                 left_value = prev[left] + r2
                 if left_value > length:
                     left_value = length
@@ -263,20 +240,15 @@ def _fill_row(
                 else:
                     right_k = right
             # Ties go to the skip, then to the right-bound split (its k is no larger).
-            if right_value > best:
-                if left_value > right_value:
-                    append(left_value)
-                    choose(b - left)
-                else:
-                    append(right_value)
-                    choose(right_k)
-            elif left_value > best:
+            if left_value > right_value and left_value > best:
                 append(left_value)
                 choose(b - left)
+            elif right_value > best:
+                append(right_value)
+                choose(right_k)
             else:
                 append(best)
                 choose(-1)
-        start = width
         yield
 
 

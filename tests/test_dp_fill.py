@@ -112,3 +112,27 @@ _radii = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3, 4]))
 def test_matches_reference_on_random_instances(sensors, length, unit, units):
     inst = Instance(length, tuple(Sensor(x, r) for x, r in sensors))
     _assert_same(inst, units, unit, reference_budget_table(inst, units, unit))
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(
+    st.lists(st.tuples(_coords, _radii), max_size=4),
+    st.builds(F, st.integers(0, 48), st.sampled_from([1, 2, 3])),
+    st.builds(F, st.integers(1, 12), st.integers(1, 7)),
+    st.lists(st.integers(0, 40), min_size=2, max_size=4),
+)
+def test_grown_on_a_random_schedule_equals_filled_and_reference(sensors, length, unit, steps):
+    """Grown by ``steps`` (repeats are zero-column resumes), the table equals the one filled at once.
+
+    Left-bound splits due past a width wait across one or more resumes.
+    """
+    inst = Instance(length, tuple(Sensor(x, r) for x, r in sensors))
+    grown = budget_table(inst, steps[0], unit)
+    for step in steps[1:]:
+        grown.grow(len(grown.rows[0]) - 1 + step)
+    units = len(grown.rows[0]) - 1
+    filled = budget_table(inst, units, unit)
+    where = f"{inst} steps={steps} unit={unit}"
+    assert (grown.rows, grown.choices) == (filled.rows, filled.choices), where
+    reference = reference_budget_table(inst, units, unit)
+    assert (fraction_reach(grown), fraction_parent(grown)) == (reference.reach, reference.parent), where

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -259,6 +260,21 @@ class TestTableInvariants:
                     grown.grow(units)
                 filled = budget_table(inst, 33, unit)
                 assert (grown.rows, grown.choices) == (filled.rows, filled.choices), f"{inst} unit={unit}"
+
+    def test_memory_per_cell(self):
+        """``dp_optimal`` at n = 160 peaks near 29 bytes per cell of its final table.
+
+        The peak reads about 4.7 MB.  A per-row list with one slot per
+        column for the pending left-bound splits read 9.2 MB.
+        """
+        inst = gen_random(160, 320, 1, 3, (-160, 480), 7)
+        tracemalloc.start()
+        try:
+            dp_optimal(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6.5e6
 
 
 #: Home gaps: G = 5 grid steps ((2, 7)) and G = 1 ((2, 3)); a far spare makes each feasible.
