@@ -81,8 +81,8 @@ class _Value:
     unknown or repeated argument, and ``_values`` returns them in order.
     A record writes its own ``__init__``, setting the fields with ``_set``,
     only to validate or normalise them (``Sensor``, ``Instance``,
-    ``CrossingPair``, ``ExactCoverInstance``).  ``DpTable``'s calls this
-    one and only adds the keyword ``fills``, kept outside the fields.
+    ``CrossingPair``, ``ExactCoverInstance``).  ``DpTable.__init__`` calls
+    this one and only adds the keyword ``fills``, kept outside the fields.
     Instances of one class are equal when their field tuples are, the hash
     is the field tuple's, and ``repr`` prints ``Class(name=value, ...)``.
     Pickle and copy rebuild through the constructor, so a cache kept

@@ -373,9 +373,9 @@ class TestNodeCounts:
     def test_fpt_stops_before_a_branching_step_past_the_cap(self, monkeypatch):
         """A step whose grid centres alone pass the cap raises before its first centre.
 
-        The grid 1/d has d near 10^27, so sensor 0's window holds about
-        2*10^18 centres: the search raises at its root, not after 100,001
-        nodes.
+        The grid 1/d has d near 10^27, so either candidate's window holds
+        about 2*10^18 centres: the search raises at its root, not after
+        100,001 nodes.
         """
         inst = Instance(F(1, 1000000007), (Sensor(0, F(1, 1000000009)), Sensor(1, F(1, 1000000021))))
         searches = _record_searches(monkeypatch)
