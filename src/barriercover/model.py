@@ -175,7 +175,7 @@ class Instance(_Value):
 
     def home(self) -> Solution:
         """The no-movement solution."""
-        return tuple(s.x for s in self.sensors)
+        return tuple([s.x for s in self.sensors])
 
     @cached_property
     def _grid(self) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
@@ -211,7 +211,7 @@ class CoverageReport(_Value):
 
 def as_solution(instance: Instance, values: Iterable[ScalarLike]) -> Solution:
     """Coerce positions to Fractions, enforcing one position per sensor."""
-    out = tuple(as_scalar(v) for v in values)
+    out = tuple(map(as_scalar, values))
     if len(out) != instance.n:
         raise ValueError(f"expected {instance.n} positions, got {len(out)}")
     return out
@@ -239,15 +239,17 @@ def _clipped_spans(
 
     Intervals that miss the barrier are left out; degenerate points are
     kept.  Works on any exact number type: Fractions here, the scaled ints
-    of ``untangle``'s loop there.
+    of ``untangle``'s loop there.  Radii are positive and length is not
+    negative, so an interval meets the barrier iff lo <= length and hi >= 0;
+    each end is then clipped as ``max(lo, 0)`` and ``min(hi, length)``
+    would clip it, by comparisons, which cost a third of those calls.
     """
     spans = []
     for i in indices:
         c, r = centers[i], radii[i]
-        lo = max(c - r, 0)
-        hi = min(c + r, length)
-        if lo <= hi:
-            spans.append((lo, hi, i))
+        lo, hi = c - r, c + r
+        if lo <= length and hi >= 0:
+            spans.append((lo if lo >= 0 else 0, hi if hi <= length else length, i))
     return spans
 
 
@@ -396,7 +398,7 @@ def verify_coverage(
     d, length, _, radii = on_grid(instance, *y)
     centers = [_to_grid(v, d) for v in y]
     gaps = _gaps(sorted(_clipped_spans(radii, centers, length, idx)), length)
-    return CoverageReport(not gaps, tuple((Fraction(lo, d), Fraction(hi, d)) for lo, hi in gaps))
+    return CoverageReport(not gaps, tuple([(_from_grid(lo, d), _from_grid(hi, d)) for lo, hi in gaps]))
 
 
 def is_feasible(instance: Instance) -> bool:
@@ -485,6 +487,11 @@ def _to_grid(value: Number, d: int) -> int:
     Exact, and cheaper than the Fraction product: no gcd is taken.
     """
     return value.numerator * (d // value.denominator)
+
+
+def _from_grid(value: int, d: int) -> Scalar:
+    """``value / d`` as a Fraction, by the cheapest exact route: on the grid 1 no gcd is taken."""
+    return Fraction(value) if d == 1 else Fraction(value, d)
 
 
 def grid_units(budget: ScalarLike, d: int) -> int:

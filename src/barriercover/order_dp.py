@@ -35,10 +35,15 @@ the k units its sensor moves (-1: skipped), and the reconstruction
 recomputes the position from k as the fill did.  Only the answer, the n
 positions of the solution, is converted back to Fractions.  The exact
 solvers run the DP with unit 1/d on the instance's own grid, so they take
-any rational instance and a budget in input units.  A call's setup is on
-the grid too: the instance's grid is computed once and kept on the
-``Instance``, and the feasibility test, the greedy tiling that caps the
-budget and the coverage check of the home solution all run on its ints.
+any rational instance and a budget in input units.  A call pays for that
+grid once: it is computed on first use and kept on the ``Instance``, and
+a table with unit 1/d takes it as it is, with no lcm.  The feasibility
+test, the greedy tiling that caps the budget and the coverage check of
+the home solution run on its ints; the reconstruction walks the choices
+once, choosing the active chain and checking its cover as it goes.  A
+Fraction is made only where one is returned, without a gcd on the grid 1
+(``model._from_grid``), and ``cheapest_first`` hands budgets on the grid 1
+over as ints.
 ``dp_eps`` takes its home gaps from ``model._home_gaps``, as
 ``cheapest_first`` does, derives its first guess and skip floor from them
 and runs its acceptance test in grid units; only each guess's unit q is a
@@ -49,18 +54,18 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .model import (
     ActiveSet,
     InfeasibleError,
     Instance,
+    Number,
     ResourceLimitError,
     Scalar,
     ScalarLike,
     Solution,
-    _clipped_spans,
-    _covers,
+    _from_grid,
     _home_gaps,
     _to_grid,
     _Value,
@@ -175,19 +180,25 @@ def budget_table(instance: Instance, budget_units: int, unit: ScalarLike = 1) ->
 
 
 def _empty_table(instance: Instance, budget_units: int, unit: ScalarLike) -> DpTable:
-    """A ``budget_table`` with no column yet: its arguments checked, the instance on the grid, each row's fill made."""
+    """A ``budget_table`` with no column yet: its arguments checked, the instance on the grid, each row's fill made.
+
+    With the unit 1/d the grid is the instance's own, read as it is from
+    ``Instance._grid``; any other unit goes through ``model.on_grid``.
+    """
     unit = as_scalar(unit)
-    if unit <= 0:
+    if unit.numerator <= 0:
         raise ValueError("budget unit must be positive")
     if budget_units < 0:
         raise ValueError("budget must be >= 0")
-    scale, length, xs, rs = on_grid(instance, unit)
+    scale, length, xs, rs = instance._grid
+    if unit.numerator != 1 or unit.denominator != scale:  # else the unit is the grid's own step 1/d
+        scale, length, xs, rs = on_grid(instance, unit)
     step = _to_grid(unit, scale)
     rows: list[list[int]] = [[] for _ in range(instance.n + 1)]
     choices: list[list[int]] = [[] for _ in rows]
     fills = [_fill_row(prev, row, chosen, x, r, step, length)
              for prev, row, chosen, x, r in zip(rows, rows[1:], choices[1:], xs, rs)]
-    return DpTable(unit, scale, length, xs, rs, step, rows, choices, fills=fills)
+    return DpTable(unit, scale, length, list(xs), list(rs), step, rows, choices, fills=fills)
 
 
 def _fill_row(
@@ -252,45 +263,44 @@ def _fill_row(
         yield
 
 
-def _chain_active(placed: list[tuple[int, int]]) -> list[int]:
-    """Reduce placed sensors to an increasing active chain.
-
-    A later sensor placed at or left of earlier chain members makes those
-    members redundant (its interval reaches further right and starts no
-    later than the coverage they were responsible for), so they are popped.
-    """
-    stack: list[tuple[int, int]] = []
-    for i, y in placed:
-        while stack and stack[-1][1] >= y:
-            stack.pop()
-        stack.append((i, y))
-    return [i for i, _ in stack]
-
-
 def _reconstruct(instance: Instance, table: DpTable, b: int) -> tuple[Solution, ActiveSet]:
-    """Walk the choices from (n, b) back to row 0, checking the cover on the grid.
+    """Walk the choices from (n, b) back to row 0, keeping the active chain and checking its cover on the grid.
 
     Each placed sensor's position is recomputed from its k as the fill
-    placed it; the positions are converted to Fractions once, at the end.
+    placed it, and only that position becomes a Fraction.  The walk meets
+    the placed sensors in decreasing index.  One placed at or right of a
+    later one is redundant: on a sound table each placed sensor reaches
+    further right than all before it, so the later one's interval holds
+    its interval.  The active chain is thus the placed sensors left of
+    every later one, and its positions increase with its indices: the
+    solution is order-preserving by construction.  Consecutive members
+    then overlap, so the chain covers [0, L] if its last member reaches L,
+    each member reaches the left edge of the next, and the first starts at
+    or left of 0.  On a sound table all three hold: each placed sensor
+    starts at or left of the reach before it, and the sensors dropped
+    between two members lie inside the later one.  The walk checks the
+    three in the same pass, on ints, and a table that fails them is corrupt.
     """
-    scale, length, xs, rs, step, rows = table.scale, table.length, table.xs, table.rs, table.step, table.rows
-    placed: list[tuple[int, int]] = []
-    for i in range(instance.n, 0, -1):
-        k = table.choices[i][b]
+    scale, length, xs, rs, step, rows, choices = (
+        table.scale, table.length, table.xs, table.rs, table.step, table.rows, table.choices)
+    y = [s.x for s in instance.sensors]
+    active = []
+    need = length  # the chain found so far covers [need, L]; left of it lies the next member's job
+    for i in range(instance.n - 1, -1, -1):
+        k = choices[i + 1][b]
         if k >= 0:
             b -= k
-            placed.append((i - 1, min(xs[i - 1] + k * step, rows[i - 1][b] + rs[i - 1])))
-    placed.reverse()
-    active = tuple(_chain_active(placed))
-    centers = dict(placed)
-    if not _covers(sorted(_clipped_spans(rs, centers, length, active)), set(active), length):
+            pos = min(xs[i] + k * step, rows[i][b] + rs[i])
+            y[i] = _from_grid(pos, scale)
+            if not active or pos < low:
+                if pos + rs[i] < need:
+                    raise RuntimeError("DP reconstruction lost coverage; table is corrupt")
+                need, low = pos - rs[i], pos
+                active.append(i)
+    if need > 0:
         raise RuntimeError("DP reconstruction lost coverage; table is corrupt")
-    if not all(centers[i] < centers[j] for i, j in zip(active, active[1:])):
-        raise RuntimeError("DP reconstruction is not order-preserving")
-    y = list(instance.home())
-    for i, pos in placed:
-        y[i] = Fraction(pos, scale)
-    return tuple(y), active
+    active.reverse()
+    return tuple(y), tuple(active)
 
 
 def dp_exact(instance: Instance, budget: ScalarLike) -> Optional[tuple[Solution, ActiveSet]]:
@@ -307,7 +317,7 @@ def dp_exact(instance: Instance, budget: ScalarLike) -> Optional[tuple[Solution,
     if not is_feasible(instance):
         return None
     _, upper = greedy_cover(instance)
-    return _dp_within(instance, min(units, int(upper * d)), Fraction(1, d))
+    return _dp_within(instance, min(units, _to_grid(upper, d)), Fraction(1, d))
 
 
 def _dp_within(instance: Instance, units: int, unit: Scalar) -> Optional[tuple[Solution, ActiveSet]]:
@@ -345,7 +355,7 @@ def _cheapest_cover(instance: Instance, table: DpTable) -> Optional[tuple[Soluti
     return None if winner == len(table.rows[0]) else _reconstruct(instance, table, winner)
 
 
-def cheapest_first(instance: Instance, solve: Callable[[Scalar], Optional[tuple]]) -> tuple:
+def cheapest_first(instance: Instance, solve: Callable[[Number], Optional[tuple]]) -> tuple:
     """First hit of ``solve(budget)`` over budgets 2^m/d, 2^(m+1)/d, ... (input units).
 
     d is the instance's grid and 2^m the largest power of two at most G,
@@ -356,14 +366,16 @@ def cheapest_first(instance: Instance, solve: Callable[[Scalar], Optional[tuple]
     where an exact solver must hit; one that returns its cheapest cover
     within the budget thus yields the optimum.  Budgets never decrease, so
     ``solve`` may widen one table from call to call, as ``dp_optimal``
-    does.  Raises InfeasibleError when no cover exists.
+    does.  Each budget below the cap is an int on the grid 1 (d = 1), a
+    Fraction otherwise, so ``model._to_grid(budget, d)`` takes it back to
+    grid steps on either.  Raises InfeasibleError when no cover exists.
     """
     d = integral_scale_factor(instance)
     _, upper = greedy_cover(instance)
     top = _to_grid(upper, d)
     units = 1 << max(0, sum(hi - lo for lo, hi in _home_gaps(instance)).bit_length() - 1)
     while True:
-        found = solve(Fraction(units, d) if units < top else upper)
+        found = solve((units if d == 1 else Fraction(units, d)) if units < top else upper)
         if found is not None:
             return found
         if units >= top:
@@ -381,15 +393,15 @@ def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
     """
     if not is_feasible(instance):
         raise InfeasibleError("total sensor length is below the barrier length")
-    d, length, xs, rs = on_grid(instance)
+    d, length, xs, rs = instance._grid
     centers, moved = _greedy_tiling(length, xs, rs)
-    y = list(instance.home())
+    y = [s.x for s in instance.sensors]
     for i, center in enumerate(centers):
-        y[i] = Fraction(center, d)
-    return tuple(y), Fraction(moved, d)
+        y[i] = _from_grid(center, d)
+    return tuple(y), _from_grid(moved, d)
 
 
-def _greedy_tiling(length: int, xs: list[int], rs: list[int]) -> tuple[list[int], int]:
+def _greedy_tiling(length: int, xs: Sequence[int], rs: Sequence[int]) -> tuple[list[int], int]:
     """``greedy_cover`` on the grid: the centers of the sensors it tiles, a prefix, and its cost.
 
     Every sensor past the prefix stays home.  ``exact.brute_force`` takes
@@ -498,7 +510,7 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
         raise ValueError(f"eps must be positive, got {eps}")
     if not is_feasible(instance):
         raise InfeasibleError("instance cannot cover the barrier")
-    d, _, xs, _ = on_grid(instance)
+    d, _, xs, _ = instance._grid
     n = instance.n
     gaps = _home_gaps(instance)
     if not gaps:

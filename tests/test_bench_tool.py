@@ -147,3 +147,45 @@ def test_pairs_count_wins_on_every_end_to_end_metric(bench_dp, monkeypatch):
                                     "peak_rss_mb": 0}
     assert record["after_wins_ops_per_s"] == 2
     assert record["ops_per_s_runs"] == {"before": [100, 105], "after": [110, 120]}
+
+
+def test_short_rows_take_their_floor_of_runs_per_child(bench_dp, monkeypatch):
+    """A row named in ``MIN_K`` runs at least that many times in each child; a larger ``--k`` wins.
+
+    The floor's rows exist, so a renamed row cannot lose its floor unseen.
+    """
+    import barriercover
+
+    assert set(bench_dp.MIN_K) <= set(bench_dp.search_rows(barriercover))
+    runs_per_child = []
+
+    def child(topic, src, name, k):
+        runs_per_child.append((name, k))
+        return 0.1
+
+    monkeypatch.setattr(bench_dp, "row_in_child", child)
+    monkeypatch.setattr(bench_dp, "load_package", lambda src: None)
+    monkeypatch.setitem(bench_dp.ROWS, "search", lambda bc: {"oracle_optimal.random_family_200": None, "fast": None})
+    monkeypatch.setattr(bench_dp, "git_sha", lambda path: "sha")
+    for k, family_k in ((3, 9), (12, 12)):
+        runs_per_child.clear()
+        args = argparse.Namespace(topic="search", src="new", label="after", before="old", before_label="before", k=k)
+        runs = bench_dp.cmd_rows(args)
+        assert runs_per_child == [("oracle_optimal.random_family_200", family_k)] * 6 + [("fast", k)] * 6
+        for run in runs.values():
+            assert run["k"] == k
+            assert run.get("k_rows") == ({"oracle_optimal.random_family_200": 9} if family_k != k else None)
+
+
+def test_dp_rows_time_each_dp_order_call(bench_dp):
+    """Both solvers on each ``dp-order`` instance, 200 calls a row: fig5 L = 8..18 and the seed-0 random n = 3 draw."""
+    import barriercover
+    from barriercover import Instance, Sensor
+
+    rows = bench_dp.dp_rows(barriercover)
+    stems = ["random_n3_seed0"] + [f"fig5_L{length}" for length in range(8, 19, 2)]
+    assert [name for name in rows if name.endswith("_x200")] == [
+        f"{solver}.{stem}_x200" for stem in stems for solver in ("dp_optimal", "dp_eps_half")]
+    drawn = Instance(6, (Sensor(-2, 3), Sensor(6, 1), Sensor(7, 3)))  # perfbench's r0.n3 at seed 0
+    answers = rows["dp_optimal.random_n3_seed0_x200"]()
+    assert answers == [barriercover.dp_optimal(drawn)] * 200

@@ -251,6 +251,23 @@ class TestTableInvariants:
             if value > 0:
                 assert dp_exact(inst, value - 1) is None
 
+    @pytest.mark.parametrize("row", [1, 2, 3])
+    def test_reconstruction_refuses_a_corrupt_table(self, row):
+        """A choice on the walk overwritten to a skip leaves a gap: at 0 (row 1), between (row 2) or at L (row 3).
+
+        fig5 L=8's cheapest cover, at budget 10, moves all three sensors
+        (to 2, 5 and 7), so every choice on its walk places a sensor.
+        """
+        inst = gen_fig5(2, 8)
+        assert order_dp._cheapest_cover(inst, budget_table(inst, 10)) == ((2, 5, 7), (0, 1, 2))
+        table = budget_table(inst, 10)
+        b = 10
+        for i in range(inst.n, row, -1):
+            b -= table.choices[i][b]
+        table.choices[row][b] = -1
+        with pytest.raises(RuntimeError, match="^DP reconstruction lost coverage; table is corrupt$"):
+            order_dp._cheapest_cover(inst, table)
+
     def test_grown_column_by_column_equals_filled_on_corpus(self):
         """Each resume of a row's fill may add one column: the table still equals the one filled at once."""
         for _, inst, _ in random_corpus(200):
@@ -275,6 +292,63 @@ class TestTableInvariants:
         finally:
             tracemalloc.stop()
         assert peak < 6.5e6
+
+
+class TestCellGate:
+    """``dp_optimal`` fills each cell of its one table once: (n+1)·(W+1) cells, W <= 2·max(OPT_op, 1) steps.
+
+    W is the final width, the first doubled budget at or past OPT_op or
+    the greedy cap.  The cells are counted through ``_fill_row``, which
+    fills rows 1..n, plus row 0, which ``DpTable.grow`` widens; counts, not
+    seconds, so the gate holds on any host.  On fig5 both n and W double
+    with L, and the cells grow at most 4.5 times per doubling.
+    """
+
+    CASES = {
+        "fig5.L20": (gen_fig5(2, 20), 34, 350),
+        "fig5.L40": (gen_fig5(2, 40), 74, 1500),
+        "fig5.L80": (gen_fig5(2, 80), 154, 6200),
+        "fig5.L160": (gen_fig5(2, 160), 314, 25200),
+        "random.n10": (gen_random(10, 20, 1, 3, (-10, 30), 7), 18, 209),
+        "random.n20": (gen_random(20, 40, 1, 3, (-20, 60), 7), 32, 693),
+        "random.n40": (gen_random(40, 80, 1, 3, (-40, 120), 7), 64, 2665),
+    }
+
+    @staticmethod
+    def cells(monkeypatch, inst):
+        """Solve ``inst`` by ``dp_optimal``: its OPT_op in grid steps, its one table and the cells filled."""
+        tables, columns = [], []
+        real_table, real_fill = budget_table, order_dp._fill_row
+
+        def recorded_table(instance, budget_units, unit=1):
+            tables.append(real_table(instance, budget_units, unit))
+            return tables[-1]
+
+        def counted_fill(prev, row, *rest):
+            done = 0
+            for _ in real_fill(prev, row, *rest):
+                columns.append(len(row) - done)
+                done = len(row)
+                yield
+
+        with monkeypatch.context() as patch:
+            patch.setattr(order_dp, "budget_table", recorded_table)
+            patch.setattr(order_dp, "_fill_row", counted_fill)
+            solution, _ = dp_optimal(inst)
+        (table,) = tables
+        return cost(inst, solution) * integral_scale_factor(inst), table, sum(columns) + len(table.rows[0])
+
+    @pytest.mark.parametrize("key", list(CASES))
+    def test_cells_are_n_plus_one_by_w_plus_one(self, monkeypatch, key):
+        inst, width, pinned = self.CASES[key]
+        opt_op, table, cells = self.cells(monkeypatch, inst)
+        w = len(table.rows[0]) - 1
+        assert cells == (inst.n + 1) * (w + 1) == pinned
+        assert w == width <= 2 * max(opt_op, 1)
+
+    def test_fig5_cells_grow_at_most_4_5_times_per_doubling(self, monkeypatch):
+        cells = [self.cells(monkeypatch, self.CASES[f"fig5.L{length}"][0])[2] for length in (20, 40, 80, 160)]
+        assert all(2 * big <= 9 * small for small, big in zip(cells, cells[1:]))
 
 
 #: Home gaps: G = 5 grid steps ((2, 7)) and G = 1 ((2, 3)); a far spare makes each feasible.

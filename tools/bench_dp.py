@@ -19,7 +19,10 @@ loop, ``dp_eps`` (eps = 1/2) and ``dp_optimal`` on
 4,096 grid steps: the doubling starts at the power of two at most the home
 gap bound, 1,200 steps),
 ``dp_optimal`` and ``dp_eps`` (eps = 1/2) over fig5 L = 8, 10, ..., 24 in
-one row each, fig5 L=40 ``dp_optimal`` against the exhaustive
+one row each, the same two per call on each instance of the ``dp-order``
+workload (fig5 L = 8, 10, ..., 18 and its random n = 3 instance at seed 0,
+``_x200`` rows of 200 calls each, so a row's figure over 200 is one call),
+fig5 L=40 ``dp_optimal`` against the exhaustive
 ``oracle_optimal``, and three ``python -m barriercover`` child runs on
 ``--src`` (interpreter start and import included): ``solve --algo
 dp-optimal corpora/i1.bc``, ``gen --family random --n 6 --length 12`` and
@@ -50,10 +53,12 @@ cover moves every sensor, and
 explore 1 and 35 nodes whatever n, so the rows time what a node costs.
 Each row is timed in ``CHILDREN`` (3) child processes per side, each
 taking the median of ``--k`` runs in process CPU time (the CPU time of
-the row's own finished subprocesses included); the least of those child
-medians is recorded, to the microsecond, so one slow child does not move
-the row, and every child median goes under ``child_medians``, in the order
-the children ran, so the spread between children shows.  The median of
+the row's own finished subprocesses included), or of ``MIN_K[row]`` runs
+for a row named there when that is more (those rows' run counts go
+under ``k_rows``); the least of those child medians is recorded, to the
+microsecond, so one slow child does not move the row, and every child
+median goes under ``child_medians``, in the order the children ran, so the
+spread between children shows.  The median of
 those child medians goes under ``median_child_median``: one lucky fast
 child moves the least child but not the median.  A row whose
 search raises ``ResourceLimitError`` records the message under
@@ -101,6 +106,10 @@ from typing import Callable
 REPO = Path(__file__).resolve().parent.parent
 #: Child processes that time each row on each side; the least child median is kept.
 CHILDREN = 3
+#: Least runs per child for rows too short to outlast the host's bursts at the default k.  At k = 3 the
+#: 70 ms random family's child medians read 66.9 / 70.5 / 69.4 ms on one side and 111.0 / 70.7 / 94.7 ms
+#: on the other on unchanged code; four alternating children of 9 runs each read 69.4 and 65.5 ms.
+MIN_K = {"oracle_optimal.random_family_200": 9}
 #: topic -> (what it measures, the benchmark workload that loads it)
 TOPICS = {
     "dp": ("order-preserving budget DP", "dp-order"),
@@ -172,6 +181,15 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
     fig5_small = [bc.gen_fig5(2, length) for length in range(8, 25, 2)]
     rows["dp_optimal.fig5_L8_to_24"] = lambda: [bc.dp_optimal(i) for i in fig5_small]
     rows["dp_eps_half.fig5_L8_to_24"] = lambda: [bc.dp_eps(i, Fraction(1, 2)) for i in fig5_small]
+    stream = importlib.import_module(f"{bc.__name__}.generators").RandomStream(0)
+    while True:  # the dp-order workload's draw at seed 0: the first instance not covered at home
+        random_n3 = bc.gen_random(3, 6, 1, 3, (-3, 9), stream.next_raw())
+        if not bc.verify_coverage(random_n3, random_n3.home()).covered:
+            break
+    for name, inst in [("random_n3_seed0", random_n3)] + [(f"fig5_L{length}", bc.gen_fig5(2, length))
+                                                           for length in range(8, 19, 2)]:
+        rows[f"dp_optimal.{name}_x200"] = lambda i=inst: [bc.dp_optimal(i) for _ in range(200)]
+        rows[f"dp_eps_half.{name}_x200"] = lambda i=inst: [bc.dp_eps(i, Fraction(1, 2)) for _ in range(200)]
     fig5 = bc.gen_fig5(2, 40)
     rows["dp_optimal.fig5_L40"] = lambda: bc.dp_optimal(fig5)
     rows["oracle_optimal.fig5_L40"] = lambda: bc.oracle_optimal(fig5)
@@ -338,11 +356,15 @@ def cmd_rows(args: argparse.Namespace) -> dict[str, dict]:
     labels = list(sides)
     results: dict[str, dict[str, float | str]] = {label: {} for label in labels}
     children: dict[str, dict[str, list[float]]] = {label: {} for label in labels}
+    k_rows = {}
     for n, name in enumerate(ROWS[args.topic](load_package(src))):
+        k = max(args.k, MIN_K.get(name, 0))
+        if k != args.k:
+            k_rows[name] = k
         figures: dict[str, list[float | str]] = {label: [] for label in labels}
         for c in range(CHILDREN):
             for label in labels if (n + c) % 2 == 0 else labels[::-1]:
-                figures[label].append(row_in_child(args.topic, sides[label], name, args.k))
+                figures[label].append(row_in_child(args.topic, sides[label], name, k))
         for label in labels:
             limits = [f for f in figures[label] if isinstance(f, str)]
             results[label][name] = limits[0] if limits else min(figures[label])
@@ -352,6 +374,9 @@ def cmd_rows(args: argparse.Namespace) -> dict[str, dict]:
     runs = {
         label: run_record(label, sides[label], args.k, results[label], children[label]) for label in labels
     }
+    if k_rows:
+        for run in runs.values():
+            run["k_rows"] = k_rows
     if len(labels) == 2:
         for label, other in zip(labels, labels[::-1]):
             runs[label]["alternated_with"] = other
