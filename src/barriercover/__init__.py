@@ -30,6 +30,7 @@ from .model import (
     Solution,
     as_scalar,
     cost,
+    greedy_cover,
     integral_scale_factor,
     is_feasible,
     is_order_preserving,
@@ -60,7 +61,6 @@ _LAZY = {
     "dp_eps": "order_dp",
     "dp_exact": "order_dp",
     "dp_optimal": "order_dp",
-    "greedy_cover": "order_dp",
 }
 
 __all__ = sorted([
@@ -76,6 +76,7 @@ __all__ = sorted([
     "as_scalar",
     "cost",
     "crossing_pairs",
+    "greedy_cover",
     "integral_scale_factor",
     "is_feasible",
     "is_order_preserving",

@@ -1,11 +1,14 @@
 """Ground-truth solvers: exhaustive oracles and budget-parameterized branching.
 
-Every solver takes any rational instance and puts it on the integer grid
-with ``model.on_grid``: scaled by d, the data is integral, and integer data
-admits integer-position optima, so searching the grid is exhaustive.
-Budgets are given in input units and become floor(budget * d) grid units;
-positions and costs come back as Fractions of d.  Internals run on plain
-ints for speed.
+Every solver takes any rational instance and searches it on its integer
+grid 1/d, read from ``Instance._grid``: scaled by d, the data is integral,
+and integer data admits integer-position optima, so searching the grid is
+exhaustive.  Budgets are given in input units and become floor(budget * d)
+grid units; positions and costs come back as Fractions of d through
+``model._from_grid``.  Internals run on plain ints for speed.  Like the
+other solver modules, this one imports from ``model`` alone: the greedy
+tiling that gives ``brute_force`` its first incumbent and
+``brute_force_order_preserving`` its default budget lives there too.
 
 The searches are depth-first with admissible pruning only (budget, current
 incumbent, permanently wasted length, uncovered measure, reachability of the
@@ -44,9 +47,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right, insort
 from collections import Counter
 from itertools import accumulate
-from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Container, Iterable, Iterator, Optional
+from typing import Callable, Container, Iterable, Iterator, Optional, Sequence
 
 from .model import (
     DEFAULT_NODE_CAP,
@@ -56,12 +58,13 @@ from .model import (
     ScalarLike,
     Solution,
     _clipped_spans,
+    _from_grid,
     _gaps,
+    _greedy_tiling,
+    greedy_cover,
     grid_units,
     is_feasible,
-    on_grid,
 )
-from .order_dp import _greedy_tiling, greedy_cover
 
 # Most entries ``brute_force``'s dominance memo records per call.
 _MEMO_CAP = 1 << 16
@@ -78,9 +81,10 @@ class _Search:
     Open nodes live on an explicit stack, so depth costs no interpreter
     stack.  Every node, the root included, counts against the node cap,
     and so does every child a parent cuts on its entry test (``cut``): it
-    stands for the node it would have been.  ``nodes`` and ``pruned``
-    (early returns and skipped children, by rule, as the search counts
-    them) stay readable after ``run``.
+    stands for the node it would have been.  ``check_cap`` is the one test
+    of the cap.  ``nodes`` and ``pruned`` (early returns and skipped
+    children, by rule, as the search counts them) stay readable after
+    ``run``.
     """
 
     def __init__(self, node_cap: int, budget: int, d: int) -> None:
@@ -105,7 +109,11 @@ class _Search:
         """Count a child cut on its entry test under ``rule``, and against the node cap."""
         self.pruned[rule] += 1
         self.cuts += 1
-        if self.nodes + self.cuts > self.node_cap:
+        self.check_cap(0)
+
+    def check_cap(self, ahead: int) -> None:
+        """Raise ``ResourceLimitError`` if nodes plus cuts plus ``ahead`` nodes still to come pass the cap."""
+        if self.nodes + self.cuts + ahead > self.node_cap:
             raise ResourceLimitError(f"search explored more than {self.node_cap} states")
 
     def run(self, visit: Callable[..., Iterator[tuple]], *root: object) -> Optional[tuple[Solution, Scalar]]:
@@ -117,8 +125,7 @@ class _Search:
                 stack.pop()
                 continue
             self.nodes += 1
-            if self.nodes + self.cuts > self.node_cap:
-                raise ResourceLimitError(f"search explored more than {self.node_cap} states")
+            self.check_cap(0)
             stack.append(visit(*args))
         return self.result()
 
@@ -127,10 +134,10 @@ class _Search:
         if self.best_cost is None:
             return None
         assert self.best is not None
-        return tuple(Fraction(v, self.d) for v in self.best), Fraction(self.best_cost, self.d)
+        return tuple([_from_grid(v, self.d) for v in self.best]), _from_grid(self.best_cost, self.d)
 
 
-def _anchored_cover(length: int, xs: list[int], rs: list[int]) -> Optional[list[int]]:
+def _anchored_cover(length: int, xs: Sequence[int], rs: Sequence[int]) -> Optional[list[int]]:
     """Lazy right-to-left tiling: cover [0, L] anchored at the right end.
 
     Walking sensors in reverse order, each either already reaches the
@@ -176,7 +183,7 @@ def _cut(holes: list[tuple[int, int]], lo: int, hi: int) -> list[tuple[int, int]
     return out
 
 
-def _home_holes(length: int, xs: list[int], rs: list[int]) -> list[list[tuple[int, int]]]:
+def _home_holes(length: int, xs: Sequence[int], rs: Sequence[int]) -> list[list[tuple[int, int]]]:
     """Entry i: the holes the homes of sensors i.. leave in [0, L], cut span by span from the right.
 
     ``_cut`` takes each hole less the span, so a home reaching past 0 or L,
@@ -268,7 +275,7 @@ def brute_force(
     cost is the exact optimum within the budget; None means no solution
     exists, never that the search gave up (that raises ResourceLimitError).
     The budget defaults to the greedy tiling cost, which is always enough;
-    that tiling, on the grid (``order_dp._greedy_tiling``), is the first
+    that tiling, on the grid (``model._greedy_tiling``), is the first
     incumbent.
 
     Each child's entry test runs in its parent, so only a child that passes
@@ -405,7 +412,7 @@ def brute_force(
     the probe proves it; on fig6 it is about half of it, and the rule does
     the work.
     """
-    d, length, xs, rs = on_grid(instance)
+    d, length, xs, rs = instance._grid
     limit = None if budget is None else grid_units(budget, d)
     n = len(xs)
     if not is_feasible(instance):
@@ -431,7 +438,7 @@ def brute_force(
     tiled, greedy_cost = _greedy_tiling(length, xs, rs)
     search = _Search(node_cap, greedy_cost if limit is None else limit, d)
     pruned = search.pruned
-    search.offer(greedy_cost, tiled + xs[len(tiled):])
+    search.offer(greedy_cost, tiled + list(xs[len(tiled):]))
     anchored = _anchored_cover(length, xs, rs)
     if anchored is not None:
         search.offer(sum(abs(y - x) for y, x in zip(anchored, xs)), anchored)
@@ -627,7 +634,7 @@ def brute_force_order_preserving(
     extends coverage without leaving a gap.  The budget defaults to the
     greedy tiling cost, which is always enough.
     """
-    d, length, xs, rs = on_grid(instance)
+    d, length, xs, rs = instance._grid
     n = len(xs)
     if not is_feasible(instance):
         return None
@@ -667,14 +674,14 @@ def brute_force_order_preserving(
 
 
 def gap_candidates(
-    xs: list[int], rs: list[int], gap_lo: int, gap_hi: int, limit: int, banned: Container[int]
+    xs: Sequence[int], rs: Sequence[int], gap_lo: int, gap_hi: int, limit: int, banned: Container[int]
 ) -> tuple[int, ...]:
     """Sensors worth moving into the gap (gap_lo, gap_hi): ``fpt_solve``'s branch list, in index order.
 
-    All on the grid 1/d of ``model.on_grid``, with ``limit`` the movement
-    still affordable.  A sensor is grouped by its facing edge p: its home
-    right edge when p is in [gap_lo - limit, gap_lo], else its home left
-    edge when p is in [gap_hi, gap_hi + limit].  One dict holds both sides,
+    All on the instance's grid 1/d (``Instance._grid``), with ``limit`` the
+    movement still affordable.  A sensor is grouped by its facing edge p:
+    its home right edge when p is in [gap_lo - limit, gap_lo], else its home
+    left edge when p is in [gap_hi, gap_hi + limit].  One dict holds both sides,
     as left keys are <= gap_lo < gap_hi <= right keys, and no sensor has
     both edges in range: a right edge at most gap_lo puts the left edge
     below gap_hi.  Sensors in ``banned`` are left out.  Each point keeps
@@ -738,7 +745,7 @@ def fpt_solve(
     """
     if movers is not None and movers < 0:
         raise ValueError(f"mover bound must be >= 0, got {movers}")
-    d, length, xs, rs = on_grid(instance)
+    d, length, xs, rs = instance._grid
     limit = grid_units(budget, d)
     if not is_feasible(instance):
         return None
@@ -763,8 +770,7 @@ def fpt_solve(
         gap_lo, gap_hi = holes[0]
         for j in gap_candidates(xs, rs, gap_lo, gap_hi, room, moved):
             lo, hi = max(gap_lo + 1 - rs[j], xs[j] - room), min(gap_lo + rs[j], xs[j] + room)
-            if search.nodes + search.cuts + hi - lo + 1 > search.node_cap:
-                raise ResourceLimitError(f"search explored more than {search.node_cap} states")
+            search.check_cap(hi - lo + 1)
             moved.add(j)
             for y in range(lo, hi + 1):
                 positions[j] = y

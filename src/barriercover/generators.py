@@ -13,6 +13,7 @@ CLI exit 3) from the closed-form count, before it builds a sensor.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Iterable
 
@@ -76,11 +77,10 @@ class ExactCoverInstance(_Value):
         if max_sets < 0:
             raise ValueError("solution size bound must be >= 0")
         sets = tuple(frozenset(s) for s in sets)
-        universe = set(range(1, universe_size + 1))
         for s in sets:
             if not s:
                 raise ValueError("subsets must be nonempty")
-            if not s <= universe:
+            if not all(isinstance(j, int) and 1 <= j <= universe_size for j in s):
                 raise ValueError(f"subset {sorted(s)} leaves the universe")
         _set(self, "universe_size", universe_size)
         _set(self, "sets", sets)
@@ -160,25 +160,42 @@ def reduce_exact_cover(ec: ExactCoverInstance) -> ReductionOutput:
     diameter of each sensor whose subset contains it and b^(j+m) to that
     sensor's distance from the barrier; L sums the element weights and the
     budget allows hauling k chosen sensors to the barrier and arranging them.
+
+    Only the weights the subsets use are built.  The sums have closed
+    forms: L = b^0 + ... + b^(m-1), the distance weights sum to b^(m+1)*L,
+    so B = L*(b^(m+1) + k), and a sensor's distance weight is b^(m+1) times
+    its diameter.  These hold at b = 1 (no subsets) too.
+
+    A B with more digits than the interpreter prints
+    (``sys.get_int_max_str_digits``, none when 0) raises
+    ``ResourceLimitError`` before any sensor is built: no file could hold it,
+    as ``fileio.parse_scalar`` refuses such a number on input.  As there, a
+    B far past the limit is refused on bit length alone, before it is
+    computed: for m >= 1, B >= b^(m-1) * b^(m+1) = b^(2m) >= 2^(2m*(t-1))
+    for b of t bits, and 2^(4c) > 10^c.  Any other B is computed, its size
+    bounded by that test and by k's, and compared with 10^c once.
     """
     m, n = ec.universe_size, len(ec.sets)
     base = n + 1
-    elem_weight = {j: Fraction(base) ** (j - 1) for j in range(1, m + 1)}
-    dist_weight = {j: Fraction(base) ** (j + m) for j in range(1, m + 1)}
-    sensors = []
-    for subset in ec.sets:
-        radius = sum((elem_weight[j] for j in subset), start=Fraction(0)) / 2
-        offset = sum((dist_weight[j] for j in subset), start=Fraction(0))
-        sensors.append(Sensor(-radius - offset, radius))
-    length = sum(elem_weight.values(), start=Fraction(0))
-    budget = sum(dist_weight.values(), start=Fraction(0)) + ec.max_sets * length
+    cap = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    too_long = f"the reduction's budget B has more than {cap:,} digits"
+    if cap and 2 * m * (base.bit_length() - 1) >= 4 * cap:
+        raise ResourceLimitError(too_long)
+    lift = base ** (m + 1)
+    length = m if base == 1 else (base**m - 1) // (base - 1)
+    budget = length * (lift + ec.max_sets)
+    if cap and budget >= 10**cap:
+        raise ResourceLimitError(too_long)
+    # A sensor's diameter w sums its subset's element weights, and its distance weight is w * lift.
+    widths = [sum(base ** (j - 1) for j in subset) for subset in ec.sets]
+    sensors = [Sensor(-Fraction(w, 2) - w * lift, Fraction(w, 2)) for w in widths]
     instance = Instance(length=length, sensors=tuple(sensors))
     # ``Instance`` sorts its sensors stably by (x, r); the same stable sort of
     # the set indices gives each sorted sensor's set.
     order = sorted(range(n), key=lambda i: (sensors[i].x, sensors[i].r))
     return ReductionOutput(
         instance=instance,
-        budget=budget,
+        budget=Fraction(budget),
         movers=ec.max_sets,
         source_sets=tuple(order),
     )

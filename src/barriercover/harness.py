@@ -36,8 +36,6 @@ from .model import (
     is_feasible,
 )
 
-CSV_HEADER = "instance,algo,status,cost,ref_cost,ratio,time_ms"
-
 STATUS_OK = "ok"
 STATUS_INFEASIBLE = "infeasible"
 STATUS_RESOURCE = "resource-limit"
@@ -56,13 +54,11 @@ class RunRecord(_Value):
     time_ms: int
 
     def csv_row(self) -> str:
-        def fmt(v: Optional[Scalar]) -> str:
-            return "" if v is None else format_scalar(v)
+        """The fields in ``CSV_HEADER``'s order: None empty, a str as it is, a number by ``format_scalar``."""
+        return ",".join("" if v is None else v if isinstance(v, str) else format_scalar(v) for v in self._values())
 
-        return (
-            f"{self.instance},{self.algo},{self.status},"
-            f"{fmt(self.cost)},{fmt(self.ref_cost)},{fmt(self.ratio)},{self.time_ms}"
-        )
+
+CSV_HEADER = ",".join(RunRecord._fields)
 
 
 #: A budget in input units, or None for the optimum.

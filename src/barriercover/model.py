@@ -7,11 +7,22 @@ center, and its cost is the total distance moved.  All coordinates are
 nothing in this module (or its tests) may rely on floating-point tolerance.
 
 Exact comparisons need not be Fraction comparisons.  Every instance has
-one integer grid 1/d, d the lcm of its denominators (``on_grid``); it is
-computed once per ``Instance`` and kept on it.  Scaled by d every
-coordinate is an int and every comparison keeps its outcome, so the
-feasibility test, the greedy tiling and the coverage sweep run on Python
-ints and convert only what they return back to Fractions.
+one integer grid 1/d, d the lcm of its denominators; it is computed once
+per ``Instance`` and kept on it (``Instance._grid``).  Scaled by d every
+coordinate is an int and every comparison keeps its outcome.  This module
+is the one grid layer of the package, and each solver module (``exact``,
+``order_dp``, ``untangle``) imports from it alone:
+
+* A solver reads the instance's own grid from ``Instance._grid``;
+  ``on_grid`` rescales it for extras with other denominators (a budget
+  unit, a solution's positions), and ``_solution_on_grid`` puts a solution
+  on the grid with its instance.
+* The feasibility test, the greedy tiling (``greedy_cover``,
+  ``_greedy_tiling``), the home gaps and every coverage check
+  (``verify_coverage``, ``minimal_active_set``, ``untangle``'s sweeps) run
+  on Python ints.
+* An answer goes back to Fractions one way, ``_from_grid``, which takes
+  no gcd on the grid 1.
 
 All types are immutable values and all operations are pure functions, so
 everything here is safe to share across threads.  The record classes of
@@ -179,10 +190,13 @@ class Instance(_Value):
 
     @cached_property
     def _grid(self) -> tuple[int, int, tuple[int, ...], tuple[int, ...]]:
-        """``(d, L*d, xs*d, rs*d)`` on the instance's own grid; read it through ``on_grid``.
+        """``(d, L*d, xs*d, rs*d)`` on the instance's own grid 1/d, d the lcm of its denominators.
 
         Computed on first read and kept in the instance's ``__dict__``; it is
-        not a field, so equality, hashing and ``repr`` ignore it.
+        not a field, so equality, hashing and ``repr`` ignore it.  A solver
+        that needs only this grid reads it here, and must not change it (the
+        two sequences are tuples); ``on_grid`` is the one function that
+        rescales it for extras, and returns fresh lists.
         """
         dens = [self.length.denominator]
         for s in self.sensors:
@@ -238,11 +252,12 @@ def _clipped_spans(
     """Covered intervals as ``(lo, hi, i)``, clipped to the barrier [0, length].
 
     Intervals that miss the barrier are left out; degenerate points are
-    kept.  Works on any exact number type: Fractions here, the scaled ints
-    of ``untangle``'s loop there.  Radii are positive and length is not
-    negative, so an interval meets the barrier iff lo <= length and hi >= 0;
-    each end is then clipped as ``max(lo, 0)`` and ``min(hi, length)``
-    would clip it, by comparisons, which cost a third of those calls.
+    kept.  Works on any exact number type: the package passes grid ints,
+    the tests' Fraction references pass Fractions.  Radii are positive and
+    length is not negative, so an interval meets the barrier iff
+    lo <= length and hi >= 0; each end is then clipped as ``max(lo, 0)``
+    and ``min(hi, length)`` would clip it, by comparisons, which cost a
+    third of those calls.
     """
     spans = []
     for i in indices:
@@ -312,7 +327,7 @@ def _minimal_cover(
     length: Number,
     within: Iterable[int],
 ) -> Optional[ActiveSet]:
-    """The drop rule of ``minimal_active_set`` on any exact number type.
+    """The drop rule of ``minimal_active_set`` on any exact number type; the package passes grid ints.
 
     Returns None when the sensors in ``within`` do not cover [0, length].
     The rule takes candidates in decreasing radius (ties: higher index
@@ -363,10 +378,6 @@ def _minimal_cover(
     return tuple(sorted(keep))
 
 
-def _radii(instance: Instance) -> tuple[Scalar, ...]:
-    return tuple(s.r for s in instance.sensors)
-
-
 def _checked_indices(instance: Instance, indices: Iterable[int]) -> list[int]:
     """``indices`` as a list, refused unless every one names a sensor of ``instance``.
 
@@ -390,13 +401,11 @@ def verify_coverage(
     restricts the check to a subset of sensors (used for active-set work);
     an index outside range(n) raises ValueError.  An empty barrier (L = 0)
     counts as covered.  The sweep runs on the grid of
-    ``on_grid(instance, *solution)``; only the gaps it finds are turned back
-    into Fractions.
+    ``_solution_on_grid``; only the gaps it finds are turned back into
+    Fractions.
     """
     idx = range(instance.n) if indices is None else _checked_indices(instance, indices)
-    y = as_solution(instance, solution)
-    d, length, _, radii = on_grid(instance, *y)
-    centers = [_to_grid(v, d) for v in y]
+    d, length, _, radii, centers = _solution_on_grid(instance, solution)
     gaps = _gaps(sorted(_clipped_spans(radii, centers, length, idx)), length)
     return CoverageReport(not gaps, tuple([(_from_grid(lo, d), _from_grid(hi, d)) for lo, hi in gaps]))
 
@@ -410,6 +419,42 @@ def is_feasible(instance: Instance) -> bool:
     return 2 * sum(radii) >= length
 
 
+def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
+    """Left-to-right tiling; a cheap order-preserving upper bound, not optimal.
+
+    Sensors are stacked edge to edge from 0 until the barrier is covered;
+    the rest stay home.  The tiling runs on the instance's grid
+    (``_greedy_tiling``); only the tiled positions and the cost become
+    Fractions.
+    """
+    if not is_feasible(instance):
+        raise InfeasibleError("total sensor length is below the barrier length")
+    d, length, xs, rs = instance._grid
+    centers, moved = _greedy_tiling(length, xs, rs)
+    y = [s.x for s in instance.sensors]
+    for i, center in enumerate(centers):
+        y[i] = _from_grid(center, d)
+    return tuple(y), _from_grid(moved, d)
+
+
+def _greedy_tiling(length: int, xs: Sequence[int], rs: Sequence[int]) -> tuple[list[int], int]:
+    """``greedy_cover`` on the grid: the centers of the sensors it tiles, a prefix, and its cost.
+
+    Every sensor past the prefix stays home.  ``exact.brute_force`` takes
+    its incumbent from here, with no Fraction made.
+    """
+    centers = []
+    reach = moved = 0
+    for x, r in zip(xs, rs):
+        if reach >= length:
+            break
+        center = reach + r
+        centers.append(center)
+        moved += abs(center - x)
+        reach += 2 * r
+    return centers, moved
+
+
 def minimal_active_set(
     instance: Instance,
     solution: Sequence[ScalarLike],
@@ -420,14 +465,14 @@ def minimal_active_set(
     Deterministic rule: scan candidates in decreasing radius (ties: higher
     index first) and drop any sensor whose removal keeps [0, L] covered.
     A single pass is enough: once a removal fails it fails for every
-    smaller surviving set as well.  ``_minimal_cover`` applies the rule and
-    sweeps only for the candidates it cannot decide in one pass (its
-    docstring shows why).  An index of ``within`` outside range(n) raises
-    ValueError.
+    smaller surviving set as well.  ``_minimal_cover`` applies the rule on
+    the grid of ``_solution_on_grid`` and sweeps only for the candidates it
+    cannot decide in one pass (its docstring shows why).  An index of
+    ``within`` outside range(n) raises ValueError.
     """
     within = range(instance.n) if within is None else _checked_indices(instance, within)
-    y = as_solution(instance, solution)
-    active = _minimal_cover(_radii(instance), y, instance.length, within)
+    _, length, _, radii, centers = _solution_on_grid(instance, solution)
+    active = _minimal_cover(radii, centers, length, within)
     if active is None:
         raise InfeasibleError("solution does not cover the barrier")
     return active
@@ -479,6 +524,19 @@ def on_grid(instance: Instance, *extra: Number) -> tuple[int, int, list[int], li
     if f == 1:
         return d, length, list(xs), list(rs)
     return d * f, length * f, [x * f for x in xs], [r * f for r in rs]
+
+
+def _solution_on_grid(
+    instance: Instance, solution: Sequence[ScalarLike]
+) -> tuple[int, int, list[int], list[int], list[int]]:
+    """``on_grid(instance, *y)`` and the positions y on that grid: ``(d, L*d, [x*d], [r*d], [y*d])``.
+
+    y is ``as_solution(instance, solution)``, so a wrong count or a float
+    raises as there.  Every list is fresh.
+    """
+    y = as_solution(instance, solution)
+    d, length, xs, rs = on_grid(instance, *y)
+    return d, length, xs, rs, [_to_grid(v, d) for v in y]
 
 
 def _to_grid(value: Number, d: int) -> int:

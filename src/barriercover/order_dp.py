@@ -37,10 +37,11 @@ positions of the solution, is converted back to Fractions.  The exact
 solvers run the DP with unit 1/d on the instance's own grid, so they take
 any rational instance and a budget in input units.  A call pays for that
 grid once: it is computed on first use and kept on the ``Instance``, and
-a table with unit 1/d takes it as it is, with no lcm.  The feasibility
-test, the greedy tiling that caps the budget and the coverage check of
-the home solution run on its ints; the reconstruction walks the choices
-once, choosing the active chain and checking its cover as it goes.  A
+a table with unit 1/d takes it as it is (``Instance._grid``), with no
+lcm.  The feasibility test, the greedy tiling that caps the budget
+(``model.greedy_cover``) and the coverage check of the home solution run
+on its ints in ``model``, the package's one grid layer, from which this
+module imports all it uses; the reconstruction walks the choices once, choosing the active chain and checking its cover as it goes.  A
 Fraction is made only where one is returned, without a gcd on the grid 1
 (``model._from_grid``), and ``cheapest_first`` hands budgets on the grid 1
 over as ints.
@@ -54,7 +55,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 from .model import (
     ActiveSet,
@@ -70,6 +71,7 @@ from .model import (
     _to_grid,
     _Value,
     as_scalar,
+    greedy_cover,
     grid_units,
     integral_scale_factor,
     is_feasible,
@@ -381,42 +383,6 @@ def cheapest_first(instance: Instance, solve: Callable[[Number], Optional[tuple]
         if units >= top:
             raise RuntimeError("budget doubling found nothing at the greedy cost")
         units *= 2
-
-
-def greedy_cover(instance: Instance) -> tuple[Solution, Scalar]:
-    """Left-to-right tiling; a cheap order-preserving upper bound, not optimal.
-
-    Sensors are stacked edge to edge from 0 until the barrier is covered;
-    the rest stay home.  The tiling runs on the instance's grid
-    (``model.on_grid``, ``_greedy_tiling``); only the tiled positions and
-    the cost become Fractions.
-    """
-    if not is_feasible(instance):
-        raise InfeasibleError("total sensor length is below the barrier length")
-    d, length, xs, rs = instance._grid
-    centers, moved = _greedy_tiling(length, xs, rs)
-    y = [s.x for s in instance.sensors]
-    for i, center in enumerate(centers):
-        y[i] = _from_grid(center, d)
-    return tuple(y), _from_grid(moved, d)
-
-
-def _greedy_tiling(length: int, xs: Sequence[int], rs: Sequence[int]) -> tuple[list[int], int]:
-    """``greedy_cover`` on the grid: the centers of the sensors it tiles, a prefix, and its cost.
-
-    Every sensor past the prefix stays home.  ``exact.brute_force`` takes
-    its incumbent from here, with no Fraction made.
-    """
-    centers = []
-    reach = moved = 0
-    for x, r in zip(xs, rs):
-        if reach >= length:
-            break
-        center = reach + r
-        centers.append(center)
-        moved += abs(center - x)
-        reach += 2 * r
-    return centers, moved
 
 
 def dp_optimal(instance: Instance) -> tuple[Solution, ActiveSet]:

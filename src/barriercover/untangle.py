@@ -7,11 +7,12 @@ covering exactly the same part of the barrier, so coverage is preserved
 swap by swap until the active set is order-preserving.
 
 ``untangle`` runs its swap loop and its final order check on the integer
-grid of ``model.on_grid``: every coordinate is multiplied by the lcm d of
-the instance's and the solution's denominators, so the swap targets
-u1 + r_i and u2 - r_j stay integral, and the result is converted back to
-Fractions once.  Scaling by d > 0 keeps every comparison, so the schedule
-and the result are exactly those of the loop on Fractions.
+grid of ``model._solution_on_grid``: every coordinate is multiplied by the
+lcm d of the instance's and the solution's denominators, so the swap
+targets u1 + r_i and u2 - r_j stay integral, and the result is converted
+back to Fractions once, through ``model._from_grid``.  Scaling by d > 0
+keeps every comparison, so the schedule and the result are exactly those
+of the loop on Fractions.
 
 The loop keeps the active sensors' spans in one list sorted by their left
 end.  It finds the next pair among that list's neighbours, resuming one
@@ -25,7 +26,6 @@ full coverage sweep checks the result at the end.
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .model import (
@@ -36,12 +36,12 @@ from .model import (
     ScalarLike,
     Solution,
     _covers,
+    _from_grid,
     _minimal_cover,
     _set,
-    _to_grid,
+    _solution_on_grid,
     _Value,
     as_solution,
-    on_grid,
 )
 
 
@@ -243,9 +243,7 @@ def untangle(
     scan resumes one entry left of where the last one stopped, all the
     scans of a run read O(|A| + swaps) entries together.
     """
-    y = as_solution(instance, solution)
-    scale, length, home, radii = on_grid(instance, *y)
-    pos = [_to_grid(v, scale) for v in y]
+    scale, length, home, radii, pos = _solution_on_grid(instance, solution)
     active = _minimal_cover(radii, pos, length, range(instance.n))
     if active is None:
         raise InfeasibleError("cannot untangle a solution that does not cover")
@@ -298,4 +296,4 @@ def untangle(
         if any(pos[a] > pos[b] for a, b in zip(active, active[1:])):
             raise RuntimeError("crossing pairs remain but none overlap; schedule bug")
         raise RuntimeError("untangling finished with an out-of-order active set")
-    return tuple(Fraction(v, scale) for v in pos), active
+    return tuple([_from_grid(v, scale) for v in pos]), active

@@ -1,7 +1,7 @@
 """Reference Fraction paths of the model: the coverage sweep, feasibility and the greedy tiling.
 
 ``barriercover.model.verify_coverage``, ``model.is_feasible`` and
-``order_dp.greedy_cover`` run on the instance's integer grid and convert
+``model.greedy_cover`` run on the instance's integer grid and convert
 only what they return to Fractions.  The first three functions below are
 those three as they stood before, when every coordinate stayed a Fraction,
 copied verbatim; the library's versions must return exactly what these do,
@@ -14,7 +14,9 @@ what this one does, None included.
 
 ``max_stab_count`` and ``scale_solution`` are test helpers that no solver
 calls; they left ``barriercover.model`` and are kept here verbatim for the
-acceptance gate C8 and the untangle scaling test.
+acceptance gate C8 and the untangle scaling test.  ``_radii``, which the
+Fraction paths above read, left it verbatim too, once every coverage check
+in the library ran on the grid.
 """
 
 from __future__ import annotations
@@ -34,10 +36,13 @@ from barriercover.model import (
     _clipped_spans,
     _covers,
     _gaps,
-    _radii,
     as_scalar,
     as_solution,
 )
+
+
+def _radii(instance: Instance) -> tuple[Scalar, ...]:
+    return tuple(s.r for s in instance.sensors)
 
 
 def verify_coverage(

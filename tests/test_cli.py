@@ -1,5 +1,8 @@
 import argparse
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -600,8 +603,9 @@ class TestImportFootprint:
         (["verify", "{i1}", "{sol}"], {"exact", "order_dp", "generators"}),
         (["solve", "--algo", "dp-exact", "{i1}"], {"exact", "generators"}),
         (["solve", "--algo", "dp-eps", "{i1}"], {"exact", "generators"}),
-        (["solve", "--algo", "oracle", "{i1}"], {"generators"}),
+        (["solve", "--algo", "oracle", "{i1}"], {"generators", "order_dp"}),
         (["solve", "--algo", "fpt", "{i1}"], {"generators"}),
+        (["solve", "--algo", "untangle-oracle", "{i1}"], {"generators", "order_dp"}),
     ])
     def test_command_loads_only_what_it_runs(self, argv, absent, tmp_path):
         sol = tmp_path / "sol.txt"
@@ -611,3 +615,18 @@ class TestImportFootprint:
         assert code == "0"
         assert "barriercover.model" in loaded
         assert absent.isdisjoint(m.removeprefix("barriercover.") for m in loaded)
+
+    @pytest.mark.parametrize("module", ["exact", "untangle"])
+    def test_solver_module_loads_no_dp(self, module):
+        """``exact`` and ``untangle`` import from ``model`` alone; ``-S`` keeps ``site`` from loading anything first."""
+        code = f"import sys, barriercover.{module}; print('barriercover.order_dp' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parent.parent)}
+        child = subprocess.run([sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "False\n"
+
+    def test_one_greedy_cover_object(self):
+        """The tracer wraps ``order_dp.greedy_cover`` by identity, so every module must hold the same object."""
+        from barriercover import exact, model, order_dp
+
+        assert model.greedy_cover is order_dp.greedy_cover is exact.greedy_cover
