@@ -61,6 +61,7 @@ from .model import (
     _from_grid,
     _gaps,
     _greedy_tiling,
+    # Not called here: perfbench's tracer self-test and test_one_greedy_cover_object read exact.greedy_cover.
     greedy_cover,
     grid_units,
     is_feasible,
@@ -632,15 +633,16 @@ def brute_force_order_preserving(
     Independent check for the DP: walks sensors in index order, each either
     staying home (inactive) or joining the chain at an integer position that
     extends coverage without leaving a gap.  The budget defaults to the
-    greedy tiling cost, which is always enough.
+    greedy tiling's cost on the grid (``model._greedy_tiling``), which is
+    always enough.  A given budget is converted before the feasibility
+    test, as in the other searches, so a negative one raises ValueError
+    even where no cover exists.
     """
     d, length, xs, rs = instance._grid
     n = len(xs)
+    limit = _greedy_tiling(length, xs, rs)[1] if budget is None else grid_units(budget, d)
     if not is_feasible(instance):
         return None
-    if budget is None:
-        _, budget = greedy_cover(instance)
-    limit = grid_units(budget, d)
 
     suffix_len = [0] * (n + 1)
     for i in range(n - 1, -1, -1):

@@ -441,7 +441,8 @@ def _greedy_tiling(length: int, xs: Sequence[int], rs: Sequence[int]) -> tuple[l
     """``greedy_cover`` on the grid: the centers of the sensors it tiles, a prefix, and its cost.
 
     Every sensor past the prefix stays home.  ``exact.brute_force`` takes
-    its incumbent from here, with no Fraction made.
+    its incumbent from here, and ``brute_force_order_preserving``,
+    ``dp_exact`` and ``dp_eps`` their budget cap, with no Fraction made.
     """
     centers = []
     reach = moved = 0

@@ -38,10 +38,14 @@ solvers run the DP with unit 1/d on the instance's own grid, so they take
 any rational instance and a budget in input units.  A call pays for that
 grid once: it is computed on first use and kept on the ``Instance``, and
 a table with unit 1/d takes it as it is (``Instance._grid``), with no
-lcm.  The feasibility test, the greedy tiling that caps the budget
-(``model.greedy_cover``) and the coverage check of the home solution run
-on its ints in ``model``, the package's one grid layer, from which this
-module imports all it uses; the reconstruction walks the choices once, choosing the active chain and checking its cover as it goes.  A
+lcm.  The feasibility test, the greedy tiling that caps the budget and
+the coverage check of the home solution run on its ints in ``model``, the
+package's one grid layer, from which this module imports all it uses.
+``dp_exact`` and ``dp_eps`` read the greedy cap as a grid cost
+(``model._greedy_tiling``); only ``cheapest_first``, which hands it to its
+solver as the last budget, takes it in input units (``model.greedy_cover``).
+The reconstruction walks the choices once, choosing the active chain and
+checking its cover as it goes.  A
 Fraction is made only where one is returned, without a gcd on the grid 1
 (``model._from_grid``), and ``cheapest_first`` hands budgets on the grid 1
 over as ints.
@@ -67,6 +71,7 @@ from .model import (
     ScalarLike,
     Solution,
     _from_grid,
+    _greedy_tiling,
     _home_gaps,
     _to_grid,
     _Value,
@@ -308,18 +313,17 @@ def _reconstruct(instance: Instance, table: DpTable, b: int) -> tuple[Solution, 
 def dp_exact(instance: Instance, budget: ScalarLike) -> Optional[tuple[Solution, ActiveSet]]:
     """Cheapest order-preserving cover of cost <= budget, or None.
 
-    Movements are searched on the instance's grid 1/d (``model.on_grid``),
+    Movements are searched on the instance's grid 1/d (``Instance._grid``),
     which loses nothing: on integral data the DP is exact.  The budget is
-    capped at the greedy cover's cost: greedy tiles in index order, so it
-    is an order-preserving cover the DP can express, and the cheapest one
-    never costs more.
+    capped at the greedy cover's cost on that grid (``model._greedy_tiling``):
+    greedy tiles in index order, so it is an order-preserving cover the DP
+    can express, and the cheapest one never costs more.
     """
-    d = integral_scale_factor(instance)
+    d, length, xs, rs = instance._grid
     units = grid_units(budget, d)
     if not is_feasible(instance):
         return None
-    _, upper = greedy_cover(instance)
-    return _dp_within(instance, min(units, _to_grid(upper, d)), Fraction(1, d))
+    return _dp_within(instance, min(units, _greedy_tiling(length, xs, rs)[1]), Fraction(1, d))
 
 
 def _dp_within(instance: Instance, units: int, unit: Scalar) -> Optional[tuple[Solution, ActiveSet]]:
@@ -476,7 +480,7 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
         raise ValueError(f"eps must be positive, got {eps}")
     if not is_feasible(instance):
         raise InfeasibleError("instance cannot cover the barrier")
-    d, _, xs, _ = instance._grid
+    d, length, xs, rs = instance._grid
     n = instance.n
     gaps = _home_gaps(instance)
     if not gaps:
@@ -486,8 +490,7 @@ def dp_eps(instance: Instance, eps: ScalarLike) -> tuple[Solution, ActiveSet]:
     units = -(-2 * n * s // p) + n
     g = max(hi - lo for lo, hi in gaps)
     floor = f * sum(hi - lo for lo, hi in gaps)
-    _, upper = greedy_cover(instance)
-    top = 4 * _to_grid(upper, d)
+    top = 4 * _greedy_tiling(length, xs, rs)[1]
     tables: list[DpTable] = []
     while True:
         if g * units * p >= floor:

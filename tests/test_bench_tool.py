@@ -189,3 +189,25 @@ def test_dp_rows_time_each_dp_order_call(bench_dp):
     drawn = Instance(6, (Sensor(-2, 3), Sensor(6, 1), Sensor(7, 3)))  # perfbench's r0.n3 at seed 0
     answers = rows["dp_optimal.random_n3_seed0_x200"]()
     assert answers == [barriercover.dp_optimal(drawn)] * 200
+
+
+def test_dp_rows_reach_the_one_shot_row_stop(bench_dp, monkeypatch):
+    """``dp_exact`` at fig5's OPT, below OPT_op, gives up a table before its last row on every call."""
+    import barriercover
+    from barriercover import order_dp
+
+    resumes = []
+    fill_row = order_dp._fill_row
+
+    def counted(*args):
+        for _ in fill_row(*args):
+            resumes.append(None)
+            yield
+
+    rows = bench_dp.dp_rows(barriercover)
+    assert [name for name in rows if name.startswith(("dp_exact_opt.", "dp_eps_one."))] == [
+        "dp_exact_opt.fig5_L40_x250", "dp_exact_opt.fig5_L160_x20", "dp_eps_one.fig6_m12_x50",
+        "dp_eps_one.fig6_m15_x50"]
+    monkeypatch.setattr(order_dp, "_fill_row", counted)
+    assert rows["dp_exact_opt.fig5_L40_x250"]() == [None] * 250
+    assert len(resumes) == 250 * 11 < 250 * barriercover.gen_fig5(2, 40).n

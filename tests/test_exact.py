@@ -27,7 +27,7 @@ from barriercover import (
 )
 from barriercover import exact
 from barriercover.exact import _transport_sweep, gap_candidates
-from barriercover.order_dp import cheapest_first
+from barriercover.order_dp import cheapest_first, dp_exact
 
 import reference_search as ref
 from reference_search import _transport_bound
@@ -729,3 +729,12 @@ class TestTransportBound:
         for length in lengths:
             instance = gen_fig5(rho, length)
             assert _root_bound(instance) == oracle_optimal(instance)[1] * instance._grid[0], length
+
+
+@pytest.mark.parametrize("instance", [Instance(10, (Sensor(0, 1),)), I1], ids=["infeasible", "feasible"])
+@pytest.mark.parametrize(
+    "search", [brute_force, brute_force_order_preserving, fpt_solve, dp_exact], ids=lambda f: f.__name__)
+def test_every_budgeted_search_refuses_a_negative_budget(search, instance):
+    """Each search converts its budget before its feasibility test, so -1 raises whether or not a cover exists."""
+    with pytest.raises(ValueError, match="budget must be >= 0, got -1"):
+        search(instance, -1)

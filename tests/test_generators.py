@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction as F
 
 import pytest
@@ -248,3 +249,31 @@ class TestSensorCap:
         assert make(5).n == 5
         with pytest.raises(ResourceLimitError, match="6 sensors exceed the generator cap 5"):
             make(6)
+
+
+class TestReductionAtTheDigitLimit:
+    """b = 3, k = 2: at m = 4,506 the budget B prints but a sensor position does not; at m = 4,505 both print."""
+
+    @staticmethod
+    def _gen(m, tmp_path):
+        from barriercover.cli import main
+
+        spec = tmp_path / "ec.json"
+        spec.write_text(json.dumps({"m": m, "sets": [[1, m], [m]], "k": 2}))
+        out = tmp_path / "ec.bc"
+        return main(["gen", "--family", "exact-cover", "--spec", str(spec), "--out", str(out)]), spec, out
+
+    def test_unprintable_position_exits_3_writing_neither_file(self, tmp_path, capsys):
+        code, spec, _ = self._gen(4506, tmp_path)
+        assert code == 3
+        assert "cannot print a 14,285-bit number" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [spec]
+
+    def test_one_element_less_writes_both_files_that_parse_back(self, tmp_path):
+        code, _, out = self._gen(4505, tmp_path)
+        assert code == 0
+        reduced = reduce_exact_cover(ExactCoverInstance(4505, [[1, 4505], [4505]], 2))
+        assert parse_instance(out.read_text()) == reduced.instance
+        meta = json.loads(Path(f"{out}.meta.json").read_text())
+        assert F(meta["B"]) == reduced.budget and meta["k"] == 2
+        assert meta["source_sets"] == list(reduced.source_sets)

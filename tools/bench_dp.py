@@ -22,6 +22,13 @@ gap bound, 1,200 steps),
 one row each, the same two per call on each instance of the ``dp-order``
 workload (fig5 L = 8, 10, ..., 18 and its random n = 3 instance at seed 0,
 ``_x200`` rows of 200 calls each, so a row's figure over 200 is one call),
+the one-shot table that ``dp_exact`` and a rounded ``dp_eps`` guess fill
+(``order_dp._dp_within``, with its row stop), which no ``dp-order`` op
+fills: ``dp_exact`` at OPT on fig5 L = 40 and 160 (250 and 20 calls a
+row; OPT comes from ``oracle_optimal`` when the row is built, and is
+below OPT_op, so each call returns None once a row proves that no budget
+covers) and ``dp_eps`` at eps = 1 on ``gen_fig6(2, m, 1/8)`` for m in
+{12, 15} (50 calls a row),
 fig5 L=40 ``dp_optimal`` against the exhaustive
 ``oracle_optimal``, and three ``python -m barriercover`` child runs on
 ``--src`` (interpreter start and import included): ``solve --algo
@@ -190,6 +197,15 @@ def dp_rows(bc) -> dict[str, Callable[[], object]]:
                                                            for length in range(8, 19, 2)]:
         rows[f"dp_optimal.{name}_x200"] = lambda i=inst: [bc.dp_optimal(i) for _ in range(200)]
         rows[f"dp_eps_half.{name}_x200"] = lambda i=inst: [bc.dp_eps(i, Fraction(1, 2)) for _ in range(200)]
+    # The one-shot table's row stop (``order_dp._dp_within``), which no dp-order op reaches.
+    for length, repeats in ((40, 250), (160, 20)):
+        inst = bc.gen_fig5(2, length)
+        opt = bc.oracle_optimal(inst)[1]  # below OPT_op: every call returns None at the row stop
+        rows[f"dp_exact_opt.fig5_L{length}_x{repeats}"] = lambda i=inst, b=opt, k=repeats: [
+            bc.dp_exact(i, b) for _ in range(k)]
+    for m in (12, 15):
+        rows[f"dp_eps_one.fig6_m{m}_x50"] = lambda i=bc.gen_fig6(2, m, Fraction(1, 8)): [
+            bc.dp_eps(i, 1) for _ in range(50)]
     fig5 = bc.gen_fig5(2, 40)
     rows["dp_optimal.fig5_L40"] = lambda: bc.dp_optimal(fig5)
     rows["oracle_optimal.fig5_L40"] = lambda: bc.oracle_optimal(fig5)
