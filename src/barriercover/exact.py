@@ -13,10 +13,12 @@ tiling that gives ``brute_force`` its first incumbent and
 The searches are depth-first with admissible pruning only (budget, current
 incumbent, permanently wasted length, uncovered measure, reachability of the
 leftmost hole, and in ``brute_force`` a transport bound), so results are
-exact.  The transport bound's test costs O(n + holes) a node: one sorted
-list of the unplaced sensors' home breakpoints follows the search path,
-the sweep ends a piece of G only where its slope changes, and it stops
-once the bound passes the limit.
+exact.  The transport bound's test costs O(n + holes) a node, and
+O(holes + slope changes) on a tiling: one sorted list of the unplaced
+sensors' home breakpoints, net of those that cancel where one home ends
+and the next begins, follows the search path, the sweep ends a piece of
+G only where its slope changes, and it stops once the bound passes the
+limit.
 ``fpt_solve`` takes its holes from the one coverage sweep,
 ``model._gaps``, as ``verify_coverage`` does.  A
 ``brute_force`` node instead carries the holes its placed sensors leave, cut
@@ -44,7 +46,7 @@ positions for a budget of B grid units.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from itertools import accumulate
 from operator import itemgetter
@@ -264,6 +266,27 @@ def _transport_sweep(steps: Iterable[int], spare: int, cap: Optional[int] = None
     return total
 
 
+def _take_step(steps: list[int], step: int) -> None:
+    """Take ``step`` out of the net list ``steps``; ``_take_step(steps, step ^ 1)`` puts it back.
+
+    ``steps`` is sorted and holds, at each t, only rises (2t + 1) or only
+    falls (2t), as many as the rises less the falls there: a net count, so
+    a rise and a fall at one t cancel.  If the list holds ``step``, it is
+    deleted.  Otherwise the list holds none of its kind at t, so the
+    opposite step goes in at ``step``'s bisect position, which keeps the
+    list sorted: for a rise 2t + 1 every element before it is at most 2t and
+    none after it is 2t + 1; for a fall 2t none is 2t, so every element
+    from it on is at least 2t + 1.  One bisect either way, and taking steps
+    out and putting them back in any order leaves the net list of what is
+    still in.
+    """
+    k = bisect_left(steps, step)
+    if k < len(steps) and steps[k] == step:
+        del steps[k]
+    else:
+        steps.insert(k, step ^ 1)
+
+
 def brute_force(
     instance: Instance,
     budget: Optional[ScalarLike] = None,
@@ -385,13 +408,22 @@ def brute_force(
     only falls.
 
     The root's own test reads T0, as its holes are the whole barrier and
-    its waste 0.  Below it the test costs O(n - i + |H|) a node.  The
-    breakpoints of all the homes are sorted once per call, at the gate,
-    into one list (``home_steps``) that follows the path: a node past its
-    own tests takes its sensor's two out (two bisects) before its children
-    and puts them back (``insort``) after them, as it sets and restores
-    ``positions`` and ``floors``.  So a node at depth i sees those of
-    sensors i.., and a call holds O(n) ints for them however deep it goes.
+    its waste 0.  Below it the test costs O(|steps| + |H|) a node, where
+    |steps| <= 2(n - i).  The breakpoints of all the homes are put once
+    per call, at the gate, into one sorted list (``home_steps``) that
+    follows the path, net of the rises and falls that cancel at one t
+    (``_take_step``): where one home ends and the next begins, as on a
+    tiling, it holds no step, so on fig5 it holds at most four steps where
+    the homes hold 2(n - i).  A node past its own tests takes its
+    sensor's two out (one bisect each) before its children and puts them
+    back after them, as it sets and restores ``positions`` and
+    ``floors``.  So a node at depth i sees the net steps of sensors i..,
+    and a call holds O(n) ints for them however deep it goes.  The sweep
+    of the net list equals that of the full one.  A cancelled t is never
+    the first or the last t: the home that ends there started earlier,
+    and the one that starts there ends later.  At an interior t where the
+    slope does not change no piece of G closes (``_transport_sweep``), so
+    dropping its steps changes neither the total nor any running total.
     Each pass of ``_Search.run`` ends with its stack empty, every node
     done, so the full search starts from the whole list again; a
     ``ResourceLimitError`` abandons the call.  T0 and every node's bound
@@ -405,9 +437,10 @@ def brute_force(
     b = 4 r_max >= 4.  For every integer k, ceil(S / b) > k iff S / b > k
     (ceil(S / b) < S / b + 1), iff S > c; for k < 0 both hold, as S >= 0.
     Every piece adds at least 0 to the total, so a partial total passes c
-    iff S does.  The sweep costs O(n) a node all the same, so the rule and
-    the probe run only in a call whose T0 exceeds the root's uncovered
-    measure (the bound the search has anyway); otherwise the search is as
+    iff S does.  Where homes do not abut the sweep costs O(n) a node all
+    the same, so the rule and the probe run only in a call whose T0
+    exceeds the root's uncovered measure (the bound the search has
+    anyway); otherwise the search is as
     without them, node for node.  On random data the slack is large and T0
     is 0 or 1, so this gate is mostly shut.  On fig5 T0 is the optimum and
     the probe proves it; on fig6 it is about half of it, and the rule does
@@ -477,10 +510,15 @@ def brute_force(
         return best
 
     # ``r_max[i]``: the largest radius of sensors i..; ``home_steps``: the
-    # sorted breakpoints of the unplaced sensors' homes, as ``_transport_sweep``
-    # encodes them.  A node takes out its own sensor's two for its children.
+    # unplaced sensors' home breakpoints, as ``_transport_sweep`` encodes them,
+    # net of the rises and falls that cancel at one t (``_take_step``).  It
+    # starts empty and every home's two steps are put back.  A node takes out
+    # its own sensor's two for its children.
     r_max = list(accumulate(reversed(rs), max))[::-1]
-    home_steps = sorted(step for x, r in zip(xs, rs) for step in (2 * (x - r) + 1, 2 * (x + r)))
+    home_steps: list[int] = []
+    for x, r in zip(xs, rs):
+        _take_step(home_steps, 2 * (x - r))
+        _take_step(home_steps, 2 * (x + r) + 1)
 
     def transport(holes: list[tuple[int, int]], spare: int, cap: Optional[int] = None) -> int:
         """The transport sweep of the unplaced sensors' homes against ``holes``."""
@@ -515,8 +553,8 @@ def brute_force(
                 pruned["transport"] += 1
                 return
             # Sensor i's two steps are out while its children run.
-            del home_steps[bisect_left(home_steps, 2 * (x - r) + 1)]
-            del home_steps[bisect_left(home_steps, 2 * (x + r))]
+            _take_step(home_steps, 2 * (x - r) + 1)
+            _take_step(home_steps, 2 * (x + r))
         two_r = 2 * r
         floor = floors[r]
         lo_y = max(min(-r, x), floor)
@@ -598,8 +636,8 @@ def brute_force(
                 positions[i], floors[r] = x, floor
             d += 1
         if sweep:
-            insort(home_steps, 2 * (x - r) + 1)
-            insort(home_steps, 2 * (x + r))
+            _take_step(home_steps, 2 * (x - r))
+            _take_step(home_steps, 2 * (x + r) + 1)
 
     # The root's entry test, as its parent would run it: its ``ahead`` is
     # what all the homes leave open.

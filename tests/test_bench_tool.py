@@ -9,6 +9,7 @@ raises, so a test that reaches them fails loudly instead of timing.
 import argparse
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -130,6 +131,36 @@ def test_search_rows_solve_the_near_tiling_at_n200_and_n2000(bench_dp):
         "fpt_solve.near_tiling_n200", "fpt_solve.near_tiling_n2000"]
     y, value = rows["fpt_solve.near_tiling_n200"]()
     assert len(y) == 200 and value == 6
+
+
+def test_search_rows_reach_fig5_L1280(bench_dp):
+    """The fig5 oracle rows double L up to 1,280 (n = 639), where each doubling shows the search's growth."""
+    import barriercover
+
+    rows = bench_dp.search_rows(barriercover)
+    assert [name for name in rows if name.startswith("oracle_optimal.fig5_L")][-3:] == [
+        "oracle_optimal.fig5_L320", "oracle_optimal.fig5_L640", "oracle_optimal.fig5_L1280"]
+    y, value = rows["oracle_optimal.fig5_L640"]()
+    assert len(y) == 319 and value == 638
+
+
+def test_children_compile_from_source_and_write_no_bytecode(monkeypatch, tmp_path):
+    """``rows`` and ``pairs`` children read no ``__pycache__`` and write none: an empty cache prefix, no writes."""
+    spec = importlib.util.spec_from_file_location("bench_dp_env_under_test", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    envs = []
+
+    def run(argv, env, **kwargs):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        envs.append((env["PYTHONDONTWRITEBYTECODE"], prefix.is_dir() and not any(prefix.iterdir())))
+        out = '{"correct": true, "failed": 0, "metrics": {}}' if "perfbench/run.py" in argv else "0.5"
+        return subprocess.CompletedProcess(argv, 0, stdout=out)
+
+    monkeypatch.setattr(module.subprocess, "run", run)
+    assert module.row_in_child("search", tmp_path, "row", 1) == 0.5
+    assert module.perfbench_run(tmp_path, "exact-oracle", 0, 1) == {}
+    assert envs == [("1", True), ("1", True)]
 
 
 def test_pairs_count_wins_on_every_end_to_end_metric(bench_dp, monkeypatch):

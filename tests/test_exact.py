@@ -586,6 +586,35 @@ class TestFig5Growth:
         for length in (20, 40, 80):
             assert 2 * counts[2 * length] <= 5 * counts[length]
 
+    #: Steps one oracle call hands ``exact._transport_sweep``, holes' steps included.
+    #: With every home's two steps kept, these read 406 / 1,816 / 7,636 / 31,276.
+    STEPS = {20: 126, 40: 286, 80: 606, 160: 1246}
+
+    def test_sweep_steps_per_doubling(self, monkeypatch):
+        """The sweep's work grows linearly too: on fig5 the unplaced homes abut, so their steps cancel.
+
+        fig6's homes lie delta apart and never abut, so its count is what
+        every home's two steps give: 2,220 at m = 8.
+        """
+        sweep = exact._transport_sweep
+        steps = []
+
+        def counted(step_list, spare, cap=None):
+            steps[-1] += len(step_list)
+            return sweep(step_list, spare, cap)
+
+        monkeypatch.setattr(exact, "_transport_sweep", counted)
+        for length in self.STEPS:
+            steps.append(0)
+            assert oracle_optimal(gen_fig5(2, length))[1] == length - 2
+        counts = dict(zip(self.STEPS, steps))
+        assert counts == self.STEPS
+        for length in (20, 40, 80):
+            assert 2 * counts[2 * length] <= 5 * counts[length]
+        steps.append(0)
+        oracle_optimal(gen_fig6(2, 8, F(1, 8)))
+        assert steps[-1] == 2220
+
     def test_memory_stays_linear_along_the_probe(self):
         """The probe walks to depth n, and one home-breakpoint list follows it.
 

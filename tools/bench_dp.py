@@ -40,14 +40,15 @@ sensor moved to L - 2, where it crosses the whole unit row, and on a
 two-deep stack at home: two unit sensors at each of x = 1, 3, ..., 399 on
 L = 400, where no sensor covers a stretch alone, so the drop rule sweeps
 once per sensor.
-The search rows are ``oracle_optimal`` on fig5 L in {40, 44, 160, 320}, on
-``gen_fig6(2, m, 1/8)`` for m in {8, 12}, on ``gen_fig6(2, m, 1/16)`` for
-m in {16, 24} and, in one row, on all 200
+The search rows are ``oracle_optimal`` on fig5 L in {40, 44, 160, 320,
+640, 1280}, on ``gen_fig6(2, m, 1/8)`` for m in {8, 12}, on
+``gen_fig6(2, m, 1/16)`` for m in {16, 24} and, in one row, on all 200
 instances ``gen_random(6, 12, 1, 3, (-6, 18), s)`` for s = 0..199 (the
 ``exact-oracle`` workload's random family), ``exact._transport_sweep``
 alone on fig5 L = 44 and fig6 m = 8 (1/8), each row replaying in one call
 every ``(steps, spare, cap)`` that one ``oracle_optimal`` call hands it
-(captured when the row is built, outside the timed call), and
+(captured when the row is built, outside the timed call, so a change to
+what the oracle hands the sweep changes the row's input), and
 ``oracle_optimal`` and ``brute_force_order_preserving`` on the deep
 tiling: L = 2200 with 1,100 sensors at x = 2i + 2, r = 1, whose only
 cover moves every sensor, and
@@ -89,6 +90,13 @@ direction, under ``after_wins`` (``after_wins_ops_per_s`` repeats the
 underscores; ``--key`` replaces ``<W>_pairs``).  Each run is a separate
 process and reads only its own checkout.
 
+Every child that ``rows`` and ``pairs`` start compiles the package from
+source, as a fresh checkout does: it runs with ``PYTHONDONTWRITEBYTECODE=1``
+and ``PYTHONPYCACHEPREFIX`` set to an empty temporary directory, so no
+``__pycache__`` left in either checkout is read, and none is written.  A
+cache on one side only would cut that side's import time, which shows in
+``setup_s`` and in every ``cli-small`` metric.
+
 Recorded figures are never replaced: a ``rows`` label, or a ``pairs`` key
 and seed, that the JSON file already holds is refused before anything is
 timed.
@@ -105,6 +113,7 @@ import resource
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -260,7 +269,7 @@ def search_rows(bc) -> dict[str, Callable[[], object]]:
     """The exact-oracle workload's largest oracles and random family, fig6 m=12, the oracle's sweep
     replayed alone, and the deep and near tilings."""
     rows: dict[str, Callable[[], object]] = {}
-    for length in (40, 44, 160, 320):
+    for length in (40, 44, 160, 320, 640, 1280):
         rows[f"oracle_optimal.fig5_L{length}"] = lambda i=bc.gen_fig5(2, length): bc.oracle_optimal(i)
     for m in (8, 12):
         rows[f"oracle_optimal.fig6_m{m}"] = lambda i=bc.gen_fig6(2, m, Fraction(1, 8)): bc.oracle_optimal(i)
@@ -324,10 +333,17 @@ def print_row(topic: str, src: str, name: str, k: str) -> None:
     print(json.dumps(time_row(bc, ROWS[topic](bc)[name], int(k))))
 
 
+def run_child(argv: list[str], **kwargs) -> subprocess.CompletedProcess:
+    """``subprocess.run(argv)`` in a child that compiles every module from source and writes no bytecode."""
+    with tempfile.TemporaryDirectory() as prefix:
+        env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPYCACHEPREFIX": prefix}
+        return subprocess.run(argv, env=env, **kwargs)
+
+
 def row_in_child(topic: str, src: Path, name: str, k: int) -> float | str:
     """Time one row in a child process; its stderr (a traceback, say) passes through."""
     code = "import sys; sys.path.insert(0, sys.argv[1]); import bench_dp; bench_dp.print_row(*sys.argv[2:])"
-    child = subprocess.run(
+    child = run_child(
         [sys.executable, "-c", code, str(REPO / "tools"), topic, str(src), name, str(k)],
         stdout=subprocess.PIPE, text=True,
     )
@@ -403,7 +419,7 @@ def cmd_rows(args: argparse.Namespace) -> dict[str, dict]:
 
 
 def perfbench_run(checkout: Path, workload: str, seed: int, seconds: int) -> dict[str, float]:
-    out = subprocess.run(
+    out = run_child(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
