@@ -144,23 +144,48 @@ def test_search_rows_reach_fig5_L1280(bench_dp):
     assert len(y) == 319 and value == 638
 
 
-def test_children_compile_from_source_and_write_no_bytecode(monkeypatch, tmp_path):
-    """``rows`` and ``pairs`` children read no ``__pycache__`` and write none: an empty cache prefix, no writes."""
-    spec = importlib.util.spec_from_file_location("bench_dp_env_under_test", TOOL)
+def _bare_tool():
+    """The tool with its timing entry points in place."""
+    spec = importlib.util.spec_from_file_location("bench_dp_bare_under_test", TOOL)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_children_write_no_bytecode_and_read_no_moved_cache(monkeypatch, tmp_path):
+    """Every child runs with ``PYTHONDONTWRITEBYTECODE=1`` and without ``PYTHONPYCACHEPREFIX``.
+
+    A prefix would move the standard library's caches too, so the child
+    would compile all of it from source.
+    """
+    module = _bare_tool()
     envs = []
 
     def run(argv, env, **kwargs):
-        prefix = Path(env["PYTHONPYCACHEPREFIX"])
-        envs.append((env["PYTHONDONTWRITEBYTECODE"], prefix.is_dir() and not any(prefix.iterdir())))
+        envs.append((env.get("PYTHONDONTWRITEBYTECODE"), env.get("PYTHONPYCACHEPREFIX")))
         out = '{"correct": true, "failed": 0, "metrics": {}}' if "perfbench/run.py" in argv else "0.5"
         return subprocess.CompletedProcess(argv, 0, stdout=out)
 
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", str(tmp_path / "moved"))
     monkeypatch.setattr(module.subprocess, "run", run)
-    assert module.row_in_child("search", tmp_path, "row", 1) == 0.5
+    (tmp_path / "src" / "barriercover").mkdir(parents=True)
+    assert module.row_in_child("search", tmp_path / "src", "row", 1) == 0.5
     assert module.perfbench_run(tmp_path, "exact-oracle", 0, 1) == {}
-    assert envs == [("1", True), ("1", True)]
+    assert envs == [("1", None), ("1", None)]
+
+
+@pytest.mark.parametrize("cached", ["src/barriercover", "perfbench"])
+def test_a_side_with_compiled_bytecode_is_refused_before_its_child(monkeypatch, tmp_path, cached):
+    """A ``__pycache__`` in a side's package (or, for ``pairs``, its benchmark) would let its children skip compiling."""
+    module = _bare_tool()
+    monkeypatch.setattr(module.subprocess, "run", lambda *args, **kwargs: pytest.fail("a child started"))
+    (tmp_path / "src" / "barriercover").mkdir(parents=True)
+    (tmp_path / cached / "__pycache__").mkdir(parents=True)
+    with pytest.raises(SystemExit, match="__pycache__"):
+        module.perfbench_run(tmp_path, "exact-oracle", 0, 1)
+    if cached.startswith("src"):
+        with pytest.raises(SystemExit, match="__pycache__"):
+            module.row_in_child("search", tmp_path / "src", "row", 1)
 
 
 def test_pairs_count_wins_on_every_end_to_end_metric(bench_dp, monkeypatch):
